@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningOnNull
+from .errors import ConditioningOnNull, require_finite
 from .knowledge import Event, KnowledgeModel, common_knowledge
 from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
@@ -40,6 +40,7 @@ class ProbabilityMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d array")
+        require_finite(w, "weights")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         total = float(w.sum())

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import numpy as np
 
 
 class NotCellUnion(ValueError):
@@ -31,3 +33,13 @@ class ScenarioSyntaxError(ScenarioError):
 
 class ScenarioValidationError(ScenarioError):
     """The scenario is well-formed but violates a structural invariant."""
+
+
+def require_finite(a: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` if ``a`` holds a NaN or an infinity.
+
+    Every NaN comparison is False, so range and tolerance checks alone
+    would let such input through.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")

@@ -144,7 +144,7 @@ def gen_povm(seed, n_worlds: int, dim: int) -> Povm:
     rng = _rng(seed)
     atoms = np.stack([_ginibre_psd(rng, dim) for _ in range(n_worlds)])
     inv_root, _ = psd_sqrt_pinv(atoms.sum(axis=0))
-    return Povm(np.stack([inv_root @ a @ inv_root for a in atoms]))
+    return Povm(inv_root @ atoms @ inv_root)
 
 
 def gen_dovm(seed, model, dim: int) -> Dovm:

@@ -21,12 +21,11 @@ from math import isqrt
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .classical import ProbabilityMeasure
-from .errors import ConditioningOnNull
+from .errors import ConditioningOnNull, require_finite
 from .knowledge import Event, KnowledgeModel, common_knowledge
-from .quantum import Dovm, require_hermitian
+from .quantum import Dovm, _cell_values, _hermitian_stack, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
     MATCH_TOL,
@@ -85,28 +84,47 @@ def hermitian_basis(k: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strictly upper triangle, row-major."""
+    rows, cols = np.triu_indices(k, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def vectorize(m: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in :func:`hermitian_basis` order."""
-    a = require_hermitian(m, tol=1e-9)
-    k = a.shape[0]
-    iu = np.triu_indices(k, 1)
-    upper = a[iu]
-    return np.concatenate([a.diagonal().real, _SQRT2 * upper.real, _SQRT2 * upper.imag])
+    return _vectorize_rows(require_hermitian(m, tol=1e-9)[None])[0]
+
+
+def _vectorize_rows(h: np.ndarray) -> np.ndarray:
+    """Coordinates of each matrix in a Hermitian ``(n, k, k)`` stack, shape ``(n, k*k)``."""
+    rows, cols = _upper_pairs(h.shape[-1])
+    upper = h[:, rows, cols]
+    diagonal = np.diagonal(h, axis1=1, axis2=2).real
+    return np.concatenate([diagonal, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=1)
 
 
 def devectorize(v: np.ndarray) -> np.ndarray:
     """Hermitian matrix with the given coordinates (inverse of :func:`vectorize`)."""
-    v = np.asarray(v, dtype=float)
-    k = isqrt(v.size)
-    if k * k != v.size:
-        raise ValueError(f"coordinate length {v.size} is not a perfect square")
+    return _devectorize_rows(np.asarray(v, dtype=float).reshape(1, -1))[0]
+
+
+def _devectorize_rows(vs: np.ndarray) -> np.ndarray:
+    """Hermitian ``(n, k, k)`` stack from coordinate rows of shape ``(n, k*k)``."""
+    n, size = vs.shape
+    k = isqrt(size)
+    if k * k != size:
+        raise ValueError(f"coordinate length {size} is not a perfect square")
     n_pairs = k * (k - 1) // 2
-    m = np.zeros((k, k), dtype=complex)
-    np.fill_diagonal(m, v[:k])
-    iu = np.triu_indices(k, 1)
-    upper = (v[k : k + n_pairs] + 1.0j * v[k + n_pairs :]) / _SQRT2
-    m[iu] = upper
-    m[(iu[1], iu[0])] = upper.conj()
+    m = np.zeros((n, k, k), dtype=complex)
+    diag = np.arange(k)
+    m[:, diag, diag] = vs[:, :k]
+    rows, cols = _upper_pairs(k)
+    upper = (vs[:, k : k + n_pairs] + 1.0j * vs[:, k + n_pairs :]) / _SQRT2
+    m[:, rows, cols] = upper
+    m[:, cols, rows] = upper.conj()
     return m
 
 
@@ -125,6 +143,7 @@ class ConeSpace:
         unit = np.asarray(unit, dtype=float)
         if unit.shape != (dim,):
             raise ValueError(f"unit functional must have shape ({dim},), got {unit.shape}")
+        require_finite(unit, "unit functional")
         unit = unit.copy()
         unit.flags.writeable = False
         self._dim = dim
@@ -155,6 +174,17 @@ class ConeSpace:
         return a
 
     def contains(self, v, tol: float | None = None) -> bool:
+        return bool(self._members(self._coerce(v)[None], tol)[0])
+
+    def _members(self, vs: np.ndarray, tol: float | None = None) -> np.ndarray:
+        """Membership of each row of an ``(n, dim)`` array, as booleans.
+
+        Non-finite coordinates raise ``ValueError`` before any solver runs.
+        """
+        require_finite(vs, "cone coordinates")
+        return self._member_rows(vs, tol)
+
+    def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -173,9 +203,9 @@ class SimplexCone(ConeSpace):
     def generators(self) -> np.ndarray:
         return np.eye(self._dim)
 
-    def contains(self, v, tol: float | None = None) -> bool:
+    def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
         tol = PSD_EIG_TOL if tol is None else tol
-        return bool((self._coerce(v) >= -tol).all())
+        return (vs >= -tol).all(axis=1)
 
 
 class PsdCone(ConeSpace):
@@ -187,16 +217,17 @@ class PsdCone(ConeSpace):
         if matrix_dim < 1:
             raise ValueError("matrix dimension must be positive")
         self._matrix_dim = matrix_dim
-        super().__init__(matrix_dim * matrix_dim, vectorize(np.eye(matrix_dim)), observables)
+        # The trace functional is vectorize(identity): ones on the diagonal coordinates.
+        unit = np.concatenate([np.ones(matrix_dim), np.zeros(matrix_dim * matrix_dim - matrix_dim)])
+        super().__init__(matrix_dim * matrix_dim, unit, observables)
 
     @property
     def matrix_dim(self) -> int:
         return self._matrix_dim
 
-    def contains(self, v, tol: float | None = None) -> bool:
+    def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
         tol = PSD_EIG_TOL if tol is None else tol
-        vals = np.linalg.eigvalsh(devectorize(self._coerce(v)))
-        return bool(vals[0] >= -tol)
+        return np.linalg.eigvalsh(_devectorize_rows(vs))[:, 0] >= -tol
 
 
 class PolyhedralCone(ConeSpace):
@@ -220,9 +251,10 @@ class PolyhedralCone(ConeSpace):
         norms = np.linalg.norm(g, axis=1)
         if (norms == 0).any():
             raise ValueError("generators must be nonzero")
-        for j, gen in enumerate(g):
-            if self.contains(-gen):
-                raise ValueError(f"cone is not pointed: -generators[{j}] lies in the cone")
+        negated_inside = self._members(-g)
+        if negated_inside.any():
+            j = int(np.argmax(negated_inside))
+            raise ValueError(f"cone is not pointed: -generators[{j}] lies in the cone")
         values = g @ self._unit
         if (values <= 0).any():
             raise ValueError("unit functional must be strictly positive on every generator")
@@ -235,11 +267,24 @@ class PolyhedralCone(ConeSpace):
         return self._generators
 
     def contains(self, v, tol: float | None = None) -> bool:
+        """Whether ``v`` is a nonnegative combination of the generators.
+
+        Solved by nonnegative least squares (``scipy.optimize.nnls``); ``v``
+        is a member when the residual norm is at most ``tol`` (default
+        ``CONE_FEAS_TOL``).
+        """
+        return super().contains(v, tol)
+
+    def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
+        # scipy.optimize is imported here so that ``import aumann`` does not load it.
+        from scipy.optimize import nnls
+
         tol = CONE_FEAS_TOL if tol is None else tol
-        v = self._coerce(v)
-        # BVLS: nonnegative least squares against the generator matrix
-        fit = lsq_linear(self._generators.T, v, bounds=(0.0, np.inf), method="bvls")
-        return float(np.linalg.norm(self._generators.T @ fit.x - v)) <= tol
+        basis = self._generators.T
+        # nnls raises RuntimeError once it passes maxiter; its default of 3
+        # iterations per generator leaves little room on cones with one or two.
+        maxiter = 50 * basis.shape[1]
+        return np.array([nnls(basis, v, maxiter=maxiter)[1] <= tol for v in vs], dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,9 +358,9 @@ class Svm:
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] != self.cone.dim:
             raise ValueError(f"atoms must have shape (n_worlds, {self.cone.dim}), got {atoms.shape}")
-        for w, atom in enumerate(atoms):
-            if not self.cone.contains(atom):
-                raise ValueError(f"atom {w} lies outside the cone")
+        inside = self.cone._members(atoms)
+        if not inside.all():
+            raise ValueError(f"atom {int(np.argmin(inside))} lies outside the cone")
         total_u = float(self.cone.unit @ atoms.sum(axis=0))
         if abs(total_u - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"total unit value is {total_u!r}, expected 1")
@@ -381,14 +426,14 @@ def gpt_agreement_event(
     unit = mu.cone.unit
     acc = (1 << model.n_worlds) - 1
     for agent, target in enumerate(coords):
+        cells = model.partitions[agent].cells
+        values = _cell_values(mu.atoms, model.partitions[agent])
+        masses = values @ unit
+        live = np.flatnonzero(masses > NULL_MASS_TOL)
+        distances = np.abs(values[live] / masses[live, None] - target).max(axis=1)
         agent_mask = 0
-        for cell in model.partitions[agent].cells:
-            value = svm_value(mu, cell)
-            u = float(unit @ value)
-            if u <= NULL_MASS_TOL:
-                continue
-            if float(np.abs(value / u - target).max()) <= tol:
-                agent_mask |= cell.mask
+        for k in live[distances <= tol]:
+            agent_mask |= cells[k].mask
         acc &= agent_mask
         if not acc:
             break
@@ -440,4 +485,5 @@ def embed_quantum(rho: Dovm) -> Svm:
     Vectorization commutes with conditioning: trace normalization becomes
     unit-functional normalization.
     """
-    return Svm(PsdCone(rho.dim), np.stack([vectorize(a) for a in rho.atoms]))
+    atoms = _hermitian_stack(rho.atoms, "atom", tol=1e-9)
+    return Svm(PsdCone(rho.dim), _vectorize_rows(atoms))

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningOnNull, NotHermitian, NotPsd
-from .knowledge import Event, KnowledgeModel, common_knowledge
+from .errors import ConditioningOnNull, NotHermitian, NotPsd, require_finite
+from .knowledge import Event, KnowledgeModel, Partition, common_knowledge
 from .tolerances import (
     HERMITIAN_TOL,
     MATCH_TOL,
@@ -86,13 +86,60 @@ def psd_sqrt_pinv(m: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> tuple[np.nda
 
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix (sum of absolute eigenvalues)."""
-    return float(np.abs(np.linalg.eigvalsh(require_hermitian(m, tol=1e-9))).sum())
+    return float(_trace_norms(require_hermitian(m, tol=1e-9)))
+
+
+def _trace_norms(h: np.ndarray) -> np.ndarray:
+    """Trace norm of each matrix in a Hermitian stack (or of one matrix)."""
+    return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
 
 
 def _check_psd(a: np.ndarray, what: str) -> None:
     vals = np.linalg.eigvalsh(a)
     if vals.size and vals[0] < -PSD_EIG_TOL:
         raise NotPsd(f"{what} has eigenvalue {vals[0]:.3e} below -{PSD_EIG_TOL:.0e}")
+
+
+def _hermitian_stack(raw, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Check an ``(n, d, d)`` stack, every matrix within ``tol`` of Hermitian,
+    and return it symmetrized; :class:`NotHermitian` names the first bad index."""
+    a = np.asarray(raw, dtype=complex)
+    if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] < 1 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"{what}s must have shape (n_worlds, d, d), got {a.shape}")
+    require_finite(a, f"{what}s")
+    adjoint = a.conj().transpose(0, 2, 1)
+    deviation = np.abs(a - adjoint).max(axis=(1, 2))
+    bad = np.flatnonzero(deviation > tol)
+    if bad.size:
+        w = bad[0]
+        raise NotHermitian(f"{what} {w} deviates from Hermitian by {deviation[w]:.3e} (> {tol:.0e})")
+    return (a + adjoint) / 2.0
+
+
+def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
+    """Sum of the per-world ``atoms`` over each cell, stacked in cell order.
+
+    Each cell's sum adds its worlds in increasing order, as
+    ``atoms[list(cell)].sum(axis=0)`` does, so the values agree bit for bit.
+    """
+    sums = np.zeros((len(partition),) + atoms.shape[1:], dtype=atoms.dtype)
+    np.add.at(sums, np.asarray(partition._cell_index), atoms)
+    return sums
+
+
+def _psd_stack(raw, what: str) -> np.ndarray:
+    """Symmetrized ``(n, d, d)`` stack of PSD matrices.
+
+    Every Hermiticity check runs before the one batched eigensolve, so a
+    non-Hermitian matrix is reported ahead of a non-PSD one at any index.
+    """
+    h = _hermitian_stack(raw, what)
+    lowest = np.linalg.eigvalsh(h)[:, 0]
+    bad = np.flatnonzero(lowest < -PSD_EIG_TOL)
+    if bad.size:
+        w = bad[0]
+        raise NotPsd(f"{what} {w} has eigenvalue {lowest[w]:.3e} below -{PSD_EIG_TOL:.0e}")
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +149,9 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = require_hermitian(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
+        require_finite(m, "density operator")
+        m = require_hermitian(m)
         _check_psd(m, "density operator")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > WEIGHT_SUM_TOL:
@@ -122,12 +171,7 @@ class Dovm:
     atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.atoms, dtype=complex)
-        if raw.ndim != 3 or raw.shape[1] != raw.shape[2] or raw.shape[0] < 1:
-            raise ValueError(f"atoms must have shape (n_worlds, d, d), got {raw.shape}")
-        stacked = np.stack([require_hermitian(a) for a in raw])
-        for w, atom in enumerate(stacked):
-            _check_psd(atom, f"atom {w}")
+        stacked = _psd_stack(self.atoms, "atom")
         DensityOperator(stacked.sum(axis=0))  # total must be a valid state
         stacked.flags.writeable = False
         object.__setattr__(self, "atoms", stacked)
@@ -162,12 +206,7 @@ class Povm:
     effects: np.ndarray
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.effects, dtype=complex)
-        if raw.ndim != 3 or raw.shape[1] != raw.shape[2] or raw.shape[0] < 1:
-            raise ValueError(f"effects must have shape (n_worlds, d, d), got {raw.shape}")
-        stacked = np.stack([require_hermitian(a) for a in raw])
-        for w, eff in enumerate(stacked):
-            _check_psd(eff, f"effect {w}")
+        stacked = _psd_stack(self.effects, "effect")
         total = stacked.sum(axis=0)
         if float(np.abs(total @ total - total).max()) > WEIGHT_SUM_TOL:
             raise ValueError("effects do not sum to an orthogonal projector")
@@ -214,7 +253,7 @@ def dovm_to_povm(rho: Dovm) -> Povm:
     when it has full rank).
     """
     inv_root, _ = psd_sqrt_pinv(rho.total)
-    return Povm(np.stack([inv_root @ atom @ inv_root for atom in rho.atoms]))
+    return Povm(inv_root @ rho.atoms @ inv_root)
 
 
 def povm_to_dovm(e: Povm, sigma: DensityOperator) -> Dovm:
@@ -222,7 +261,7 @@ def povm_to_dovm(e: Povm, sigma: DensityOperator) -> Dovm:
     if e.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: POVM is {e.dim}, state is {sigma.dim}")
     root = psd_sqrt(sigma.matrix)
-    return Dovm(np.stack([root @ eff @ root for eff in e.effects]))
+    return Dovm(root @ e.effects @ root)
 
 
 def _as_matrix(target) -> np.ndarray:
@@ -251,14 +290,14 @@ def quantum_agreement_event(
     targets = [_as_matrix(s) for s in sigmas]
     acc = (1 << model.n_worlds) - 1
     for agent, target in enumerate(targets):
+        cells = model.partitions[agent].cells
+        values = _cell_values(rho.atoms, model.partitions[agent])
+        masses = values.trace(axis1=1, axis2=2).real
+        live = np.flatnonzero(masses > NULL_MASS_TOL)
+        diffs = _hermitian_stack(values[live] / masses[live, None, None] - target, "cell conditional", tol=1e-9)
         agent_mask = 0
-        for cell in model.partitions[agent].cells:
-            value = dovm_value(rho, cell)
-            tr = float(value.trace().real)
-            if tr <= NULL_MASS_TOL:
-                continue
-            if trace_norm(value / tr - target) <= tol:
-                agent_mask |= cell.mask
+        for k in live[_trace_norms(diffs) <= tol]:
+            agent_mask |= cells[k].mask
         acc &= agent_mask
         if not acc:
             break

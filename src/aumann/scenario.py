@@ -11,6 +11,7 @@ on indices.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -74,7 +75,14 @@ def _expect(raw: Any, kind: type, path: str, what: str) -> Any:
 def _number(raw: Any, path: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioValidationError(f"expected a number, got {type(raw).__name__}", path)
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):  # a literal such as 1e999 overflows to infinity
+        raise ScenarioValidationError(f"expected a finite number, got {value!r}", path)
+    return value
+
+
+def _reject_constant(token: str) -> None:
+    raise ScenarioSyntaxError(f"non-finite number {token} is not valid JSON")
 
 
 def _number_list(raw: Any, path: str) -> list[float]:
@@ -237,7 +245,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     problems, including core-object invariant violations.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
     doc = _expect(raw, dict, "", "a JSON object")

@@ -28,5 +28,7 @@ MATCH_TOL = 1e-9
 # on it raises and its worlds are excluded from agreement-event matching.
 NULL_MASS_TOL = 1e-12
 
-# Residual bound for nonnegative-combination feasibility (polyhedral cones).
+# Polyhedral cone membership: a point belongs to the cone when the nonnegative
+# least-squares (NNLS, scipy.optimize.nnls) fit by the generators leaves a
+# residual norm at most this.
 CONE_FEAS_TOL = 1e-8

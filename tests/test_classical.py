@@ -36,6 +36,11 @@ class TestProbabilityMeasure:
         with pytest.raises(ValueError):
             ProbabilityMeasure(np.array([[0.5], [0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityMeasure(np.array([bad, 0.5]))
+
     def test_weights_are_frozen(self):
         mu = uniform(3)
         with pytest.raises(ValueError):

@@ -43,6 +43,13 @@ class TestAgree:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    @pytest.mark.parametrize("name", ["invalid_nan_target.json", "invalid_infinite_tolerance.json"])
+    def test_non_finite_number_is_exit_two(self, name):
+        result = cli("agree", str(DATA / name))
+        assert result.returncode == 2
+        assert "non-finite" in result.stderr
+        assert result.stdout == ""
+
     def test_missing_file_is_exit_two(self):
         result = cli("agree", str(DATA / "no_such_file.json"))
         assert result.returncode == 2
@@ -170,3 +177,15 @@ class TestFlagPlumbing:
         result = cli("analyze", str(out))
         assert result.returncode == 2
         assert "conversion" in result.stderr
+
+
+class TestColdStart:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """Only polyhedral cone membership needs scipy; importing the package must not load it."""
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, aumann; print('scipy.optimize' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

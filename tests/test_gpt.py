@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear, nnls
 
 from aumann import (
     ConditioningOnNull,
@@ -26,6 +27,7 @@ from aumann import (
     gen_planted_scenario,
     gen_polyhedral_cone,
     gen_svm,
+    gen_unconstrained_scenario,
     gpt_agreement_event,
     gpt_conditional_state,
     hermitian_basis,
@@ -35,6 +37,7 @@ from aumann import (
     verify_gpt_aumann,
     verify_quantum_aumann,
 )
+from aumann.tolerances import CONE_FEAS_TOL, MATCH_TOL, NULL_MASS_TOL, PSD_EIG_TOL
 
 
 class TestHermitianCoordinates:
@@ -310,3 +313,106 @@ def test_total_measure_decomposition(seed):
         u = float(svm.cone.unit @ value)
         mixture += u * (value / u)
     assert np.abs(svm_value(svm, f) - mixture).max() <= 1e-12
+
+
+def _bvls_residual(cone, v):
+    """Residual of the bounded-variable least-squares fit that polyhedral
+    membership used before NNLS: the reference for the NNLS decision."""
+    basis = cone.generators.T
+    fit = lsq_linear(basis, v, bounds=(0.0, np.inf), method="bvls")
+    return float(np.linalg.norm(basis @ fit.x - v))
+
+
+def _cone_test_points(cone, rng):
+    """Points inside, outside, and at ±tol, ±2 tol and ±tol/2 along the
+    outward normal from the projection of a random point onto the cone."""
+    basis = cone.generators.T
+    m = basis.shape[1]
+    points = [
+        basis @ (rng.exponential(size=m) * (rng.random(m) < 0.6)),
+        rng.standard_normal(cone.dim) * rng.choice([1e-3, 1.0, 30.0]),
+    ]
+    v = 3.0 * rng.standard_normal(cone.dim)
+    x, residual = nnls(basis, v)
+    if residual > 1e-6:
+        foot = basis @ x
+        normal = (v - foot) / residual
+        for step in (1.0, 2.0, 0.5):
+            for sign in (1.0, -1.0):
+                points.append(foot + sign * step * CONE_FEAS_TOL * normal)
+    return points
+
+
+class TestBatchedConeChecks:
+    def test_svm_atom_outside_polyhedral_cone_is_named(self):
+        cone = PolyhedralCone(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+        atoms = np.tile([0.2, 0.1], (5, 1))
+        atoms[3] = [0.2, -0.1]
+        atoms[4] = [0.2, 0.3]
+        with pytest.raises(ValueError, match="atom 3 lies outside"):
+            Svm(cone, atoms)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_are_rejected(self, bad):
+        for cone in (SimplexCone(4), PsdCone(2), gen_polyhedral_cone(3, 4, 6)):
+            coords = np.full(4, 0.25)
+            coords[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Svm(cone, coords[None])
+            with pytest.raises(ValueError, match="finite"):
+                GptState(cone, coords)
+
+    def test_non_finite_polyhedral_cone_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PolyhedralCone(np.array([[1.0, 0.0], [1.0, np.nan]]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            PolyhedralCone(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([1.0, np.inf]))
+
+    def test_psd_unit_is_vectorized_identity(self):
+        for k in range(1, 5):
+            assert np.array_equal(PsdCone(k).unit, vectorize(np.eye(k)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    def test_stacked_coordinates_match_per_matrix(self, seed, k):
+        rho = gen_dovm(seed, 4, k)
+        looped = np.stack([vectorize(a) for a in rho.atoms])
+        assert np.array_equal(embed_quantum(rho).atoms, looped)
+        rng = np.random.default_rng(seed)
+        points = np.vstack([looped, rng.standard_normal((4, k * k))])
+        cone = PsdCone(k)
+        expected = [bool(np.linalg.eigvalsh(devectorize(v))[0] >= -PSD_EIG_TOL) for v in points]
+        assert [cone.contains(v) for v in points] == expected
+        assert cone._members(points).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 6))
+    def test_nnls_membership_agrees_with_bvls(self, seed, dim, n_generators):
+        cone = gen_polyhedral_cone(seed, dim, n_generators)
+        rng = np.random.default_rng(seed)
+        for v in _cone_test_points(cone, rng):
+            reference = _bvls_residual(cone, v)
+            if abs(reference - CONE_FEAS_TOL) > 1e-12:
+                assert cone.contains(v) == (reference <= CONE_FEAS_TOL)
+            else:
+                # On the boundary itself the decision is round-off; the
+                # residuals must still agree.
+                assert abs(nnls(cone.generators.T, v)[1] - reference) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["simplex", "psd", "polyhedral"]))
+    def test_agreement_event_matches_per_cell_loop(self, seed, cone_kind):
+        """The stacked cell distances decide exactly as one max-norm per cell."""
+        dim = 2 if cone_kind == "psd" else 3
+        bundle = gen_unconstrained_scenario(seed, "gpt", 6, 3, dim=dim, cone_kind=cone_kind)
+        model, svm = bundle.model, bundle.measure
+        expected = (1 << model.n_worlds) - 1
+        for agent, target in enumerate(bundle.targets):
+            agent_mask = 0
+            for cell in model.partitions[agent].cells:
+                value = svm_value(svm, cell)
+                u = float(svm.cone.unit @ value)
+                if u > NULL_MASS_TOL and float(np.abs(value / u - target.coords).max()) <= MATCH_TOL:
+                    agent_mask |= cell.mask
+            expected &= agent_mask
+        assert gpt_agreement_event(model, svm, bundle.targets).mask == expected

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aumann import (
@@ -21,6 +21,7 @@ from aumann import (
     gen_density,
     gen_dovm,
     gen_povm,
+    gen_unconstrained_scenario,
     povm_to_dovm,
     psd_sqrt,
     psd_sqrt_pinv,
@@ -29,6 +30,7 @@ from aumann import (
     trace_norm,
     verify_quantum_aumann,
 )
+from aumann.tolerances import MATCH_TOL, NULL_MASS_TOL
 
 
 def diag_dovm(*diagonals):
@@ -270,3 +272,80 @@ def test_diagonal_reduction_conditionals(seed):
     for w in range(n):
         expected = (mu.weights[w] if w in lam else 0.0) / mass
         assert abs(cs.matrix[w, w].real - expected) <= 1e-10
+
+
+def _psd_atoms(n, dim=2, seed=0):
+    """``n`` PSD matrices with total trace 1."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    atoms = g @ g.conj().transpose(0, 2, 1)
+    return atoms / np.trace(atoms.sum(axis=0)).real
+
+
+class TestBatchedChecks:
+    def test_non_psd_atom_is_named(self):
+        atoms = _psd_atoms(6)
+        atoms[3] = np.diag([0.2, -0.1])
+        with pytest.raises(NotPsd, match="atom 3 "):
+            Dovm(atoms)
+
+    def test_non_psd_effect_is_named(self):
+        effects = np.stack([np.diag([0.25, 0.25])] * 4).astype(complex)
+        effects[3] = np.diag([0.5, -0.25])
+        effects[2] = np.diag([0.0, 0.75])
+        with pytest.raises(NotPsd, match="effect 3 "):
+            Povm(effects)
+
+    def test_hermitian_checks_run_before_psd_checks(self):
+        atoms = _psd_atoms(6)
+        atoms[1] = np.diag([0.2, -0.1])
+        atoms[4, 0, 1] += 0.1
+        with pytest.raises(NotHermitian, match="atom 4 "):
+            Dovm(atoms)
+
+    def test_first_bad_index_is_named(self):
+        atoms = _psd_atoms(6)
+        atoms[2] = atoms[5] = np.diag([0.2, -0.1])
+        with pytest.raises(NotPsd, match="atom 2 "):
+            Dovm(atoms)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_rejected(self, bad):
+        atoms = np.array([[[0.5, 0.0], [0.0, 0.5]]], dtype=complex)
+        atoms[0, 0, 0] = bad
+        for build in (Dovm, Povm):
+            with pytest.raises(ValueError, match="finite"):
+                build(atoms)
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(atoms[0])
+
+    def test_nan_dovm_atom_used_to_construct(self):
+        with pytest.raises(ValueError, match="finite"):
+            Dovm(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
+
+    def test_stacked_sandwich_matches_per_matrix_products(self):
+        rho = gen_dovm(17, 5, 3)
+        inv_root, _ = psd_sqrt_pinv(rho.total)
+        looped = np.stack([inv_root @ a @ inv_root for a in rho.atoms])
+        assert np.array_equal(dovm_to_povm(rho).effects, Povm(looped).effects)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    def test_agreement_event_matches_per_cell_loop(self, seed, dim):
+        """The batched cell distances decide exactly as one trace norm per cell."""
+        try:
+            bundle = gen_unconstrained_scenario(seed, "quantum", 6, 3, dim=dim)
+        except NotHermitian:
+            # gen_povm's sandwich product can miss HERMITIAN_TOL by round-off
+            assume(False)
+        model, rho = bundle.model, bundle.measure
+        expected = (1 << model.n_worlds) - 1
+        for agent, target in enumerate(bundle.targets):
+            agent_mask = 0
+            for cell in model.partitions[agent].cells:
+                value = dovm_value(rho, cell)
+                tr = float(value.trace().real)
+                if tr > NULL_MASS_TOL and trace_norm(value / tr - target.matrix) <= MATCH_TOL:
+                    agent_mask |= cell.mask
+            expected &= agent_mask
+        assert quantum_agreement_event(model, rho, bundle.targets).mask == expected

@@ -76,6 +76,18 @@ class TestParsing:
         with pytest.raises(ScenarioValidationError, match=path_fragment):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ['"targets": [TOKEN]', '"tolerance": TOKEN'])
+    def test_non_finite_json_constants_rejected(self, token, field):
+        text = MINIMAL.replace('"measure"', field.replace("TOKEN", token) + ', "measure"')
+        with pytest.raises(ScenarioSyntaxError, match=token):
+            parse_scenario(text)
+
+    def test_overflowing_number_rejected(self):
+        text = MINIMAL.replace("[0.5, 0.5]", "[1e999, 0.5]")
+        with pytest.raises(ScenarioValidationError, match=r"weights\[0\]"):
+            parse_scenario(text)
+
     def test_quantum_matrix_shape_checked(self):
         doc = json.loads(MINIMAL)
         doc["measure"] = {"quantum": {"dim": 2, "atoms": [[[[1, 0]]], [[[0, 0]]]]}}
