@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConditioningOnNull, require_finite
-from .knowledge import Event, KnowledgeModel, common_knowledge
+from .knowledge import Event, KnowledgeModel, Partition, common_knowledge
 from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
 
@@ -86,20 +86,23 @@ def conditional(mu: ProbabilityMeasure, h: Event, lam: Event, *, null_tol: float
     return probability(mu, h & lam) / p_lam
 
 
-def _cell_posteriors(model: KnowledgeModel, mu: ProbabilityMeasure, agent: int, h: Event) -> list[float | None]:
-    """Posterior of ``h`` per cell of the agent; ``None`` marks null cells."""
-    w = mu._w
-    out: list[float | None] = []
-    for cell in model.partitions[agent].cells:
-        p_cell = 0.0
-        p_joint = 0.0
-        for world in cell:
-            weight = w[world]
-            p_cell += weight
-            if world in h:
-                p_joint += weight
-        out.append(None if p_cell <= NULL_MASS_TOL else p_joint / p_cell)
-    return out
+def _indicator(e: Event) -> np.ndarray:
+    """0/1 per world: whether it lies in ``e``."""
+    raw = np.frombuffer(e.mask.to_bytes((e.n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=e.n, bitorder="little")
+
+
+def _cell_posteriors(partition: Partition, weights: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """Posterior per cell from per-world ``weights`` and ``joint`` (the weights
+    inside the hypothesis, zero elsewhere); NaN marks null cells.
+
+    ``np.bincount`` adds each cell's worlds in increasing order, starting
+    from 0.0, so the sums equal a per-world loop bit for bit.
+    """
+    k = len(partition)
+    p_cell = np.bincount(partition.labels, weights=weights, minlength=k)
+    p_joint = np.bincount(partition.labels, weights=joint, minlength=k)
+    return np.divide(p_joint, p_cell, out=np.full(k, np.nan), where=p_cell > NULL_MASS_TOL)
 
 
 def agreement_event(
@@ -120,13 +123,14 @@ def agreement_event(
     mu._check_event(h)
     if len(q) != model.n_agents:
         raise ValueError(f"expected {model.n_agents} targets, got {len(q)}")
+    joint = mu.weights * _indicator(h)
     acc = (1 << model.n_worlds) - 1
-    for agent, q_i in enumerate(q):
-        posteriors = _cell_posteriors(model, mu, agent, h)
+    for partition, q_i in zip(model.partitions, q):
+        posteriors = _cell_posteriors(partition, mu.weights, joint)
+        masks = partition.masks
         agent_mask = 0
-        for cell, post in zip(model.partitions[agent].cells, posteriors):
-            if post is not None and abs(post - q_i) <= tol:
-                agent_mask |= cell.mask
+        for k in np.flatnonzero(np.abs(posteriors - q_i) <= tol).tolist():
+            agent_mask |= masks[k]
         acc &= agent_mask
         if not acc:
             break
@@ -138,13 +142,8 @@ def posterior_function(model: KnowledgeModel, mu: ProbabilityMeasure, agent: int
     model._check_agent(agent)
     model._check_event(h)
     mu._check_event(h)
-    out = np.empty(model.n_worlds)
-    posteriors = _cell_posteriors(model, mu, agent, h)
-    for cell, post in zip(model.partitions[agent].cells, posteriors):
-        value = np.nan if post is None else post
-        for world in cell:
-            out[world] = value
-    return out
+    partition = model.partitions[agent]
+    return _cell_posteriors(partition, mu.weights, mu.weights * _indicator(h))[partition.labels]
 
 
 def verify_aumann(

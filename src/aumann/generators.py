@@ -14,7 +14,6 @@ violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,15 @@ from .gpt import (
     gpt_conditional_state,
 )
 from .knowledge import Event, KnowledgeModel, Partition
-from .quantum import DensityOperator, Dovm, Povm, conditional_state, povm_to_dovm, psd_sqrt_pinv
+from .quantum import (
+    DensityOperator,
+    Dovm,
+    Povm,
+    _sandwich,
+    conditional_state,
+    povm_to_dovm,
+    psd_sqrt_pinv,
+)
 
 __all__ = [
     "ScenarioBundle",
@@ -78,17 +85,16 @@ class ScenarioBundle:
     anchor_world: int | None = None
 
 
-def _partition_blocks(rng: np.random.Generator, worlds: Sequence[int], max_cells: int) -> list[list[int]]:
+def _cell_labels(rng: np.random.Generator, n: int, max_cells: int) -> np.ndarray:
+    """Cell number in ``0..k-1`` for each of ``n`` items, ``k`` drawn from
+    ``1..max_cells``; a random permutation gives every number one item first."""
     k = int(rng.integers(1, max_cells + 1))
-    order = rng.permutation(len(worlds))
-    labels = np.empty(len(worlds), dtype=int)
+    order = rng.permutation(n)
+    labels = np.empty(n, dtype=np.intp)
     labels[order[:k]] = np.arange(k)
-    if len(worlds) > k:
-        labels[order[k:]] = rng.integers(0, k, size=len(worlds) - k)
-    blocks: list[list[int]] = [[] for _ in range(k)]
-    for pos, label in enumerate(labels):
-        blocks[label].append(worlds[pos])
-    return [b for b in blocks if b]
+    if n > k:
+        labels[order[k:]] = rng.integers(0, k, size=n - k)
+    return labels
 
 
 def gen_partition(seed, n_worlds: int, max_cells: int) -> Partition:
@@ -96,8 +102,7 @@ def gen_partition(seed, n_worlds: int, max_cells: int) -> Partition:
     if not 1 <= max_cells <= n_worlds:
         raise ValueError(f"max_cells must be in 1..{n_worlds}, got {max_cells}")
     rng = _rng(seed)
-    blocks = _partition_blocks(rng, list(range(n_worlds)), max_cells)
-    return Partition.from_blocks(blocks, n_worlds)
+    return Partition.from_labels(_cell_labels(rng, n_worlds, max_cells), n_worlds)
 
 
 def gen_model(seed, n_worlds: int, n_agents: int, max_cells: int | None = None) -> KnowledgeModel:
@@ -105,8 +110,7 @@ def gen_model(seed, n_worlds: int, n_agents: int, max_cells: int | None = None) 
     rng = _rng(seed)
     max_cells = n_worlds if max_cells is None else max_cells
     partitions = tuple(
-        Partition.from_blocks(_partition_blocks(rng, list(range(n_worlds)), max_cells), n_worlds)
-        for _ in range(n_agents)
+        Partition.from_labels(_cell_labels(rng, n_worlds, max_cells), n_worlds) for _ in range(n_agents)
     )
     return KnowledgeModel(n_worlds, partitions)
 
@@ -144,7 +148,7 @@ def gen_povm(seed, n_worlds: int, dim: int) -> Povm:
     rng = _rng(seed)
     atoms = np.stack([_ginibre_psd(rng, dim) for _ in range(n_worlds)])
     inv_root, _ = psd_sqrt_pinv(atoms.sum(axis=0))
-    return Povm(inv_root @ atoms @ inv_root)
+    return Povm(_sandwich(inv_root, atoms))
 
 
 def gen_dovm(seed, model, dim: int) -> Dovm:
@@ -193,15 +197,13 @@ def _random_state(rng: np.random.Generator, cone: ConeSpace) -> GptState:
 def _planted_model(rng: np.random.Generator, n_worlds: int, n_agents: int) -> tuple[KnowledgeModel, Event]:
     size = int(rng.integers(1, n_worlds))
     perm = rng.permutation(n_worlds)
-    shared = sorted(int(w) for w in perm[:size])
-    rest = sorted(int(w) for w in perm[size:])
+    rest = np.sort(perm[size:])
     partitions = []
     for _ in range(n_agents):
-        blocks = [shared]
-        if rest:
-            blocks += _partition_blocks(rng, rest, max_cells=len(rest))
-        partitions.append(Partition.from_blocks(blocks, n_worlds))
-    return KnowledgeModel(n_worlds, tuple(partitions)), Event.from_worlds(shared, n_worlds)
+        labels = np.zeros(n_worlds, dtype=np.intp)  # cell 0 is the shared cell
+        labels[rest] = _cell_labels(rng, rest.size, rest.size) + 1
+        partitions.append(Partition.from_labels(labels, n_worlds))
+    return KnowledgeModel(n_worlds, tuple(partitions)), Event(partitions[0].masks[0], n_worlds)
 
 
 def _make_cone(rng: np.random.Generator, cone_kind: str, dim: int, n_generators: int | None) -> ConeSpace:

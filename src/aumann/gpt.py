@@ -425,15 +425,14 @@ def gpt_agreement_event(
     coords = [_as_coords(mu.cone, t) for t in targets]
     unit = mu.cone.unit
     acc = (1 << model.n_worlds) - 1
-    for agent, target in enumerate(coords):
-        cells = model.partitions[agent].cells
-        values = _cell_values(mu.atoms, model.partitions[agent])
+    for partition, target in zip(model.partitions, coords):
+        values = _cell_values(mu.atoms, partition)
         masses = values @ unit
         live = np.flatnonzero(masses > NULL_MASS_TOL)
         distances = np.abs(values[live] / masses[live, None] - target).max(axis=1)
         agent_mask = 0
-        for k in live[distances <= tol]:
-            agent_mask |= cells[k].mask
+        for k in live[distances <= tol].tolist():
+            agent_mask |= partition.masks[k]
         acc &= agent_mask
         if not acc:
             break

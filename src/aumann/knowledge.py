@@ -6,6 +6,13 @@ Agent ``i`` knows event ``E`` at world ``w`` when the cell of ``w`` in
 partition ``i`` is contained in ``E``; iterating "everybody knows" to its
 fixed point yields common knowledge, which (on a finite world set) is also
 characterized by the meet of the agents' partitions.
+
+A partition is stored in two forms that describe the same cells in the same
+order: ``labels``, an integer array mapping each world to the number of its
+cell, and ``masks``, one bit-mask per cell. Per-cell sums over a measure are
+one ``np.bincount`` or ``np.add.at`` over the labels, and knowledge and
+agreement events are unions of masks. The cells as :class:`Event` objects
+are built only when a caller asks for ``Partition.cells``.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import NotCellUnion
 
@@ -115,58 +124,113 @@ class Event:
         return f"Event({{{', '.join(map(str, self.worlds()))}}}, n={self.n})"
 
 
-@dataclass(frozen=True)
+def _check_masks(masks: Sequence[int], n: int) -> None:
+    """Raise unless the cell masks are non-empty, pairwise disjoint and cover ``0..n-1``."""
+    if not masks:
+        raise ValueError("a partition needs at least one cell")
+    union = 0
+    for k, mask in enumerate(masks):
+        if mask == 0:
+            raise ValueError(f"cell {k} is empty")
+        if union & mask:
+            raise ValueError(f"cell {k} overlaps an earlier cell")
+        union |= mask
+    if union != (1 << n) - 1:
+        raise ValueError("cells do not cover the world set")
+
+
 class Partition:
-    """Non-empty, pairwise disjoint cells covering the full world set."""
+    """Non-empty, pairwise disjoint cells covering the full world set.
 
-    cells: tuple[Event, ...]
+    Stored as ``labels``, a read-only integer array giving each world the
+    number of its cell, and ``masks``, the cells' bit-masks in cell order.
+    The cells as :class:`Event` objects (``cells``) are built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        cells = tuple(self.cells)
-        object.__setattr__(self, "cells", cells)
-        if not cells:
-            raise ValueError("a partition needs at least one cell")
-        n = cells[0].n
-        union = 0
+    def __init__(self, cells: Iterable[Event]) -> None:
+        cells = tuple(cells)
+        n = cells[0].n if cells else 1
         for k, cell in enumerate(cells):
             if cell.n != n:
                 raise ValueError(f"cell {k} lives over a different world set")
-            if cell.mask == 0:
-                raise ValueError(f"cell {k} is empty")
-            if union & cell.mask:
-                raise ValueError(f"cell {k} overlaps an earlier cell")
-            union |= cell.mask
-        if union != (1 << n) - 1:
-            raise ValueError("cells do not cover the world set")
+        masks = tuple(cell.mask for cell in cells)
+        _check_masks(masks, n)
+        labels = [0] * n
+        for k, mask in enumerate(masks):
+            for w in _iter_bits(mask):
+                labels[w] = k
+        self._store(n, np.array(labels, dtype=np.intp), masks)
+        self.__dict__["cells"] = cells
+
+    def _store(self, n: int, labels: np.ndarray, masks: tuple[int, ...]) -> None:
+        labels.flags.writeable = False
+        self.__dict__.update(n=n, labels=labels, masks=masks)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
-        return cls(tuple(Event.from_worlds(b, n) for b in blocks))
+        return cls(Event.from_worlds(b, n) for b in blocks)
 
-    @property
-    def n(self) -> int:
-        return self.cells[0].n
+    @classmethod
+    def from_labels(cls, labels, n: int) -> "Partition":
+        """Partition of ``0..n-1`` whose cell ``k`` holds the worlds labelled ``k``.
+
+        ``labels[w]`` is the cell of world ``w``; the labels must number the
+        cells ``0..k-1`` with every number used. Masks are built in one pass
+        over the labels and checked like those of :class:`Partition`.
+        """
+        if n < 1:
+            raise ValueError(f"world count must be positive, got {n}")
+        raw = np.asarray(labels)
+        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+            raise ValueError("cell labels must be a 1-d sequence of integers")
+        if raw.size > n:
+            raise ValueError(f"world {n} outside 0..{n - 1}")
+        labels = raw.astype(np.intp)
+        values = labels.tolist()
+        low = min(values, default=0)
+        if low < 0:
+            raise ValueError(f"cell label {low} is negative")
+        n_cells = max(values, default=-1) + 1
+        if n_cells > n:  # more cell numbers than worlds, so one below n is unused
+            used = set(values)
+            raise ValueError(f"cell {next(k for k in range(n) if k not in used)} is empty")
+        masks = [0] * n_cells
+        for w, k in enumerate(values):
+            masks[k] |= 1 << w
+        _check_masks(masks, n)
+        p = cls.__new__(cls)
+        p._store(n, labels, tuple(masks))
+        return p
+
+    @cached_property
+    def cells(self) -> tuple[Event, ...]:
+        return tuple(Event(mask, self.n) for mask in self.masks)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.masks)
 
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        return tuple(c.mask for c in self.cells)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.n == other.n and self.masks == other.masks
 
-    @cached_property
-    def _cell_index(self) -> tuple[int, ...]:
-        index = [0] * self.n
-        for k, cell in enumerate(self.cells):
-            for w in cell:
-                index[w] = k
-        return tuple(index)
+    def __hash__(self) -> int:
+        return hash((self.n, self.masks))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Partition is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (Partition.from_labels, (self.labels, self.n))
+
+    def __repr__(self) -> str:
+        return f"Partition(cells={self.cells!r})"
 
     def cell_of(self, world: int) -> Event:
         """The unique cell containing ``world``."""
         if not 0 <= world < self.n:
             raise IndexError(f"world {world} outside 0..{self.n - 1}")
-        return self.cells[self._cell_index[world]]
+        return Event(self.masks[self.labels[world]], self.n)
 
 
 @dataclass(frozen=True)
@@ -234,13 +298,13 @@ def know(model: KnowledgeModel, agent: int, e: Event) -> Event:
     """Worlds at which the agent knows ``e``: the union of its cells inside ``e``."""
     model._check_agent(agent)
     model._check_event(e)
-    return Event(_know_mask(model.partitions[agent]._masks, e.mask), model.n_worlds)
+    return Event(_know_mask(model.partitions[agent].masks, e.mask), model.n_worlds)
 
 
 def _everybody_knows(model: KnowledgeModel, mask: int) -> int:
     acc = (1 << model.n_worlds) - 1
     for p in model.partitions:
-        acc &= _know_mask(p._masks, mask)
+        acc &= _know_mask(p.masks, mask)
         if not acc:
             break
     return acc
@@ -321,7 +385,7 @@ def meet_partition(model: KnowledgeModel) -> Partition:
         return root
 
     for p in model.partitions:
-        for mask in p._masks:
+        for mask in p.masks:
             worlds = list(_iter_bits(mask))
             first = find(worlds[0])
             for w in worlds[1:]:
@@ -338,11 +402,7 @@ def meet_partition(model: KnowledgeModel) -> Partition:
 def common_knowledge_via_meet(model: KnowledgeModel, e: Event) -> Event:
     """Oracle for :func:`common_knowledge`: union of meet cells inside ``e``."""
     model._check_event(e)
-    out = 0
-    for cell in model.meet.cells:
-        if cell.mask & ~e.mask == 0:
-            out |= cell.mask
-    return Event(out, model.n_worlds)
+    return Event(_know_mask(model.meet.masks, e.mask), model.n_worlds)
 
 
 def cell_decomposition(model: KnowledgeModel, agent: int, f: Event) -> tuple[Event, ...]:

@@ -123,8 +123,20 @@ def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
     ``atoms[list(cell)].sum(axis=0)`` does, so the values agree bit for bit.
     """
     sums = np.zeros((len(partition),) + atoms.shape[1:], dtype=atoms.dtype)
-    np.add.at(sums, np.asarray(partition._cell_index), atoms)
+    np.add.at(sums, partition.labels, atoms)
     return sums
+
+
+def _sandwich(root: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Hermitian part of ``root @ m @ root`` for every ``m`` in the stack.
+
+    For Hermitian ``root`` and ``m`` the product is Hermitian up to
+    round-off, which can exceed ``HERMITIAN_TOL`` at larger dimensions;
+    ``_hermitian_stack`` symmetrizes the same way, so validated results are
+    unchanged wherever the raw product already passed.
+    """
+    p = root @ stack @ root
+    return (p + p.conj().transpose(0, 2, 1)) / 2.0
 
 
 def _psd_stack(raw, what: str) -> np.ndarray:
@@ -253,7 +265,7 @@ def dovm_to_povm(rho: Dovm) -> Povm:
     when it has full rank).
     """
     inv_root, _ = psd_sqrt_pinv(rho.total)
-    return Povm(inv_root @ rho.atoms @ inv_root)
+    return Povm(_sandwich(inv_root, rho.atoms))
 
 
 def povm_to_dovm(e: Povm, sigma: DensityOperator) -> Dovm:
@@ -261,7 +273,7 @@ def povm_to_dovm(e: Povm, sigma: DensityOperator) -> Dovm:
     if e.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: POVM is {e.dim}, state is {sigma.dim}")
     root = psd_sqrt(sigma.matrix)
-    return Dovm(root @ e.effects @ root)
+    return Dovm(_sandwich(root, e.effects))
 
 
 def _as_matrix(target) -> np.ndarray:
@@ -289,15 +301,14 @@ def quantum_agreement_event(
         raise ValueError(f"expected {model.n_agents} targets, got {len(sigmas)}")
     targets = [_as_matrix(s) for s in sigmas]
     acc = (1 << model.n_worlds) - 1
-    for agent, target in enumerate(targets):
-        cells = model.partitions[agent].cells
-        values = _cell_values(rho.atoms, model.partitions[agent])
+    for partition, target in zip(model.partitions, targets):
+        values = _cell_values(rho.atoms, partition)
         masses = values.trace(axis1=1, axis2=2).real
         live = np.flatnonzero(masses > NULL_MASS_TOL)
         diffs = _hermitian_stack(values[live] / masses[live, None, None] - target, "cell conditional", tol=1e-9)
         agent_mask = 0
-        for k in live[_trace_norms(diffs) <= tol]:
-            agent_mask |= cells[k].mask
+        for k in live[_trace_norms(diffs) <= tol].tolist():
+            agent_mask |= partition.masks[k]
         acc &= agent_mask
         if not acc:
             break

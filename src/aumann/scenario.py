@@ -162,11 +162,10 @@ class ScenarioFile:
         return [self.worlds[w] for w in e]
 
     def model(self) -> KnowledgeModel:
+        index = self.world_index
         partitions = []
         for a, agent in enumerate(self.agents):
-            blocks = [
-                [self.world_index[name] for name in cell] for cell in agent.partition
-            ]
+            blocks = [[index[name] for name in cell] for cell in agent.partition]
             try:
                 partitions.append(Partition.from_blocks(blocks, self.n_worlds))
             except ValueError as exc:
@@ -665,28 +664,24 @@ def run_agree(
 def _conditional_table(sf: ScenarioFile, model: KnowledgeModel, measure, h: Event | None):
     """Per agent: (cell, conditional value) rows; None value marks null cells."""
     layer = sf.layer
+    if layer == "classical" and h is not None:
+        joint = measure.weights * cl._indicator(h)
     table = []
     for p in model.partitions:
-        rows = []
-        for cell in p.cells:
-            value = None
-            if layer == "classical":
-                if h is not None:
-                    p_cell = cl.probability(measure, cell)
-                    if p_cell > NULL_MASS_TOL:
-                        value = cl.probability(measure, h & cell) / p_cell
-            elif layer == "quantum":
-                raw = qm.dovm_value(measure, cell)
-                tr = float(raw.trace().real)
-                if tr > NULL_MASS_TOL:
-                    value = raw / tr
+        if layer == "classical":
+            if h is None:
+                values = [None] * len(p)
             else:
-                raw = gp.svm_value(measure, cell)
-                u = float(measure.cone.unit @ raw)
-                if u > NULL_MASS_TOL:
-                    value = raw / u
-            rows.append((cell, value))
-        table.append(rows)
+                posteriors = cl._cell_posteriors(p, measure.weights, joint).tolist()
+                values = [None if math.isnan(v) else v for v in posteriors]
+        else:
+            raw = qm._cell_values(measure.atoms, p)
+            if layer == "quantum":
+                masses = raw.trace(axis1=1, axis2=2).real.tolist()
+            else:  # one dot per cell, the same arithmetic as gpt_conditional_state
+                masses = [float(measure.cone.unit @ r) for r in raw]
+            values = [r / m if m > NULL_MASS_TOL else None for r, m in zip(raw, masses)]
+        table.append(list(zip(p.cells, values)))
     return table
 
 

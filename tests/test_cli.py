@@ -189,3 +189,10 @@ class TestColdStart:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+def test_search_gpt_psd_dim3_past_seed_166():
+    result = cli("search", "--layer", "gpt", "--cone", "psd", "--dim", "3", "--seeds", "200", "--mode", "random")
+    assert result.returncode == 0, result.stderr
+    assert "scenarios: 200" in result.stdout
+    assert "violations: 0" in result.stdout

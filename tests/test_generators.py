@@ -178,3 +178,16 @@ class TestScenarioGenerators:
         for seed in range(50):
             mu = gen_probability(seed, 12)
             assert mu.weights.min() >= 1e-3 / 12 / 2
+
+
+class TestHermitianSandwich:
+    def test_psd_dim3_seed_166_generates(self):
+        # the raw sandwich product missed HERMITIAN_TOL by round-off (1.165e-12)
+        bundle = gen_unconstrained_scenario(166, "gpt", 6, 2, dim=3, cone_kind="psd")
+        assert bundle.measure.atoms.shape == (6, 9)
+        assert verify_bundle(bundle).status is not VerdictStatus.VIOLATED
+
+    def test_sandwich_is_exactly_hermitian(self):
+        for seed in range(20):
+            effects = gen_povm(seed, 6, 3).effects
+            assert np.array_equal(effects, effects.conj().transpose(0, 2, 1))
