@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConditioningOnNull, require_finite
-from .knowledge import Event, KnowledgeModel, Partition, common_knowledge
+from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
-from .verdicts import AgreementVerdict, VerdictStatus
+from .verdicts import AgreementVerdict, _agreement_event, _cell_conditionals, _Layer, _verify
 
 __all__ = [
     "ProbabilityMeasure",
@@ -92,25 +92,33 @@ def _indicator(e: Event) -> np.ndarray:
     return np.unpackbits(raw, count=e.n, bitorder="little")
 
 
-def _cell_posteriors(partition: Partition, weights: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """Posterior per cell from per-world ``weights`` and ``joint`` (the weights
-    inside the hypothesis, zero elsewhere); NaN marks null cells.
+def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float] = ()) -> _Layer:
+    """The posterior of ``h`` under ``mu``, for the agreement pipeline.
 
-    ``np.bincount`` adds each cell's worlds in increasing order, starting
-    from 0.0, so the sums equal a per-world loop bit for bit.
+    Cell sums are two ``np.bincount``s over the labels, which add each
+    cell's worlds in increasing order starting from 0.0, so they equal a
+    per-world loop bit for bit; event sums are :func:`probability`.
     """
-    k = len(partition)
-    p_cell = np.bincount(partition.labels, weights=weights, minlength=k)
-    p_joint = np.bincount(partition.labels, weights=joint, minlength=k)
-    return np.divide(p_joint, p_cell, out=np.full(k, np.nan), where=p_cell > NULL_MASS_TOL)
+    model._check_event(h)
+    mu._check_event(h)
+    joint = mu.weights * _indicator(h)
+
+    def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+        k = len(partition)
+        p_joint = np.bincount(partition.labels, weights=joint, minlength=k)
+        return p_joint, np.bincount(partition.labels, weights=mu.weights, minlength=k)
+
+    def event_sums(e: Event) -> tuple[float, float]:
+        return probability(mu, h & e), probability(mu, e)
+
+    def distance(xs: np.ndarray, target: float) -> np.ndarray:
+        return np.abs(xs - target)
+
+    return _Layer(cell_sums, event_sums, float, distance, tuple(float(x) for x in q))
 
 
 def agreement_event(
-    model: KnowledgeModel,
-    mu: ProbabilityMeasure,
-    h: Event,
-    q: Sequence[float],
-    tol: float = MATCH_TOL,
+    model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float], tol: float = MATCH_TOL
 ) -> Event:
     """Worlds where every agent's cell posterior of ``h`` matches its target.
 
@@ -119,41 +127,22 @@ def agreement_event(
     result intersects the per-agent sets, so it is a union of cells of each
     agent's partition.
     """
-    model._check_event(h)
-    mu._check_event(h)
-    if len(q) != model.n_agents:
-        raise ValueError(f"expected {model.n_agents} targets, got {len(q)}")
-    joint = mu.weights * _indicator(h)
-    acc = (1 << model.n_worlds) - 1
-    for partition, q_i in zip(model.partitions, q):
-        posteriors = _cell_posteriors(partition, mu.weights, joint)
-        masks = partition.masks
-        agent_mask = 0
-        for k in np.flatnonzero(np.abs(posteriors - q_i) <= tol).tolist():
-            agent_mask |= masks[k]
-        acc &= agent_mask
-        if not acc:
-            break
-    return Event(acc, model.n_worlds)
+    return _agreement_event(model, _classical_layer(model, mu, h, q), tol)
 
 
 def posterior_function(model: KnowledgeModel, mu: ProbabilityMeasure, agent: int, h: Event) -> np.ndarray:
     """Per-world posterior ``P(h | Q_agent(w))``; NaN on null cells."""
     model._check_agent(agent)
-    model._check_event(h)
-    mu._check_event(h)
     partition = model.partitions[agent]
-    return _cell_posteriors(partition, mu.weights, mu.weights * _indicator(h))[partition.labels]
+    live, posteriors = _cell_conditionals(_classical_layer(model, mu, h), partition)
+    per_cell = np.full(len(partition), np.nan)
+    per_cell[live] = posteriors
+    return per_cell[partition.labels]
 
 
 def verify_aumann(
-    model: KnowledgeModel,
-    mu: ProbabilityMeasure,
-    h: Event,
-    q: Sequence[float],
-    tol: float = MATCH_TOL,
-    *,
-    max_iters: int | None = None,
+    model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float], tol: float = MATCH_TOL,
+    *, max_iters: int | None = None,
 ) -> AgreementVerdict:
     """Check the classical agreement theorem for targets ``q``.
 
@@ -161,15 +150,4 @@ def verify_aumann(
     ``C`` is empty or carries mass at most ``tol`` (the two vacuous cases),
     compares every target against ``P(h | C)``.
     """
-    e = agreement_event(model, mu, h, q, tol)
-    c = common_knowledge(model, e, max_iters=max_iters)
-    posteriors = tuple(float(x) for x in q)
-    if not c:
-        return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
-    p_c = probability(mu, c)
-    if p_c <= tol:
-        return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
-    pooled = probability(mu, h & c) / p_c
-    ok = all(abs(q_i - pooled) <= tol for q_i in posteriors)
-    status = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
-    return AgreementVerdict(status, c, posteriors, pooled)
+    return _verify(model, _classical_layer(model, mu, h, q), tol, max_iters)

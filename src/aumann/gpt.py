@@ -24,7 +24,7 @@ import numpy as np
 
 from .classical import ProbabilityMeasure
 from .errors import ConditioningOnNull, require_finite
-from .knowledge import Event, KnowledgeModel, common_knowledge
+from .knowledge import Event, KnowledgeModel, Partition
 from .quantum import Dovm, _cell_values, _hermitian_stack, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
@@ -33,7 +33,7 @@ from .tolerances import (
     PSD_EIG_TOL,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, VerdictStatus
+from .verdicts import AgreementVerdict, _agreement_event, _Layer, _verify
 
 __all__ = [
     "hermitian_basis",
@@ -399,18 +399,29 @@ def gpt_conditional_state(mu: Svm, lam: Event, *, null_tol: float = NULL_MASS_TO
     return GptState(mu.cone, value / u)
 
 
-def _as_coords(cone: ConeSpace, target) -> np.ndarray:
-    if isinstance(target, GptState):
-        return target.coords
-    return cone._coerce(target)
+def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence = ()) -> _Layer:
+    """An SVM for the agreement pipeline: values are sums of atoms, masses
+    their unit values, and distance is the coordinate max-norm."""
+    if mu.n_worlds != model.n_worlds:
+        raise ValueError(f"SVM over {mu.n_worlds} worlds, model has {model.n_worlds}")
+    unit = mu.cone.unit
+
+    def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+        values = _cell_values(mu.atoms, partition)
+        return values, values @ unit
+
+    def event_sums(e: Event) -> tuple[np.ndarray, float]:
+        value = svm_value(mu, e)
+        return value, float(unit @ value)
+
+    def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return np.abs(xs - target).max(axis=1)
+
+    coords = tuple(t.coords if isinstance(t, GptState) else mu.cone._coerce(t) for t in targets)
+    return _Layer(cell_sums, event_sums, lambda x: GptState(mu.cone, x), distance, coords)
 
 
-def gpt_agreement_event(
-    model: KnowledgeModel,
-    mu: Svm,
-    targets: Sequence,
-    tol: float = MATCH_TOL,
-) -> Event:
+def gpt_agreement_event(model: KnowledgeModel, mu: Svm, targets: Sequence, tol: float = MATCH_TOL) -> Event:
     """Worlds where every agent's cell-conditional state matches its target.
 
     Matching is coordinate max-norm distance at most ``tol``; worlds whose
@@ -418,34 +429,11 @@ def gpt_agreement_event(
     :class:`GptState` or plain coordinate vectors (an unnormalized target
     simply never matches).
     """
-    if mu.n_worlds != model.n_worlds:
-        raise ValueError(f"SVM over {mu.n_worlds} worlds, model has {model.n_worlds}")
-    if len(targets) != model.n_agents:
-        raise ValueError(f"expected {model.n_agents} targets, got {len(targets)}")
-    coords = [_as_coords(mu.cone, t) for t in targets]
-    unit = mu.cone.unit
-    acc = (1 << model.n_worlds) - 1
-    for partition, target in zip(model.partitions, coords):
-        values = _cell_values(mu.atoms, partition)
-        masses = values @ unit
-        live = np.flatnonzero(masses > NULL_MASS_TOL)
-        distances = np.abs(values[live] / masses[live, None] - target).max(axis=1)
-        agent_mask = 0
-        for k in live[distances <= tol].tolist():
-            agent_mask |= partition.masks[k]
-        acc &= agent_mask
-        if not acc:
-            break
-    return Event(acc, model.n_worlds)
+    return _agreement_event(model, _gpt_layer(model, mu, targets), tol)
 
 
 def verify_gpt_aumann(
-    model: KnowledgeModel,
-    mu: Svm,
-    targets: Sequence,
-    tol: float = MATCH_TOL,
-    *,
-    max_iters: int | None = None,
+    model: KnowledgeModel, mu: Svm, targets: Sequence, tol: float = MATCH_TOL, *, max_iters: int | None = None
 ) -> AgreementVerdict:
     """Check the GPT agreement theorem for target states ``targets``.
 
@@ -453,19 +441,7 @@ def verify_gpt_aumann(
     unit mass at most ``tol``; otherwise each target must be within ``tol``
     (max-norm) of the conditional state on the common event.
     """
-    e = gpt_agreement_event(model, mu, targets, tol)
-    c = common_knowledge(model, e, max_iters=max_iters)
-    posteriors = tuple(_as_coords(mu.cone, t) for t in targets)
-    if not c:
-        return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
-    value = svm_value(mu, c)
-    u = float(mu.cone.unit @ value)
-    if u <= tol:
-        return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
-    pooled = GptState(mu.cone, value / u)
-    ok = all(float(np.abs(t - pooled.coords).max()) <= tol for t in posteriors)
-    status = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
-    return AgreementVerdict(status, c, posteriors, pooled)
+    return _verify(model, _gpt_layer(model, mu, targets), tol, max_iters)
 
 
 def embed_classical(mu: ProbabilityMeasure) -> Svm:

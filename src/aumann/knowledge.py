@@ -5,7 +5,9 @@ a bit-mask. A :class:`KnowledgeModel` holds one :class:`Partition` per agent.
 Agent ``i`` knows event ``E`` at world ``w`` when the cell of ``w`` in
 partition ``i`` is contained in ``E``; iterating "everybody knows" to its
 fixed point yields common knowledge, which (on a finite world set) is also
-characterized by the meet of the agents' partitions.
+characterized by the meet of the agents' partitions. One loop computes the
+iteration; ``mutual_knowledge``, ``mutual_knowledge_chain`` and
+``common_knowledge`` read one degree, all degrees, or the last.
 
 A partition is stored in two forms that describe the same cells in the same
 order: ``labels``, an integer array mapping each world to the number of its
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -301,13 +304,23 @@ def know(model: KnowledgeModel, agent: int, e: Event) -> Event:
     return Event(_know_mask(model.partitions[agent].masks, e.mask), model.n_worlds)
 
 
-def _everybody_knows(model: KnowledgeModel, mask: int) -> int:
-    acc = (1 << model.n_worlds) - 1
-    for p in model.partitions:
-        acc &= _know_mask(p.masks, mask)
-        if not acc:
-            break
-    return acc
+def _mutual_degrees(model: KnowledgeModel, mask: int) -> Iterator[int]:
+    """Masks of the mutual-knowledge degrees 1, 2, ... of the event ``mask``.
+
+    Each degree intersects every agent's knowledge of the one before. The
+    last mask yielded is the first that equals its predecessor: the common
+    knowledge of the event.
+    """
+    while True:
+        nxt = (1 << model.n_worlds) - 1
+        for p in model.partitions:
+            nxt &= _know_mask(p.masks, mask)
+            if not nxt:
+                break
+        yield nxt
+        if nxt == mask:
+            return
+        mask = nxt
 
 
 def mutual_knowledge(model: KnowledgeModel, e: Event, m: int) -> Event:
@@ -321,11 +334,8 @@ def mutual_knowledge(model: KnowledgeModel, e: Event, m: int) -> Event:
         raise ValueError("degree m must be nonnegative")
     model._check_event(e)
     cur = e.mask
-    for _ in range(m):
-        nxt = _everybody_knows(model, cur)
-        if nxt == cur:
-            break
-        cur = nxt
+    for cur in islice(_mutual_degrees(model, e.mask), m):
+        pass
     return Event(cur, model.n_worlds)
 
 
@@ -338,15 +348,12 @@ def mutual_knowledge_chain(model: KnowledgeModel, e: Event, max_iters: int | Non
     """
     model._check_event(e)
     limit = model.n_worlds + 1 if max_iters is None else max_iters
-    trace: list[Event] = []
-    cur = e.mask
-    for _ in range(limit):
-        nxt = _everybody_knows(model, cur)
-        trace.append(Event(nxt, model.n_worlds))
-        if nxt == cur:
-            return trace
-        cur = nxt
-    raise RuntimeError(f"mutual-knowledge chain did not stabilize within {limit} iterations")
+    chain: list[Event] = []
+    for mask in _mutual_degrees(model, e.mask):
+        if len(chain) >= limit:
+            raise RuntimeError(f"common-knowledge fixpoint not reached within {limit} iterations")
+        chain.append(Event(mask, model.n_worlds))
+    return chain
 
 
 def common_knowledge(model: KnowledgeModel, e: Event, max_iters: int | None = None) -> Event:
@@ -356,15 +363,7 @@ def common_knowledge(model: KnowledgeModel, e: Event, max_iters: int | None = No
     ``n_worlds`` iterations, and that fixed point equals the intersection of
     all mutual-knowledge degrees.
     """
-    model._check_event(e)
-    limit = model.n_worlds + 1 if max_iters is None else max_iters
-    cur = e.mask
-    for _ in range(limit):
-        nxt = _everybody_knows(model, cur)
-        if nxt == cur:
-            return Event(cur, model.n_worlds)
-        cur = nxt
-    raise RuntimeError(f"common-knowledge fixpoint not reached within {limit} iterations")
+    return mutual_knowledge_chain(model, e, max_iters)[-1]
 
 
 def meet_partition(model: KnowledgeModel) -> Partition:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConditioningOnNull, NotHermitian, NotPsd, require_finite
-from .knowledge import Event, KnowledgeModel, Partition, common_knowledge
+from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import (
     HERMITIAN_TOL,
     MATCH_TOL,
@@ -23,7 +23,7 @@ from .tolerances import (
     SUPPORT_CUTOFF,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, VerdictStatus
+from .verdicts import AgreementVerdict, _agreement_event, _Layer, _verify
 
 __all__ = [
     "require_hermitian",
@@ -276,18 +276,28 @@ def povm_to_dovm(e: Povm, sigma: DensityOperator) -> Dovm:
     return Dovm(_sandwich(root, e.effects))
 
 
-def _as_matrix(target) -> np.ndarray:
-    if isinstance(target, DensityOperator):
-        return target.matrix
-    return require_hermitian(target, tol=1e-9)
+def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence = ()) -> _Layer:
+    """A DOVM for the agreement pipeline: values are sums of atoms, masses
+    their traces, and distance is the trace norm."""
+    if rho.n_worlds != model.n_worlds:
+        raise ValueError(f"DOVM over {rho.n_worlds} worlds, model has {model.n_worlds}")
+
+    def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+        values = _cell_values(rho.atoms, partition)
+        return values, values.trace(axis1=1, axis2=2).real
+
+    def event_sums(e: Event) -> tuple[np.ndarray, float]:
+        value = dovm_value(rho, e)
+        return value, float(value.trace().real)
+
+    def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=1e-9))
+
+    targets = tuple(s.matrix if isinstance(s, DensityOperator) else require_hermitian(s, tol=1e-9) for s in sigmas)
+    return _Layer(cell_sums, event_sums, DensityOperator, distance, targets)
 
 
-def quantum_agreement_event(
-    model: KnowledgeModel,
-    rho: Dovm,
-    sigmas: Sequence,
-    tol: float = MATCH_TOL,
-) -> Event:
+def quantum_agreement_event(model: KnowledgeModel, rho: Dovm, sigmas: Sequence, tol: float = MATCH_TOL) -> Event:
     """Worlds where every agent's cell-conditional state matches its target.
 
     Matching is trace-norm distance at most ``tol``; worlds whose cell has
@@ -295,33 +305,11 @@ def quantum_agreement_event(
     :class:`DensityOperator` or plain Hermitian matrices (an unnormalized
     target simply never matches).
     """
-    if rho.n_worlds != model.n_worlds:
-        raise ValueError(f"DOVM over {rho.n_worlds} worlds, model has {model.n_worlds}")
-    if len(sigmas) != model.n_agents:
-        raise ValueError(f"expected {model.n_agents} targets, got {len(sigmas)}")
-    targets = [_as_matrix(s) for s in sigmas]
-    acc = (1 << model.n_worlds) - 1
-    for partition, target in zip(model.partitions, targets):
-        values = _cell_values(rho.atoms, partition)
-        masses = values.trace(axis1=1, axis2=2).real
-        live = np.flatnonzero(masses > NULL_MASS_TOL)
-        diffs = _hermitian_stack(values[live] / masses[live, None, None] - target, "cell conditional", tol=1e-9)
-        agent_mask = 0
-        for k in live[_trace_norms(diffs) <= tol].tolist():
-            agent_mask |= partition.masks[k]
-        acc &= agent_mask
-        if not acc:
-            break
-    return Event(acc, model.n_worlds)
+    return _agreement_event(model, _quantum_layer(model, rho, sigmas), tol)
 
 
 def verify_quantum_aumann(
-    model: KnowledgeModel,
-    rho: Dovm,
-    sigmas: Sequence,
-    tol: float = MATCH_TOL,
-    *,
-    max_iters: int | None = None,
+    model: KnowledgeModel, rho: Dovm, sigmas: Sequence, tol: float = MATCH_TOL, *, max_iters: int | None = None
 ) -> AgreementVerdict:
     """Check the quantum agreement theorem for target states ``sigmas``.
 
@@ -329,16 +317,4 @@ def verify_quantum_aumann(
     trace mass at most ``tol``; otherwise each target must be within ``tol``
     trace-norm distance of the conditional state on the common event.
     """
-    e = quantum_agreement_event(model, rho, sigmas, tol)
-    c = common_knowledge(model, e, max_iters=max_iters)
-    posteriors = tuple(_as_matrix(s) for s in sigmas)
-    if not c:
-        return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
-    value = dovm_value(rho, c)
-    tr = float(value.trace().real)
-    if tr <= tol:
-        return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
-    pooled = DensityOperator(value / tr)
-    ok = all(trace_norm(t - pooled.matrix) <= tol for t in posteriors)
-    status = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
-    return AgreementVerdict(status, c, posteriors, pooled)
+    return _verify(model, _quantum_layer(model, rho, sigmas), tol, max_iters)

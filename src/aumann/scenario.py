@@ -6,6 +6,10 @@ or a POVM-with-state pair produced by conversion), plus an optional
 hypothesis, per-agent targets, and tolerance. Complex numbers serialize as
 ``[re, im]`` pairs. World names exist only at this boundary; the core works
 on indices.
+
+Everything that depends on the measure kind (reading and writing its
+payload, building the measure, reading and printing targets and values, and
+the agreement-pipeline adapter) sits in one table, ``_KINDS``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from functools import wraps
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,8 +43,9 @@ from .knowledge import (
     know,
     mutual_knowledge_chain,
 )
-from .tolerances import MATCH_TOL, NULL_MASS_TOL
+from .tolerances import MATCH_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
+from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _verdict, _verify
 
 __all__ = [
     "SCENARIO_VERSION",
@@ -59,8 +65,6 @@ __all__ = [
 ]
 
 SCENARIO_VERSION = 1
-
-MEASURE_KINDS = ("classical", "quantum", "gpt", "povm")
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +120,197 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
+def _vector(raw: Any, dim: int, path: str) -> list[float]:
+    values = _number_list(raw, path)
+    if len(values) != dim:
+        raise ScenarioValidationError(f"expected {dim} entries, got {len(values)}", path)
+    return values
+
+
+def _positive_int(raw: Any, path: str, name: str) -> int:
+    value = _expect(raw, int, path, "an integer")
+    if value < 1:
+        raise ScenarioValidationError(f"{name} must be positive", path)
+    return value
+
+
+def _reject_unknown(payload: dict, known: set, path: str) -> None:
+    for key in payload:
+        if key not in known:
+            raise ScenarioValidationError(f"unknown field {key!r}", f"{path}.{key}")
+
+
+# ---------------------------------------------------------------------------
+# measure kinds
+
+def _read_classical(payload: dict, n_worlds: int, path: str) -> dict:
+    weights = _number_list(payload.get("weights"), f"{path}.weights")
+    if len(weights) != n_worlds:
+        raise ScenarioValidationError(f"expected {n_worlds} weights, got {len(weights)}", f"{path}.weights")
+    _reject_unknown(payload, {"weights"}, path)
+    return {"weights": weights}
+
+
+def _matrices_reader(key: str, *single: str) -> Callable[[dict, int, str], dict]:
+    """Reader of a payload with ``dim``, one matrix per world under ``key``,
+    and one more matrix under each name in ``single``."""
+
+    def read(payload: dict, n_worlds: int, path: str) -> dict:
+        dim = _positive_int(payload.get("dim"), f"{path}.dim", "dim")
+        mats_raw = _expect(payload.get(key), list, f"{path}.{key}", "a list of matrices")
+        if len(mats_raw) != n_worlds:
+            raise ScenarioValidationError(f"expected {n_worlds} matrices, got {len(mats_raw)}", f"{path}.{key}")
+        out = {"dim": dim, key: [_matrix_to_json(_matrix_from_json(m, dim, f"{path}.{key}[{i}]"))
+                                 for i, m in enumerate(mats_raw)]}
+        for name in single:
+            out[name] = _matrix_to_json(_matrix_from_json(payload.get(name), dim, f"{path}.{name}"))
+        _reject_unknown(payload, set(out), path)
+        return out
+
+    return read
+
+
+def _read_gpt(payload: dict, n_worlds: int, path: str) -> dict:
+    cone_raw = _expect(payload.get("cone"), dict, f"{path}.cone", "an object")
+    kind = _expect(cone_raw.get("kind"), str, f"{path}.cone.kind", "a string")
+    if kind in ("simplex", "polyhedral"):
+        dim = _positive_int(cone_raw.get("dim"), f"{path}.cone.dim", "dim")
+        cone = {"kind": kind, "dim": dim}
+        expected_unit = np.ones(dim) if kind == "simplex" else None
+        if kind == "polyhedral":
+            gens_raw = _expect(cone_raw.get("generators"), list, f"{path}.cone.generators", "a list of vectors")
+            cone["generators"] = [_vector(g, dim, f"{path}.cone.generators[{i}]") for i, g in enumerate(gens_raw)]
+    elif kind == "psd":
+        k = _positive_int(cone_raw.get("matrix_dim"), f"{path}.cone.matrix_dim", "matrix_dim")
+        dim = k * k
+        cone = {"kind": "psd", "matrix_dim": k}
+        expected_unit = gp.vectorize(np.eye(k))
+    else:
+        raise ScenarioValidationError(f"unknown cone kind {kind!r}", f"{path}.cone.kind")
+    unit = _vector(payload.get("unit"), dim, f"{path}.unit")
+    if expected_unit is not None and not np.allclose(unit, expected_unit, atol=1e-12):
+        raise ScenarioValidationError(f"unit must be the canonical {kind} unit functional", f"{path}.unit")
+    atoms_raw = _expect(payload.get("atoms"), list, f"{path}.atoms", "a list of vectors")
+    if len(atoms_raw) != n_worlds:
+        raise ScenarioValidationError(f"expected {n_worlds} atoms, got {len(atoms_raw)}", f"{path}.atoms")
+    atoms = [_vector(a, dim, f"{path}.atoms[{i}]") for i, a in enumerate(atoms_raw)]
+    _reject_unknown(payload, {"cone", "unit", "atoms"}, path)
+    return {"cone": cone, "unit": unit, "atoms": atoms}
+
+
+def _matrix_stack(payload: dict, key: str, path: str) -> np.ndarray:
+    dim = payload["dim"]
+    return np.stack([_matrix_from_json(m, dim, f"{path}[{i}]") for i, m in enumerate(payload[key])])
+
+
+# cone kind -> (cone from its spec and unit, spec fields of a cone)
+_CONES: dict[str, tuple[Callable, Callable]] = {
+    "simplex": (lambda spec, unit: gp.SimplexCone(spec["dim"]), lambda cone: {"dim": cone.dim}),
+    "psd": (lambda spec, unit: gp.PsdCone(spec["matrix_dim"]), lambda cone: {"matrix_dim": cone.matrix_dim}),
+    "polyhedral": (
+        lambda spec, unit: gp.PolyhedralCone(np.asarray(spec["generators"], float), np.asarray(unit, float)),
+        lambda cone: {"dim": cone.dim, "generators": [[float(x) for x in g] for g in cone.generators]},
+    ),
+}
+
+
+def _build_gpt(payload: dict) -> gp.Svm:
+    spec = payload["cone"]
+    try:
+        cone = _CONES[spec["kind"]][0](spec, payload["unit"])
+    except ValueError as exc:
+        raise ScenarioValidationError(str(exc), "measure.gpt.cone") from exc
+    return gp.Svm(cone, np.asarray(payload["atoms"], float))
+
+
+def _write_quantum(rho: qm.Dovm) -> dict:
+    return {"dim": rho.dim, "atoms": [_matrix_to_json(a) for a in rho.atoms]}
+
+
+def _write_gpt(svm: gp.Svm) -> dict:
+    cone = svm.cone
+    return {
+        "cone": {"kind": cone.kind, **_CONES[cone.kind][1](cone)},
+        "unit": [float(x) for x in cone.unit],
+        "atoms": [[float(x) for x in a] for a in svm.atoms],
+    }
+
+
+def _matrix_value_json(value) -> list:
+    return _matrix_to_json(value.matrix if isinstance(value, qm.DensityOperator) else value)
+
+
+def _matrix_target(raw: Any, payload: dict, path: str) -> np.ndarray:
+    return _matrix_from_json(raw, payload["dim"], path)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one measure kind is read (raw payload to canonical JSON), built,
+    written, and verified; ``write`` and ``layer`` are ``None`` for povm."""
+
+    read: Callable[[dict, int, str], dict]
+    build: Callable[[dict], Any]
+    target: Callable[[Any, dict, str], Any]
+    to_json: Callable[[Any], Any]
+    write: Callable[[Any], dict] | None = None
+    layer: Callable[[KnowledgeModel, Any, Event | None, tuple], Any] | None = None
+    needs_hypothesis: bool = False
+
+
+_KINDS: dict[str, _Kind] = {
+    "classical": _Kind(
+        read=_read_classical,
+        build=lambda payload: cl.ProbabilityMeasure(np.asarray(payload["weights"], float)),
+        target=lambda raw, payload, path: _number(raw, path),
+        to_json=float,
+        write=lambda mu: {"weights": [float(x) for x in mu.weights]},
+        layer=cl._classical_layer,
+        needs_hypothesis=True,
+    ),
+    "quantum": _Kind(
+        read=_matrices_reader("atoms"),
+        build=lambda payload: qm.Dovm(_matrix_stack(payload, "atoms", "measure.quantum.atoms")),
+        target=_matrix_target,
+        to_json=_matrix_value_json,
+        write=_write_quantum,
+        layer=lambda model, rho, h, targets: qm._quantum_layer(model, rho, targets),
+    ),
+    "gpt": _Kind(
+        read=_read_gpt,
+        build=_build_gpt,
+        target=lambda raw, payload, path: np.asarray(_vector(raw, len(payload["unit"]), path), float),
+        to_json=lambda value: [float(x) for x in (value.coords if isinstance(value, gp.GptState) else value)],
+        write=_write_gpt,
+        layer=lambda model, svm, h, targets: gp._gpt_layer(model, svm, targets),
+    ),
+    "povm": _Kind(
+        read=_matrices_reader("effects", "state"),
+        build=lambda payload: (
+            qm.Povm(_matrix_stack(payload, "effects", "measure.povm.effects")),
+            qm.DensityOperator(_matrix_from_json(payload["state"], payload["dim"], "measure.povm.state")),
+        ),
+        target=_matrix_target,
+        to_json=_matrix_value_json,
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # scenario document
+
+def _built_once(build: Callable) -> Callable:
+    """Method that returns the object ``build`` made on the first call."""
+    name = f"_{build.__name__}"
+
+    @wraps(build)
+    def method(self):
+        if name not in self.__dict__:
+            self.__dict__[name] = build(self)
+        return self.__dict__[name]
+
+    return method
+
 
 @dataclass
 class AgentSpec:
@@ -127,7 +320,13 @@ class AgentSpec:
 
 @dataclass
 class ScenarioFile:
-    """Validated scenario document; holds plain data, builds core objects."""
+    """Validated scenario document; holds plain data, builds core objects.
+
+    Each of ``model()``, ``measure_object()``, ``hypothesis_event()`` and
+    ``target_values()`` builds its object once and then returns it again;
+    ``parse_scenario`` calls all four, so every check runs once, at parse.
+    The kept objects do not follow later changes to the fields they read.
+    """
 
     version: int
     worlds: list[str]
@@ -158,9 +357,7 @@ class ScenarioFile:
             worlds.append(index[name])
         return Event.from_worlds(worlds, self.n_worlds)
 
-    def event_names(self, e: Event) -> list[str]:
-        return [self.worlds[w] for w in e]
-
+    @_built_once
     def model(self) -> KnowledgeModel:
         index = self.world_index
         partitions = []
@@ -175,65 +372,28 @@ class ScenarioFile:
         except ValueError as exc:
             raise ScenarioValidationError(str(exc), "agents") from exc
 
+    @_built_once
     def hypothesis_event(self) -> Event | None:
-        if self.hypothesis is None:
-            return None
-        return self.event_from_names(self.hypothesis, "hypothesis")
+        return None if self.hypothesis is None else self.event_from_names(self.hypothesis, "hypothesis")
 
-    def cone(self) -> gp.ConeSpace:
-        payload = self.measure["gpt"]
-        spec = payload["cone"]
-        kind = spec["kind"]
-        try:
-            if kind == "simplex":
-                return gp.SimplexCone(spec["dim"])
-            if kind == "psd":
-                return gp.PsdCone(spec["matrix_dim"])
-            return gp.PolyhedralCone(np.asarray(spec["generators"], float), np.asarray(payload["unit"], float))
-        except ValueError as exc:
-            raise ScenarioValidationError(str(exc), "measure.gpt.cone") from exc
-
+    @_built_once
     def measure_object(self):
         """The core measure: ProbabilityMeasure, Dovm, Svm, or (Povm, DensityOperator)."""
         layer = self.layer
-        payload = self.measure[layer]
         try:
-            if layer == "classical":
-                return cl.ProbabilityMeasure(np.asarray(payload["weights"], float))
-            if layer == "quantum":
-                dim = payload["dim"]
-                return qm.Dovm(np.stack([
-                    _matrix_from_json(m, dim, f"measure.quantum.atoms[{i}]")
-                    for i, m in enumerate(payload["atoms"])
-                ]))
-            if layer == "povm":
-                dim = payload["dim"]
-                povm = qm.Povm(np.stack([
-                    _matrix_from_json(m, dim, f"measure.povm.effects[{i}]")
-                    for i, m in enumerate(payload["effects"])
-                ]))
-                state = qm.DensityOperator(_matrix_from_json(payload["state"], dim, "measure.povm.state"))
-                return povm, state
-            cone = self.cone()
-            return gp.Svm(cone, np.asarray(payload["atoms"], float))
+            return _KINDS[layer].build(self.measure[layer])
         except ScenarioError:
             raise
         except ValueError as exc:
             raise ScenarioValidationError(str(exc), f"measure.{layer}") from exc
 
+    @_built_once
     def target_values(self) -> tuple | None:
         """Targets as floats (classical), matrices (quantum/povm), or vectors (gpt)."""
         if self.targets is None:
             return None
-        layer = self.layer
-        if layer == "classical":
-            return tuple(float(t) for t in self.targets)
-        if layer in ("quantum", "povm"):
-            dim = self.measure[layer]["dim"]
-            return tuple(
-                _matrix_from_json(t, dim, f"targets[{i}]") for i, t in enumerate(self.targets)
-            )
-        return tuple(np.asarray(t, float) for t in self.targets)
+        kind, payload = _KINDS[self.layer], self.measure[self.layer]
+        return tuple(kind.target(t, payload, f"targets[{i}]") for i, t in enumerate(self.targets))
 
 
 def parse_scenario(text: str) -> ScenarioFile:
@@ -276,19 +436,25 @@ def parse_scenario(text: str) -> ScenarioFile:
         partition = []
         for c, cell in enumerate(partition_raw):
             cell_names = _expect(cell, list, f"agents[{a}].partition[{c}]", "a list of world names")
+            in_cell = set()
             for k, w in enumerate(cell_names):
-                _expect(w, str, f"agents[{a}].partition[{c}][{k}]", "a string")
+                path = f"agents[{a}].partition[{c}][{k}]"
+                _expect(w, str, path, "a string")
                 if w not in world_set:
-                    raise ScenarioValidationError(f"unknown world {w!r}", f"agents[{a}].partition[{c}][{k}]")
+                    raise ScenarioValidationError(f"unknown world {w!r}", path)
+                if w in in_cell:
+                    raise ScenarioValidationError(f"world {w!r} is listed twice in cell {c}", path)
+                in_cell.add(w)
             partition.append(list(cell_names))
         agents.append(AgentSpec(name, partition))
 
     measure_raw = _expect(doc.get("measure"), dict, "measure", "an object")
-    if len(measure_raw) != 1 or next(iter(measure_raw)) not in MEASURE_KINDS:
-        raise ScenarioValidationError(f"measure must have exactly one of the keys {MEASURE_KINDS}", "measure")
+    if len(measure_raw) != 1 or next(iter(measure_raw)) not in _KINDS:
+        raise ScenarioValidationError(f"measure must have exactly one of the keys {tuple(_KINDS)}", "measure")
     layer = next(iter(measure_raw))
+    kind = _KINDS[layer]
     payload = _expect(measure_raw[layer], dict, f"measure.{layer}", "an object")
-    measure = {layer: _normalize_measure(layer, payload, len(worlds))}
+    measure = {layer: kind.read(payload, len(worlds), f"measure.{layer}")}
 
     hypothesis = None
     if doc.get("hypothesis") is not None:
@@ -302,7 +468,9 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ScenarioValidationError(
                 f"expected {len(agents)} targets (one per agent), got {len(targets_raw)}", "targets"
             )
-        targets = _normalize_targets(layer, targets_raw, measure[layer])
+        targets = [
+            kind.to_json(kind.target(t, measure[layer], f"targets[{i}]")) for i, t in enumerate(targets_raw)
+        ]
 
     tolerance = None
     if doc.get("tolerance") is not None:
@@ -322,94 +490,6 @@ def parse_scenario(text: str) -> ScenarioFile:
     sf.hypothesis_event()
     sf.target_values()
     return sf
-
-
-def _normalize_measure(layer: str, payload: dict, n_worlds: int) -> dict:
-    path = f"measure.{layer}"
-    if layer == "classical":
-        weights = _number_list(payload.get("weights"), f"{path}.weights")
-        if len(weights) != n_worlds:
-            raise ScenarioValidationError(f"expected {n_worlds} weights, got {len(weights)}", f"{path}.weights")
-        _reject_unknown(payload, {"weights"}, path)
-        return {"weights": weights}
-    if layer in ("quantum", "povm"):
-        dim = _expect(payload.get("dim"), int, f"{path}.dim", "an integer")
-        if dim < 1:
-            raise ScenarioValidationError("dim must be positive", f"{path}.dim")
-        key = "atoms" if layer == "quantum" else "effects"
-        mats_raw = _expect(payload.get(key), list, f"{path}.{key}", "a list of matrices")
-        if len(mats_raw) != n_worlds:
-            raise ScenarioValidationError(f"expected {n_worlds} matrices, got {len(mats_raw)}", f"{path}.{key}")
-        mats = [
-            _matrix_to_json(_matrix_from_json(m, dim, f"{path}.{key}[{i}]"))
-            for i, m in enumerate(mats_raw)
-        ]
-        out = {"dim": dim, key: mats}
-        if layer == "povm":
-            out["state"] = _matrix_to_json(_matrix_from_json(payload.get("state"), dim, f"{path}.state"))
-            _reject_unknown(payload, {"dim", key, "state"}, path)
-        else:
-            _reject_unknown(payload, {"dim", key}, path)
-        return out
-    # gpt
-    cone_raw = _expect(payload.get("cone"), dict, f"{path}.cone", "an object")
-    kind = _expect(cone_raw.get("kind"), str, f"{path}.cone.kind", "a string")
-    if kind == "simplex":
-        dim = _expect(cone_raw.get("dim"), int, f"{path}.cone.dim", "an integer")
-        cone = {"kind": "simplex", "dim": dim}
-        expected_unit = np.ones(dim)
-    elif kind == "psd":
-        k = _expect(cone_raw.get("matrix_dim"), int, f"{path}.cone.matrix_dim", "an integer")
-        if k < 1:
-            raise ScenarioValidationError("matrix_dim must be positive", f"{path}.cone.matrix_dim")
-        dim = k * k
-        cone = {"kind": "psd", "matrix_dim": k}
-        expected_unit = gp.vectorize(np.eye(k))
-    elif kind == "polyhedral":
-        dim = _expect(cone_raw.get("dim"), int, f"{path}.cone.dim", "an integer")
-        gens_raw = _expect(cone_raw.get("generators"), list, f"{path}.cone.generators", "a list of vectors")
-        generators = [
-            _vector(g, dim, f"{path}.cone.generators[{i}]") for i, g in enumerate(gens_raw)
-        ]
-        cone = {"kind": "polyhedral", "dim": dim, "generators": generators}
-        expected_unit = None
-    else:
-        raise ScenarioValidationError(f"unknown cone kind {kind!r}", f"{path}.cone.kind")
-    unit = _vector(payload.get("unit"), dim, f"{path}.unit")
-    if expected_unit is not None and not np.allclose(unit, expected_unit, atol=1e-12):
-        raise ScenarioValidationError(f"unit must be the canonical {kind} unit functional", f"{path}.unit")
-    atoms_raw = _expect(payload.get("atoms"), list, f"{path}.atoms", "a list of vectors")
-    if len(atoms_raw) != n_worlds:
-        raise ScenarioValidationError(f"expected {n_worlds} atoms, got {len(atoms_raw)}", f"{path}.atoms")
-    atoms = [_vector(a, dim, f"{path}.atoms[{i}]") for i, a in enumerate(atoms_raw)]
-    _reject_unknown(payload, {"cone", "unit", "atoms"}, path)
-    return {"cone": cone, "unit": unit, "atoms": atoms}
-
-
-def _vector(raw: Any, dim: int, path: str) -> list[float]:
-    values = _number_list(raw, path)
-    if len(values) != dim:
-        raise ScenarioValidationError(f"expected {dim} entries, got {len(values)}", path)
-    return values
-
-
-def _reject_unknown(payload: dict, known: set, path: str) -> None:
-    for key in payload:
-        if key not in known:
-            raise ScenarioValidationError(f"unknown field {key!r}", f"{path}.{key}")
-
-
-def _normalize_targets(layer: str, targets_raw: list, measure_payload: dict) -> list:
-    if layer == "classical":
-        return [_number(t, f"targets[{i}]") for i, t in enumerate(targets_raw)]
-    if layer in ("quantum", "povm"):
-        dim = measure_payload["dim"]
-        return [
-            _matrix_to_json(_matrix_from_json(t, dim, f"targets[{i}]"))
-            for i, t in enumerate(targets_raw)
-        ]
-    dim = len(measure_payload["unit"])
-    return [_vector(t, dim, f"targets[{i}]") for i, t in enumerate(targets_raw)]
 
 
 def serialize_scenario(sf: ScenarioFile) -> str:
@@ -437,37 +517,11 @@ def scenario_from_bundle(bundle: ScenarioBundle, tolerance: float | None = None)
         AgentSpec(f"a{i + 1}", [[worlds[w] for w in cell] for cell in p.cells])
         for i, p in enumerate(model.partitions)
     ]
-    measure = bundle.measure
-    if bundle.layer == "classical":
-        payload = {"classical": {"weights": [float(x) for x in measure.weights]}}
-        targets = [float(t) for t in bundle.targets]
-    elif bundle.layer == "quantum":
-        payload = {"quantum": {"dim": measure.dim, "atoms": [_matrix_to_json(a) for a in measure.atoms]}}
-        targets = [_matrix_to_json(qm._as_matrix(t)) for t in bundle.targets]
-    else:
-        cone = measure.cone
-        if isinstance(cone, gp.SimplexCone):
-            cone_doc = {"kind": "simplex", "dim": cone.dim}
-        elif isinstance(cone, gp.PsdCone):
-            cone_doc = {"kind": "psd", "matrix_dim": cone.matrix_dim}
-        else:
-            cone_doc = {
-                "kind": "polyhedral",
-                "dim": cone.dim,
-                "generators": [[float(x) for x in g] for g in cone.generators],
-            }
-        payload = {
-            "gpt": {
-                "cone": cone_doc,
-                "unit": [float(x) for x in cone.unit],
-                "atoms": [[float(x) for x in a] for a in measure.atoms],
-            }
-        }
-        targets = [[float(x) for x in gp._as_coords(cone, t)] for t in bundle.targets]
+    kind = _KINDS[bundle.layer]
+    payload = {bundle.layer: kind.write(bundle.measure)}
+    targets = [kind.to_json(t) for t in bundle.targets]
     hypothesis = None if bundle.hypothesis is None else [worlds[w] for w in bundle.hypothesis]
-    return ScenarioFile(
-        SCENARIO_VERSION, worlds, agents, payload, hypothesis, targets, tolerance
-    )
+    return ScenarioFile(SCENARIO_VERSION, worlds, agents, payload, hypothesis, targets, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +545,9 @@ class Report:
     def _names(self, e: Event) -> list[str]:
         return [self.worlds[w] for w in e]
 
+    def _value_json(self, value):
+        return None if value is None else _KINDS[self.layer].to_json(value)
+
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"layer": self.layer}
         if self.event is not None:
@@ -506,7 +563,7 @@ class Report:
         if self.posteriors_by_cell is not None:
             out["posteriors_by_cell"] = {
                 name: [
-                    {"cell": self._names(cell), "value": _value_to_json(value)}
+                    {"cell": self._names(cell), "value": self._value_json(value)}
                     for cell, value in rows
                 ]
                 for name, rows in zip(self.agent_names, self.posteriors_by_cell)
@@ -515,42 +572,35 @@ class Report:
             out["verdict"] = {
                 "status": self.verdict.status.value,
                 "common_event": self._names(self.verdict.common_event),
-                "posteriors": [_value_to_json(p) for p in self.verdict.posteriors],
-                "pooled_posterior": _value_to_json(self.verdict.pooled_posterior),
+                "posteriors": [self._value_json(p) for p in self.verdict.posteriors],
+                "pooled_posterior": self._value_json(self.verdict.pooled_posterior),
             }
         out["timings"] = dict(self.timings)
         return out
 
     def to_text(self) -> str:
+        doc = self.to_json_dict()
         lines = [f"layer: {self.layer}"]
-        if self.event is not None:
-            lines.append(f"event: {_names_text(self._names(self.event))}")
-        if self.knowledge is not None:
-            for name, k in zip(self.agent_names, self.knowledge):
-                lines.append(f"knowledge[{name}]: {_names_text(self._names(k))}")
-        if self.mutual_trace is not None:
-            for level, m in enumerate(self.mutual_trace, start=1):
-                lines.append(f"mutual[{level}]: {_names_text(self._names(m))}")
-        if self.common is not None:
-            lines.append(f"common knowledge: {_names_text(self._names(self.common))}")
-        if self.posteriors_by_cell is not None:
-            for name, rows in zip(self.agent_names, self.posteriors_by_cell):
-                for cell, value in rows:
-                    lines.append(
-                        f"conditional[{name} | {_names_text(self._names(cell))}]: {_value_to_text(value)}"
-                    )
-        if self.verdict is not None:
-            lines.append(f"verdict: {self.verdict.status.value}")
-            lines.append(
-                f"common event: {_names_text(self._names(self.verdict.common_event))}"
-            )
-            for name, p in zip(self.agent_names, self.verdict.posteriors):
-                lines.append(f"posterior[{name}]: {_value_to_text(p)}")
-            if self.verdict.pooled_posterior is not None:
-                lines.append(f"pooled posterior: {_value_to_text(self.verdict.pooled_posterior)}")
-        lines.append(
-            "timings: " + " ".join(f"{k}={v:.3f}s" for k, v in self.timings.items())
-        )
+        if "event" in doc:
+            lines.append(f"event: {_names_text(doc['event'])}")
+        for name, names in doc.get("knowledge", {}).items():
+            lines.append(f"knowledge[{name}]: {_names_text(names)}")
+        for level, names in enumerate(doc.get("mutual_trace", ()), start=1):
+            lines.append(f"mutual[{level}]: {_names_text(names)}")
+        if "common_knowledge" in doc:
+            lines.append(f"common knowledge: {_names_text(doc['common_knowledge'])}")
+        for name, rows in doc.get("posteriors_by_cell", {}).items():
+            for row in rows:
+                lines.append(f"conditional[{name} | {_names_text(row['cell'])}]: {_json_text(row['value'])}")
+        if "verdict" in doc:
+            verdict = doc["verdict"]
+            lines.append(f"verdict: {verdict['status']}")
+            lines.append(f"common event: {_names_text(verdict['common_event'])}")
+            for name, p in zip(self.agent_names, verdict["posteriors"]):
+                lines.append(f"posterior[{name}]: {_json_text(p)}")
+            if verdict["pooled_posterior"] is not None:
+                lines.append(f"pooled posterior: {_json_text(verdict['pooled_posterior'])}")
+        lines.append("timings: " + " ".join(f"{k}={v:.3f}s" for k, v in self.timings.items()))
         return "\n".join(lines) + "\n"
 
 
@@ -558,53 +608,23 @@ def _names_text(names: list[str]) -> str:
     return "[" + ", ".join(sorted(names)) + "]"
 
 
-def _value_to_json(value):
-    if value is None:
-        return None
-    if isinstance(value, qm.DensityOperator):
-        return _matrix_to_json(value.matrix)
-    if isinstance(value, gp.GptState):
-        return [float(x) for x in value.coords]
-    if isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            return _matrix_to_json(value)
-        return [float(x) for x in value]
-    return float(value)
-
-
-def _value_to_text(value) -> str:
-    if value is None:
+def _json_text(doc) -> str:
+    """Six-decimal text of a JSON value: a number, a vector, or a matrix of [re, im] pairs."""
+    if doc is None:
         return "undefined"
-    if isinstance(value, qm.DensityOperator):
-        value = value.matrix
-    if isinstance(value, gp.GptState):
-        value = value.coords
-    if isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            rows = [
-                "[" + ", ".join(f"{z.real:.6f}{z.imag:+.6f}j" for z in row) + "]"
-                for row in value
-            ]
-            return "[" + ", ".join(rows) + "]"
-        return "[" + ", ".join(f"{x:.6f}" for x in value) + "]"
-    return f"{float(value):.6f}"
+    if isinstance(doc, float):
+        return f"{doc:.6f}"
+    if isinstance(doc[0], float):
+        return "[" + ", ".join(f"{x:.6f}" for x in doc) + "]"
+    return "[" + ", ".join("[" + ", ".join(f"{re:.6f}{im:+.6f}j" for re, im in row) + "]" for row in doc) + "]"
 
 
 def verify_bundle(
     bundle: ScenarioBundle, tol: float = MATCH_TOL, *, max_iters: int | None = None
 ) -> AgreementVerdict:
     """Dispatch a generated bundle to its layer's verifier."""
-    if bundle.layer == "classical":
-        return cl.verify_aumann(
-            bundle.model, bundle.measure, bundle.hypothesis, bundle.targets, tol, max_iters=max_iters
-        )
-    if bundle.layer == "quantum":
-        return qm.verify_quantum_aumann(
-            bundle.model, bundle.measure, bundle.targets, tol, max_iters=max_iters
-        )
-    return gp.verify_gpt_aumann(
-        bundle.model, bundle.measure, bundle.targets, tol, max_iters=max_iters
-    )
+    layer = _KINDS[bundle.layer].layer(bundle.model, bundle.measure, bundle.hypothesis, bundle.targets)
+    return _verify(bundle.model, layer, tol, max_iters)
 
 
 def _effective_tol(sf: ScenarioFile, tol: float | None) -> float:
@@ -615,29 +635,21 @@ def _effective_tol(sf: ScenarioFile, tol: float | None) -> float:
     return MATCH_TOL
 
 
-def _agreement_parts(sf: ScenarioFile, tol: float):
-    """(model, event, verdict-callable) for a scenario with targets."""
-    layer = sf.layer
-    if layer == "povm":
+def _pipeline_parts(sf: ScenarioFile, *, need_targets: bool):
+    """(model, pipeline adapter) of a scenario; the adapter has no targets
+    when the scenario has none."""
+    kind = _KINDS[sf.layer]
+    if kind.layer is None:
         raise ScenarioValidationError("POVM scenarios only support conversion", "measure")
-    model = sf.model()
-    measure = sf.measure_object()
-    targets = sf.target_values()
-    if targets is None:
+    targets, h = sf.target_values(), sf.hypothesis_event()
+    if targets is None and need_targets:
         raise ScenarioValidationError("this command needs per-agent targets", "targets")
-    if layer == "classical":
-        h = sf.hypothesis_event()
-        if h is None:
-            raise ScenarioValidationError("classical agreement needs a hypothesis", "hypothesis")
-        event = cl.agreement_event(model, measure, h, targets, tol)
-        run = lambda max_iters: cl.verify_aumann(model, measure, h, targets, tol, max_iters=max_iters)
-    elif layer == "quantum":
-        event = qm.quantum_agreement_event(model, measure, targets, tol)
-        run = lambda max_iters: qm.verify_quantum_aumann(model, measure, targets, tol, max_iters=max_iters)
-    else:
-        event = gp.gpt_agreement_event(model, measure, targets, tol)
-        run = lambda max_iters: gp.verify_gpt_aumann(model, measure, targets, tol, max_iters=max_iters)
-    return model, measure, event, run
+    if targets is None and h is None:
+        raise ScenarioValidationError("analysis needs targets or a hypothesis event", "hypothesis")
+    if h is None and kind.needs_hypothesis:
+        raise ScenarioValidationError(f"{sf.layer} agreement needs a hypothesis", "hypothesis")
+    model = sf.model()
+    return model, kind.layer(model, sf.measure_object(), h, targets or ())
 
 
 def run_agree(
@@ -646,9 +658,10 @@ def run_agree(
     """Verdict-centric run: build the agreement event and verify the theorem."""
     t0 = time.perf_counter()
     tol = _effective_tol(sf, tol)
-    model, _, event, run = _agreement_parts(sf, tol)
+    model, layer = _pipeline_parts(sf, need_targets=True)
+    event = _agreement_event(model, layer, tol)
     t1 = time.perf_counter()
-    verdict = run(max_iters)
+    verdict = _verdict(layer, common_knowledge(model, event, max_iters=max_iters), tol)
     t2 = time.perf_counter()
     return Report(
         layer=sf.layer,
@@ -661,27 +674,13 @@ def run_agree(
     )
 
 
-def _conditional_table(sf: ScenarioFile, model: KnowledgeModel, measure, h: Event | None):
+def _conditional_table(model: KnowledgeModel, layer) -> list:
     """Per agent: (cell, conditional value) rows; None value marks null cells."""
-    layer = sf.layer
-    if layer == "classical" and h is not None:
-        joint = measure.weights * cl._indicator(h)
     table = []
     for p in model.partitions:
-        if layer == "classical":
-            if h is None:
-                values = [None] * len(p)
-            else:
-                posteriors = cl._cell_posteriors(p, measure.weights, joint).tolist()
-                values = [None if math.isnan(v) else v for v in posteriors]
-        else:
-            raw = qm._cell_values(measure.atoms, p)
-            if layer == "quantum":
-                masses = raw.trace(axis1=1, axis2=2).real.tolist()
-            else:  # one dot per cell, the same arithmetic as gpt_conditional_state
-                masses = [float(measure.cone.unit @ r) for r in raw]
-            values = [r / m if m > NULL_MASS_TOL else None for r, m in zip(raw, masses)]
-        table.append(list(zip(p.cells, values)))
+        live, conditionals = _cell_conditionals(layer, p)
+        found = dict(zip(live.tolist(), conditionals))
+        table.append([(cell, found.get(k)) for k, cell in enumerate(p.cells)])
     return table
 
 
@@ -695,32 +694,19 @@ def run_analyze(
     """
     t0 = time.perf_counter()
     tol = _effective_tol(sf, tol)
-    layer = sf.layer
-    if layer == "povm":
-        raise ScenarioValidationError("POVM scenarios only support conversion", "measure")
-    verdict = None
-    if sf.targets is not None:
-        model, measure, event, run = _agreement_parts(sf, tol)
-        t1 = time.perf_counter()
-        verdict = run(max_iters)
-        t2 = time.perf_counter()
-    else:
-        model = sf.model()
-        measure = sf.measure_object()
-        event = sf.hypothesis_event()
-        if event is None:
-            raise ScenarioValidationError(
-                "analysis needs targets or a hypothesis event", "hypothesis"
-            )
-        t1 = time.perf_counter()
-        t2 = t1
-    knowledge = tuple(know(model, i, event) for i in range(model.n_agents))
+    model, layer = _pipeline_parts(sf, need_targets=False)
+    has_targets = sf.targets is not None
+    event = _agreement_event(model, layer, tol) if has_targets else sf.hypothesis_event()
+    t1 = time.perf_counter()
     trace = tuple(mutual_knowledge_chain(model, event, max_iters=max_iters))
-    common = common_knowledge(model, event, max_iters=max_iters)
-    table = _conditional_table(sf, model, measure, sf.hypothesis_event())
+    common = trace[-1]
+    verdict = _verdict(layer, common, tol) if has_targets else None
+    t2 = time.perf_counter()
+    knowledge = tuple(know(model, i, event) for i in range(model.n_agents))
+    table = _conditional_table(model, layer)
     t3 = time.perf_counter()
     return Report(
-        layer=layer,
+        layer=sf.layer,
         worlds=list(sf.worlds),
         verdict=verdict,
         event=event,
@@ -757,7 +743,7 @@ def run_convert(sf: ScenarioFile, direction: str) -> ScenarioFile:
             raise ScenarioValidationError("povm2dovm needs a povm scenario", "measure")
         povm, state = sf.measure_object()
         rho = qm.povm_to_dovm(povm, state)
-        payload = {"quantum": {"dim": rho.dim, "atoms": [_matrix_to_json(a) for a in rho.atoms]}}
+        payload = {"quantum": _write_quantum(rho)}
     else:
         raise ScenarioValidationError(f"unknown direction {direction!r}", "direction")
     return ScenarioFile(
@@ -856,6 +842,8 @@ def run_search(
         raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
     if mode not in ("mix", "planted", "random"):
         raise ValueError(f"mode must be mix, planted, or random, got {mode!r}")
+    tol = MATCH_TOL if tol is None else tol
+    _check_tol(tol)
     params = {
         "base_seed": base_seed,
         "n_worlds": n_worlds,
@@ -864,7 +852,7 @@ def run_search(
         "cone_kind": cone_kind,
         "n_generators": n_generators,
         "mode": mode,
-        "tol": MATCH_TOL if tol is None else tol,
+        "tol": tol,
     }
     t0 = time.perf_counter()
     counts: Counter = Counter()

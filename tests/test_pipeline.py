@@ -1,0 +1,398 @@
+"""The shared agreement pipeline and the merged fixpoint loop, checked against
+the per-layer agreement events, verifiers and fixpoint loops they replaced.
+
+The ``_old_*`` functions below are those implementations, kept as the
+reference: agreement events, statuses and common events must be equal, and
+pooled posteriors equal bit for bit, on generated bundles of every layer and
+cone kind, including targets placed at ``tol`` (and at the floats next to it)
+from a cell conditional.
+"""
+
+from contextlib import nullcontext
+
+import numpy as np
+import pytest
+
+from aumann import (
+    DensityOperator,
+    Event,
+    GptState,
+    KnowledgeModel,
+    agreement_event,
+    common_knowledge,
+    dovm_value,
+    gen_model,
+    gen_planted_scenario,
+    gen_unconstrained_scenario,
+    gpt_agreement_event,
+    mutual_knowledge,
+    mutual_knowledge_chain,
+    probability,
+    quantum_agreement_event,
+    require_hermitian,
+    svm_value,
+    trace_norm,
+    verify_aumann,
+    verify_bundle,
+    verify_gpt_aumann,
+    verify_quantum_aumann,
+)
+from aumann.classical import _indicator
+from aumann.generators import _rng
+from aumann.quantum import _cell_values, _hermitian_stack, _trace_norms
+from aumann.tolerances import MATCH_TOL, NULL_MASS_TOL
+from aumann.verdicts import AgreementVerdict, VerdictStatus
+
+
+# ---------------------------------------------------------------------------
+# the fixpoint loops before the merge
+
+def _old_know_mask(cell_masks, e_mask):
+    out = 0
+    for c in cell_masks:
+        if c & ~e_mask == 0:
+            out |= c
+    return out
+
+
+def _old_everybody_knows(model, mask):
+    acc = (1 << model.n_worlds) - 1
+    for p in model.partitions:
+        acc &= _old_know_mask(p.masks, mask)
+        if not acc:
+            break
+    return acc
+
+
+def _old_mutual_knowledge(model, e, m):
+    if m < 0:
+        raise ValueError("degree m must be nonnegative")
+    model._check_event(e)
+    cur = e.mask
+    for _ in range(m):
+        nxt = _old_everybody_knows(model, cur)
+        if nxt == cur:
+            break
+        cur = nxt
+    return Event(cur, model.n_worlds)
+
+
+def _old_mutual_knowledge_chain(model, e, max_iters=None):
+    model._check_event(e)
+    limit = model.n_worlds + 1 if max_iters is None else max_iters
+    trace = []
+    cur = e.mask
+    for _ in range(limit):
+        nxt = _old_everybody_knows(model, cur)
+        trace.append(Event(nxt, model.n_worlds))
+        if nxt == cur:
+            return trace
+        cur = nxt
+    raise RuntimeError(f"mutual-knowledge chain did not stabilize within {limit} iterations")
+
+
+def _old_common_knowledge(model, e, max_iters=None):
+    model._check_event(e)
+    limit = model.n_worlds + 1 if max_iters is None else max_iters
+    cur = e.mask
+    for _ in range(limit):
+        nxt = _old_everybody_knows(model, cur)
+        if nxt == cur:
+            return Event(cur, model.n_worlds)
+        cur = nxt
+    raise RuntimeError(f"common-knowledge fixpoint not reached within {limit} iterations")
+
+
+# ---------------------------------------------------------------------------
+# the three agreement events and verifiers before the merge
+
+def _old_cell_posteriors(partition, weights, joint):
+    k = len(partition)
+    p_cell = np.bincount(partition.labels, weights=weights, minlength=k)
+    p_joint = np.bincount(partition.labels, weights=joint, minlength=k)
+    return np.divide(p_joint, p_cell, out=np.full(k, np.nan), where=p_cell > NULL_MASS_TOL)
+
+
+def _old_agreement_event(model, mu, h, q, tol=MATCH_TOL):
+    model._check_event(h)
+    mu._check_event(h)
+    if len(q) != model.n_agents:
+        raise ValueError(f"expected {model.n_agents} targets, got {len(q)}")
+    joint = mu.weights * _indicator(h)
+    acc = (1 << model.n_worlds) - 1
+    for partition, q_i in zip(model.partitions, q):
+        posteriors = _old_cell_posteriors(partition, mu.weights, joint)
+        masks = partition.masks
+        agent_mask = 0
+        for k in np.flatnonzero(np.abs(posteriors - q_i) <= tol).tolist():
+            agent_mask |= masks[k]
+        acc &= agent_mask
+        if not acc:
+            break
+    return Event(acc, model.n_worlds)
+
+
+def _old_verify_aumann(model, mu, h, q, tol=MATCH_TOL, *, max_iters=None):
+    e = _old_agreement_event(model, mu, h, q, tol)
+    c = _old_common_knowledge(model, e, max_iters=max_iters)
+    posteriors = tuple(float(x) for x in q)
+    if not c:
+        return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
+    p_c = probability(mu, c)
+    if p_c <= tol:
+        return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
+    pooled = probability(mu, h & c) / p_c
+    ok = all(abs(q_i - pooled) <= tol for q_i in posteriors)
+    status = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
+    return AgreementVerdict(status, c, posteriors, pooled)
+
+
+def _old_as_matrix(target):
+    if isinstance(target, DensityOperator):
+        return target.matrix
+    return require_hermitian(target, tol=1e-9)
+
+
+def _old_quantum_agreement_event(model, rho, sigmas, tol=MATCH_TOL):
+    if rho.n_worlds != model.n_worlds:
+        raise ValueError(f"DOVM over {rho.n_worlds} worlds, model has {model.n_worlds}")
+    if len(sigmas) != model.n_agents:
+        raise ValueError(f"expected {model.n_agents} targets, got {len(sigmas)}")
+    targets = [_old_as_matrix(s) for s in sigmas]
+    acc = (1 << model.n_worlds) - 1
+    for partition, target in zip(model.partitions, targets):
+        values = _cell_values(rho.atoms, partition)
+        masses = values.trace(axis1=1, axis2=2).real
+        live = np.flatnonzero(masses > NULL_MASS_TOL)
+        diffs = _hermitian_stack(values[live] / masses[live, None, None] - target, "cell conditional", tol=1e-9)
+        agent_mask = 0
+        for k in live[_trace_norms(diffs) <= tol].tolist():
+            agent_mask |= partition.masks[k]
+        acc &= agent_mask
+        if not acc:
+            break
+    return Event(acc, model.n_worlds)
+
+
+def _old_verify_quantum_aumann(model, rho, sigmas, tol=MATCH_TOL, *, max_iters=None):
+    e = _old_quantum_agreement_event(model, rho, sigmas, tol)
+    c = _old_common_knowledge(model, e, max_iters=max_iters)
+    posteriors = tuple(_old_as_matrix(s) for s in sigmas)
+    if not c:
+        return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
+    value = dovm_value(rho, c)
+    tr = float(value.trace().real)
+    if tr <= tol:
+        return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
+    pooled = DensityOperator(value / tr)
+    ok = all(trace_norm(t - pooled.matrix) <= tol for t in posteriors)
+    status = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
+    return AgreementVerdict(status, c, posteriors, pooled)
+
+
+def _old_as_coords(cone, target):
+    if isinstance(target, GptState):
+        return target.coords
+    return cone._coerce(target)
+
+
+def _old_gpt_agreement_event(model, mu, targets, tol=MATCH_TOL):
+    if mu.n_worlds != model.n_worlds:
+        raise ValueError(f"SVM over {mu.n_worlds} worlds, model has {model.n_worlds}")
+    if len(targets) != model.n_agents:
+        raise ValueError(f"expected {model.n_agents} targets, got {len(targets)}")
+    coords = [_old_as_coords(mu.cone, t) for t in targets]
+    unit = mu.cone.unit
+    acc = (1 << model.n_worlds) - 1
+    for partition, target in zip(model.partitions, coords):
+        values = _cell_values(mu.atoms, partition)
+        masses = values @ unit
+        live = np.flatnonzero(masses > NULL_MASS_TOL)
+        distances = np.abs(values[live] / masses[live, None] - target).max(axis=1)
+        agent_mask = 0
+        for k in live[distances <= tol].tolist():
+            agent_mask |= partition.masks[k]
+        acc &= agent_mask
+        if not acc:
+            break
+    return Event(acc, model.n_worlds)
+
+
+def _old_verify_gpt_aumann(model, mu, targets, tol=MATCH_TOL, *, max_iters=None):
+    e = _old_gpt_agreement_event(model, mu, targets, tol)
+    c = _old_common_knowledge(model, e, max_iters=max_iters)
+    posteriors = tuple(_old_as_coords(mu.cone, t) for t in targets)
+    if not c:
+        return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
+    value = svm_value(mu, c)
+    u = float(mu.cone.unit @ value)
+    if u <= tol:
+        return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
+    pooled = GptState(mu.cone, value / u)
+    ok = all(float(np.abs(t - pooled.coords).max()) <= tol for t in posteriors)
+    status = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
+    return AgreementVerdict(status, c, posteriors, pooled)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+KINDS = [
+    ("classical", "simplex", 2),
+    ("quantum", "simplex", 2),
+    ("quantum", "simplex", 3),
+    ("gpt", "simplex", 4),
+    ("gpt", "psd", 2),
+    ("gpt", "polyhedral", 3),
+]
+
+
+def _pair(bundle, tol):
+    """(new, old) verifier and event calls for a bundle with its layer's arguments."""
+    m, mu, h = bundle.model, bundle.measure, bundle.hypothesis
+    if bundle.layer == "classical":
+        return (
+            lambda q: (agreement_event(m, mu, h, q, tol), verify_aumann(m, mu, h, q, tol)),
+            lambda q: (_old_agreement_event(m, mu, h, q, tol), _old_verify_aumann(m, mu, h, q, tol)),
+        )
+    if bundle.layer == "quantum":
+        return (
+            lambda q: (quantum_agreement_event(m, mu, q, tol), verify_quantum_aumann(m, mu, q, tol)),
+            lambda q: (_old_quantum_agreement_event(m, mu, q, tol), _old_verify_quantum_aumann(m, mu, q, tol)),
+        )
+    return (
+        lambda q: (gpt_agreement_event(m, mu, q, tol), verify_gpt_aumann(m, mu, q, tol)),
+        lambda q: (_old_gpt_agreement_event(m, mu, q, tol), _old_verify_gpt_aumann(m, mu, q, tol)),
+    )
+
+
+def _pooled_array(v):
+    p = v.pooled_posterior
+    if p is None or isinstance(p, float):
+        return p
+    return p.matrix if isinstance(p, DensityOperator) else p.coords
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _cell_conditional(bundle, world, agent):
+    """The conditional value of the agent's cell containing ``world``, in array form."""
+    cell = bundle.model.partitions[agent].cell_of(world)
+    mu = bundle.measure
+    if bundle.layer == "classical":
+        return probability(mu, bundle.hypothesis & cell) / probability(mu, cell)
+    if bundle.layer == "quantum":
+        value = dovm_value(mu, cell)
+        return value / float(value.trace().real)
+    value = svm_value(mu, cell)
+    return value / float(mu.cone.unit @ value)
+
+
+def _shifted(bundle, base, delta, rng):
+    """``base`` moved by ``delta`` in the layer's distance: |.| (classical),
+    trace norm along a unit-trace rank-one projector (quantum), or max-norm
+    along one coordinate (gpt)."""
+    if bundle.layer == "classical":
+        return base + delta
+    if bundle.layer == "quantum":
+        d = base.shape[0]
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        return base + delta * np.outer(v, v.conj())
+    out = base.copy()
+    out[int(rng.integers(0, out.size))] += delta
+    return out
+
+
+def _deltas(tol):
+    """Offsets at and around ``tol``: zero, ±tol and the floats next to ±tol."""
+    out = [0.0]
+    for t in (tol, -tol):
+        out += [t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)]
+    return out
+
+
+def _check(bundle, targets, tol):
+    new, old = _pair(bundle, tol)
+    e_new, v_new = new(targets)
+    e_old, v_old = old(targets)
+    assert e_new == e_old
+    assert v_new.status is v_old.status
+    assert v_new.common_event == v_old.common_event
+    assert _same_bits(_pooled_array(v_new), _pooled_array(v_old))
+    return v_new.status
+
+
+@pytest.mark.parametrize("layer, cone_kind, dim", KINDS)
+@pytest.mark.parametrize("n_worlds", [6, 9, 48])
+def test_pipeline_matches_per_layer_verifiers(layer, cone_kind, dim, n_worlds):
+    seen = set()
+    for seed in range(12):
+        for gen in (gen_planted_scenario, gen_unconstrained_scenario):
+            bundle = gen(seed, layer, n_worlds, 1 + seed % 3, dim=dim, cone_kind=cone_kind)
+            for tol in (MATCH_TOL, 1e-6, 1e-3):
+                seen.add(_check(bundle, bundle.targets, tol))
+            # targets at tol (and the next floats) from each agent's cell conditional at one world
+            rng = _rng(10_000 + seed)
+            world = int(rng.integers(0, n_worlds))
+            for tol in (MATCH_TOL, 1e-3):
+                for delta in _deltas(tol):
+                    targets = tuple(
+                        _shifted(bundle, _cell_conditional(bundle, world, i), delta, rng)
+                        for i in range(bundle.model.n_agents)
+                    )
+                    seen.add(_check(bundle, targets, tol))
+    assert VerdictStatus.HOLDS in seen
+
+
+def test_verify_bundle_matches_per_layer_verifiers():
+    for layer, cone_kind, dim in KINDS:
+        for seed in range(20):
+            bundle = gen_unconstrained_scenario(seed, layer, 9, 3, dim=dim, cone_kind=cone_kind)
+            _, old = _pair(bundle, MATCH_TOL)
+            expected = old(bundle.targets)[1]
+            got = verify_bundle(bundle)
+            assert got.status is expected.status
+            assert got.common_event == expected.common_event
+            assert _same_bits(_pooled_array(got), _pooled_array(expected))
+
+
+def test_fixpoint_readers_match_the_old_loops():
+    for seed in range(200):
+        n = 1 + seed % 24
+        model = gen_model(seed, n, 1 + seed % 4)
+        e = Event(int(_rng(seed).integers(0, 1 << n)), n)
+        chain = mutual_knowledge_chain(model, e)
+        assert chain == _old_mutual_knowledge_chain(model, e)
+        assert common_knowledge(model, e) == _old_common_knowledge(model, e) == chain[-1]
+        for m in range(n + 3):
+            assert mutual_knowledge(model, e, m) == _old_mutual_knowledge(model, e, m)
+        for limit in range(-1, len(chain) + 1):
+            old_raises = new_raises = False
+            try:
+                _old_common_knowledge(model, e, max_iters=limit)
+            except RuntimeError:
+                old_raises = True
+            try:
+                common_knowledge(model, e, max_iters=limit)
+            except RuntimeError:
+                new_raises = True
+            assert new_raises == old_raises == (limit < len(chain))
+            with pytest.raises(RuntimeError) if old_raises else nullcontext():
+                mutual_knowledge_chain(model, e, max_iters=limit)
+
+
+def test_email_chain_fixpoint_steps():
+    n = 40
+    sender = [[i, i + 1] for i in range(0, n, 2)]
+    receiver = [[0]] + [[i, i + 1] for i in range(1, n - 1, 2)] + [[n - 1]]
+    model = KnowledgeModel.from_blocks(n, [sender, receiver])
+    e = model.event(range(n - 2))
+    chain = mutual_knowledge_chain(model, e)
+    assert chain == _old_mutual_knowledge_chain(model, e)
+    assert len(chain) == n - 1 and not chain[-1]
