@@ -9,6 +9,14 @@ characterized by the meet of the agents' partitions. One loop computes the
 iteration; ``mutual_knowledge``, ``mutual_knowledge_chain`` and
 ``common_knowledge`` read one degree, all degrees, or the last.
 
+The loop is incremental. It keeps each agent's knowledge of the current
+degree; when a step removes some worlds, exactly the cells that hold them
+drop out of it, so those cells are cleared (one label lookup per removed
+world) and the rest is kept. An agent whose cells are no more than the
+removed worlds is rescanned instead, as is every agent on the first step. A
+chain that loses one world per step, such as the electronic-mail game's,
+then costs time linear in its length rather than quadratic.
+
 A partition is stored in two forms that describe the same cells in the same
 order: ``labels``, an integer array mapping each world to the number of its
 cell, and ``masks``, one bit-mask per cell. Per-cell sums over a measure are
@@ -310,16 +318,36 @@ def _mutual_degrees(model: KnowledgeModel, mask: int) -> Iterator[int]:
     Each degree intersects every agent's knowledge of the one before. The
     last mask yielded is the first that equals its predecessor: the common
     knowledge of the event.
+
+    Each agent's knowledge is kept from one degree to the next: when a step
+    removes the worlds ``removed``, only the cells holding them leave it, so
+    those cells are cleared instead of rescanning every cell, unless there
+    are at least as many removed worlds as the agent has cells.
     """
+    full = (1 << model.n_worlds) - 1
+    known = [0] * model.n_agents  # per agent: union of its cells inside ``mask``
+    removed, n_removed = 0, -1  # no earlier degree: scan every cell
     while True:
-        nxt = (1 << model.n_worlds) - 1
-        for p in model.partitions:
-            nxt &= _know_mask(p.masks, mask)
+        nxt = full
+        for i, p in enumerate(model.partitions):
+            if 0 <= n_removed < len(p.masks):
+                k, masks, labels = known[i], p.masks, p.labels
+                for w in _iter_bits(removed):
+                    k &= ~masks[labels[w]]
+            else:
+                k = _know_mask(p.masks, mask)
+            known[i] = k
+            nxt &= k
             if not nxt:
                 break
         yield nxt
         if nxt == mask:
             return
+        if not nxt:  # nobody knows the empty event anywhere: the next degree is empty too
+            yield 0
+            return
+        removed = mask & ~nxt
+        n_removed = removed.bit_count()
         mask = nxt
 
 

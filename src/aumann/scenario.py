@@ -18,23 +18,14 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import wraps
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from . import classical as cl
-from . import gpt as gp
-from . import quantum as qm
+from .classical import ProbabilityMeasure, _classical_layer
 from .errors import ScenarioError, ScenarioSyntaxError, ScenarioValidationError
-from .generators import (
-    LAYERS,
-    ScenarioBundle,
-    gen_planted_scenario,
-    gen_unconstrained_scenario,
-)
 from .knowledge import (
     Event,
     KnowledgeModel,
@@ -46,6 +37,11 @@ from .knowledge import (
 from .tolerances import MATCH_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
 from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _verdict, _verify
+
+if TYPE_CHECKING:
+    from .generators import ScenarioBundle
+    from .gpt import Svm
+    from .quantum import Dovm
 
 __all__ = [
     "SCENARIO_VERSION",
@@ -65,6 +61,22 @@ __all__ = [
 ]
 
 SCENARIO_VERSION = 1
+
+
+# ---------------------------------------------------------------------------
+# layer modules, imported on first use so that a run loads only its own layer
+# (absolute imports: ``python -X importtime`` lists them, ``from . import`` not)
+
+def _quantum():
+    import aumann.quantum as quantum
+
+    return quantum
+
+
+def _gpt():
+    import aumann.gpt as gpt
+
+    return gpt
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +196,7 @@ def _read_gpt(payload: dict, n_worlds: int, path: str) -> dict:
         k = _positive_int(cone_raw.get("matrix_dim"), f"{path}.cone.matrix_dim", "matrix_dim")
         dim = k * k
         cone = {"kind": "psd", "matrix_dim": k}
-        expected_unit = gp.vectorize(np.eye(k))
+        expected_unit = _gpt().vectorize(np.eye(k))
     else:
         raise ScenarioValidationError(f"unknown cone kind {kind!r}", f"{path}.cone.kind")
     unit = _vector(payload.get("unit"), dim, f"{path}.unit")
@@ -205,29 +217,29 @@ def _matrix_stack(payload: dict, key: str, path: str) -> np.ndarray:
 
 # cone kind -> (cone from its spec and unit, spec fields of a cone)
 _CONES: dict[str, tuple[Callable, Callable]] = {
-    "simplex": (lambda spec, unit: gp.SimplexCone(spec["dim"]), lambda cone: {"dim": cone.dim}),
-    "psd": (lambda spec, unit: gp.PsdCone(spec["matrix_dim"]), lambda cone: {"matrix_dim": cone.matrix_dim}),
+    "simplex": (lambda spec, unit: _gpt().SimplexCone(spec["dim"]), lambda cone: {"dim": cone.dim}),
+    "psd": (lambda spec, unit: _gpt().PsdCone(spec["matrix_dim"]), lambda cone: {"matrix_dim": cone.matrix_dim}),
     "polyhedral": (
-        lambda spec, unit: gp.PolyhedralCone(np.asarray(spec["generators"], float), np.asarray(unit, float)),
+        lambda spec, unit: _gpt().PolyhedralCone(np.asarray(spec["generators"], float), np.asarray(unit, float)),
         lambda cone: {"dim": cone.dim, "generators": [[float(x) for x in g] for g in cone.generators]},
     ),
 }
 
 
-def _build_gpt(payload: dict) -> gp.Svm:
+def _build_gpt(payload: dict) -> Svm:
     spec = payload["cone"]
     try:
         cone = _CONES[spec["kind"]][0](spec, payload["unit"])
     except ValueError as exc:
         raise ScenarioValidationError(str(exc), "measure.gpt.cone") from exc
-    return gp.Svm(cone, np.asarray(payload["atoms"], float))
+    return _gpt().Svm(cone, np.asarray(payload["atoms"], float))
 
 
-def _write_quantum(rho: qm.Dovm) -> dict:
+def _write_quantum(rho: Dovm) -> dict:
     return {"dim": rho.dim, "atoms": [_matrix_to_json(a) for a in rho.atoms]}
 
 
-def _write_gpt(svm: gp.Svm) -> dict:
+def _write_gpt(svm: Svm) -> dict:
     cone = svm.cone
     return {
         "cone": {"kind": cone.kind, **_CONES[cone.kind][1](cone)},
@@ -237,7 +249,7 @@ def _write_gpt(svm: gp.Svm) -> dict:
 
 
 def _matrix_value_json(value) -> list:
-    return _matrix_to_json(value.matrix if isinstance(value, qm.DensityOperator) else value)
+    return _matrix_to_json(value.matrix if isinstance(value, _quantum().DensityOperator) else value)
 
 
 def _matrix_target(raw: Any, payload: dict, path: str) -> np.ndarray:
@@ -247,48 +259,57 @@ def _matrix_target(raw: Any, payload: dict, path: str) -> np.ndarray:
 @dataclass(frozen=True)
 class _Kind:
     """How one measure kind is read (raw payload to canonical JSON), built,
-    written, and verified; ``write`` and ``layer`` are ``None`` for povm."""
+    written, and verified; ``write`` and ``layer`` are ``None`` for povm.
+
+    ``layer()`` imports the kind's layer module and returns its pipeline
+    adapter, called as ``adapter(model, measure, hypothesis, targets)``.
+    """
 
     read: Callable[[dict, int, str], dict]
     build: Callable[[dict], Any]
     target: Callable[[Any, dict, str], Any]
     to_json: Callable[[Any], Any]
     write: Callable[[Any], dict] | None = None
-    layer: Callable[[KnowledgeModel, Any, Event | None, tuple], Any] | None = None
+    layer: Callable[[], Callable[[KnowledgeModel, Any, Event | None, tuple], Any]] | None = None
     needs_hypothesis: bool = False
+
+
+def _without_hypothesis(make_layer: Callable) -> Callable:
+    """Pipeline adapter of a layer whose agreement event needs no hypothesis."""
+    return lambda model, measure, h, targets: make_layer(model, measure, targets)
 
 
 _KINDS: dict[str, _Kind] = {
     "classical": _Kind(
         read=_read_classical,
-        build=lambda payload: cl.ProbabilityMeasure(np.asarray(payload["weights"], float)),
+        build=lambda payload: ProbabilityMeasure(np.asarray(payload["weights"], float)),
         target=lambda raw, payload, path: _number(raw, path),
         to_json=float,
         write=lambda mu: {"weights": [float(x) for x in mu.weights]},
-        layer=cl._classical_layer,
+        layer=lambda: _classical_layer,
         needs_hypothesis=True,
     ),
     "quantum": _Kind(
         read=_matrices_reader("atoms"),
-        build=lambda payload: qm.Dovm(_matrix_stack(payload, "atoms", "measure.quantum.atoms")),
+        build=lambda payload: _quantum().Dovm(_matrix_stack(payload, "atoms", "measure.quantum.atoms")),
         target=_matrix_target,
         to_json=_matrix_value_json,
         write=_write_quantum,
-        layer=lambda model, rho, h, targets: qm._quantum_layer(model, rho, targets),
+        layer=lambda: _without_hypothesis(_quantum()._quantum_layer),
     ),
     "gpt": _Kind(
         read=_read_gpt,
         build=_build_gpt,
         target=lambda raw, payload, path: np.asarray(_vector(raw, len(payload["unit"]), path), float),
-        to_json=lambda value: [float(x) for x in (value.coords if isinstance(value, gp.GptState) else value)],
+        to_json=lambda value: [float(x) for x in (value.coords if isinstance(value, _gpt().GptState) else value)],
         write=_write_gpt,
-        layer=lambda model, svm, h, targets: gp._gpt_layer(model, svm, targets),
+        layer=lambda: _without_hypothesis(_gpt()._gpt_layer),
     ),
     "povm": _Kind(
         read=_matrices_reader("effects", "state"),
         build=lambda payload: (
-            qm.Povm(_matrix_stack(payload, "effects", "measure.povm.effects")),
-            qm.DensityOperator(_matrix_from_json(payload["state"], payload["dim"], "measure.povm.state")),
+            _quantum().Povm(_matrix_stack(payload, "effects", "measure.povm.effects")),
+            _quantum().DensityOperator(_matrix_from_json(payload["state"], payload["dim"], "measure.povm.state")),
         ),
         target=_matrix_target,
         to_json=_matrix_value_json,
@@ -623,8 +644,19 @@ def verify_bundle(
     bundle: ScenarioBundle, tol: float = MATCH_TOL, *, max_iters: int | None = None
 ) -> AgreementVerdict:
     """Dispatch a generated bundle to its layer's verifier."""
-    layer = _KINDS[bundle.layer].layer(bundle.model, bundle.measure, bundle.hypothesis, bundle.targets)
-    return _verify(bundle.model, layer, tol, max_iters)
+    return _bundle_verifier(bundle.layer)(bundle, tol, max_iters)
+
+
+def _bundle_verifier(layer: str) -> Callable[[ScenarioBundle, float, int | None], AgreementVerdict]:
+    """``verify_bundle`` for bundles of ``layer``, with the layer's adapter
+    looked up once."""
+    make_layer = _KINDS[layer].layer()
+
+    def verify(bundle: ScenarioBundle, tol: float, max_iters: int | None) -> AgreementVerdict:
+        model = bundle.model
+        return _verify(model, make_layer(model, bundle.measure, bundle.hypothesis, bundle.targets), tol, max_iters)
+
+    return verify
 
 
 def _effective_tol(sf: ScenarioFile, tol: float | None) -> float:
@@ -649,7 +681,7 @@ def _pipeline_parts(sf: ScenarioFile, *, need_targets: bool):
     if h is None and kind.needs_hypothesis:
         raise ScenarioValidationError(f"{sf.layer} agreement needs a hypothesis", "hypothesis")
     model = sf.model()
-    return model, kind.layer(model, sf.measure_object(), h, targets or ())
+    return model, kind.layer()(model, sf.measure_object(), h, targets or ())
 
 
 def run_agree(
@@ -695,6 +727,7 @@ def run_analyze(
     t0 = time.perf_counter()
     tol = _effective_tol(sf, tol)
     model, layer = _pipeline_parts(sf, need_targets=False)
+    _check_tol(tol)  # also without targets, where no agreement event would check it
     has_targets = sf.targets is not None
     event = _agreement_event(model, layer, tol) if has_targets else sf.hypothesis_event()
     t1 = time.perf_counter()
@@ -730,7 +763,7 @@ def run_convert(sf: ScenarioFile, direction: str) -> ScenarioFile:
         if sf.layer != "quantum":
             raise ScenarioValidationError("dovm2povm needs a quantum scenario", "measure")
         rho = sf.measure_object()
-        povm = qm.dovm_to_povm(rho)
+        povm = _quantum().dovm_to_povm(rho)
         payload = {
             "povm": {
                 "dim": rho.dim,
@@ -742,7 +775,7 @@ def run_convert(sf: ScenarioFile, direction: str) -> ScenarioFile:
         if sf.layer != "povm":
             raise ScenarioValidationError("povm2dovm needs a povm scenario", "measure")
         povm, state = sf.measure_object()
-        rho = qm.povm_to_dovm(povm, state)
+        rho = _quantum().povm_to_dovm(povm, state)
         payload = {"quantum": _write_quantum(rho)}
     else:
         raise ScenarioValidationError(f"unknown direction {direction!r}", "direction")
@@ -763,6 +796,8 @@ def run_gen(
     planted: bool = True,
 ) -> ScenarioFile:
     """Generate a scenario document for the given layer and seed."""
+    from .generators import gen_planted_scenario, gen_unconstrained_scenario
+
     gen = gen_planted_scenario if planted else gen_unconstrained_scenario
     bundle = gen(seed, layer, n_worlds, n_agents, dim, cone_kind, n_generators)
     return scenario_from_bundle(bundle)
@@ -802,7 +837,10 @@ class SearchStats:
 
 
 def _search_shard(args) -> tuple[Counter, list[int]]:
+    from .generators import gen_planted_scenario, gen_unconstrained_scenario
+
     layer, start, stop, params = args
+    verify = _bundle_verifier(layer)
     counts: Counter = Counter()
     bad: list[int] = []
     for i in range(start, stop):
@@ -813,7 +851,7 @@ def _search_shard(args) -> tuple[Counter, list[int]]:
             seed, layer, params["n_worlds"], params["n_agents"], params["dim"],
             params["cone_kind"], params["n_generators"],
         )
-        verdict = verify_bundle(bundle, params["tol"])
+        verdict = verify(bundle, params["tol"], None)
         counts[verdict.status.value] += 1
         if verdict.status is VerdictStatus.VIOLATED:
             bad.append(seed)
@@ -838,6 +876,8 @@ def run_search(
 
     Sharding by seed range means results are identical for any worker count.
     """
+    from .generators import LAYERS
+
     if layer not in LAYERS:
         raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
     if mode not in ("mix", "planted", "random"):
@@ -864,6 +904,8 @@ def run_search(
         shards = [
             (layer, lo, min(lo + step, n_seeds), params) for lo in range(0, n_seeds, step)
         ]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for shard_counts, shard_bad in pool.map(_search_shard, shards):
                 counts.update(shard_counts)

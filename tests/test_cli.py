@@ -190,6 +190,44 @@ class TestColdStart:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    @staticmethod
+    def _last_line_after(code: str):
+        """The JSON value on the last line a fresh interpreter prints after running ``code``."""
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def _loaded_after(self, code: str) -> list[str]:
+        """Names of the modules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+        return self._last_line_after(code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+
+    def test_import_loads_no_submodule(self):
+        """Public names resolve on first access; a bare import loads no layer and no process pool."""
+        loaded = self._loaded_after("import aumann")
+        assert [m for m in loaded if m.startswith("aumann.")] == []
+        assert "concurrent.futures.process" not in loaded
+
+    def test_classical_agree_loads_only_its_layer(self):
+        path = str(DATA / "model_b_classical.json")
+        loaded = self._loaded_after(
+            f"import contextlib, io\nfrom aumann import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(['agree', {path!r}]) == 0"
+        )
+        for name in ("aumann.quantum", "aumann.gpt", "aumann.generators", "concurrent.futures.process"):
+            assert name not in loaded
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
+        assert {"aumann.cli", "aumann.scenario", "aumann.classical", "aumann.knowledge"} <= set(loaded)
+
+    def test_star_import_binds_every_public_name(self):
+        names, unbound, error = self._last_line_after(
+            "import json\nimport aumann\nfrom aumann import *\n"
+            "try:\n    aumann.no_such_name\n    error = None\nexcept AttributeError as exc:\n    error = str(exc)\n"
+            "print(json.dumps([aumann.__all__, [n for n in aumann.__all__ if n not in globals()], error]))"
+        )
+        assert len(names) == len(set(names)) > 0
+        assert unbound == []
+        assert error == "module 'aumann' has no attribute 'no_such_name'"
+
 
 def test_search_gpt_psd_dim3_past_seed_166():
     result = cli("search", "--layer", "gpt", "--cone", "psd", "--dim", "3", "--seeds", "200", "--mode", "random")

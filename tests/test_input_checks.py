@@ -43,6 +43,14 @@ class TestTolerance:
         assert "tol must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_analyze_without_targets_exits_two(self, tol, capsys):
+        """No agreement event is built without targets; the tolerance is still checked."""
+        assert main(["analyze", str(DATA / "hypothesis_only.json"), "--tol", tol]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "tol must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_search_exits_two(self, tol, capsys):
         assert main(["search", "--layer", "classical", "--seeds", "50", "--tol", tol]) == EXIT_INPUT_ERROR
         assert "violations" not in capsys.readouterr().out

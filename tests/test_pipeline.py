@@ -396,3 +396,49 @@ def test_email_chain_fixpoint_steps():
     chain = mutual_knowledge_chain(model, e)
     assert chain == _old_mutual_knowledge_chain(model, e)
     assert len(chain) == n - 1 and not chain[-1]
+
+
+def _email_chain_model(n):
+    """The electronic-mail game: sender cells {0,1}, {2,3}, ...; receiver cells {0}, {1,2}, ..., {n-1}."""
+    sender = [[i, i + 1] for i in range(0, n, 2)]
+    receiver = [[0]] + [[i, i + 1] for i in range(1, n - 1, 2)] + [[n - 1]]
+    return KnowledgeModel.from_blocks(n, [sender, receiver])
+
+
+def _check_chain_readers(model, e):
+    """Every fixpoint reader, and every ``max_iters`` error, agrees with the old loop."""
+    chain = mutual_knowledge_chain(model, e)
+    assert chain == _old_mutual_knowledge_chain(model, e)
+    assert common_knowledge(model, e) == chain[-1]
+    for limit in (0, 1, len(chain) - 1, len(chain)):
+        with pytest.raises(RuntimeError) if limit < len(chain) else nullcontext():
+            _old_common_knowledge(model, e, max_iters=limit)
+        with pytest.raises(RuntimeError) if limit < len(chain) else nullcontext():
+            common_knowledge(model, e, max_iters=limit)
+    return chain
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_long_email_chain_matches_the_old_loop(n):
+    """Each step removes one world, so every agent's knowledge is updated, not rescanned."""
+    model = _email_chain_model(n)
+    chain = _check_chain_readers(model, model.event(range(n - 2)))
+    assert len(chain) == n - 1 and not chain[-1]
+    for m in (0, 1, n // 2, n - 2, n - 1, n + 5):
+        e = model.event(range(n - 2))
+        assert mutual_knowledge(model, e, m) == _old_mutual_knowledge(model, e, m)
+    # a hypothesis that leaves the middle out: two chains shrink from both ends of the gap
+    e = model.event([w for w in range(n) if abs(w - n // 2) > 3])
+    assert not _check_chain_readers(model, e)[-1]
+
+
+def test_random_models_match_the_old_loop():
+    """Random models and events of every density, so that steps remove fewer
+    worlds than an agent has cells (cells cleared) as well as more (rescan)."""
+    for seed in range(300):
+        n = 2 + seed % 47
+        model = gen_model(seed, n, 1 + seed % 6)
+        rng = _rng(20_000 + seed)
+        for density in (0.5, 0.9, 0.99):
+            worlds = np.flatnonzero(rng.random(n) < density).tolist()
+            _check_chain_readers(model, model.event(worlds))
