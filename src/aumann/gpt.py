@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from itertools import combinations
+from math import comb, isqrt, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -230,10 +231,146 @@ class PsdCone(ConeSpace):
         return np.linalg.eigvalsh(_devectorize_rows(vs))[:, 0] >= -tol
 
 
+# Facet certificates for polyhedral cones. These constants choose which
+# points the facets decide and which go to the exact NNLS, not the rule: a
+# point is a member when its distance to the cone is at most tol. A cone
+# with more than _MAX_FACET_SUBSETS candidate normals, C(m, dim-1), is left
+# to NNLS alone.
+_MAX_FACET_SUBSETS = 2048
+# A (dim-1)-subset of unit generators whose cofactor normal, of length the
+# subset's volume, is at most _DEPENDENT_VOLUME long is dependent and spans
+# no facet. A cone gets no facets when a volume lies in (_DEPENDENT_VOLUME,
+# _MIN_VOLUME], too close to dependent for its normal to be trusted, or when
+# no generator is more than _MIN_VOLUME (a sine) off a candidate hyperplane:
+# the generators' rank is below dim, or nearly.
+_DEPENDENT_VOLUME = 1e-12
+_MIN_VOLUME = 1e-4
+# A normal is kept as a facet when no unit generator lies more than this on
+# its negative side; the same figure bounds the round-off in a kept normal.
+_FACET_SLACK = 1e-9
+
+
+@lru_cache(maxsize=64)
+def _cofactor_index(m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays that take the ``(C, dim, dim-1, dim-1)`` stack of minors
+    of every (dim-1)-subset of ``m`` generators, one per dropped column, in
+    one gather; and the cofactor signs of the columns."""
+    subsets = np.array(list(combinations(range(m), dim - 1)), dtype=np.intp)
+    columns = np.array([[c for c in range(dim) if c != j] for j in range(dim)], dtype=np.intp)
+    rows = subsets[:, None, :, None]
+    cols = columns[None, :, None, :]
+    signs = (-1.0) ** np.arange(dim)
+    for a in (rows, cols, signs):
+        a.flags.writeable = False
+    return rows, cols, signs
+
+
+def _facet_normals(
+    generators: np.ndarray, norms: np.ndarray, unit: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """Unit inward facet normals ``F`` of the cone and its relative round-off
+    margin, or ``None`` when the facets cannot certify membership.
+
+    Every facet of a full-dimensional cone is spanned by dim-1 independent
+    generators, so each candidate is the cofactor normal of a (dim-1)-subset;
+    it is a facet when every generator lies on one side. A kept normal is
+    within ``_FACET_SLACK`` of supporting the cone, so a point ``p`` of the
+    cone has ``F @ p >= -_FACET_SLACK * |p| / alpha``, where ``alpha`` is the
+    least cosine between the unit functional and a generator.
+    """
+    m, dim = generators.shape
+    if m < dim or comb(m, dim - 1) > _MAX_FACET_SUBSETS:
+        return None
+    unit_gens = generators / norms[:, None]
+    # A generator whose norm overflowed has a zero row here, and cosine 0.
+    least_cosine = float((unit_gens @ unit).min())
+    if not least_cosine > 0:
+        return None
+    alpha = least_cosine / float(np.linalg.norm(unit))
+    rows, cols, signs = _cofactor_index(m, dim)
+    normals = np.linalg.det(unit_gens[rows, cols]) * signs
+    volumes = np.linalg.norm(normals, axis=1)
+    independent = volumes > _DEPENDENT_VOLUME
+    volumes = volumes[independent]
+    if (volumes <= _MIN_VOLUME).any():
+        return None
+    normals = normals[independent] / volumes[:, None]
+    sides = unit_gens @ normals.T  # sines of the angles between generators and hyperplanes
+    if not np.abs(sides).max(initial=0.0) > _MIN_VOLUME:
+        return None  # rank below dim, or too close to it
+    facets = np.concatenate(
+        [normals[sides.min(axis=0) >= -_FACET_SLACK], -normals[sides.max(axis=0) <= _FACET_SLACK]]
+    )
+    if facets.shape[0] == 0:
+        return None
+    facets.flags.writeable = False
+    return facets, _FACET_SLACK * (1.0 + 1.0 / alpha)
+
+
+def _nnls_residual(a: np.ndarray, b: np.ndarray, maxiter: int) -> float:
+    """``min |a @ x - b|`` over ``x >= 0``, by the Lawson–Hanson active-set method.
+
+    As in Lawson and Hanson's own code, the gradient is taken from the parts
+    of the columns and of ``b`` orthogonal to the passive columns, which
+    keeps it accurate when columns are nearly parallel. Each least-squares
+    solve counts as one iteration; passing ``maxiter`` raises
+    ``RuntimeError``.
+    """
+    a = a / np.linalg.norm(a, axis=0)  # scaling the columns leaves the residual unchanged
+    dim, n = a.shape
+    eps = np.finfo(float).eps
+    ab = np.column_stack([a, b])
+    b_norm = sqrt(b @ b)
+    iters = 0
+
+    def solve(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least-squares coefficients of ``b`` on the columns, and the parts
+        of ``a`` and ``b`` orthogonal to their span."""
+        nonlocal iters
+        iters += 1
+        if iters > maxiter:
+            raise RuntimeError(f"NNLS did not converge in {maxiter} iterations")
+        coefficients = np.linalg.lstsq(a[:, columns], ab, rcond=None)[0]
+        z = np.zeros(n)
+        z[columns] = coefficients[:, -1]
+        return z, ab - a[:, columns] @ coefficients
+
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    off_span = ab
+    while True:
+        off_columns, residual = off_span[:, :-1], off_span[:, -1]
+        residual_norm = sqrt(residual @ residual)
+        off_norms = np.sqrt(np.einsum("ij,ij->j", off_columns, off_columns))
+        w = off_columns.T @ residual
+        # A gradient entry within its round-off cannot reduce the residual;
+        # that includes every column (nearly) in the passive span.
+        enters = ~passive & (w > 2 * dim * eps * (off_norms * b_norm + residual_norm))
+        while True:  # the entering column must get a positive coefficient
+            if not enters.any():
+                return residual_norm
+            j = int(np.argmax(np.where(enters, w, -np.inf)))
+            passive[j] = True
+            z, next_off_span = solve(passive)
+            if z[j] > 0:
+                break
+            passive[j] = enters[j] = False
+        while (z[passive] <= 0).any():  # step back to the feasible boundary, drop the columns that hit it
+            blocking = np.flatnonzero(passive & (z <= 0))
+            ratios = x[blocking] / (x[blocking] - z[blocking])
+            step = ratios.min()
+            x += step * (z - x)
+            x[blocking[ratios <= step]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+            z, next_off_span = solve(passive)
+        x, off_span = z, next_off_span
+
+
 class PolyhedralCone(ConeSpace):
     """Cone generated by finitely many rays.
 
-    Construction enforces: nonzero generators, ``u(g) > 0`` on every
+    Construction enforces: finite, nonzero generators, ``u(g) > 0`` on every
     generator, and pointedness (no generator's negation is a nonnegative
     combination of the generators).
     """
@@ -244,6 +381,7 @@ class PolyhedralCone(ConeSpace):
         g = np.asarray(generators, dtype=float)
         if g.ndim != 2 or g.shape[0] < 1:
             raise ValueError(f"generators must have shape (m, dim), got {g.shape}")
+        require_finite(g, "generators")
         g = g.copy()
         g.flags.writeable = False
         self._generators = g
@@ -251,6 +389,7 @@ class PolyhedralCone(ConeSpace):
         norms = np.linalg.norm(g, axis=1)
         if (norms == 0).any():
             raise ValueError("generators must be nonzero")
+        self._facets = _facet_normals(g, norms, self._unit)
         negated_inside = self._members(-g)
         if negated_inside.any():
             j = int(np.argmax(negated_inside))
@@ -267,24 +406,35 @@ class PolyhedralCone(ConeSpace):
         return self._generators
 
     def contains(self, v, tol: float | None = None) -> bool:
-        """Whether ``v`` is a nonnegative combination of the generators.
+        """Whether ``v`` is within Euclidean distance ``tol`` (default
+        ``CONE_FEAS_TOL``) of the cone, the residual of the nonnegative
+        least-squares (NNLS) fit of ``v`` by the generators.
 
-        Solved by nonnegative least squares (``scipy.optimize.nnls``); ``v``
-        is a member when the residual norm is at most ``tol`` (default
-        ``CONE_FEAS_TOL``).
+        The cone's facets decide every point that lies inside them, or
+        outside one of them by more than ``tol``, up to a relative round-off
+        margin; the distance to a facet's half-space is at most the distance
+        to the cone. The remaining points, and every point of a cone with
+        no usable facets, get the exact NNLS residual.
         """
         return super().contains(v, tol)
 
     def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
-        # scipy.optimize is imported here so that ``import aumann`` does not load it.
-        from scipy.optimize import nnls
-
         tol = CONE_FEAS_TOL if tol is None else tol
+        inside = np.zeros(vs.shape[0], dtype=bool)
+        undecided = ~inside
+        if self._facets is not None:
+            facets, relative_margin = self._facets
+            low = (vs @ facets.T).min(axis=1)  # minus the largest facet violation
+            margin = relative_margin * np.sqrt(np.einsum("ij,ij->i", vs, vs))
+            inside = (low >= margin) & (tol >= 0)
+            if inside.all():
+                return inside
+            undecided = ~inside & (low >= -(tol + margin))
         basis = self._generators.T
-        # nnls raises RuntimeError once it passes maxiter; its default of 3
-        # iterations per generator leaves little room on cones with one or two.
-        maxiter = 50 * basis.shape[1]
-        return np.array([nnls(basis, v, maxiter=maxiter)[1] <= tol for v in vs], dtype=bool)
+        # 50 least-squares solves per generator leave ample room on cones with one or two.
+        for i in np.flatnonzero(undecided):
+            inside[i] = _nnls_residual(basis, vs[i], 50 * basis.shape[1]) <= tol
+        return inside
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,6 +29,6 @@ MATCH_TOL = 1e-9
 NULL_MASS_TOL = 1e-12
 
 # Polyhedral cone membership: a point belongs to the cone when the nonnegative
-# least-squares (NNLS, scipy.optimize.nnls) fit by the generators leaves a
-# residual norm at most this.
+# least-squares (NNLS) fit by the generators leaves a residual norm at most
+# this, that is, when its Euclidean distance to the cone is at most this.
 CONE_FEAS_TOL = 1e-8

@@ -181,7 +181,7 @@ class TestFlagPlumbing:
 
 class TestColdStart:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        """Only polyhedral cone membership needs scipy; importing the package must not load it."""
+        """Importing the package must not load scipy.optimize."""
         result = subprocess.run(
             [sys.executable, "-c", "import sys, aumann; print('scipy.optimize' in sys.modules)"],
             capture_output=True,
@@ -217,6 +217,35 @@ class TestColdStart:
             assert name not in loaded
         assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
         assert {"aumann.cli", "aumann.scenario", "aumann.classical", "aumann.knowledge"} <= set(loaded)
+
+    _POLYHEDRAL_AGREE = (
+        "import contextlib, io\nfrom aumann import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['agree', {str(DATA / 'gpt_polyhedral.json')!r}]) == 0\n"
+    )
+    _POLYHEDRAL_SEARCH = (
+        "from aumann.scenario import run_search\n"
+        "stats = run_search('gpt', 24, n_worlds=4, dim=3, cone_kind='polyhedral')\n"
+        "assert stats.n_scenarios == 24 and stats.violations == 0\n"
+    )
+
+    def test_polyhedral_agree_loads_no_scipy(self):
+        """Polyhedral cone membership is decided with numpy alone."""
+        loaded = self._loaded_after(self._POLYHEDRAL_AGREE)
+        assert "aumann.gpt" in loaded
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
+
+    def test_polyhedral_search_loads_no_scipy(self):
+        loaded = self._loaded_after(self._POLYHEDRAL_SEARCH)
+        assert "aumann.gpt" in loaded
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
+
+    def test_polyhedral_agree_and_search_run_with_scipy_blocked(self):
+        """With ``scipy`` unimportable, both still succeed: nothing at run time needs it."""
+        blocked = "import sys\nsys.modules['scipy'] = None\n"
+        assert self._last_line_after(
+            blocked + self._POLYHEDRAL_AGREE + self._POLYHEDRAL_SEARCH + "print('true')"
+        ) is True
 
     def test_star_import_binds_every_public_name(self):
         names, unbound, error = self._last_line_after(

@@ -37,6 +37,7 @@ from aumann import (
     verify_gpt_aumann,
     verify_quantum_aumann,
 )
+from aumann.gpt import _nnls_residual
 from aumann.tolerances import CONE_FEAS_TOL, MATCH_TOL, NULL_MASS_TOL, PSD_EIG_TOL
 
 
@@ -416,3 +417,171 @@ class TestBatchedConeChecks:
                     agent_mask |= cell.mask
             expected &= agent_mask
         assert gpt_agreement_event(model, svm, bundle.targets).mask == expected
+
+
+def _nnls_reference_residual(cone, v):
+    return nnls(cone.generators.T, v, maxiter=50 * len(cone.generators))[1]
+
+
+def _assert_decisions_match_reference(
+    cone, points, tol=CONE_FEAS_TOL, references=(_bvls_residual, _nnls_reference_residual)
+):
+    """Membership agrees with each reference residual (BVLS and scipy's
+    NNLS) wherever that residual is more than 1e-12 from ``tol``; the
+    batched and per-point decisions agree.
+
+    A reference residual carries its own round-off, about eps * |v|; at
+    |v| = 1e4 that is more than 1e-12, so the margin grows with |v|.
+    """
+    points = np.asarray(points, dtype=float)
+    decided = cone._members(points, tol)
+    assert [cone.contains(v, tol) for v in points] == decided.tolist()
+    for v, inside in zip(points, decided):
+        margin = 1e-12 + 64 * np.finfo(float).eps * np.linalg.norm(v)
+        for reference in (residual(cone, v) for residual in references):
+            if abs(reference - tol) > margin:
+                assert inside == (reference <= tol), (v, reference, tol)
+
+
+def _probe_points(cone, rng, tol):
+    """Generators, midpoints of consecutive generators (edge points where
+    those are adjacent), the apex, random interior and exterior points, and
+    points at -tol/2, tol/2, tol and 2 tol along the outward normal from the
+    projection of random points onto the cone."""
+    gens = cone.generators
+    basis = gens.T
+    m = gens.shape[0]
+    points = [*gens, *(0.5 * (gens[i] + gens[(i + 1) % m]) for i in range(m)), np.zeros(cone.dim)]
+    points += [basis @ (rng.exponential(size=m) * (rng.random(m) < 0.6)) for _ in range(3)]
+    points += [rng.standard_normal(cone.dim) for _ in range(3)]
+    for _ in range(3):
+        v = 3.0 * rng.standard_normal(cone.dim)
+        x, residual = nnls(basis, v, maxiter=50 * m)
+        if residual > 1e-6:
+            foot = basis @ x
+            normal = (v - foot) / residual
+            points += [foot + step * tol * normal for step in (0.5, 1.0, 2.0, -0.5)]
+    return points
+
+
+class TestNumpyConeMembership:
+    """Facet certificates plus the numpy NNLS, against scipy's BVLS and NNLS."""
+
+    UNIT3 = np.array([1.0, 0.0, 0.0])
+    SQUARE = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, -1.0], [1.0, -1.0, 1.0]])
+
+    def test_square_cone_facets(self):
+        cone = PolyhedralCone(self.SQUARE, self.UNIT3)
+        facets, _ = cone._facets
+        expected = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
+        expected /= np.sqrt(2.0)
+        assert sorted(map(tuple, facets.round(12))) == sorted(map(tuple, expected.round(12)))
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            [[1.0, 0.5, 0.0]],
+            [[1.0, 0.5, 0.0], [1.0, -0.5, 0.25]],
+            [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.25, 0.0], [2.0, 0.5, 0.0]],  # coplanar
+        ],
+        ids=["one", "two", "coplanar"],
+    )
+    def test_rank_deficient_cones_use_nnls(self, generators):
+        cone = PolyhedralCone(np.array(generators), self.UNIT3)
+        assert cone._facets is None
+        rng = np.random.default_rng(7)
+        _assert_decisions_match_reference(cone, _probe_points(cone, rng, CONE_FEAS_TOL))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [[1.0, 1.0, 1.0]],  # duplicate
+            [[3.0, 3.0, -3.0]],  # parallel copy
+            [[1.0, 0.0, 0.0], [1.0, 0.5, 0.5]],  # inside the cone
+            [[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]],  # on facets
+        ],
+        ids=["duplicate", "parallel", "interior", "on-facet"],
+    )
+    def test_redundant_generators(self, extra):
+        cone = PolyhedralCone(np.vstack([self.SQUARE, extra]), self.UNIT3)
+        assert cone._facets is not None
+        assert len({tuple(f) for f in cone._facets[0].round(9)}) == 4
+        rng = np.random.default_rng(11)
+        _assert_decisions_match_reference(cone, _probe_points(cone, rng, CONE_FEAS_TOL))
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, CONE_FEAS_TOL, 0.1])
+    def test_scales_and_tolerances(self, scale, tol):
+        for seed, (dim, m) in enumerate([(3, 6), (4, 8), (5, 7)]):
+            cone = gen_polyhedral_cone(seed, dim, m)
+            rng = np.random.default_rng(seed)
+            points = [scale * v for v in _probe_points(cone, rng, tol / scale)]
+            _assert_decisions_match_reference(cone, points, tol)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_nearly_degenerate_and_badly_scaled_cones(self, seed):
+        """Nearly parallel generators and thin cones, which mostly leave the
+        decision to the NNLS, and generator norms from 1e-6 to 1e6."""
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 4
+        m = dim + 1 + seed % 3
+        gens = np.hstack([np.ones((m, 1)), rng.standard_normal((m, dim - 1))])
+        if seed % 3 == 0:
+            gens[-1] = gens[0] + 10.0 ** rng.uniform(-12, -5) * rng.standard_normal(dim)
+        elif seed % 3 == 1:
+            gens[:, -1] *= 10.0 ** rng.uniform(-12, -5)
+        gens *= 10.0 ** rng.uniform(-6, 6, size=(m, 1))
+        cone = PolyhedralCone(gens, np.eye(dim)[0])
+        # BVLS stops at its default optimality tolerance, up to 3e-8 short of
+        # the optimum on these cones, so only scipy's NNLS is the reference.
+        points = _probe_points(cone, rng, CONE_FEAS_TOL)
+        _assert_decisions_match_reference(cone, points, references=(_nnls_reference_residual,))
+
+    def test_one_dimensional_cone(self):
+        cone = PolyhedralCone(np.array([[2.0], [0.5]]), np.array([1.0]))
+        assert cone._facets[0].tolist() == [[1.0]]
+        points = [[3.0], [0.0], [-0.5e-8], [-1e-8], [-2e-8], [-1.0]]
+        assert cone._members(np.array(points)).tolist() == [True, True, True, True, False, False]
+
+    def test_cone_past_the_facet_cap(self):
+        cone = gen_polyhedral_cone(5, 8, 16)
+        assert cone._facets is None
+        rng = np.random.default_rng(5)
+        _assert_decisions_match_reference(cone, _probe_points(cone, rng, CONE_FEAS_TOL))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 13))
+    def test_random_cones(self, seed, dim, n_generators):
+        cone = gen_polyhedral_cone(seed, dim, n_generators)
+        rng = np.random.default_rng(seed)
+        _assert_decisions_match_reference(cone, _probe_points(cone, rng, CONE_FEAS_TOL))
+
+    def test_kept_facets_support_the_cone(self):
+        for seed, (dim, m) in enumerate([(2, 3), (3, 6), (4, 9), (5, 10), (6, 12)]):
+            cone = gen_polyhedral_cone(seed, dim, m)
+            facets, _ = cone._facets
+            sides = cone.generators @ facets.T / np.linalg.norm(cone.generators, axis=1)[:, None]
+            assert sides.min() >= -1e-9
+            # every facet holds dim-1 independent generators
+            for column in sides.T:
+                on_facet = cone.generators[np.abs(column) <= 1e-9]
+                assert np.linalg.matrix_rank(on_facet) == dim - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 16))
+    def test_nnls_residual_matches_scipy(self, seed, dim, n):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, n))
+        b = rng.standard_normal(dim) * rng.choice([1e-3, 1.0, 10.0])
+        assert abs(_nnls_residual(a, b, 50 * n) - nnls(a, b, maxiter=50 * n)[1]) <= 1e-12
+
+    def test_nnls_iteration_cap_raises(self):
+        # three solves are needed to bring in three columns
+        with pytest.raises(RuntimeError, match="iterations"):
+            _nnls_residual(np.eye(3), np.ones(3), 2)
+        assert _nnls_residual(np.eye(3), np.ones(3), 3) == 0.0
+
+    def test_non_finite_generator_is_named(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="generators must be finite"):
+                PolyhedralCone(np.array([[1.0, 0.0], [1.0, bad]]), np.array([1.0, 0.0]))
