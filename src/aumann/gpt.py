@@ -231,12 +231,15 @@ class PsdCone(ConeSpace):
         return np.linalg.eigvalsh(_devectorize_rows(vs))[:, 0] >= -tol
 
 
-# Facet certificates for polyhedral cones. These constants choose which
-# points the facets decide and which go to the exact NNLS, not the rule: a
+# Certificates for polyhedral cones. These constants choose which points
+# the certificates decide and which go to the exact NNLS, not the rule: a
 # point is a member when its distance to the cone is at most tol. A cone
-# with more than _MAX_FACET_SUBSETS candidate normals, C(m, dim-1), is left
-# to NNLS alone.
-_MAX_FACET_SUBSETS = 2048
+# whose candidate normals need more than _MAX_FACET_MINORS minors,
+# C(m, dim-1) * dim, gets no facets: past that, enumerating them costs more
+# than the fit certificate below (about 40 us per cone; the facets take about
+# as long at dim 3 with 6 generators, 45 minors, and twice as long at dim 4
+# with 8, 224 minors).
+_MAX_FACET_MINORS = 64
 # A (dim-1)-subset of unit generators whose cofactor normal, of length the
 # subset's volume, is at most _DEPENDENT_VOLUME long is dependent and spans
 # no facet. A cone gets no facets when a volume lies in (_DEPENDENT_VOLUME,
@@ -248,6 +251,17 @@ _MIN_VOLUME = 1e-4
 # A normal is kept as a facet when no unit generator lies more than this on
 # its negative side; the same figure bounds the round-off in a kept normal.
 _FACET_SLACK = 1e-9
+# A residual of v computed in floating point carries round-off of a few
+# units in the last place of max |v_i|; one within that of tol counts as at
+# most tol.
+_NNLS_ROUNDOFF = 8 * np.finfo(float).eps
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` scaled to unit length; scaling by the largest entry
+    first keeps the norms from overflowing or underflowing."""
+    scaled = x / np.abs(x).max(axis=-1, keepdims=True)
+    return scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
 
 
 @lru_cache(maxsize=64)
@@ -265,28 +279,17 @@ def _cofactor_index(m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, cols, signs
 
 
-def _facet_normals(
-    generators: np.ndarray, norms: np.ndarray, unit: np.ndarray
-) -> tuple[np.ndarray, float] | None:
-    """Unit inward facet normals ``F`` of the cone and its relative round-off
-    margin, or ``None`` when the facets cannot certify membership.
+def _facet_normals(unit_gens: np.ndarray) -> np.ndarray | None:
+    """Unit inward facet normals of the cone spanned by the unit generators,
+    or ``None`` when they cannot certify membership.
 
     Every facet of a full-dimensional cone is spanned by dim-1 independent
     generators, so each candidate is the cofactor normal of a (dim-1)-subset;
-    it is a facet when every generator lies on one side. A kept normal is
-    within ``_FACET_SLACK`` of supporting the cone, so a point ``p`` of the
-    cone has ``F @ p >= -_FACET_SLACK * |p| / alpha``, where ``alpha`` is the
-    least cosine between the unit functional and a generator.
+    it is a facet when every generator lies on one side.
     """
-    m, dim = generators.shape
-    if m < dim or comb(m, dim - 1) > _MAX_FACET_SUBSETS:
+    m, dim = unit_gens.shape
+    if m < dim or comb(m, dim - 1) * dim > _MAX_FACET_MINORS:
         return None
-    unit_gens = generators / norms[:, None]
-    # A generator whose norm overflowed has a zero row here, and cosine 0.
-    least_cosine = float((unit_gens @ unit).min())
-    if not least_cosine > 0:
-        return None
-    alpha = least_cosine / float(np.linalg.norm(unit))
     rows, cols, signs = _cofactor_index(m, dim)
     normals = np.linalg.det(unit_gens[rows, cols]) * signs
     volumes = np.linalg.norm(normals, axis=1)
@@ -301,10 +304,51 @@ def _facet_normals(
     facets = np.concatenate(
         [normals[sides.min(axis=0) >= -_FACET_SLACK], -normals[sides.max(axis=0) <= _FACET_SLACK]]
     )
-    if facets.shape[0] == 0:
-        return None
-    facets.flags.writeable = False
-    return facets, _FACET_SLACK * (1.0 + 1.0 / alpha)
+    return facets if facets.shape[0] else None
+
+
+def _least_change_fit(basis: np.ndarray) -> np.ndarray:
+    """The ``(dim, m)`` map taking ``v`` to the least-squares solution of
+    ``basis @ x = v`` nearest the uniform combination ``t * 1`` that matches
+    ``v`` along ``basis @ 1``. For a point well inside the cone that
+    solution is nonnegative, and certifies the point a member."""
+    pinv = np.linalg.pinv(basis)
+    center = basis.sum(axis=1)
+    return pinv.T + np.outer(center / (center @ center), 1.0 - pinv @ center)
+
+
+def _certificates(
+    unit_gens: np.ndarray, unit: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Unit normals whose half-spaces hold the cone, their relative
+    round-off margin, and a fit that certifies members when the normals are
+    not all of the cone's facets (``None`` when they are).
+
+    A point outside one half-space by more than ``tol`` is outside the cone,
+    because the distance to a supporting half-space is at most the distance
+    to the cone. The normals are the facets when they can be enumerated,
+    else the unit functional alone. Inside every facet means inside the
+    cone; without the facets, a point is certified a member by a
+    nonnegative combination of the generators within ``tol`` of it. A kept
+    facet is within ``_FACET_SLACK`` of supporting the cone, so a point
+    ``p`` of the cone has ``F @ p >= -_FACET_SLACK * |p| / alpha``, where
+    ``alpha`` is the least cosine between the unit functional and a
+    generator; the margin is that figure per unit of ``max |p_i|``.
+    """
+    m, dim = unit_gens.shape
+    if np.abs(unit).max() > 0:
+        unit = _unit_rows(unit)
+    values = unit_gens @ unit
+    alpha = float(values.min())
+    if not alpha > 0:  # the cone is rejected; only a point near 0 is certified
+        return np.empty((0, dim)), 0.0, np.zeros((dim, m))
+    margin = _FACET_SLACK * (1.0 + 1.0 / alpha) * sqrt(dim)
+    facets = _facet_normals(unit_gens)
+    if facets is not None:
+        return facets, margin, None
+    # The fit runs on the generators scaled to unit value, where states are
+    # mixtures of them; its coefficients are rescaled to the unit generators.
+    return unit[None], margin, _least_change_fit(unit_gens.T / values) / values
 
 
 def _nnls_residual(a: np.ndarray, b: np.ndarray, maxiter: int) -> float:
@@ -314,9 +358,15 @@ def _nnls_residual(a: np.ndarray, b: np.ndarray, maxiter: int) -> float:
     of the columns and of ``b`` orthogonal to the passive columns, which
     keeps it accurate when columns are nearly parallel. Each least-squares
     solve counts as one iteration; passing ``maxiter`` raises
-    ``RuntimeError``.
+    ``RuntimeError``. Scaling the columns to unit length and ``b`` to a
+    largest entry of 1 leaves the residual unchanged up to the scale of
+    ``b``, and keeps the norms finite.
     """
-    a = a / np.linalg.norm(a, axis=0)  # scaling the columns leaves the residual unchanged
+    a = a / np.linalg.norm(a, axis=0)
+    scale = float(np.abs(b).max())
+    if not scale > 0:
+        return 0.0
+    b = b / scale
     dim, n = a.shape
     eps = np.finfo(float).eps
     ab = np.column_stack([a, b])
@@ -348,7 +398,7 @@ def _nnls_residual(a: np.ndarray, b: np.ndarray, maxiter: int) -> float:
         enters = ~passive & (w > 2 * dim * eps * (off_norms * b_norm + residual_norm))
         while True:  # the entering column must get a positive coefficient
             if not enters.any():
-                return residual_norm
+                return scale * residual_norm
             j = int(np.argmax(np.where(enters, w, -np.inf)))
             passive[j] = True
             z, next_off_span = solve(passive)
@@ -386,10 +436,11 @@ class PolyhedralCone(ConeSpace):
         g.flags.writeable = False
         self._generators = g
         super().__init__(g.shape[1], unit, observables=())
-        norms = np.linalg.norm(g, axis=1)
-        if (norms == 0).any():
+        if not (np.abs(g).max(axis=1) > 0).all():
             raise ValueError("generators must be nonzero")
-        self._facets = _facet_normals(g, norms, self._unit)
+        unit_gens = _unit_rows(g)
+        self._basis = unit_gens.T
+        self._certificates = _certificates(unit_gens, self._unit)
         negated_inside = self._members(-g)
         if negated_inside.any():
             j = int(np.argmax(negated_inside))
@@ -408,32 +459,42 @@ class PolyhedralCone(ConeSpace):
     def contains(self, v, tol: float | None = None) -> bool:
         """Whether ``v`` is within Euclidean distance ``tol`` (default
         ``CONE_FEAS_TOL``) of the cone, the residual of the nonnegative
-        least-squares (NNLS) fit of ``v`` by the generators.
+        least-squares (NNLS) fit of ``v`` by the generators, up to a few
+        units of round-off in the last place of ``|v|``.
 
-        The cone's facets decide every point that lies inside them, or
-        outside one of them by more than ``tol``, up to a relative round-off
-        margin; the distance to a facet's half-space is at most the distance
-        to the cone. The remaining points, and every point of a cone with
-        no usable facets, get the exact NNLS residual.
+        Certificates decide most points without the NNLS. When the
+        cone's facets can be enumerated, a point inside all of them is a
+        member, and a point more than ``tol`` outside one of them is not,
+        up to a relative round-off margin: the distance to a facet's
+        half-space is at most the distance to the cone. Otherwise the unit
+        functional is the one such half-space, and a point is certified a
+        member by a nonnegative combination of the generators within
+        ``tol`` of it. The remaining points get the exact NNLS residual.
         """
         return super().contains(v, tol)
 
     def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
         tol = CONE_FEAS_TOL if tol is None else tol
-        inside = np.zeros(vs.shape[0], dtype=bool)
-        undecided = ~inside
-        if self._facets is not None:
-            facets, relative_margin = self._facets
-            low = (vs @ facets.T).min(axis=1)  # minus the largest facet violation
-            margin = relative_margin * np.sqrt(np.einsum("ij,ij->i", vs, vs))
-            inside = (low >= margin) & (tol >= 0)
-            if inside.all():
-                return inside
-            undecided = ~inside & (low >= -(tol + margin))
-        basis = self._generators.T
+        if tol < 0:  # no distance is negative
+            return np.zeros(vs.shape[0], dtype=bool)
+        normals, relative_margin, fit = self._certificates
+        peaks = np.abs(vs).max(axis=1)
+        margin = relative_margin * peaks
+        low = (vs @ normals.T).min(axis=1, initial=np.inf)  # minus the largest violation
+        if fit is None:
+            inside = low >= margin
+        else:
+            # |r| <= sqrt(dim) * max |r_i|, a bound that cannot overflow
+            residuals = np.maximum(vs @ fit, 0.0) @ self._basis.T - vs
+            bound = (tol + _NNLS_ROUNDOFF * peaks) / sqrt(self._dim)
+            inside = np.abs(residuals).max(axis=1) <= bound
+        # an overflowed product is NaN, and stays undecided
+        undecided = ~inside & ~(low < -(tol + margin))
         # 50 least-squares solves per generator leave ample room on cones with one or two.
+        maxiter = 50 * self._basis.shape[1]
         for i in np.flatnonzero(undecided):
-            inside[i] = _nnls_residual(basis, vs[i], 50 * basis.shape[1]) <= tol
+            residual = _nnls_residual(self._basis, vs[i], maxiter)
+            inside[i] = residual <= tol + _NNLS_ROUNDOFF * peaks[i]
         return inside
 
 

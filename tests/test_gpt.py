@@ -37,6 +37,7 @@ from aumann import (
     verify_gpt_aumann,
     verify_quantum_aumann,
 )
+from aumann import gpt
 from aumann.gpt import _nnls_residual
 from aumann.tolerances import CONE_FEAS_TOL, MATCH_TOL, NULL_MASS_TOL, PSD_EIG_TOL
 
@@ -464,6 +465,12 @@ def _probe_points(cone, rng, tol):
     return points
 
 
+def _facets(cone):
+    """The cone's facet normals, or None when it has no usable facets."""
+    normals, _, fit = cone._certificates
+    return normals if fit is None else None
+
+
 class TestNumpyConeMembership:
     """Facet certificates plus the numpy NNLS, against scipy's BVLS and NNLS."""
 
@@ -472,7 +479,7 @@ class TestNumpyConeMembership:
 
     def test_square_cone_facets(self):
         cone = PolyhedralCone(self.SQUARE, self.UNIT3)
-        facets, _ = cone._facets
+        facets = _facets(cone)
         expected = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
         expected /= np.sqrt(2.0)
         assert sorted(map(tuple, facets.round(12))) == sorted(map(tuple, expected.round(12)))
@@ -488,7 +495,7 @@ class TestNumpyConeMembership:
     )
     def test_rank_deficient_cones_use_nnls(self, generators):
         cone = PolyhedralCone(np.array(generators), self.UNIT3)
-        assert cone._facets is None
+        assert _facets(cone) is None
         rng = np.random.default_rng(7)
         _assert_decisions_match_reference(cone, _probe_points(cone, rng, CONE_FEAS_TOL))
 
@@ -504,8 +511,8 @@ class TestNumpyConeMembership:
     )
     def test_redundant_generators(self, extra):
         cone = PolyhedralCone(np.vstack([self.SQUARE, extra]), self.UNIT3)
-        assert cone._facets is not None
-        assert len({tuple(f) for f in cone._facets[0].round(9)}) == 4
+        assert _facets(cone) is not None
+        assert len({tuple(f) for f in _facets(cone).round(9)}) == 4
         rng = np.random.default_rng(11)
         _assert_decisions_match_reference(cone, _probe_points(cone, rng, CONE_FEAS_TOL))
 
@@ -539,15 +546,52 @@ class TestNumpyConeMembership:
 
     def test_one_dimensional_cone(self):
         cone = PolyhedralCone(np.array([[2.0], [0.5]]), np.array([1.0]))
-        assert cone._facets[0].tolist() == [[1.0]]
+        assert _facets(cone).tolist() == [[1.0]]
         points = [[3.0], [0.0], [-0.5e-8], [-1e-8], [-2e-8], [-1.0]]
         assert cone._members(np.array(points)).tolist() == [True, True, True, True, False, False]
+        assert not cone._members(np.array(points), -1e-12).any()  # no distance is negative
 
     def test_cone_past_the_facet_cap(self):
         cone = gen_polyhedral_cone(5, 8, 16)
-        assert cone._facets is None
+        assert _facets(cone) is None
         rng = np.random.default_rng(5)
         _assert_decisions_match_reference(cone, _probe_points(cone, rng, CONE_FEAS_TOL))
+
+    @pytest.mark.parametrize("shape", [(3, 6), (8, 16), (3, 2)], ids=["facets", "past-cap", "rank-2"])
+    def test_extreme_scales(self, shape):
+        """Norms that overflow or underflow a dot product change no decision."""
+        cone = gen_polyhedral_cone(1, *shape)
+        g = cone.generators
+        interior = g.mean(axis=0)
+        points = np.array([g[0], interior, -interior, 0.5 * (g[0] + g[1])])
+        for scale in (1e160, 1e300):
+            assert cone._members(scale * points).tolist() == [True, True, False, True]
+        # every point is within tol of the apex
+        assert cone._members(1e-160 * points).all()
+        assert _nnls_residual(np.eye(2), np.array([1e300, -1e300]), 10) == 1e300
+
+    @pytest.mark.parametrize("spread", [0.0, 1.0])
+    @pytest.mark.parametrize("shape", [(7, 14), (8, 16), (3, 2)], ids=["7-14", "8-16", "rank-2"])
+    def test_certificates_spare_the_nnls(self, shape, spread, monkeypatch):
+        """Without facets, the unit functional decides the negated
+        generators and the fit certificate decides mixtures of generators
+        with weights in [0.5, 1], so neither reaches the NNLS. The fit
+        works on unit values, so generators ``(1, x)`` whose lengths spread
+        over two orders of magnitude are no harder."""
+        dim, m = shape
+        rng = np.random.default_rng(2)
+        tails = rng.standard_normal((m, dim - 1)) * 10.0 ** rng.uniform(-spread, spread, size=(m, 1))
+        generators = np.hstack([np.ones((m, 1)), tails])
+        cone = PolyhedralCone(generators, np.eye(dim)[0])
+        assert _facets(cone) is None
+
+        def no_nnls(*args):
+            raise AssertionError("NNLS called")
+
+        monkeypatch.setattr(gpt, "_nnls_residual", no_nnls)
+        mixtures = rng.uniform(0.5, 1.0, size=(50, m)) @ generators
+        assert cone._members(mixtures).all()
+        assert not cone._members(-generators).any()
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 13))
@@ -557,9 +601,9 @@ class TestNumpyConeMembership:
         _assert_decisions_match_reference(cone, _probe_points(cone, rng, CONE_FEAS_TOL))
 
     def test_kept_facets_support_the_cone(self):
-        for seed, (dim, m) in enumerate([(2, 3), (3, 6), (4, 9), (5, 10), (6, 12)]):
+        for seed, (dim, m) in enumerate([(2, 3), (2, 20), (3, 6), (3, 7), (4, 5), (6, 6)]):
             cone = gen_polyhedral_cone(seed, dim, m)
-            facets, _ = cone._facets
+            facets = _facets(cone)
             sides = cone.generators @ facets.T / np.linalg.norm(cone.generators, axis=1)[:, None]
             assert sides.min() >= -1e-9
             # every facet holds dim-1 independent generators
