@@ -77,11 +77,11 @@ def probability(mu: ProbabilityMeasure, e: Event) -> float:
     return total
 
 
-def conditional(mu: ProbabilityMeasure, h: Event, lam: Event, *, null_tol: float = NULL_MASS_TOL) -> float:
+def conditional(mu: ProbabilityMeasure, h: Event, lam: Event) -> float:
     """Posterior ``P(h | lam)``; raises :class:`ConditioningOnNull` when
-    ``lam`` carries mass at or below ``null_tol``."""
+    ``lam`` carries mass at or below ``NULL_MASS_TOL``."""
     p_lam = probability(mu, lam)
-    if p_lam <= null_tol:
+    if p_lam <= NULL_MASS_TOL:
         raise ConditioningOnNull(f"event {lam.worlds()} has mass {p_lam!r}")
     return probability(mu, h & lam) / p_lam
 

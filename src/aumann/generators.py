@@ -8,7 +8,8 @@ bit-identical objects.
 The planted constructions guarantee non-vacuous theorem instances by giving
 every agent one shared cell and deriving the targets from it; unconstrained
 scenarios exercise the vacuous paths and hunt for (theorem-forbidden)
-violations.
+violations. Each family draws its model and picks its targets; the layer's
+measure, hypothesis, conditionals and loose targets come from one shared draw.
 """
 
 from __future__ import annotations
@@ -189,11 +190,6 @@ def gen_svm(seed, cone: ConeSpace, n_worlds: int) -> Svm:
     return Svm(cone, atoms / total_u)
 
 
-def _random_state(rng: np.random.Generator, cone: ConeSpace) -> GptState:
-    single = gen_svm(rng, cone, 1)
-    return GptState(cone, single.atoms[0])
-
-
 def _planted_model(rng: np.random.Generator, n_worlds: int, n_agents: int) -> tuple[KnowledgeModel, Event]:
     size = int(rng.integers(1, n_worlds))
     perm = rng.permutation(n_worlds)
@@ -214,6 +210,26 @@ def _make_cone(rng: np.random.Generator, cone_kind: str, dim: int, n_generators:
     if cone_kind == "polyhedral":
         return gen_polyhedral_cone(rng, dim, n_generators or 2 * dim)
     raise ValueError(f"unknown cone kind {cone_kind!r}")
+
+
+def _draw_layer(rng: np.random.Generator, layer: str, n_worlds: int, dim: int, cone_kind: str,
+                n_generators: int | None) -> tuple:
+    """The layer's measure, its hypothesis (``None`` outside classical), its
+    conditional on an event, and a function that draws ``n`` loose targets."""
+    if layer == "classical":
+        mu = gen_probability(rng, n_worlds)
+        h = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
+        return mu, h, lambda e: conditional(mu, h, e), lambda n: tuple(float(x) for x in rng.random(n))
+    if layer == "quantum":
+        rho = gen_dovm(rng, n_worlds, dim)
+        return rho, None, lambda e: conditional_state(rho, e), lambda n: tuple(
+            gen_density(rng, dim) for _ in range(n)
+        )
+    cone = _make_cone(rng, cone_kind, dim, n_generators)
+    svm = gen_svm(rng, cone, n_worlds)
+    return svm, None, lambda e: gpt_conditional_state(svm, e), lambda n: tuple(
+        GptState(cone, gen_svm(rng, cone, 1).atoms[0]) for _ in range(n)
+    )
 
 
 def gen_planted_scenario(
@@ -237,19 +253,8 @@ def gen_planted_scenario(
         raise ValueError("planted scenarios need at least 2 worlds")
     rng = _rng(seed)
     model, shared = _planted_model(rng, n_worlds, n_agents)
-    if layer == "classical":
-        mu = gen_probability(rng, n_worlds)
-        hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
-        q = conditional(mu, hypothesis, shared)
-        return ScenarioBundle("classical", model, mu, hypothesis, (q,) * n_agents, planted_cell=shared)
-    if layer == "quantum":
-        rho = gen_dovm(rng, model, dim)
-        sigma = conditional_state(rho, shared)
-        return ScenarioBundle("quantum", model, rho, None, (sigma,) * n_agents, planted_cell=shared)
-    cone = _make_cone(rng, cone_kind, dim, n_generators)
-    svm = gen_svm(rng, cone, n_worlds)
-    target = gpt_conditional_state(svm, shared)
-    return ScenarioBundle("gpt", model, svm, None, (target,) * n_agents, planted_cell=shared)
+    measure, hypothesis, condition, _ = _draw_layer(rng, layer, n_worlds, dim, cone_kind, n_generators)
+    return ScenarioBundle(layer, model, measure, hypothesis, (condition(shared),) * n_agents, planted_cell=shared)
 
 
 def gen_unconstrained_scenario(
@@ -274,32 +279,9 @@ def gen_unconstrained_scenario(
     model = gen_model(rng, n_worlds, n_agents)
     anchored = bool(rng.integers(0, 2))
     anchor = int(rng.integers(0, n_worlds)) if anchored else None
-    if layer == "classical":
-        mu = gen_probability(rng, n_worlds)
-        hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
-        if anchored:
-            targets = tuple(
-                conditional(mu, hypothesis, model.partitions[i].cell_of(anchor))
-                for i in range(n_agents)
-            )
-        else:
-            targets = tuple(float(x) for x in rng.random(n_agents))
-        return ScenarioBundle("classical", model, mu, hypothesis, targets, anchor_world=anchor)
-    if layer == "quantum":
-        rho = gen_dovm(rng, model, dim)
-        if anchored:
-            targets = tuple(
-                conditional_state(rho, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
-            )
-        else:
-            targets = tuple(gen_density(rng, dim) for _ in range(n_agents))
-        return ScenarioBundle("quantum", model, rho, None, targets, anchor_world=anchor)
-    cone = _make_cone(rng, cone_kind, dim, n_generators)
-    svm = gen_svm(rng, cone, n_worlds)
+    measure, hypothesis, condition, loose = _draw_layer(rng, layer, n_worlds, dim, cone_kind, n_generators)
     if anchored:
-        targets = tuple(
-            gpt_conditional_state(svm, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
-        )
+        targets = tuple(condition(p.cell_of(anchor)) for p in model.partitions)
     else:
-        targets = tuple(_random_state(rng, cone) for _ in range(n_agents))
-    return ScenarioBundle("gpt", model, svm, None, targets, anchor_world=anchor)
+        targets = loose(n_agents)
+    return ScenarioBundle(layer, model, measure, hypothesis, targets, anchor_world=anchor)

@@ -26,9 +26,10 @@ import numpy as np
 from .classical import ProbabilityMeasure
 from .errors import ConditioningOnNull, require_finite
 from .knowledge import Event, KnowledgeModel, Partition
-from .quantum import Dovm, _cell_values, _hermitian_stack, require_hermitian
+from .quantum import Dovm, _cell_values, _event_value, _hermitian_stack, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
+    HERMITIAN_LOOSE_TOL,
     MATCH_TOL,
     NULL_MASS_TOL,
     PSD_EIG_TOL,
@@ -96,7 +97,7 @@ def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def vectorize(m: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in :func:`hermitian_basis` order."""
-    return _vectorize_rows(require_hermitian(m, tol=1e-9)[None])[0]
+    return _vectorize_rows(require_hermitian(m, tol=HERMITIAN_LOOSE_TOL)[None])[0]
 
 
 def _vectorize_rows(h: np.ndarray) -> np.ndarray:
@@ -521,8 +522,8 @@ def cone_membership(cone: ConeSpace, v, tol: float | None = None) -> bool:
     return cone.contains(v, tol)
 
 
-def effect_valid(cone: ConeSpace, phi, tol: float = PSD_EIG_TOL) -> bool:
-    """Whether ``0 <= phi(v) <= u(v)`` holds (within ``tol``) across the cone.
+def effect_valid(cone: ConeSpace, phi) -> bool:
+    """Whether ``0 <= phi(v) <= u(v)`` holds (within ``PSD_EIG_TOL``) across the cone.
 
     Checked on generators for simplex and polyhedral cones, via eigenvalue
     bounds for the PSD cone.
@@ -531,12 +532,12 @@ def effect_valid(cone: ConeSpace, phi, tol: float = PSD_EIG_TOL) -> bool:
     if isinstance(cone, PsdCone):
         low = np.linalg.eigvalsh(devectorize(f))[0]
         high = np.linalg.eigvalsh(devectorize(cone.unit - f))[0]
-        return bool(low >= -tol and high >= -tol)
+        return bool(low >= -PSD_EIG_TOL and high >= -PSD_EIG_TOL)
     if isinstance(cone, (SimplexCone, PolyhedralCone)):
         gens = cone.generators
         lower = gens @ f
         upper = gens @ (cone.unit - f)
-        return bool((lower >= -tol).all() and (upper >= -tol).all())
+        return bool((lower >= -PSD_EIG_TOL).all() and (upper >= -PSD_EIG_TOL).all())
     raise TypeError(f"unsupported cone kind {cone.kind!r}")
 
 
@@ -595,17 +596,14 @@ class Svm:
 def svm_value(mu: Svm, lam: Event) -> np.ndarray:
     """Measure value on ``lam``: the coordinate-wise sum of atoms."""
     mu._check_event(lam)
-    if not lam:
-        return np.zeros(mu.cone.dim)
-    idx = np.fromiter(lam, dtype=np.intp)
-    return mu.atoms[idx].sum(axis=0)
+    return _event_value(mu.atoms, lam)
 
 
-def gpt_conditional_state(mu: Svm, lam: Event, *, null_tol: float = NULL_MASS_TOL) -> GptState:
+def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
     """Conditional state ``mu(lam) / u[mu(lam)]``."""
     value = svm_value(mu, lam)
     u = float(mu.cone.unit @ value)
-    if u <= null_tol:
+    if u <= NULL_MASS_TOL:
         raise ConditioningOnNull(f"event {lam.worlds()} has unit mass {u!r}")
     return GptState(mu.cone, value / u)
 
@@ -671,5 +669,5 @@ def embed_quantum(rho: Dovm) -> Svm:
     Vectorization commutes with conditioning: trace normalization becomes
     unit-functional normalization.
     """
-    atoms = _hermitian_stack(rho.atoms, "atom", tol=1e-9)
+    atoms = _hermitian_stack(rho.atoms, "atom", tol=HERMITIAN_LOOSE_TOL)
     return Svm(PsdCone(rho.dim), _vectorize_rows(atoms))

@@ -1,9 +1,9 @@
 """Quantum layer: density-operator-valued measures and agreement.
 
 A DOVM assigns a PSD matrix to each world, the atoms summing to a density
-operator. Conditioning on an event sums the atoms over the event and
-normalizes by the trace. Sandwiching with the square root (or pseudo-inverse
-square root) of a state converts between DOVMs and POVMs.
+operator. Conditioning on an event sums the atoms over it (the GPT layer
+shares these sums) and normalizes by the trace. Sandwiching with the square
+root (or pseudo-inverse square root) of a state converts DOVMs and POVMs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConditioningOnNull, NotHermitian, NotPsd, require_finite
 from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import (
+    HERMITIAN_LOOSE_TOL,
     HERMITIAN_TOL,
     MATCH_TOL,
     NULL_MASS_TOL,
@@ -53,31 +54,33 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def psd_sqrt(m: np.ndarray, tol: float = PSD_EIG_TOL) -> np.ndarray:
+def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the symmetrized ``m``; raises :class:`NotPsd` below ``-PSD_EIG_TOL``."""
+    vals, vecs = np.linalg.eigh(require_hermitian(m))
+    if vals.size and vals[0] < -PSD_EIG_TOL:
+        raise NotPsd(f"minimum eigenvalue {vals[0]:.3e} below -{PSD_EIG_TOL:.0e}")
+    return vals, vecs
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """PSD square root via eigendecomposition.
 
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below ``-tol``
-    raises :class:`NotPsd`.
+    Eigenvalues in ``[-PSD_EIG_TOL, 0)`` are clamped to zero; anything below
+    ``-PSD_EIG_TOL`` raises :class:`NotPsd`.
     """
-    h = require_hermitian(m)
-    vals, vecs = np.linalg.eigh(h)
-    if vals.size and vals[0] < -tol:
-        raise NotPsd(f"minimum eigenvalue {vals[0]:.3e} below -{tol:.0e}")
+    vals, vecs = _psd_eigh(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def psd_sqrt_pinv(m: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
+def psd_sqrt_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse square root of a PSD matrix and its support projector.
 
-    Eigenvalues at or below ``cutoff`` count as zero rank, so the first
-    return value satisfies ``r @ m @ r = support`` on the support of ``m``.
+    Eigenvalues at or below ``SUPPORT_CUTOFF`` count as zero rank, so the
+    first return value satisfies ``r @ m @ r = support`` on the support of ``m``.
     """
-    h = require_hermitian(m)
-    vals, vecs = np.linalg.eigh(h)
-    if vals.size and vals[0] < -PSD_EIG_TOL:
-        raise NotPsd(f"minimum eigenvalue {vals[0]:.3e} below -{PSD_EIG_TOL:.0e}")
-    keep = vals > cutoff
+    vals, vecs = _psd_eigh(m)
+    keep = vals > SUPPORT_CUTOFF
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
     root = (vecs * inv_sqrt) @ vecs.conj().T
     support = (vecs * keep.astype(float)) @ vecs.conj().T
@@ -86,7 +89,7 @@ def psd_sqrt_pinv(m: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> tuple[np.nda
 
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix (sum of absolute eigenvalues)."""
-    return float(_trace_norms(require_hermitian(m, tol=1e-9)))
+    return float(_trace_norms(require_hermitian(m, tol=HERMITIAN_LOOSE_TOL)))
 
 
 def _trace_norms(h: np.ndarray) -> np.ndarray:
@@ -125,6 +128,13 @@ def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
     sums = np.zeros((len(partition),) + atoms.shape[1:], dtype=atoms.dtype)
     np.add.at(sums, partition.labels, atoms)
     return sums
+
+
+def _event_value(atoms: np.ndarray, e: Event) -> np.ndarray:
+    """Sum of the per-world ``atoms`` over the worlds of ``e``; zeros when it is empty."""
+    if not e:
+        return np.zeros(atoms.shape[1:], dtype=atoms.dtype)
+    return atoms[np.fromiter(e, dtype=np.intp)].sum(axis=0)
 
 
 def _sandwich(root: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -243,17 +253,14 @@ class Povm:
 def dovm_value(rho: Dovm, lam: Event) -> np.ndarray:
     """Measure value on ``lam``: the sum of atoms over its worlds."""
     rho._check_event(lam)
-    if not lam:
-        return np.zeros((rho.dim, rho.dim), dtype=complex)
-    idx = np.fromiter(lam, dtype=np.intp)
-    return rho.atoms[idx].sum(axis=0)
+    return _event_value(rho.atoms, lam)
 
 
-def conditional_state(rho: Dovm, lam: Event, *, null_tol: float = NULL_MASS_TOL) -> DensityOperator:
+def conditional_state(rho: Dovm, lam: Event) -> DensityOperator:
     """Conditional state ``rho(lam) / Tr[rho(lam)]``."""
     value = dovm_value(rho, lam)
     tr = float(value.trace().real)
-    if tr <= null_tol:
+    if tr <= NULL_MASS_TOL:
         raise ConditioningOnNull(f"event {lam.worlds()} has trace mass {tr!r}")
     return DensityOperator(value / tr)
 
@@ -291,9 +298,11 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence = ()) -> _
         return value, float(value.trace().real)
 
     def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=1e-9))
+        return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=HERMITIAN_LOOSE_TOL))
 
-    targets = tuple(s.matrix if isinstance(s, DensityOperator) else require_hermitian(s, tol=1e-9) for s in sigmas)
+    targets = tuple(
+        s.matrix if isinstance(s, DensityOperator) else require_hermitian(s, tol=HERMITIAN_LOOSE_TOL) for s in sigmas
+    )
     return _Layer(cell_sums, event_sums, DensityOperator, distance, targets)
 
 

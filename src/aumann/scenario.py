@@ -34,7 +34,7 @@ from .knowledge import (
     know,
     mutual_knowledge_chain,
 )
-from .tolerances import MATCH_TOL
+from .tolerances import CANONICAL_UNIT_TOL, MATCH_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
 from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _verdict, _verify
 
@@ -200,7 +200,7 @@ def _read_gpt(payload: dict, n_worlds: int, path: str) -> dict:
     else:
         raise ScenarioValidationError(f"unknown cone kind {kind!r}", f"{path}.cone.kind")
     unit = _vector(payload.get("unit"), dim, f"{path}.unit")
-    if expected_unit is not None and not np.allclose(unit, expected_unit, atol=1e-12):
+    if expected_unit is not None and not np.allclose(unit, expected_unit, atol=CANONICAL_UNIT_TOL):
         raise ScenarioValidationError(f"unit must be the canonical {kind} unit functional", f"{path}.unit")
     atoms_raw = _expect(payload.get("atoms"), list, f"{path}.atoms", "a list of vectors")
     if len(atoms_raw) != n_worlds:
@@ -792,14 +792,14 @@ def run_gen(
     n_agents: int = 2,
     dim: int = 2,
     cone_kind: str = "simplex",
-    n_generators: int | None = None,
     planted: bool = True,
 ) -> ScenarioFile:
-    """Generate a scenario document for the given layer and seed."""
+    """Generate a scenario document for the given layer and seed; a
+    polyhedral cone gets ``2 * dim`` generators."""
     from .generators import gen_planted_scenario, gen_unconstrained_scenario
 
     gen = gen_planted_scenario if planted else gen_unconstrained_scenario
-    bundle = gen(seed, layer, n_worlds, n_agents, dim, cone_kind, n_generators)
+    bundle = gen(seed, layer, n_worlds, n_agents, dim, cone_kind)
     return scenario_from_bundle(bundle)
 
 
@@ -847,10 +847,7 @@ def _search_shard(args) -> tuple[Counter, list[int]]:
         seed = params["base_seed"] + i
         planted = params["mode"] == "planted" or (params["mode"] == "mix" and i % 2 == 0)
         gen = gen_planted_scenario if planted else gen_unconstrained_scenario
-        bundle = gen(
-            seed, layer, params["n_worlds"], params["n_agents"], params["dim"],
-            params["cone_kind"], params["n_generators"],
-        )
+        bundle = gen(seed, layer, params["n_worlds"], params["n_agents"], params["dim"], params["cone_kind"])
         verdict = verify(bundle, params["tol"], None)
         counts[verdict.status.value] += 1
         if verdict.status is VerdictStatus.VIOLATED:
@@ -867,14 +864,15 @@ def run_search(
     n_agents: int = 2,
     dim: int = 2,
     cone_kind: str = "simplex",
-    n_generators: int | None = None,
     mode: str = "mix",
     tol: float | None = None,
     workers: int = 1,
 ) -> SearchStats:
     """Run seeded scenarios (planted, random, or an even mix) and tally verdicts.
 
-    Sharding by seed range means results are identical for any worker count.
+    Sharding by seed range means results are identical for any worker count;
+    the pool holds one process per shard, never more than ``workers``. A
+    polyhedral cone gets ``2 * dim`` generators.
     """
     from .generators import LAYERS
 
@@ -882,6 +880,8 @@ def run_search(
         raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
     if mode not in ("mix", "planted", "random"):
         raise ValueError(f"mode must be mix, planted, or random, got {mode!r}")
+    if n_seeds < 0:
+        raise ValueError(f"n_seeds must be nonnegative, got {n_seeds}")
     tol = MATCH_TOL if tol is None else tol
     _check_tol(tol)
     params = {
@@ -890,14 +890,13 @@ def run_search(
         "n_agents": n_agents,
         "dim": dim,
         "cone_kind": cone_kind,
-        "n_generators": n_generators,
         "mode": mode,
         "tol": tol,
     }
     t0 = time.perf_counter()
     counts: Counter = Counter()
     bad: list[int] = []
-    if workers <= 1:
+    if workers <= 1 or n_seeds == 0:
         counts, bad = _search_shard((layer, 0, n_seeds, params))
     else:
         step = -(-n_seeds // workers)
@@ -906,7 +905,7 @@ def run_search(
         ]
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             for shard_counts, shard_bad in pool.map(_search_shard, shards):
                 counts.update(shard_counts)
                 bad.extend(shard_bad)

@@ -1,7 +1,7 @@
 """Every numerical tolerance used by the package, in one table.
 
-Values are absolute unless noted. Functions take these as defaults; callers
-may override per call.
+Values are absolute unless noted. Only the matching tolerance and the ``tol``
+of cone membership and of ``require_hermitian`` can be given per call.
 """
 
 # Normalization: probability weights, density-operator traces, and GPT unit
@@ -14,6 +14,10 @@ PSD_EIG_TOL = 1e-9
 
 # Max |M - M^dagger| entry accepted before symmetrizing a near-Hermitian input.
 HERMITIAN_TOL = 1e-12
+
+# The same, for a matrix measured or re-expressed rather than stored: trace
+# norms, quantum targets and their distances, Hermitian-basis coordinates.
+HERMITIAN_LOOSE_TOL = 1e-9
 
 # Eigenvalues at or below this count as zero when building pseudo-inverse
 # square roots and support projectors.
@@ -32,3 +36,7 @@ NULL_MASS_TOL = 1e-12
 # least-squares (NNLS) fit by the generators leaves a residual norm at most
 # this, that is, when its Euclidean distance to the cone is at most this.
 CONE_FEAS_TOL = 1e-8
+
+# A file's simplex or PSD unit must be this close to the canonical one in each
+# entry, on top of np.allclose's default relative term (1e-5 of the entry).
+CANONICAL_UNIT_TOL = 1e-12

@@ -3,7 +3,11 @@ import pytest
 
 from aumann import (
     Event,
+    GptState,
+    ScenarioBundle,
     VerdictStatus,
+    conditional,
+    conditional_state,
     cone_membership,
     gen_density,
     gen_dovm,
@@ -15,8 +19,10 @@ from aumann import (
     gen_probability,
     gen_svm,
     gen_unconstrained_scenario,
+    gpt_conditional_state,
     verify_bundle,
 )
+from aumann.generators import LAYERS, _make_cone, _planted_model, _rng
 from aumann.gpt import PsdCone, SimplexCone
 
 
@@ -191,3 +197,133 @@ class TestHermitianSandwich:
         for seed in range(20):
             effects = gen_povm(seed, 6, 3).effects
             assert np.array_equal(effects, effects.conj().transpose(0, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# The two scenario families as they were written before they shared one
+# per-layer draw, each with its own three-way layer dispatch. They are the
+# reference the shared draw must reproduce bit for bit; the helpers they
+# call (model, measure and cone draws) are the package's own.
+
+def _old_random_state(rng, cone):
+    single = gen_svm(rng, cone, 1)
+    return GptState(cone, single.atoms[0])
+
+
+def _old_gen_planted_scenario(seed, layer, n_worlds, n_agents, dim=2, cone_kind="simplex", n_generators=None):
+    if layer not in LAYERS:
+        raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
+    if n_worlds < 2:
+        raise ValueError("planted scenarios need at least 2 worlds")
+    rng = _rng(seed)
+    model, shared = _planted_model(rng, n_worlds, n_agents)
+    if layer == "classical":
+        mu = gen_probability(rng, n_worlds)
+        hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
+        q = conditional(mu, hypothesis, shared)
+        return ScenarioBundle("classical", model, mu, hypothesis, (q,) * n_agents, planted_cell=shared)
+    if layer == "quantum":
+        rho = gen_dovm(rng, model, dim)
+        sigma = conditional_state(rho, shared)
+        return ScenarioBundle("quantum", model, rho, None, (sigma,) * n_agents, planted_cell=shared)
+    cone = _make_cone(rng, cone_kind, dim, n_generators)
+    svm = gen_svm(rng, cone, n_worlds)
+    target = gpt_conditional_state(svm, shared)
+    return ScenarioBundle("gpt", model, svm, None, (target,) * n_agents, planted_cell=shared)
+
+
+def _old_gen_unconstrained_scenario(seed, layer, n_worlds, n_agents, dim=2, cone_kind="simplex", n_generators=None):
+    if layer not in LAYERS:
+        raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
+    rng = _rng(seed)
+    model = gen_model(rng, n_worlds, n_agents)
+    anchored = bool(rng.integers(0, 2))
+    anchor = int(rng.integers(0, n_worlds)) if anchored else None
+    if layer == "classical":
+        mu = gen_probability(rng, n_worlds)
+        hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
+        if anchored:
+            targets = tuple(
+                conditional(mu, hypothesis, model.partitions[i].cell_of(anchor))
+                for i in range(n_agents)
+            )
+        else:
+            targets = tuple(float(x) for x in rng.random(n_agents))
+        return ScenarioBundle("classical", model, mu, hypothesis, targets, anchor_world=anchor)
+    if layer == "quantum":
+        rho = gen_dovm(rng, model, dim)
+        if anchored:
+            targets = tuple(
+                conditional_state(rho, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
+            )
+        else:
+            targets = tuple(gen_density(rng, dim) for _ in range(n_agents))
+        return ScenarioBundle("quantum", model, rho, None, targets, anchor_world=anchor)
+    cone = _make_cone(rng, cone_kind, dim, n_generators)
+    svm = gen_svm(rng, cone, n_worlds)
+    if anchored:
+        targets = tuple(
+            gpt_conditional_state(svm, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
+        )
+    else:
+        targets = tuple(_old_random_state(rng, cone) for _ in range(n_agents))
+    return ScenarioBundle("gpt", model, svm, None, targets, anchor_world=anchor)
+
+
+def _target_bytes(t) -> tuple:
+    if isinstance(t, float):
+        return "float", np.float64(t).tobytes()
+    a = t.coords if isinstance(t, GptState) else t.matrix
+    return type(t).__name__, a.dtype.str, a.shape, a.tobytes()
+
+
+def _bundle_bytes(b: ScenarioBundle) -> tuple:
+    """Everything a bundle holds, as bytes and ints: equal tuples mean
+    bit-identical bundles."""
+    m = b.measure
+    raw = m.weights if b.layer == "classical" else m.atoms
+    cone = getattr(m, "cone", None)
+    cone_bytes = None
+    if cone is not None:
+        gens = getattr(cone, "generators", None)
+        cone_bytes = (cone.kind, cone.dim, cone.unit.tobytes(), None if gens is None else gens.tobytes())
+    return (
+        b.layer,
+        b.model.n_worlds,
+        tuple(tuple(p.masks) for p in b.model.partitions),
+        type(m).__name__, raw.dtype.str, raw.shape, raw.tobytes(),
+        cone_bytes,
+        tuple(_target_bytes(t) for t in b.targets),
+        None if b.hypothesis is None else b.hypothesis.mask,
+        None if b.planted_cell is None else b.planted_cell.mask,
+        b.anchor_world,
+    )
+
+
+_PINNED_KINDS = {
+    "classical": ("classical", {}),
+    "quantum-d2": ("quantum", {"dim": 2}),
+    "quantum-d3": ("quantum", {"dim": 3}),
+    "gpt-simplex": ("gpt", {"cone_kind": "simplex", "dim": 3}),
+    "gpt-psd": ("gpt", {"cone_kind": "psd", "dim": 2}),
+    "gpt-polyhedral": ("gpt", {"cone_kind": "polyhedral", "dim": 3}),
+    "gpt-polyhedral-5gen": ("gpt", {"cone_kind": "polyhedral", "dim": 4, "n_generators": 5}),
+}
+_PINNED_SIZES = ((2, 1), (6, 2), (12, 3), (48, 6))  # (worlds, agents)
+_FAMILIES = {
+    "planted": (gen_planted_scenario, _old_gen_planted_scenario),
+    "unconstrained": (gen_unconstrained_scenario, _old_gen_unconstrained_scenario),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("kind", list(_PINNED_KINDS))
+def test_bundles_match_the_per_family_dispatch(family, kind):
+    """The shared per-layer draw gives every family the bundles, bit for bit,
+    that its own dispatch gave: same draws, in the same order."""
+    gen, old = _FAMILIES[family]
+    layer, kw = _PINNED_KINDS[kind]
+    for n_worlds, n_agents in _PINNED_SIZES:
+        for seed in range(40):
+            args = (seed, layer, n_worlds, n_agents)
+            assert _bundle_bytes(gen(*args, **kw)) == _bundle_bytes(old(*args, **kw)), (args, kw)

@@ -1,6 +1,7 @@
 """Rejected inputs (bad tolerances, cone dimensions, repeated worlds) and the
 objects a scenario builds once."""
 
+import concurrent.futures
 import json
 import math
 from pathlib import Path
@@ -80,6 +81,49 @@ class TestTolerance:
         monkeypatch.setattr(scenario, "_search_shard", shard)
         with pytest.raises(ValueError, match="tol"):
             run_search("classical", 10, tol=math.nan, workers=2)
+
+
+class TestSearchSeeds:
+    def test_negative_count_exits_two_before_any_shard(self, monkeypatch, capsys):
+        def shard(args):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr(scenario, "_search_shard", shard)
+        assert main(["search", "--layer", "classical", "--seeds", "-5"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "n_seeds must be nonnegative" in captured.err
+        assert captured.out == ""
+        with pytest.raises(ValueError, match="n_seeds"):
+            run_search("classical", -1, workers=2)
+
+    @pytest.mark.parametrize("workers", ["1", "2", "8"])
+    def test_zero_seeds_is_an_empty_tally(self, workers, capsys):
+        assert main(["search", "--layer", "classical", "--seeds", "0", "--workers", workers]) == 0
+        out = capsys.readouterr().out
+        assert "scenarios: 0\n" in out and "violations: 0\n" in out
+
+    @pytest.mark.parametrize("n_seeds, workers, n_shards", [(3, 8, 3), (1, 500, 1), (5, 2, 2), (10, 4, 4)])
+    def test_pool_has_one_process_per_shard(self, monkeypatch, n_seeds, workers, n_shards):
+        """No real pool starts: the fake records its size and maps inline."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        stats = run_search("classical", n_seeds, workers=workers)
+        assert sizes == [n_shards]
+        assert stats.counts == run_search("classical", n_seeds).counts
 
 
 class TestScenarioShape:
