@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningOnNull, require_finite
+from .errors import ConditioningOnNull, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
 from .verdicts import AgreementVerdict, _agreement_event, _cell_conditionals, _Layer, _verify
@@ -62,14 +62,10 @@ class ProbabilityMeasure:
     def _w(self) -> tuple[float, ...]:
         return tuple(self.weights.tolist())
 
-    def _check_event(self, e: Event) -> None:
-        if e.n != self.n_worlds:
-            raise ValueError(f"event over {e.n} worlds, measure has {self.n_worlds}")
-
 
 def probability(mu: ProbabilityMeasure, e: Event) -> float:
     """Total weight of the worlds in ``e``."""
-    mu._check_event(e)
+    require_worlds("event", e.n, "measure", mu.n_worlds)
     w = mu._w
     total = 0.0
     for world in e:
@@ -99,8 +95,8 @@ def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q:
     cell's worlds in increasing order starting from 0.0, so they equal a
     per-world loop bit for bit; event sums are :func:`probability`.
     """
-    model._check_event(h)
-    mu._check_event(h)
+    require_worlds("measure", mu.n_worlds, "model", model.n_worlds)
+    require_worlds("event", h.n, "model", model.n_worlds)
     joint = mu.weights * _indicator(h)
 
     def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:

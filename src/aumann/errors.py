@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, and the finiteness and world-count checks."""
 
 import numpy as np
 
@@ -43,3 +43,18 @@ def require_finite(a: np.ndarray, what: str) -> None:
     """
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
+
+
+def require_finite_items(a, what: str) -> None:
+    """Raise ``ValueError`` naming, as ``what i``, the first item ``a[i]``
+    that holds a NaN or an infinity."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"{what} {int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))} must be finite")
+
+
+def require_worlds(what: str, n: int, owner: str, expected: int) -> None:
+    """Raise ``ValueError`` unless ``what``, over ``n`` worlds, has the
+    ``expected`` world count of ``owner``."""
+    if n != expected:
+        raise ValueError(f"{what} over {n} worlds, {owner} has {expected}")

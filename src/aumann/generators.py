@@ -57,6 +57,10 @@ __all__ = [
 LAYERS = ("classical", "quantum", "gpt")
 
 _MAX_SEED = 1 << 64
+# Every generated weight is at least this over the world count, which keeps
+# planted cells comfortably above the vacuity cutoff, so plant soundness is
+# deterministic rather than almost-sure.
+_WEIGHT_FLOOR = 1e-3
 
 
 def _rng(seed) -> np.random.Generator:
@@ -116,15 +120,11 @@ def gen_model(seed, n_worlds: int, n_agents: int, max_cells: int | None = None) 
     return KnowledgeModel(n_worlds, partitions)
 
 
-def gen_probability(seed, n_worlds: int, *, floor: float = 1e-3) -> ProbabilityMeasure:
-    """Random measure with every weight at least ``floor / n_worlds``.
-
-    The floor keeps planted cells comfortably above the vacuity cutoff, so
-    plant soundness is deterministic rather than almost-sure.
-    """
+def gen_probability(seed, n_worlds: int) -> ProbabilityMeasure:
+    """Random measure with every weight at least ``_WEIGHT_FLOOR / n_worlds``."""
     rng = _rng(seed)
     raw = rng.dirichlet(np.ones(n_worlds))
-    weights = (1.0 - floor) * raw + floor / n_worlds
+    weights = (1.0 - _WEIGHT_FLOOR) * raw + _WEIGHT_FLOOR / n_worlds
     return ProbabilityMeasure(weights / weights.sum())
 
 

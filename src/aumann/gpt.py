@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .classical import ProbabilityMeasure
-from .errors import ConditioningOnNull, require_finite
+from .errors import ConditioningOnNull, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
-from .quantum import Dovm, _cell_values, _event_value, _hermitian_stack, require_hermitian
+from .quantum import Dovm, _cell_values, _event_value, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
     HERMITIAN_LOOSE_TOL,
@@ -165,9 +165,6 @@ class ConeSpace:
     @property
     def observables(self) -> tuple:
         return self._observables
-
-    def unit_value(self, v: np.ndarray) -> float:
-        return float(self._unit @ self._coerce(v))
 
     def _coerce(self, v) -> np.ndarray:
         a = np.asarray(v, dtype=float)
@@ -525,15 +522,15 @@ def cone_membership(cone: ConeSpace, v, tol: float | None = None) -> bool:
 def effect_valid(cone: ConeSpace, phi) -> bool:
     """Whether ``0 <= phi(v) <= u(v)`` holds (within ``PSD_EIG_TOL``) across the cone.
 
-    Checked on generators for simplex and polyhedral cones, via eigenvalue
-    bounds for the PSD cone.
+    The simplex and PSD cones are self-dual, so there it holds when ``phi``
+    and ``u - phi`` pass the cone's own membership check; a polyhedral cone
+    checks both on its generators. A non-finite ``phi`` raises ``ValueError``.
     """
     f = phi.functional if isinstance(phi, Effect) else cone._coerce(phi)
-    if isinstance(cone, PsdCone):
-        low = np.linalg.eigvalsh(devectorize(f))[0]
-        high = np.linalg.eigvalsh(devectorize(cone.unit - f))[0]
-        return bool(low >= -PSD_EIG_TOL and high >= -PSD_EIG_TOL)
-    if isinstance(cone, (SimplexCone, PolyhedralCone)):
+    require_finite(f, "effect functional")
+    if isinstance(cone, (SimplexCone, PsdCone)):
+        return bool(cone._member_rows(np.stack([f, cone.unit - f]), None).all())
+    if isinstance(cone, PolyhedralCone):
         gens = cone.generators
         lower = gens @ f
         upper = gens @ (cone.unit - f)
@@ -588,14 +585,10 @@ class Svm:
     def total(self) -> np.ndarray:
         return self.atoms.sum(axis=0)
 
-    def _check_event(self, e: Event) -> None:
-        if e.n != self.n_worlds:
-            raise ValueError(f"event over {e.n} worlds, SVM has {self.n_worlds}")
-
 
 def svm_value(mu: Svm, lam: Event) -> np.ndarray:
     """Measure value on ``lam``: the coordinate-wise sum of atoms."""
-    mu._check_event(lam)
+    require_worlds("event", lam.n, "SVM", mu.n_worlds)
     return _event_value(mu.atoms, lam)
 
 
@@ -611,8 +604,7 @@ def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
 def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence = ()) -> _Layer:
     """An SVM for the agreement pipeline: values are sums of atoms, masses
     their unit values, and distance is the coordinate max-norm."""
-    if mu.n_worlds != model.n_worlds:
-        raise ValueError(f"SVM over {mu.n_worlds} worlds, model has {model.n_worlds}")
+    require_worlds("SVM", mu.n_worlds, "model", model.n_worlds)
     unit = mu.cone.unit
 
     def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -669,5 +661,4 @@ def embed_quantum(rho: Dovm) -> Svm:
     Vectorization commutes with conditioning: trace normalization becomes
     unit-functional normalization.
     """
-    atoms = _hermitian_stack(rho.atoms, "atom", tol=HERMITIAN_LOOSE_TOL)
-    return Svm(PsdCone(rho.dim), _vectorize_rows(atoms))
+    return Svm(PsdCone(rho.dim), _vectorize_rows(rho.atoms))

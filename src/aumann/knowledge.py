@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NotCellUnion
+from .errors import NotCellUnion, require_worlds
 
 __all__ = [
     "Event",
@@ -281,10 +281,6 @@ class KnowledgeModel:
         if not 0 <= agent < self.n_agents:
             raise IndexError(f"agent {agent} outside 0..{self.n_agents - 1}")
 
-    def _check_event(self, e: Event) -> None:
-        if e.n != self.n_worlds:
-            raise ValueError(f"event over {e.n} worlds, model has {self.n_worlds}")
-
     @cached_property
     def meet(self) -> Partition:
         """Meet of all agents' partitions (cached); see :func:`meet_partition`."""
@@ -308,7 +304,7 @@ def _know_mask(cell_masks: Sequence[int], e_mask: int) -> int:
 def know(model: KnowledgeModel, agent: int, e: Event) -> Event:
     """Worlds at which the agent knows ``e``: the union of its cells inside ``e``."""
     model._check_agent(agent)
-    model._check_event(e)
+    require_worlds("event", e.n, "model", model.n_worlds)
     return Event(_know_mask(model.partitions[agent].masks, e.mask), model.n_worlds)
 
 
@@ -360,7 +356,7 @@ def mutual_knowledge(model: KnowledgeModel, e: Event, m: int) -> Event:
     """
     if m < 0:
         raise ValueError("degree m must be nonnegative")
-    model._check_event(e)
+    require_worlds("event", e.n, "model", model.n_worlds)
     cur = e.mask
     for cur in islice(_mutual_degrees(model, e.mask), m):
         pass
@@ -374,7 +370,7 @@ def mutual_knowledge_chain(model: KnowledgeModel, e: Event, max_iters: int | Non
     chain provably stabilizes within ``n_worlds`` steps, so the default
     ``n_worlds + 1`` can only trip on a caller-supplied lower bound.
     """
-    model._check_event(e)
+    require_worlds("event", e.n, "model", model.n_worlds)
     limit = model.n_worlds + 1 if max_iters is None else max_iters
     chain: list[Event] = []
     for mask in _mutual_degrees(model, e.mask):
@@ -428,7 +424,7 @@ def meet_partition(model: KnowledgeModel) -> Partition:
 
 def common_knowledge_via_meet(model: KnowledgeModel, e: Event) -> Event:
     """Oracle for :func:`common_knowledge`: union of meet cells inside ``e``."""
-    model._check_event(e)
+    require_worlds("event", e.n, "model", model.n_worlds)
     return Event(_know_mask(model.meet.masks, e.mask), model.n_worlds)
 
 
@@ -440,7 +436,7 @@ def cell_decomposition(model: KnowledgeModel, agent: int, f: Event) -> tuple[Eve
     agent.
     """
     model._check_agent(agent)
-    model._check_event(f)
+    require_worlds("event", f.n, "model", model.n_worlds)
     partition = model.partitions[agent]
     cells: list[Event] = []
     remaining = f.mask

@@ -4,6 +4,11 @@ A DOVM assigns a PSD matrix to each world, the atoms summing to a density
 operator. Conditioning on an event sums the atoms over it (the GPT layer
 shares these sums) and normalizes by the trace. Sandwiching with the square
 root (or pseudo-inverse square root) of a state converts DOVMs and POVMs.
+
+Finiteness, squareness, Hermiticity and positivity are each checked in one
+place, on a stack of matrices (``_hermitian_stack``, ``_psd_stack``); a
+single matrix is checked as a stack of one, and errors name the first bad
+matrix of a stack by its index.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningOnNull, NotHermitian, NotPsd, require_finite
+from .errors import ConditioningOnNull, NotHermitian, NotPsd, require_finite_items, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import (
     HERMITIAN_LOOSE_TOL,
@@ -44,21 +49,15 @@ __all__ = [
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Symmetrize ``(m + m^dagger)/2`` if within ``tol`` of Hermitian, else raise."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    deviation = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if deviation > tol:
-        raise NotHermitian(f"matrix deviates from Hermitian by {deviation:.3e} (> {tol:.0e})")
-    return (a + a.conj().T) / 2.0
+    """Symmetrize ``(m + m^dagger)/2`` if ``m`` is a finite square matrix within
+    ``tol`` of Hermitian, else raise; ``m`` is checked as a stack of one."""
+    return _hermitian_stack(np.asarray(m)[None], "matrix", tol)[0]
 
 
 def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of the symmetrized ``m``; raises :class:`NotPsd` below ``-PSD_EIG_TOL``."""
     vals, vecs = np.linalg.eigh(require_hermitian(m))
-    if vals.size and vals[0] < -PSD_EIG_TOL:
-        raise NotPsd(f"minimum eigenvalue {vals[0]:.3e} below -{PSD_EIG_TOL:.0e}")
+    _require_psd(vals[None], "matrix")
     return vals, vecs
 
 
@@ -97,26 +96,34 @@ def _trace_norms(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
 
 
-def _check_psd(a: np.ndarray, what: str) -> None:
-    vals = np.linalg.eigvalsh(a)
-    if vals.size and vals[0] < -PSD_EIG_TOL:
-        raise NotPsd(f"{what} has eigenvalue {vals[0]:.3e} below -{PSD_EIG_TOL:.0e}")
-
-
 def _hermitian_stack(raw, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Check an ``(n, d, d)`` stack, every matrix within ``tol`` of Hermitian,
-    and return it symmetrized; :class:`NotHermitian` names the first bad index."""
+    """Check an ``(n, d, d)`` stack of finite matrices, each within ``tol`` of
+    Hermitian, and return it symmetrized; errors name the first bad index.
+
+    A passing stack costs one ``all`` and one ``max``; the index is looked
+    for only on failure. Finiteness is checked first, so no NaN or infinity
+    reaches the arithmetic.
+    """
     a = np.asarray(raw, dtype=complex)
     if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] < 1 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"{what}s must have shape (n_worlds, d, d), got {a.shape}")
-    require_finite(a, f"{what}s")
+        raise ValueError(f"{what} stack must have shape (n, d, d), got {a.shape}")
+    require_finite_items(a, what)
     adjoint = a.conj().transpose(0, 2, 1)
-    deviation = np.abs(a - adjoint).max(axis=(1, 2))
-    bad = np.flatnonzero(deviation > tol)
-    if bad.size:
-        w = bad[0]
-        raise NotHermitian(f"{what} {w} deviates from Hermitian by {deviation[w]:.3e} (> {tol:.0e})")
+    deviation = np.abs(a - adjoint)
+    if deviation.max() > tol:
+        per_matrix = deviation.max(axis=(1, 2))
+        w = int(np.argmax(per_matrix > tol))
+        raise NotHermitian(f"{what} {w} deviates from Hermitian by {per_matrix[w]:.3e} (> {tol:.0e})")
     return (a + adjoint) / 2.0
+
+
+def _require_psd(vals: np.ndarray, what: str) -> None:
+    """Raise :class:`NotPsd` naming the first matrix of a stack whose
+    eigenvalues ``vals`` (ascending, one row per matrix) go below ``-PSD_EIG_TOL``."""
+    lowest = vals[:, 0]
+    if any(v < -PSD_EIG_TOL for v in lowest.tolist()):  # cheaper than a numpy reduction on short stacks
+        w = int(np.argmax(lowest < -PSD_EIG_TOL))
+        raise NotPsd(f"{what} {w} has eigenvalue {lowest[w]:.3e} below -{PSD_EIG_TOL:.0e}")
 
 
 def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
@@ -156,11 +163,7 @@ def _psd_stack(raw, what: str) -> np.ndarray:
     non-Hermitian matrix is reported ahead of a non-PSD one at any index.
     """
     h = _hermitian_stack(raw, what)
-    lowest = np.linalg.eigvalsh(h)[:, 0]
-    bad = np.flatnonzero(lowest < -PSD_EIG_TOL)
-    if bad.size:
-        w = bad[0]
-        raise NotPsd(f"{what} {w} has eigenvalue {lowest[w]:.3e} below -{PSD_EIG_TOL:.0e}")
+    _require_psd(np.linalg.eigvalsh(h), what)
     return h
 
 
@@ -171,10 +174,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        require_finite(m, "density operator")
-        m = require_hermitian(m)
-        _check_psd(m, "density operator")
+        m = _psd_stack(np.asarray(self.matrix)[None], "density operator")[0]
         tr = float(m.trace().real)
         if abs(tr - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
@@ -209,10 +209,6 @@ class Dovm:
     @property
     def total(self) -> np.ndarray:
         return self.atoms.sum(axis=0)
-
-    def _check_event(self, e: Event) -> None:
-        if e.n != self.n_worlds:
-            raise ValueError(f"event over {e.n} worlds, DOVM has {self.n_worlds}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +248,7 @@ class Povm:
 
 def dovm_value(rho: Dovm, lam: Event) -> np.ndarray:
     """Measure value on ``lam``: the sum of atoms over its worlds."""
-    rho._check_event(lam)
+    require_worlds("event", lam.n, "DOVM", rho.n_worlds)
     return _event_value(rho.atoms, lam)
 
 
@@ -286,8 +282,7 @@ def povm_to_dovm(e: Povm, sigma: DensityOperator) -> Dovm:
 def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence = ()) -> _Layer:
     """A DOVM for the agreement pipeline: values are sums of atoms, masses
     their traces, and distance is the trace norm."""
-    if rho.n_worlds != model.n_worlds:
-        raise ValueError(f"DOVM over {rho.n_worlds} worlds, model has {model.n_worlds}")
+    require_worlds("DOVM", rho.n_worlds, "model", model.n_worlds)
 
     def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
         values = _cell_values(rho.atoms, partition)
@@ -300,10 +295,10 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence = ()) -> _
     def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
         return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=HERMITIAN_LOOSE_TOL))
 
-    targets = tuple(
-        s.matrix if isinstance(s, DensityOperator) else require_hermitian(s, tol=HERMITIAN_LOOSE_TOL) for s in sigmas
-    )
-    return _Layer(cell_sums, event_sums, DensityOperator, distance, targets)
+    matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in sigmas]
+    if not all(isinstance(s, DensityOperator) for s in sigmas):  # a state is checked already
+        matrices = _hermitian_stack(matrices, "target", HERMITIAN_LOOSE_TOL)
+    return _Layer(cell_sums, event_sums, DensityOperator, distance, tuple(matrices))
 
 
 def quantum_agreement_event(model: KnowledgeModel, rho: Dovm, sigmas: Sequence, tol: float = MATCH_TOL) -> Event:

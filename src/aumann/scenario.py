@@ -44,8 +44,6 @@ if TYPE_CHECKING:
     from .quantum import Dovm
 
 __all__ = [
-    "SCENARIO_VERSION",
-    "AgentSpec",
     "ScenarioFile",
     "parse_scenario",
     "serialize_scenario",
@@ -200,7 +198,7 @@ def _read_gpt(payload: dict, n_worlds: int, path: str) -> dict:
     else:
         raise ScenarioValidationError(f"unknown cone kind {kind!r}", f"{path}.cone.kind")
     unit = _vector(payload.get("unit"), dim, f"{path}.unit")
-    if expected_unit is not None and not np.allclose(unit, expected_unit, atol=CANONICAL_UNIT_TOL):
+    if expected_unit is not None and not np.allclose(unit, expected_unit, rtol=0, atol=CANONICAL_UNIT_TOL):
         raise ScenarioValidationError(f"unit must be the canonical {kind} unit functional", f"{path}.unit")
     atoms_raw = _expect(payload.get("atoms"), list, f"{path}.atoms", "a list of vectors")
     if len(atoms_raw) != n_worlds:
@@ -530,7 +528,7 @@ def serialize_scenario(sf: ScenarioFile) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def scenario_from_bundle(bundle: ScenarioBundle, tolerance: float | None = None) -> ScenarioFile:
+def scenario_from_bundle(bundle: ScenarioBundle) -> ScenarioFile:
     """Render a generated bundle as a scenario document (worlds ``w0..``)."""
     model = bundle.model
     worlds = [f"w{i}" for i in range(model.n_worlds)]
@@ -542,7 +540,7 @@ def scenario_from_bundle(bundle: ScenarioBundle, tolerance: float | None = None)
     payload = {bundle.layer: kind.write(bundle.measure)}
     targets = [kind.to_json(t) for t in bundle.targets]
     hypothesis = None if bundle.hypothesis is None else [worlds[w] for w in bundle.hypothesis]
-    return ScenarioFile(SCENARIO_VERSION, worlds, agents, payload, hypothesis, targets, tolerance)
+    return ScenarioFile(SCENARIO_VERSION, worlds, agents, payload, hypothesis, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Every numerical tolerance used by the package, in one table.
 
 Values are absolute unless noted. Only the matching tolerance and the ``tol``
-of cone membership and of ``require_hermitian`` can be given per call.
+of cone membership and of ``require_hermitian`` can be given per call. Inputs
+are checked finite before any of these comparisons, since every comparison
+with a NaN is False.
 """
 
 # Normalization: probability weights, density-operator traces, and GPT unit
@@ -38,5 +40,5 @@ NULL_MASS_TOL = 1e-12
 CONE_FEAS_TOL = 1e-8
 
 # A file's simplex or PSD unit must be this close to the canonical one in each
-# entry, on top of np.allclose's default relative term (1e-5 of the entry).
+# entry (absolute: the check passes rtol=0 to np.allclose).
 CANONICAL_UNIT_TOL = 1e-12

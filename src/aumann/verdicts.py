@@ -18,6 +18,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from .errors import require_finite_items
 from .knowledge import Event, KnowledgeModel, Partition, common_knowledge
 from .tolerances import NULL_MASS_TOL
 
@@ -90,6 +91,7 @@ def _agreement_event(model: KnowledgeModel, layer: _Layer, tol: float) -> Event:
     targets = layer.targets
     if len(targets) != model.n_agents:
         raise ValueError(f"expected {model.n_agents} targets, got {len(targets)}")
+    require_finite_items(targets, "target")
     acc = (1 << model.n_worlds) - 1
     for partition, target in zip(model.partitions, targets):
         live, conditionals = _cell_conditionals(layer, partition)

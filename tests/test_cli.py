@@ -180,6 +180,18 @@ class TestFlagPlumbing:
 
 
 class TestColdStart:
+    def test_exports_match_the_submodules(self):
+        """Every lazily exported name exists in its submodule, and a submodule's
+        ``__all__`` lists exactly the names exported from it."""
+        import importlib
+
+        import aumann
+
+        for module_name, names in aumann._EXPORTS.items():
+            module = importlib.import_module(f"aumann.{module_name}")
+            assert [n for n in names if not hasattr(module, n)] == [], module_name
+            assert set(getattr(module, "__all__", names)) == set(names), module_name
+
     def test_import_leaves_scipy_optimize_unloaded(self):
         """Importing the package must not load scipy.optimize."""
         result = subprocess.run(

@@ -1,5 +1,5 @@
-"""Rejected inputs (bad tolerances, cone dimensions, repeated worlds) and the
-objects a scenario builds once."""
+"""Rejected inputs (bad tolerances, non-finite numbers, cone dimensions,
+repeated worlds) and the objects a scenario builds once."""
 
 import concurrent.futures
 import json
@@ -12,15 +12,27 @@ import pytest
 import aumann.knowledge as knowledge
 import aumann.scenario as scenario
 from aumann import (
+    Effect,
+    PolyhedralCone,
+    PsdCone,
     ScenarioValidationError,
+    SimplexCone,
     agreement_event,
+    effect_valid,
     gen_planted_scenario,
+    gpt_agreement_event,
     parse_scenario,
+    psd_sqrt,
+    psd_sqrt_pinv,
+    quantum_agreement_event,
+    require_hermitian,
     run_agree,
     run_analyze,
     run_gen,
     run_search,
     serialize_scenario,
+    trace_norm,
+    vectorize,
     verify_aumann,
     verify_bundle,
     verify_gpt_aumann,
@@ -30,6 +42,7 @@ from aumann.cli import EXIT_INPUT_ERROR, main
 
 DATA = Path(__file__).parent / "data"
 BAD_TOLS = ["nan", "inf", "0", "-1"]
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def load(name):
@@ -81,6 +94,56 @@ class TestTolerance:
         monkeypatch.setattr(scenario, "_search_shard", shard)
         with pytest.raises(ValueError, match="tol"):
             run_search("classical", 10, tol=math.nan, workers=2)
+
+
+class TestNonFinite:
+    """NaN and infinities are rejected by the stacked checks, never passed on."""
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_single_matrix_helpers(self, bad, entry):
+        m = np.eye(2, dtype=complex) / 2
+        m[entry] = bad
+        for check in (require_hermitian, psd_sqrt, psd_sqrt_pinv, trace_norm, vectorize):
+            with pytest.raises(ValueError, match="finite"):
+                check(m)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize(
+        "cone", [SimplexCone(4), PsdCone(2), PolyhedralCone([[1.0, 0.5], [1.0, -0.5]], [1.0, 0.0])], ids=repr
+    )
+    def test_effects(self, cone, bad):
+        f = cone.unit / 2
+        assert effect_valid(cone, f)
+        f[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            effect_valid(cone, f)
+        with pytest.raises(ValueError, match="finite"):
+            Effect(cone, f)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("layer, cone_kind", [("classical", "simplex"), ("quantum", "simplex"),
+                                                  ("gpt", "simplex"), ("gpt", "psd"), ("gpt", "polyhedral")])
+    def test_one_bad_target(self, layer, cone_kind, bad):
+        b = gen_planted_scenario(3, layer, 6, 2, cone_kind=cone_kind)
+        good = b.targets[0]
+        if layer == "classical":
+            bad_target = bad
+            calls = (lambda q: agreement_event(b.model, b.measure, b.hypothesis, q),
+                     lambda q: verify_aumann(b.model, b.measure, b.hypothesis, q))
+        elif layer == "quantum":
+            bad_target = good.matrix.copy()
+            bad_target[0, 0] = bad
+            calls = (lambda q: quantum_agreement_event(b.model, b.measure, q),
+                     lambda q: verify_quantum_aumann(b.model, b.measure, q))
+        else:
+            bad_target = good.coords.copy()
+            bad_target[0] = bad
+            calls = (lambda q: gpt_agreement_event(b.model, b.measure, q),
+                     lambda q: verify_gpt_aumann(b.model, b.measure, q))
+        for call in calls:
+            with pytest.raises(ValueError, match="target 1 must be finite"):
+                call((good, bad_target))
 
 
 class TestSearchSeeds:

@@ -38,6 +38,7 @@ from aumann import (
     verify_quantum_aumann,
 )
 from aumann.classical import _indicator
+from aumann.errors import require_worlds
 from aumann.generators import _rng
 from aumann.quantum import _cell_values, _hermitian_stack, _trace_norms
 from aumann.tolerances import MATCH_TOL, NULL_MASS_TOL
@@ -67,7 +68,7 @@ def _old_everybody_knows(model, mask):
 def _old_mutual_knowledge(model, e, m):
     if m < 0:
         raise ValueError("degree m must be nonnegative")
-    model._check_event(e)
+    require_worlds("event", e.n, "model", model.n_worlds)
     cur = e.mask
     for _ in range(m):
         nxt = _old_everybody_knows(model, cur)
@@ -78,7 +79,7 @@ def _old_mutual_knowledge(model, e, m):
 
 
 def _old_mutual_knowledge_chain(model, e, max_iters=None):
-    model._check_event(e)
+    require_worlds("event", e.n, "model", model.n_worlds)
     limit = model.n_worlds + 1 if max_iters is None else max_iters
     trace = []
     cur = e.mask
@@ -92,7 +93,7 @@ def _old_mutual_knowledge_chain(model, e, max_iters=None):
 
 
 def _old_common_knowledge(model, e, max_iters=None):
-    model._check_event(e)
+    require_worlds("event", e.n, "model", model.n_worlds)
     limit = model.n_worlds + 1 if max_iters is None else max_iters
     cur = e.mask
     for _ in range(limit):
@@ -114,8 +115,8 @@ def _old_cell_posteriors(partition, weights, joint):
 
 
 def _old_agreement_event(model, mu, h, q, tol=MATCH_TOL):
-    model._check_event(h)
-    mu._check_event(h)
+    require_worlds("event", h.n, "model", model.n_worlds)
+    require_worlds("event", h.n, "measure", mu.n_worlds)
     if len(q) != model.n_agents:
         raise ValueError(f"expected {model.n_agents} targets, got {len(q)}")
     joint = mu.weights * _indicator(h)

@@ -20,6 +20,7 @@ from aumann import (
     serialize_scenario,
     verify_aumann,
 )
+from aumann.cli import EXIT_INPUT_ERROR, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,6 +112,42 @@ class TestParsing:
         }
         with pytest.raises(ScenarioValidationError, match="unit"):
             parse_scenario(json.dumps(doc))
+
+
+class TestCanonicalUnit:
+    @staticmethod
+    def _gpt_docs():
+        yield json.loads((DATA / "gpt_simplex.json").read_text())
+        yield json.loads(serialize_scenario(run_gen("gpt", 1, cone_kind="psd")))
+
+    @pytest.mark.parametrize("offset", [9e-6, -9e-6, 2e-12])
+    def test_unit_off_by_more_than_the_tolerance_is_rejected(self, offset, tmp_path, capsys):
+        for doc in self._gpt_docs():
+            doc["measure"]["gpt"]["unit"][0] += offset
+            with pytest.raises(ScenarioValidationError) as info:
+                parse_scenario(json.dumps(doc))
+            assert info.value.path == "measure.gpt.unit"
+            path = tmp_path / "off_unit.json"
+            path.write_text(json.dumps(doc))
+            assert main(["agree", str(path)]) == EXIT_INPUT_ERROR
+            assert "measure.gpt.unit" in capsys.readouterr().err
+
+    def test_unit_within_the_tolerance_builds_the_canonical_cone(self):
+        for doc in self._gpt_docs():
+            canonical = list(doc["measure"]["gpt"]["unit"])
+            doc["measure"]["gpt"]["unit"][0] += 5e-13
+            assert parse_scenario(json.dumps(doc)).measure_object().cone.unit.tolist() == canonical
+
+    def test_every_fixture_and_generated_file_parses(self):
+        for path in sorted(DATA.glob("*.json")):
+            if not path.name.startswith("invalid_"):
+                parse_scenario(path.read_text())
+        for layer, cone_kind, dim in (("classical", "simplex", 2), ("quantum", "simplex", 3), ("gpt", "simplex", 3),
+                                      ("gpt", "psd", 2), ("gpt", "psd", 3), ("gpt", "polyhedral", 3)):
+            for seed in range(5):
+                for planted in (True, False):
+                    sf = run_gen(layer, seed, dim=dim, cone_kind=cone_kind, planted=planted)
+                    assert parse_scenario(serialize_scenario(sf)) == sf
 
 
 class TestRoundTrip:
