@@ -137,8 +137,7 @@ def posterior_function(model: KnowledgeModel, mu: ProbabilityMeasure, agent: int
 
 
 def verify_aumann(
-    model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float], tol: float = MATCH_TOL,
-    *, max_iters: int | None = None,
+    model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float], tol: float = MATCH_TOL
 ) -> AgreementVerdict:
     """Check the classical agreement theorem for targets ``q``.
 
@@ -146,4 +145,4 @@ def verify_aumann(
     ``C`` is empty or carries mass at most ``tol`` (the two vacuous cases),
     compares every target against ``P(h | C)``.
     """
-    return _verify(model, _classical_layer(model, mu, h, q), tol, max_iters)
+    return _verify(model, _classical_layer(model, mu, h, q), tol)

@@ -225,11 +225,13 @@ def _draw_layer(rng: np.random.Generator, layer: str, n_worlds: int, dim: int, c
         return rho, None, lambda e: conditional_state(rho, e), lambda n: tuple(
             gen_density(rng, dim) for _ in range(n)
         )
-    cone = _make_cone(rng, cone_kind, dim, n_generators)
-    svm = gen_svm(rng, cone, n_worlds)
-    return svm, None, lambda e: gpt_conditional_state(svm, e), lambda n: tuple(
-        GptState(cone, gen_svm(rng, cone, 1).atoms[0]) for _ in range(n)
-    )
+    if layer == "gpt":
+        cone = _make_cone(rng, cone_kind, dim, n_generators)
+        svm = gen_svm(rng, cone, n_worlds)
+        return svm, None, lambda e: gpt_conditional_state(svm, e), lambda n: tuple(
+            GptState(cone, gen_svm(rng, cone, 1).atoms[0]) for _ in range(n)
+        )
+    raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
 
 
 def gen_planted_scenario(
@@ -247,8 +249,6 @@ def gen_planted_scenario(
     common knowledge of the event contains it and carries positive mass: the
     verdict is non-vacuous by construction (and must hold, by the theorems).
     """
-    if layer not in LAYERS:
-        raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
     if n_worlds < 2:
         raise ValueError("planted scenarios need at least 2 worlds")
     rng = _rng(seed)
@@ -273,8 +273,6 @@ def gen_unconstrained_scenario(
     event non-empty; otherwise targets are arbitrary, which usually makes
     the verdict vacuous.
     """
-    if layer not in LAYERS:
-        raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
     rng = _rng(seed)
     model = gen_model(rng, n_worlds, n_agents)
     anchored = bool(rng.integers(0, 2))

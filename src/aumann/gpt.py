@@ -131,15 +131,11 @@ def _devectorize_rows(vs: np.ndarray) -> np.ndarray:
 
 
 class ConeSpace:
-    """Pointed convex cone in ``R^dim`` with a linear unit functional.
-
-    ``observables`` is an optional tuple of effect functionals, validated on
-    construction; the agreement machinery never consumes them.
-    """
+    """Pointed convex cone in ``R^dim`` with a linear unit functional."""
 
     kind = "abstract"
 
-    def __init__(self, dim: int, unit: np.ndarray, observables: Sequence = ()):
+    def __init__(self, dim: int, unit: np.ndarray):
         if dim < 1:
             raise ValueError("cone dimension must be positive")
         unit = np.asarray(unit, dtype=float)
@@ -150,9 +146,6 @@ class ConeSpace:
         unit.flags.writeable = False
         self._dim = dim
         self._unit = unit
-        self._observables = tuple(
-            obs if isinstance(obs, Effect) else Effect(self, obs) for obs in observables
-        )
 
     @property
     def dim(self) -> int:
@@ -161,10 +154,6 @@ class ConeSpace:
     @property
     def unit(self) -> np.ndarray:
         return self._unit
-
-    @property
-    def observables(self) -> tuple:
-        return self._observables
 
     def _coerce(self, v) -> np.ndarray:
         a = np.asarray(v, dtype=float)
@@ -195,8 +184,8 @@ class SimplexCone(ConeSpace):
 
     kind = "simplex"
 
-    def __init__(self, dim: int, observables: Sequence = ()):
-        super().__init__(dim, np.ones(dim), observables)
+    def __init__(self, dim: int):
+        super().__init__(dim, np.ones(dim))
 
     @property
     def generators(self) -> np.ndarray:
@@ -212,13 +201,13 @@ class PsdCone(ConeSpace):
 
     kind = "psd"
 
-    def __init__(self, matrix_dim: int, observables: Sequence = ()):
+    def __init__(self, matrix_dim: int):
         if matrix_dim < 1:
             raise ValueError("matrix dimension must be positive")
         self._matrix_dim = matrix_dim
         # The trace functional is vectorize(identity): ones on the diagonal coordinates.
         unit = np.concatenate([np.ones(matrix_dim), np.zeros(matrix_dim * matrix_dim - matrix_dim)])
-        super().__init__(matrix_dim * matrix_dim, unit, observables)
+        super().__init__(matrix_dim * matrix_dim, unit)
 
     @property
     def matrix_dim(self) -> int:
@@ -421,11 +410,25 @@ class PolyhedralCone(ConeSpace):
     Construction enforces: finite, nonzero generators, ``u(g) > 0`` on every
     generator, and pointedness (no generator's negation is a nonnegative
     combination of the generators).
+
+    A point ``v`` is a member when it is within Euclidean distance ``tol``
+    (default ``CONE_FEAS_TOL``) of the cone, the residual of the nonnegative
+    least-squares (NNLS) fit of ``v`` by the generators, up to a few units
+    of round-off in the last place of ``|v|``.
+
+    Certificates decide most points without the NNLS. When the cone's
+    facets can be enumerated, a point inside all of them is a member, and a
+    point more than ``tol`` outside one of them is not, up to a relative
+    round-off margin: the distance to a facet's half-space is at most the
+    distance to the cone. Otherwise the unit functional is the one such
+    half-space, and a point is certified a member by a nonnegative
+    combination of the generators within ``tol`` of it. The remaining
+    points get the exact NNLS residual.
     """
 
     kind = "polyhedral"
 
-    def __init__(self, generators: np.ndarray, unit: np.ndarray, observables: Sequence = ()):
+    def __init__(self, generators: np.ndarray, unit: np.ndarray):
         g = np.asarray(generators, dtype=float)
         if g.ndim != 2 or g.shape[0] < 1:
             raise ValueError(f"generators must have shape (m, dim), got {g.shape}")
@@ -433,7 +436,7 @@ class PolyhedralCone(ConeSpace):
         g = g.copy()
         g.flags.writeable = False
         self._generators = g
-        super().__init__(g.shape[1], unit, observables=())
+        super().__init__(g.shape[1], unit)
         if not (np.abs(g).max(axis=1) > 0).all():
             raise ValueError("generators must be nonzero")
         unit_gens = _unit_rows(g)
@@ -446,30 +449,10 @@ class PolyhedralCone(ConeSpace):
         values = g @ self._unit
         if (values <= 0).any():
             raise ValueError("unit functional must be strictly positive on every generator")
-        self._observables = tuple(
-            obs if isinstance(obs, Effect) else Effect(self, obs) for obs in observables
-        )
 
     @property
     def generators(self) -> np.ndarray:
         return self._generators
-
-    def contains(self, v, tol: float | None = None) -> bool:
-        """Whether ``v`` is within Euclidean distance ``tol`` (default
-        ``CONE_FEAS_TOL``) of the cone, the residual of the nonnegative
-        least-squares (NNLS) fit of ``v`` by the generators, up to a few
-        units of round-off in the last place of ``|v|``.
-
-        Certificates decide most points without the NNLS. When the
-        cone's facets can be enumerated, a point inside all of them is a
-        member, and a point more than ``tol`` outside one of them is not,
-        up to a relative round-off margin: the distance to a facet's
-        half-space is at most the distance to the cone. Otherwise the unit
-        functional is the one such half-space, and a point is certified a
-        member by a nonnegative combination of the generators within
-        ``tol`` of it. The remaining points get the exact NNLS residual.
-        """
-        return super().contains(v, tol)
 
     def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
         tol = CONE_FEAS_TOL if tol is None else tol
@@ -601,9 +584,10 @@ def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
     return GptState(mu.cone, value / u)
 
 
-def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence = ()) -> _Layer:
+def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
     """An SVM for the agreement pipeline: values are sums of atoms, masses
-    their unit values, and distance is the coordinate max-norm."""
+    their unit values, and distance is the coordinate max-norm. Every
+    target, state or raw, must have the SVM's cone dimension."""
     require_worlds("SVM", mu.n_worlds, "model", model.n_worlds)
     unit = mu.cone.unit
 
@@ -618,7 +602,10 @@ def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence = ()) -> _Layer
     def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
         return np.abs(xs - target).max(axis=1)
 
-    coords = tuple(t.coords if isinstance(t, GptState) else mu.cone._coerce(t) for t in targets)
+    coords = tuple(t.coords if isinstance(t, GptState) else np.asarray(t, dtype=float) for t in targets)
+    for i, c in enumerate(coords):
+        if c.shape != unit.shape:
+            raise ValueError(f"target {i} must have shape {unit.shape}, got {c.shape}")
     return _Layer(cell_sums, event_sums, lambda x: GptState(mu.cone, x), distance, coords)
 
 
@@ -634,7 +621,7 @@ def gpt_agreement_event(model: KnowledgeModel, mu: Svm, targets: Sequence, tol: 
 
 
 def verify_gpt_aumann(
-    model: KnowledgeModel, mu: Svm, targets: Sequence, tol: float = MATCH_TOL, *, max_iters: int | None = None
+    model: KnowledgeModel, mu: Svm, targets: Sequence, tol: float = MATCH_TOL
 ) -> AgreementVerdict:
     """Check the GPT agreement theorem for target states ``targets``.
 
@@ -642,7 +629,7 @@ def verify_gpt_aumann(
     unit mass at most ``tol``; otherwise each target must be within ``tol``
     (max-norm) of the conditional state on the common event.
     """
-    return _verify(model, _gpt_layer(model, mu, targets), tol, max_iters)
+    return _verify(model, _gpt_layer(model, mu, targets), tol)
 
 
 def embed_classical(mu: ProbabilityMeasure) -> Svm:

@@ -279,9 +279,10 @@ def povm_to_dovm(e: Povm, sigma: DensityOperator) -> Dovm:
     return Dovm(_sandwich(root, e.effects))
 
 
-def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence = ()) -> _Layer:
+def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer:
     """A DOVM for the agreement pipeline: values are sums of atoms, masses
-    their traces, and distance is the trace norm."""
+    their traces, and distance is the trace norm. Every target must be a
+    ``d x d`` matrix for the DOVM's ``d``."""
     require_worlds("DOVM", rho.n_worlds, "model", model.n_worlds)
 
     def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -296,6 +297,9 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence = ()) -> _
         return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=HERMITIAN_LOOSE_TOL))
 
     matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in sigmas]
+    for i, m in enumerate(matrices):
+        if np.shape(m) != (rho.dim, rho.dim):
+            raise ValueError(f"target {i} must have shape {(rho.dim, rho.dim)}, got {np.shape(m)}")
     if not all(isinstance(s, DensityOperator) for s in sigmas):  # a state is checked already
         matrices = _hermitian_stack(matrices, "target", HERMITIAN_LOOSE_TOL)
     return _Layer(cell_sums, event_sums, DensityOperator, distance, tuple(matrices))
@@ -313,7 +317,7 @@ def quantum_agreement_event(model: KnowledgeModel, rho: Dovm, sigmas: Sequence, 
 
 
 def verify_quantum_aumann(
-    model: KnowledgeModel, rho: Dovm, sigmas: Sequence, tol: float = MATCH_TOL, *, max_iters: int | None = None
+    model: KnowledgeModel, rho: Dovm, sigmas: Sequence, tol: float = MATCH_TOL
 ) -> AgreementVerdict:
     """Check the quantum agreement theorem for target states ``sigmas``.
 
@@ -321,4 +325,4 @@ def verify_quantum_aumann(
     trace mass at most ``tol``; otherwise each target must be within ``tol``
     trace-norm distance of the conditional state on the common event.
     """
-    return _verify(model, _quantum_layer(model, rho, sigmas), tol, max_iters)
+    return _verify(model, _quantum_layer(model, rho, sigmas), tol)

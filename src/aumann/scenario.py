@@ -36,7 +36,7 @@ from .knowledge import (
 )
 from .tolerances import CANONICAL_UNIT_TOL, MATCH_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
-from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _verdict, _verify
+from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _Layer, _verdict, _verify
 
 if TYPE_CHECKING:
     from .generators import ScenarioBundle
@@ -259,8 +259,9 @@ class _Kind:
     """How one measure kind is read (raw payload to canonical JSON), built,
     written, and verified; ``write`` and ``layer`` are ``None`` for povm.
 
-    ``layer()`` imports the kind's layer module and returns its pipeline
-    adapter, called as ``adapter(model, measure, hypothesis, targets)``.
+    ``layer(model, measure, hypothesis, targets)`` is the kind's pipeline
+    adapter; the quantum and GPT adapters import their layer module on
+    first call and ignore the hypothesis.
     """
 
     read: Callable[[dict, int, str], dict]
@@ -268,13 +269,8 @@ class _Kind:
     target: Callable[[Any, dict, str], Any]
     to_json: Callable[[Any], Any]
     write: Callable[[Any], dict] | None = None
-    layer: Callable[[], Callable[[KnowledgeModel, Any, Event | None, tuple], Any]] | None = None
+    layer: Callable[[KnowledgeModel, Any, Event | None, tuple], _Layer] | None = None
     needs_hypothesis: bool = False
-
-
-def _without_hypothesis(make_layer: Callable) -> Callable:
-    """Pipeline adapter of a layer whose agreement event needs no hypothesis."""
-    return lambda model, measure, h, targets: make_layer(model, measure, targets)
 
 
 _KINDS: dict[str, _Kind] = {
@@ -284,7 +280,7 @@ _KINDS: dict[str, _Kind] = {
         target=lambda raw, payload, path: _number(raw, path),
         to_json=float,
         write=lambda mu: {"weights": [float(x) for x in mu.weights]},
-        layer=lambda: _classical_layer,
+        layer=_classical_layer,
         needs_hypothesis=True,
     ),
     "quantum": _Kind(
@@ -293,7 +289,7 @@ _KINDS: dict[str, _Kind] = {
         target=_matrix_target,
         to_json=_matrix_value_json,
         write=_write_quantum,
-        layer=lambda: _without_hypothesis(_quantum()._quantum_layer),
+        layer=lambda model, rho, h, targets: _quantum()._quantum_layer(model, rho, targets),
     ),
     "gpt": _Kind(
         read=_read_gpt,
@@ -301,7 +297,7 @@ _KINDS: dict[str, _Kind] = {
         target=lambda raw, payload, path: np.asarray(_vector(raw, len(payload["unit"]), path), float),
         to_json=lambda value: [float(x) for x in (value.coords if isinstance(value, _gpt().GptState) else value)],
         write=_write_gpt,
-        layer=lambda: _without_hypothesis(_gpt()._gpt_layer),
+        layer=lambda model, svm, h, targets: _gpt()._gpt_layer(model, svm, targets),
     ),
     "povm": _Kind(
         read=_matrices_reader("effects", "state"),
@@ -367,7 +363,7 @@ class ScenarioFile:
     def world_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.worlds)}
 
-    def event_from_names(self, names: list[str], path: str = "event") -> Event:
+    def event_from_names(self, names: list[str], path: str) -> Event:
         index = self.world_index
         worlds = []
         for k, name in enumerate(names):
@@ -638,23 +634,10 @@ def _json_text(doc) -> str:
     return "[" + ", ".join("[" + ", ".join(f"{re:.6f}{im:+.6f}j" for re, im in row) + "]" for row in doc) + "]"
 
 
-def verify_bundle(
-    bundle: ScenarioBundle, tol: float = MATCH_TOL, *, max_iters: int | None = None
-) -> AgreementVerdict:
+def verify_bundle(bundle: ScenarioBundle, tol: float = MATCH_TOL) -> AgreementVerdict:
     """Dispatch a generated bundle to its layer's verifier."""
-    return _bundle_verifier(bundle.layer)(bundle, tol, max_iters)
-
-
-def _bundle_verifier(layer: str) -> Callable[[ScenarioBundle, float, int | None], AgreementVerdict]:
-    """``verify_bundle`` for bundles of ``layer``, with the layer's adapter
-    looked up once."""
-    make_layer = _KINDS[layer].layer()
-
-    def verify(bundle: ScenarioBundle, tol: float, max_iters: int | None) -> AgreementVerdict:
-        model = bundle.model
-        return _verify(model, make_layer(model, bundle.measure, bundle.hypothesis, bundle.targets), tol, max_iters)
-
-    return verify
+    model = bundle.model
+    return _verify(model, _KINDS[bundle.layer].layer(model, bundle.measure, bundle.hypothesis, bundle.targets), tol)
 
 
 def _effective_tol(sf: ScenarioFile, tol: float | None) -> float:
@@ -679,7 +662,7 @@ def _pipeline_parts(sf: ScenarioFile, *, need_targets: bool):
     if h is None and kind.needs_hypothesis:
         raise ScenarioValidationError(f"{sf.layer} agreement needs a hypothesis", "hypothesis")
     model = sf.model()
-    return model, kind.layer()(model, sf.measure_object(), h, targets or ())
+    return model, kind.layer(model, sf.measure_object(), h, targets or ())
 
 
 def run_agree(
@@ -838,7 +821,6 @@ def _search_shard(args) -> tuple[Counter, list[int]]:
     from .generators import gen_planted_scenario, gen_unconstrained_scenario
 
     layer, start, stop, params = args
-    verify = _bundle_verifier(layer)
     counts: Counter = Counter()
     bad: list[int] = []
     for i in range(start, stop):
@@ -846,7 +828,7 @@ def _search_shard(args) -> tuple[Counter, list[int]]:
         planted = params["mode"] == "planted" or (params["mode"] == "mix" and i % 2 == 0)
         gen = gen_planted_scenario if planted else gen_unconstrained_scenario
         bundle = gen(seed, layer, params["n_worlds"], params["n_agents"], params["dim"], params["cone_kind"])
-        verdict = verify(bundle, params["tol"], None)
+        verdict = verify_bundle(bundle, params["tol"])
         counts[verdict.status.value] += 1
         if verdict.status is VerdictStatus.VIOLATED:
             bad.append(seed)

@@ -121,7 +121,7 @@ def _verdict(layer: _Layer, c: Event, tol: float) -> AgreementVerdict:
     return AgreementVerdict(status, c, targets, state)
 
 
-def _verify(model: KnowledgeModel, layer: _Layer, tol: float, max_iters: int | None) -> AgreementVerdict:
+def _verify(model: KnowledgeModel, layer: _Layer, tol: float) -> AgreementVerdict:
     """Agreement event, its common knowledge, then the pooled comparison."""
-    c = common_knowledge(model, _agreement_event(model, layer, tol), max_iters=max_iters)
+    c = common_knowledge(model, _agreement_event(model, layer, tol))
     return _verdict(layer, c, tol)

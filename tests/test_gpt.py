@@ -136,11 +136,6 @@ class TestEffects:
         with pytest.raises(ValueError):
             Effect(cone, np.array([2.0, 0.0]))
 
-    def test_observables_on_cone_are_validated(self):
-        SimplexCone(2, observables=[np.array([0.5, 0.5])])
-        with pytest.raises(ValueError):
-            SimplexCone(2, observables=[np.array([2.0, 0.0])])
-
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6))
     def test_effects_bounded_on_states(self, seed):

@@ -12,7 +12,9 @@ import pytest
 import aumann.knowledge as knowledge
 import aumann.scenario as scenario
 from aumann import (
+    DensityOperator,
     Effect,
+    GptState,
     PolyhedralCone,
     PsdCone,
     ScenarioValidationError,
@@ -20,6 +22,7 @@ from aumann import (
     agreement_event,
     effect_valid,
     gen_planted_scenario,
+    gen_unconstrained_scenario,
     gpt_agreement_event,
     parse_scenario,
     psd_sqrt,
@@ -144,6 +147,42 @@ class TestNonFinite:
         for call in calls:
             with pytest.raises(ValueError, match="target 1 must be finite"):
                 call((good, bad_target))
+
+
+class TestTargetShape:
+    """A target of another dimension than the measure is named, not broadcast."""
+
+    def test_gpt_targets_must_match_the_cone(self):
+        b = gen_planted_scenario(3, "gpt", 6, 2, dim=2, cone_kind="simplex")
+        good = b.targets[0]
+        cases = [
+            ((GptState(PsdCone(1), [1.0]),) * 2, r"target 0 must have shape \(2,\), got \(1,\)"),
+            ((good, GptState(SimplexCone(3), np.full(3, 1 / 3))), r"target 1 must have shape \(2,\), got \(3,\)"),
+            ((good, [0.5, 0.25, 0.25]), r"target 1 must have shape \(2,\), got \(3,\)"),
+        ]
+        for targets, message in cases:
+            for call in (gpt_agreement_event, verify_gpt_aumann):
+                with pytest.raises(ValueError, match=message):
+                    call(b.model, b.measure, targets)
+
+    def test_quantum_targets_must_match_the_dovm(self):
+        b = gen_planted_scenario(3, "quantum", 6, 2, dim=2)
+        good, big = b.targets[0], DensityOperator(np.eye(3) / 3)
+        cases = [
+            ((big, big), r"target 0 must have shape \(2, 2\), got \(3, 3\)"),
+            ((good, big), r"target 1 must have shape \(2, 2\), got \(3, 3\)"),
+            ((good, np.eye(3) / 3), r"target 1 must have shape \(2, 2\), got \(3, 3\)"),
+        ]
+        for targets, message in cases:
+            for call in (quantum_agreement_event, verify_quantum_aumann):
+                with pytest.raises(ValueError, match=message):
+                    call(b.model, b.measure, targets)
+
+
+@pytest.mark.parametrize("gen", [gen_planted_scenario, gen_unconstrained_scenario])
+def test_generators_reject_an_unknown_layer(gen):
+    with pytest.raises(ValueError, match="layer must be one of"):
+        gen(0, "astral", 6, 2)
 
 
 class TestSearchSeeds:
