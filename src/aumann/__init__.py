@@ -12,7 +12,8 @@ Public names are imported from their submodule on first access, so
 
 from importlib import import_module as _import_module
 
-# submodule -> the public names it provides; ``__all__`` lists them in this order
+# submodule -> the public names it provides: that submodule's ``__all__`` is
+# this tuple, and the package ``__all__`` lists them in this order
 _EXPORTS = {
     "classical": (
         "ProbabilityMeasure",

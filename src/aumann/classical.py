@@ -15,19 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningOnNull, require_finite, require_worlds
+from . import _EXPORTS
+from .errors import ConditioningOnNull, as_target, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
 from .verdicts import AgreementVerdict, _agreement_event, _cell_conditionals, _Layer, _verify
 
-__all__ = [
-    "ProbabilityMeasure",
-    "probability",
-    "conditional",
-    "agreement_event",
-    "posterior_function",
-    "verify_aumann",
-]
+__all__ = _EXPORTS["classical"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +104,8 @@ def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q:
     def distance(xs: np.ndarray, target: float) -> np.ndarray:
         return np.abs(xs - target)
 
-    return _Layer(cell_sums, event_sums, float, distance, tuple(float(x) for x in q))
+    targets = tuple(as_target(i, "a number", float, x) for i, x in enumerate(q))
+    return _Layer(cell_sums, event_sums, float, distance, targets)
 
 
 def agreement_event(

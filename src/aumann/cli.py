@@ -28,6 +28,8 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_INPUT_ERROR = 2
 
+_LAYERS = ("classical", "quantum", "gpt")
+
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a machine-readable report")
@@ -36,6 +38,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--max-iters", type=int, default=None,
         help="safety bound on the common-knowledge fixpoint (default n_worlds+1)",
     )
+
+
+def _add_model_flags(p: argparse.ArgumentParser, seed_help: str | None) -> None:
+    """The seed and model-shape flags that ``search`` and ``gen`` share."""
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--worlds", type=int, default=6)
+    p.add_argument("--agents", type=int, default=2)
+    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--cone", default="simplex", choices=["simplex", "psd", "polyhedral"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,25 +70,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_convert.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_search = sub.add_parser("search", help="run seeded scenarios and tally verdicts")
-    p_search.add_argument("--layer", required=True, choices=["classical", "quantum", "gpt"])
+    p_search.add_argument("--layer", required=True, choices=_LAYERS)
     p_search.add_argument("--seeds", type=int, required=True, help="number of scenarios")
-    p_search.add_argument("--seed", type=int, default=0, help="base seed")
-    p_search.add_argument("--worlds", type=int, default=6)
-    p_search.add_argument("--agents", type=int, default=2)
-    p_search.add_argument("--dim", type=int, default=2)
-    p_search.add_argument("--cone", default="simplex", choices=["simplex", "psd", "polyhedral"])
+    _add_model_flags(p_search, "base seed")
     p_search.add_argument("--mode", default="mix", choices=["mix", "planted", "random"])
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--json", action="store_true")
     p_search.add_argument("--tol", type=float, default=None)
 
     p_gen = sub.add_parser("gen", help="generate a scenario file")
-    p_gen.add_argument("--layer", required=True, choices=["classical", "quantum", "gpt"])
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--worlds", type=int, default=6)
-    p_gen.add_argument("--agents", type=int, default=2)
-    p_gen.add_argument("--dim", type=int, default=2)
-    p_gen.add_argument("--cone", default="simplex", choices=["simplex", "psd", "polyhedral"])
+    p_gen.add_argument("--layer", required=True, choices=_LAYERS)
+    _add_model_flags(p_gen, None)
     p_gen.add_argument("--random", action="store_true", help="unconstrained instead of planted")
     p_gen.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -119,18 +122,10 @@ def main(argv: list[str] | None = None) -> int:
             _emit(serialize_scenario(run_convert(sf, args.direction)), args.out)
             return EXIT_OK
 
+        shape = {"n_worlds": args.worlds, "n_agents": args.agents, "dim": args.dim, "cone_kind": args.cone}
         if args.command == "search":
             stats = run_search(
-                args.layer,
-                args.seeds,
-                base_seed=args.seed,
-                n_worlds=args.worlds,
-                n_agents=args.agents,
-                dim=args.dim,
-                cone_kind=args.cone,
-                mode=args.mode,
-                workers=args.workers,
-                tol=args.tol,
+                args.layer, args.seeds, base_seed=args.seed, mode=args.mode, workers=args.workers, tol=args.tol, **shape
             )
             if args.json:
                 sys.stdout.write(json.dumps(stats.to_json_dict(), indent=2) + "\n")
@@ -139,16 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_VIOLATED if stats.violations else EXIT_OK
 
         if args.command == "gen":
-            sf = run_gen(
-                args.layer,
-                args.seed,
-                n_worlds=args.worlds,
-                n_agents=args.agents,
-                dim=args.dim,
-                cone_kind=args.cone,
-                planted=not args.random,
-            )
-            _emit(serialize_scenario(sf), args.out)
+            _emit(serialize_scenario(run_gen(args.layer, args.seed, planted=not args.random, **shape)), args.out)
             return EXIT_OK
 
         raise AssertionError(f"unhandled command {args.command!r}")

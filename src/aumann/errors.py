@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness and world-count checks."""
+"""Exception types shared across the package, and the finiteness, world-count and target checks."""
 
 import numpy as np
 
@@ -58,3 +58,12 @@ def require_worlds(what: str, n: int, owner: str, expected: int) -> None:
     ``expected`` world count of ``owner``."""
     if n != expected:
         raise ValueError(f"{what} over {n} worlds, {owner} has {expected}")
+
+
+def as_target(i: int, what: str, convert, *args):
+    """``convert(*args)``, the value of target ``i``; a ``TypeError`` or ``ValueError``
+    becomes ``ValueError("target i must be <what>")``, which does not echo the value."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError):
+        raise ValueError(f"target {i} must be {what}") from None

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .classical import ProbabilityMeasure, conditional
 from .gpt import (
     ConeSpace,
@@ -40,19 +41,7 @@ from .quantum import (
     psd_sqrt_pinv,
 )
 
-__all__ = [
-    "ScenarioBundle",
-    "gen_partition",
-    "gen_model",
-    "gen_probability",
-    "gen_density",
-    "gen_povm",
-    "gen_dovm",
-    "gen_polyhedral_cone",
-    "gen_svm",
-    "gen_planted_scenario",
-    "gen_unconstrained_scenario",
-]
+__all__ = _EXPORTS["generators"]
 
 LAYERS = ("classical", "quantum", "gpt")
 

@@ -23,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .classical import ProbabilityMeasure
-from .errors import ConditioningOnNull, require_finite, require_worlds
+from .errors import ConditioningOnNull, as_target, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
 from .quantum import Dovm, _cell_values, _event_value, require_hermitian
 from .tolerances import (
@@ -37,26 +38,7 @@ from .tolerances import (
 )
 from .verdicts import AgreementVerdict, _agreement_event, _Layer, _verify
 
-__all__ = [
-    "hermitian_basis",
-    "vectorize",
-    "devectorize",
-    "ConeSpace",
-    "SimplexCone",
-    "PsdCone",
-    "PolyhedralCone",
-    "Effect",
-    "cone_membership",
-    "effect_valid",
-    "GptState",
-    "Svm",
-    "svm_value",
-    "gpt_conditional_state",
-    "gpt_agreement_event",
-    "verify_gpt_aumann",
-    "embed_classical",
-    "embed_quantum",
-]
+__all__ = _EXPORTS["gpt"]
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -602,7 +584,10 @@ def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
     def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
         return np.abs(xs - target).max(axis=1)
 
-    coords = tuple(t.coords if isinstance(t, GptState) else np.asarray(t, dtype=float) for t in targets)
+    coords = tuple(
+        t.coords if isinstance(t, GptState) else as_target(i, "a vector of numbers", np.asarray, t, float)
+        for i, t in enumerate(targets)
+    )
     for i, c in enumerate(coords):
         if c.shape != unit.shape:
             raise ValueError(f"target {i} must have shape {unit.shape}, got {c.shape}")

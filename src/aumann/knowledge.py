@@ -34,21 +34,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NotCellUnion, require_worlds
 
-__all__ = [
-    "Event",
-    "Partition",
-    "KnowledgeModel",
-    "cell_of",
-    "know",
-    "mutual_knowledge",
-    "mutual_knowledge_chain",
-    "common_knowledge",
-    "meet_partition",
-    "common_knowledge_via_meet",
-    "cell_decomposition",
-]
+__all__ = _EXPORTS["knowledge"]
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningOnNull, NotHermitian, NotPsd, require_finite_items, require_worlds
+from . import _EXPORTS
+from .errors import ConditioningOnNull, NotHermitian, NotPsd, as_target, require_finite_items, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import (
     HERMITIAN_LOOSE_TOL,
@@ -31,21 +32,7 @@ from .tolerances import (
 )
 from .verdicts import AgreementVerdict, _agreement_event, _Layer, _verify
 
-__all__ = [
-    "require_hermitian",
-    "psd_sqrt",
-    "psd_sqrt_pinv",
-    "trace_norm",
-    "DensityOperator",
-    "Dovm",
-    "Povm",
-    "dovm_value",
-    "conditional_state",
-    "dovm_to_povm",
-    "povm_to_dovm",
-    "quantum_agreement_event",
-    "verify_quantum_aumann",
-]
+__all__ = _EXPORTS["quantum"]
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -296,10 +283,13 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer
     def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
         return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=HERMITIAN_LOOSE_TOL))
 
-    matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in sigmas]
+    matrices = [
+        s.matrix if isinstance(s, DensityOperator) else as_target(i, "a matrix of numbers", np.asarray, s, complex)
+        for i, s in enumerate(sigmas)
+    ]
     for i, m in enumerate(matrices):
-        if np.shape(m) != (rho.dim, rho.dim):
-            raise ValueError(f"target {i} must have shape {(rho.dim, rho.dim)}, got {np.shape(m)}")
+        if m.shape != (rho.dim, rho.dim):
+            raise ValueError(f"target {i} must have shape {(rho.dim, rho.dim)}, got {m.shape}")
     if not all(isinstance(s, DensityOperator) for s in sigmas):  # a state is checked already
         matrices = _hermitian_stack(matrices, "target", HERMITIAN_LOOSE_TOL)
     return _Layer(cell_sums, event_sums, DensityOperator, distance, tuple(matrices))

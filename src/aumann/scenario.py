@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from . import _EXPORTS
 from .classical import ProbabilityMeasure, _classical_layer
 from .errors import ScenarioError, ScenarioSyntaxError, ScenarioValidationError
 from .knowledge import (
@@ -41,22 +42,9 @@ from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _Layer, 
 if TYPE_CHECKING:
     from .generators import ScenarioBundle
     from .gpt import Svm
-    from .quantum import Dovm
+    from .quantum import DensityOperator, Dovm, Povm
 
-__all__ = [
-    "ScenarioFile",
-    "parse_scenario",
-    "serialize_scenario",
-    "scenario_from_bundle",
-    "Report",
-    "SearchStats",
-    "verify_bundle",
-    "run_agree",
-    "run_analyze",
-    "run_convert",
-    "run_search",
-    "run_gen",
-]
+__all__ = _EXPORTS["scenario"]
 
 SCENARIO_VERSION = 1
 
@@ -237,6 +225,12 @@ def _write_quantum(rho: Dovm) -> dict:
     return {"dim": rho.dim, "atoms": [_matrix_to_json(a) for a in rho.atoms]}
 
 
+def _write_povm(pair: tuple[Povm, DensityOperator]) -> dict:
+    povm, state = pair
+    effects = [_matrix_to_json(e) for e in povm.effects]
+    return {"dim": povm.dim, "effects": effects, "state": _matrix_to_json(state.matrix)}
+
+
 def _write_gpt(svm: Svm) -> dict:
     cone = svm.cone
     return {
@@ -257,7 +251,7 @@ def _matrix_target(raw: Any, payload: dict, path: str) -> np.ndarray:
 @dataclass(frozen=True)
 class _Kind:
     """How one measure kind is read (raw payload to canonical JSON), built,
-    written, and verified; ``write`` and ``layer`` are ``None`` for povm.
+    written, and verified; ``layer`` is ``None`` for povm, which only converts.
 
     ``layer(model, measure, hypothesis, targets)`` is the kind's pipeline
     adapter; the quantum and GPT adapters import their layer module on
@@ -268,7 +262,7 @@ class _Kind:
     build: Callable[[dict], Any]
     target: Callable[[Any, dict, str], Any]
     to_json: Callable[[Any], Any]
-    write: Callable[[Any], dict] | None = None
+    write: Callable[[Any], dict]
     layer: Callable[[KnowledgeModel, Any, Event | None, tuple], _Layer] | None = None
     needs_hypothesis: bool = False
 
@@ -307,6 +301,7 @@ _KINDS: dict[str, _Kind] = {
         ),
         target=_matrix_target,
         to_json=_matrix_value_json,
+        write=_write_povm,
     ),
 }
 
@@ -475,6 +470,9 @@ def parse_scenario(text: str) -> ScenarioFile:
     if doc.get("hypothesis") is not None:
         hyp_raw = _expect(doc["hypothesis"], list, "hypothesis", "a list of world names")
         hypothesis = [_expect(w, str, f"hypothesis[{i}]", "a string") for i, w in enumerate(hyp_raw)]
+        if len(set(hypothesis)) != len(hypothesis):
+            i = next(i for i, w in enumerate(hypothesis) if w in hypothesis[:i])
+            raise ScenarioValidationError(f"world {hypothesis[i]!r} is listed twice in the hypothesis", f"hypothesis[{i}]")
 
     targets = None
     if doc.get("targets") is not None:
@@ -744,22 +742,14 @@ def run_convert(sf: ScenarioFile, direction: str) -> ScenarioFile:
         if sf.layer != "quantum":
             raise ScenarioValidationError("dovm2povm needs a quantum scenario", "measure")
         rho = sf.measure_object()
-        povm = _quantum().dovm_to_povm(rho)
-        payload = {
-            "povm": {
-                "dim": rho.dim,
-                "effects": [_matrix_to_json(e) for e in povm.effects],
-                "state": _matrix_to_json(rho.total),
-            }
-        }
+        layer, measure = "povm", (_quantum().dovm_to_povm(rho), _quantum().DensityOperator(rho.total))
     elif direction == "povm2dovm":
         if sf.layer != "povm":
             raise ScenarioValidationError("povm2dovm needs a povm scenario", "measure")
-        povm, state = sf.measure_object()
-        rho = _quantum().povm_to_dovm(povm, state)
-        payload = {"quantum": _write_quantum(rho)}
+        layer, measure = "quantum", _quantum().povm_to_dovm(*sf.measure_object())
     else:
         raise ScenarioValidationError(f"unknown direction {direction!r}", "direction")
+    payload = {layer: _KINDS[layer].write(measure)}
     return ScenarioFile(
         sf.version, list(sf.worlds), list(sf.agents), payload, sf.hypothesis, sf.targets, sf.tolerance
     )

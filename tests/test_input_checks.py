@@ -178,6 +178,30 @@ class TestTargetShape:
                 with pytest.raises(ValueError, match=message):
                     call(b.model, b.measure, targets)
 
+    @pytest.mark.parametrize(
+        "layer, bad, what",
+        [
+            ("classical", [0.5], "a number"),
+            ("classical", None, "a number"),
+            ("quantum", [[0.5, 0], [0]], "a matrix of numbers"),
+            ("gpt", [0.5, [0.5]], "a vector of numbers"),
+            ("gpt", "ab", "a vector of numbers"),
+        ],
+    )
+    def test_malformed_targets_are_named(self, layer, bad, what):
+        """A target that does not convert raises a ``ValueError`` that names it
+        and does not echo it, through the agreement event and the verifier."""
+        b = gen_planted_scenario(3, layer, 6, 2)
+        calls = {
+            "classical": (agreement_event, verify_aumann),
+            "quantum": (quantum_agreement_event, verify_quantum_aumann),
+            "gpt": (gpt_agreement_event, verify_gpt_aumann),
+        }[layer]
+        head = () if b.hypothesis is None else (b.hypothesis,)
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^target 1 must be {what}$"):
+                call(b.model, b.measure, *head, (b.targets[0], bad))
+
 
 @pytest.mark.parametrize("gen", [gen_planted_scenario, gen_unconstrained_scenario])
 def test_generators_reject_an_unknown_layer(gen):
@@ -244,6 +268,13 @@ class TestScenarioShape:
         with pytest.raises(ScenarioValidationError, match="twice") as info:
             parse_scenario(json.dumps(doc))
         assert info.value.path == "agents[0].partition[0][2]"
+
+    def test_world_listed_twice_in_the_hypothesis(self):
+        doc = json.loads((DATA / "model_b_classical.json").read_text())
+        doc["hypothesis"] = ["w0", "w2", "w0"]
+        with pytest.raises(ScenarioValidationError, match="'w0' is listed twice in the hypothesis") as info:
+            parse_scenario(json.dumps(doc))
+        assert info.value.path == "hypothesis[2]"
 
     def test_world_in_two_cells_still_overlaps(self):
         doc = json.loads((DATA / "model_b_classical.json").read_text())

@@ -271,6 +271,12 @@ class TestRunConvert:
         assert np.abs(a - b).max() <= 1e-8
         assert back.worlds == sf.worlds and back.agents == sf.agents
 
+    def test_dovm2povm_stores_the_total_state_exactly(self):
+        sf = load("quantum_pair.json")
+        state = run_convert(sf, "dovm2povm").measure["povm"]["state"]
+        total = sf.measure_object().total
+        assert state == [[[float(z.real), float(z.imag)] for z in row] for row in total]
+
     def test_direction_validation(self):
         sf = load("quantum_pair.json")
         with pytest.raises(ScenarioValidationError, match="direction"):
