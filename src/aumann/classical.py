@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .errors import ConditioningOnNull, as_target, require_finite, require_worlds
+from .errors import ConditioningOnNull, as_number, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
 from .verdicts import AgreementVerdict, _agreement_event, _cell_conditionals, _Layer, _verify
@@ -104,7 +104,7 @@ def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q:
     def distance(xs: np.ndarray, target: float) -> np.ndarray:
         return np.abs(xs - target)
 
-    targets = tuple(as_target(i, "a number", float, x) for i, x in enumerate(q))
+    targets = tuple(as_number(i, x) for i, x in enumerate(q))
     return _Layer(cell_sums, event_sums, float, distance, targets)
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the finiteness, world-count and target checks."""
 
+import numbers
+
 import numpy as np
 
 
@@ -60,10 +62,22 @@ def require_worlds(what: str, n: int, owner: str, expected: int) -> None:
         raise ValueError(f"{what} over {n} worlds, {owner} has {expected}")
 
 
-def as_target(i: int, what: str, convert, *args):
-    """``convert(*args)``, the value of target ``i``; a ``TypeError`` or ``ValueError``
-    becomes ``ValueError("target i must be <what>")``, which does not echo the value."""
+def as_number(i: int, x) -> float:
+    """Target ``i`` as a float; a ``bool``, a string or ``None`` is not a number."""
+    # the exact type test first: an isinstance against the ABC costs about 1 us
+    if type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool)):
+        return float(x)
+    raise ValueError(f"target {i} must be a number")
+
+
+def as_array(i: int, what: str, x, kinds: str) -> np.ndarray:
+    """Target ``i`` as an array whose dtype kind is in ``kinds``; a ragged array,
+    strings or booleans raise ``ValueError("target i must be <what>")``, which
+    does not echo the value."""
     try:
-        return convert(*args)
+        a = np.asarray(x)
     except (TypeError, ValueError):
+        a = None
+    if a is None or a.dtype.kind not in kinds:
         raise ValueError(f"target {i} must be {what}") from None
+    return a

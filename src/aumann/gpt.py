@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .classical import ProbabilityMeasure
-from .errors import ConditioningOnNull, as_target, require_finite, require_worlds
+from .errors import ConditioningOnNull, as_array, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
 from .quantum import Dovm, _cell_values, _event_value, require_hermitian
 from .tolerances import (
@@ -566,10 +566,17 @@ def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
     return GptState(mu.cone, value / u)
 
 
+def _same_cone(a: ConeSpace, b: ConeSpace) -> bool:
+    """Equal kind and unit and, for polyhedral cones, equal generators."""
+    return a is b or (a.kind == b.kind and np.array_equal(a.unit, b.unit)
+                      and (a.kind != "polyhedral" or np.array_equal(a.generators, b.generators)))
+
+
 def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
     """An SVM for the agreement pipeline: values are sums of atoms, masses
     their unit values, and distance is the coordinate max-norm. Every
-    target, state or raw, must have the SVM's cone dimension."""
+    target, state or raw, must have the SVM's cone dimension, and a state
+    must belong to the SVM's cone."""
     require_worlds("SVM", mu.n_worlds, "model", model.n_worlds)
     unit = mu.cone.unit
 
@@ -585,12 +592,15 @@ def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
         return np.abs(xs - target).max(axis=1)
 
     coords = tuple(
-        t.coords if isinstance(t, GptState) else as_target(i, "a vector of numbers", np.asarray, t, float)
+        t.coords if isinstance(t, GptState) else as_array(i, "a vector of numbers", t, "iuf").astype(float)
         for i, t in enumerate(targets)
     )
     for i, c in enumerate(coords):
         if c.shape != unit.shape:
             raise ValueError(f"target {i} must have shape {unit.shape}, got {c.shape}")
+    for i, t in enumerate(targets):
+        if isinstance(t, GptState) and not _same_cone(t.cone, mu.cone):
+            raise ValueError(f"target {i} is a state of another cone than the SVM's")
     return _Layer(cell_sums, event_sums, lambda x: GptState(mu.cone, x), distance, coords)
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .errors import ConditioningOnNull, NotHermitian, NotPsd, as_target, require_finite_items, require_worlds
+from .errors import ConditioningOnNull, NotHermitian, NotPsd, as_array, require_finite_items, require_worlds
 from .knowledge import Event, KnowledgeModel, Partition
 from .tolerances import (
     HERMITIAN_LOOSE_TOL,
@@ -284,7 +284,7 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer
         return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=HERMITIAN_LOOSE_TOL))
 
     matrices = [
-        s.matrix if isinstance(s, DensityOperator) else as_target(i, "a matrix of numbers", np.asarray, s, complex)
+        s.matrix if isinstance(s, DensityOperator) else as_array(i, "a matrix of numbers", s, "iufc")
         for i, s in enumerate(sigmas)
     ]
     for i, m in enumerate(matrices):

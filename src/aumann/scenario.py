@@ -7,9 +7,15 @@ hypothesis, per-agent targets, and tolerance. Complex numbers serialize as
 ``[re, im]`` pairs. World names exist only at this boundary; the core works
 on indices.
 
-Everything that depends on the measure kind (reading and writing its
-payload, building the measure, reading and printing targets and values, and
-the agreement-pipeline adapter) sits in one table, ``_KINDS``.
+A :class:`ScenarioFile` holds the names and the core objects, each built
+once, at parse. Writing renders those objects, so the written document is
+canonical: cells and the hypothesis list their worlds in world order, DOVM
+and POVM matrices come out symmetrised as the core stores them, and a
+simplex or PSD unit comes out as the cone's own.
+
+Everything that depends on the measure kind (reading its payload into the
+measure, writing it, reading and printing targets and values, and the
+agreement-pipeline adapter) sits in one table, ``_KINDS``.
 """
 
 from __future__ import annotations
@@ -18,15 +24,14 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import wraps
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from . import _EXPORTS
 from .classical import ProbabilityMeasure, _classical_layer
-from .errors import ScenarioError, ScenarioSyntaxError, ScenarioValidationError
+from .errors import ScenarioSyntaxError, ScenarioValidationError
 from .knowledge import (
     Event,
     KnowledgeModel,
@@ -42,7 +47,6 @@ from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _Layer, 
 if TYPE_CHECKING:
     from .generators import ScenarioBundle
     from .gpt import Svm
-    from .quantum import DensityOperator, Dovm, Povm
 
 __all__ = _EXPORTS["scenario"]
 
@@ -138,103 +142,100 @@ def _reject_unknown(payload: dict, known: set, path: str) -> None:
             raise ScenarioValidationError(f"unknown field {key!r}", f"{path}.{key}")
 
 
+def _core(build: Callable, path: str, *args) -> Any:
+    """``build(*args)``, a core constructor; its ``ValueError`` is reported at ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ScenarioValidationError(str(exc), path) from exc
+
+
+def _event(raw: Any, index: dict[str, int], path: str, where: str) -> Event:
+    """The event of a list of world names; ``where`` names the list when a world repeats."""
+    names = _expect(raw, list, path, "a list of world names")
+    mask = 0
+    for k, name in enumerate(names):
+        item = f"{path}[{k}]"
+        w = index.get(_expect(name, str, item, "a string"))
+        if w is None:
+            raise ScenarioValidationError(f"unknown world {name!r}", item)
+        if mask >> w & 1:
+            raise ScenarioValidationError(f"world {name!r} is listed twice in {where}", item)
+        mask |= 1 << w
+    return Event(mask, len(index))
+
+
 # ---------------------------------------------------------------------------
 # measure kinds
 
-def _read_classical(payload: dict, n_worlds: int, path: str) -> dict:
+def _read_classical(payload: dict, n_worlds: int, path: str) -> ProbabilityMeasure:
     weights = _number_list(payload.get("weights"), f"{path}.weights")
     if len(weights) != n_worlds:
         raise ScenarioValidationError(f"expected {n_worlds} weights, got {len(weights)}", f"{path}.weights")
     _reject_unknown(payload, {"weights"}, path)
-    return {"weights": weights}
+    return _core(ProbabilityMeasure, path, np.asarray(weights, float))
 
 
-def _matrices_reader(key: str, *single: str) -> Callable[[dict, int, str], dict]:
+def _matrices_reader(build: Callable, key: str, *single: str) -> Callable[[dict, int, str], Any]:
     """Reader of a payload with ``dim``, one matrix per world under ``key``,
-    and one more matrix under each name in ``single``."""
+    and one more matrix under each name in ``single``; ``build`` makes the
+    measure from the stack and the single matrices."""
 
-    def read(payload: dict, n_worlds: int, path: str) -> dict:
+    def read(payload: dict, n_worlds: int, path: str) -> Any:
         dim = _positive_int(payload.get("dim"), f"{path}.dim", "dim")
         mats_raw = _expect(payload.get(key), list, f"{path}.{key}", "a list of matrices")
         if len(mats_raw) != n_worlds:
             raise ScenarioValidationError(f"expected {n_worlds} matrices, got {len(mats_raw)}", f"{path}.{key}")
-        out = {"dim": dim, key: [_matrix_to_json(_matrix_from_json(m, dim, f"{path}.{key}[{i}]"))
-                                 for i, m in enumerate(mats_raw)]}
-        for name in single:
-            out[name] = _matrix_to_json(_matrix_from_json(payload.get(name), dim, f"{path}.{name}"))
-        _reject_unknown(payload, set(out), path)
-        return out
+        mats = np.stack([_matrix_from_json(m, dim, f"{path}.{key}[{i}]") for i, m in enumerate(mats_raw)])
+        singles = [_matrix_from_json(payload.get(name), dim, f"{path}.{name}") for name in single]
+        _reject_unknown(payload, {"dim", key, *single}, path)
+        return _core(build, path, mats, *singles)
 
     return read
 
 
-def _read_gpt(payload: dict, n_worlds: int, path: str) -> dict:
+def _read_gpt(payload: dict, n_worlds: int, path: str) -> Svm:
+    gpt = _gpt()
     cone_raw = _expect(payload.get("cone"), dict, f"{path}.cone", "an object")
     kind = _expect(cone_raw.get("kind"), str, f"{path}.cone.kind", "a string")
+    cone = None  # a polyhedral cone is built from the file's unit, after the atoms are read
     if kind in ("simplex", "polyhedral"):
         dim = _positive_int(cone_raw.get("dim"), f"{path}.cone.dim", "dim")
-        cone = {"kind": kind, "dim": dim}
-        expected_unit = np.ones(dim) if kind == "simplex" else None
-        if kind == "polyhedral":
+        if kind == "simplex":
+            cone = gpt.SimplexCone(dim)
+        else:
             gens_raw = _expect(cone_raw.get("generators"), list, f"{path}.cone.generators", "a list of vectors")
-            cone["generators"] = [_vector(g, dim, f"{path}.cone.generators[{i}]") for i, g in enumerate(gens_raw)]
+            gens = [_vector(g, dim, f"{path}.cone.generators[{i}]") for i, g in enumerate(gens_raw)]
     elif kind == "psd":
-        k = _positive_int(cone_raw.get("matrix_dim"), f"{path}.cone.matrix_dim", "matrix_dim")
-        dim = k * k
-        cone = {"kind": "psd", "matrix_dim": k}
-        expected_unit = _gpt().vectorize(np.eye(k))
+        cone = gpt.PsdCone(_positive_int(cone_raw.get("matrix_dim"), f"{path}.cone.matrix_dim", "matrix_dim"))
+        dim = cone.dim
     else:
         raise ScenarioValidationError(f"unknown cone kind {kind!r}", f"{path}.cone.kind")
     unit = _vector(payload.get("unit"), dim, f"{path}.unit")
-    if expected_unit is not None and not np.allclose(unit, expected_unit, rtol=0, atol=CANONICAL_UNIT_TOL):
+    if cone is not None and not np.allclose(unit, cone.unit, rtol=0, atol=CANONICAL_UNIT_TOL):
         raise ScenarioValidationError(f"unit must be the canonical {kind} unit functional", f"{path}.unit")
     atoms_raw = _expect(payload.get("atoms"), list, f"{path}.atoms", "a list of vectors")
     if len(atoms_raw) != n_worlds:
         raise ScenarioValidationError(f"expected {n_worlds} atoms, got {len(atoms_raw)}", f"{path}.atoms")
     atoms = [_vector(a, dim, f"{path}.atoms[{i}]") for i, a in enumerate(atoms_raw)]
     _reject_unknown(payload, {"cone", "unit", "atoms"}, path)
-    return {"cone": cone, "unit": unit, "atoms": atoms}
+    if cone is None:
+        cone = _core(gpt.PolyhedralCone, f"{path}.cone", np.asarray(gens, float), np.asarray(unit, float))
+    return _core(gpt.Svm, path, cone, np.asarray(atoms, float))
 
 
-def _matrix_stack(payload: dict, key: str, path: str) -> np.ndarray:
-    dim = payload["dim"]
-    return np.stack([_matrix_from_json(m, dim, f"{path}[{i}]") for i, m in enumerate(payload[key])])
-
-
-# cone kind -> (cone from its spec and unit, spec fields of a cone)
-_CONES: dict[str, tuple[Callable, Callable]] = {
-    "simplex": (lambda spec, unit: _gpt().SimplexCone(spec["dim"]), lambda cone: {"dim": cone.dim}),
-    "psd": (lambda spec, unit: _gpt().PsdCone(spec["matrix_dim"]), lambda cone: {"matrix_dim": cone.matrix_dim}),
-    "polyhedral": (
-        lambda spec, unit: _gpt().PolyhedralCone(np.asarray(spec["generators"], float), np.asarray(unit, float)),
-        lambda cone: {"dim": cone.dim, "generators": [[float(x) for x in g] for g in cone.generators]},
-    ),
+# cone kind -> spec fields of a cone
+_CONES: dict[str, Callable] = {
+    "simplex": lambda cone: {"dim": cone.dim},
+    "psd": lambda cone: {"matrix_dim": cone.matrix_dim},
+    "polyhedral": lambda cone: {"dim": cone.dim, "generators": [[float(x) for x in g] for g in cone.generators]},
 }
-
-
-def _build_gpt(payload: dict) -> Svm:
-    spec = payload["cone"]
-    try:
-        cone = _CONES[spec["kind"]][0](spec, payload["unit"])
-    except ValueError as exc:
-        raise ScenarioValidationError(str(exc), "measure.gpt.cone") from exc
-    return _gpt().Svm(cone, np.asarray(payload["atoms"], float))
-
-
-def _write_quantum(rho: Dovm) -> dict:
-    return {"dim": rho.dim, "atoms": [_matrix_to_json(a) for a in rho.atoms]}
-
-
-def _write_povm(pair: tuple[Povm, DensityOperator]) -> dict:
-    povm, state = pair
-    effects = [_matrix_to_json(e) for e in povm.effects]
-    return {"dim": povm.dim, "effects": effects, "state": _matrix_to_json(state.matrix)}
 
 
 def _write_gpt(svm: Svm) -> dict:
     cone = svm.cone
     return {
-        "cone": {"kind": cone.kind, **_CONES[cone.kind][1](cone)},
+        "cone": {"kind": cone.kind, **_CONES[cone.kind](cone)},
         "unit": [float(x) for x in cone.unit],
         "atoms": [[float(x) for x in a] for a in svm.atoms],
     }
@@ -244,23 +245,22 @@ def _matrix_value_json(value) -> list:
     return _matrix_to_json(value.matrix if isinstance(value, _quantum().DensityOperator) else value)
 
 
-def _matrix_target(raw: Any, payload: dict, path: str) -> np.ndarray:
-    return _matrix_from_json(raw, payload["dim"], path)
-
-
 @dataclass(frozen=True)
 class _Kind:
-    """How one measure kind is read (raw payload to canonical JSON), built,
-    written, and verified; ``layer`` is ``None`` for povm, which only converts.
+    """How one measure kind is read, written, and verified; ``layer`` is
+    ``None`` for povm, which only converts.
 
+    ``read(payload, n_worlds, path)`` returns the core measure, and reports
+    a core ``ValueError`` at ``path`` (a GPT cone's at ``path.cone``).
+    ``target(raw, measure, path)`` reads one target against the measure's
+    dimension; ``to_json`` writes a target or a value.
     ``layer(model, measure, hypothesis, targets)`` is the kind's pipeline
     adapter; the quantum and GPT adapters import their layer module on
     first call and ignore the hypothesis.
     """
 
-    read: Callable[[dict, int, str], dict]
-    build: Callable[[dict], Any]
-    target: Callable[[Any, dict, str], Any]
+    read: Callable[[dict, int, str], Any]
+    target: Callable[[Any, Any, str], Any]
     to_json: Callable[[Any], Any]
     write: Callable[[Any], dict]
     layer: Callable[[KnowledgeModel, Any, Event | None, tuple], _Layer] | None = None
@@ -270,38 +270,34 @@ class _Kind:
 _KINDS: dict[str, _Kind] = {
     "classical": _Kind(
         read=_read_classical,
-        build=lambda payload: ProbabilityMeasure(np.asarray(payload["weights"], float)),
-        target=lambda raw, payload, path: _number(raw, path),
+        target=lambda raw, mu, path: _number(raw, path),
         to_json=float,
         write=lambda mu: {"weights": [float(x) for x in mu.weights]},
         layer=_classical_layer,
         needs_hypothesis=True,
     ),
     "quantum": _Kind(
-        read=_matrices_reader("atoms"),
-        build=lambda payload: _quantum().Dovm(_matrix_stack(payload, "atoms", "measure.quantum.atoms")),
-        target=_matrix_target,
+        read=_matrices_reader(lambda atoms: _quantum().Dovm(atoms), "atoms"),
+        target=lambda raw, rho, path: _matrix_from_json(raw, rho.dim, path),
         to_json=_matrix_value_json,
-        write=_write_quantum,
+        write=lambda rho: {"dim": rho.dim, "atoms": [_matrix_to_json(a) for a in rho.atoms]},
         layer=lambda model, rho, h, targets: _quantum()._quantum_layer(model, rho, targets),
     ),
     "gpt": _Kind(
         read=_read_gpt,
-        build=_build_gpt,
-        target=lambda raw, payload, path: np.asarray(_vector(raw, len(payload["unit"]), path), float),
+        target=lambda raw, svm, path: np.asarray(_vector(raw, svm.cone.dim, path), float),
         to_json=lambda value: [float(x) for x in (value.coords if isinstance(value, _gpt().GptState) else value)],
         write=_write_gpt,
         layer=lambda model, svm, h, targets: _gpt()._gpt_layer(model, svm, targets),
     ),
     "povm": _Kind(
-        read=_matrices_reader("effects", "state"),
-        build=lambda payload: (
-            _quantum().Povm(_matrix_stack(payload, "effects", "measure.povm.effects")),
-            _quantum().DensityOperator(_matrix_from_json(payload["state"], payload["dim"], "measure.povm.state")),
+        read=_matrices_reader(
+            lambda effects, state: (_quantum().Povm(effects), _quantum().DensityOperator(state)), "effects", "state"
         ),
-        target=_matrix_target,
+        target=lambda raw, pair, path: _matrix_from_json(raw, pair[0].dim, path),
         to_json=_matrix_value_json,
-        write=_write_povm,
+        write=lambda pair: {"dim": pair[0].dim, "effects": [_matrix_to_json(e) for e in pair[0].effects],
+                            "state": _matrix_to_json(pair[1].matrix)},
     ),
 }
 
@@ -309,101 +305,29 @@ _KINDS: dict[str, _Kind] = {
 # ---------------------------------------------------------------------------
 # scenario document
 
-def _built_once(build: Callable) -> Callable:
-    """Method that returns the object ``build`` made on the first call."""
-    name = f"_{build.__name__}"
-
-    @wraps(build)
-    def method(self):
-        if name not in self.__dict__:
-            self.__dict__[name] = build(self)
-        return self.__dict__[name]
-
-    return method
-
-
-@dataclass
-class AgentSpec:
-    name: str
-    partition: list[list[str]]  # cells as lists of world names
-
-
-@dataclass
+@dataclass(eq=False)
 class ScenarioFile:
-    """Validated scenario document; holds plain data, builds core objects.
+    """A validated scenario: world and agent names plus the core objects.
 
-    Each of ``model()``, ``measure_object()``, ``hypothesis_event()`` and
-    ``target_values()`` builds its object once and then returns it again;
-    ``parse_scenario`` calls all four, so every check runs once, at parse.
-    The kept objects do not follow later changes to the fields they read.
+    ``parse_scenario`` builds each object once, so every check runs at
+    parse, and ``serialize_scenario`` writes from the objects. ``measure``
+    is a ProbabilityMeasure, Dovm, Svm, or (Povm, DensityOperator) pair;
+    ``targets`` holds floats (classical), matrices (quantum, povm) or
+    vectors (gpt), or the states of a generated bundle. Instances compare
+    by identity, since field-wise ``==`` raises on numpy values.
     """
 
-    version: int
     worlds: list[str]
-    agents: list[AgentSpec]
-    measure: dict
-    hypothesis: list[str] | None = None
-    targets: list | None = None
+    agents: list[str]
+    knowledge_model: KnowledgeModel
+    layer: str
+    measure: Any
+    hypothesis: Event | None = None
+    targets: tuple | None = None
     tolerance: float | None = None
 
-    @property
-    def layer(self) -> str:
-        return next(iter(self.measure))
-
-    @property
-    def n_worlds(self) -> int:
-        return len(self.worlds)
-
-    @property
-    def world_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.worlds)}
-
-    def event_from_names(self, names: list[str], path: str) -> Event:
-        index = self.world_index
-        worlds = []
-        for k, name in enumerate(names):
-            if name not in index:
-                raise ScenarioValidationError(f"unknown world {name!r}", f"{path}[{k}]")
-            worlds.append(index[name])
-        return Event.from_worlds(worlds, self.n_worlds)
-
-    @_built_once
     def model(self) -> KnowledgeModel:
-        index = self.world_index
-        partitions = []
-        for a, agent in enumerate(self.agents):
-            blocks = [[index[name] for name in cell] for cell in agent.partition]
-            try:
-                partitions.append(Partition.from_blocks(blocks, self.n_worlds))
-            except ValueError as exc:
-                raise ScenarioValidationError(str(exc), f"agents[{a}].partition") from exc
-        try:
-            return KnowledgeModel(self.n_worlds, tuple(partitions))
-        except ValueError as exc:
-            raise ScenarioValidationError(str(exc), "agents") from exc
-
-    @_built_once
-    def hypothesis_event(self) -> Event | None:
-        return None if self.hypothesis is None else self.event_from_names(self.hypothesis, "hypothesis")
-
-    @_built_once
-    def measure_object(self):
-        """The core measure: ProbabilityMeasure, Dovm, Svm, or (Povm, DensityOperator)."""
-        layer = self.layer
-        try:
-            return _KINDS[layer].build(self.measure[layer])
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioValidationError(str(exc), f"measure.{layer}") from exc
-
-    @_built_once
-    def target_values(self) -> tuple | None:
-        """Targets as floats (classical), matrices (quantum/povm), or vectors (gpt)."""
-        if self.targets is None:
-            return None
-        kind, payload = _KINDS[self.layer], self.measure[self.layer]
-        return tuple(kind.target(t, payload, f"targets[{i}]") for i, t in enumerate(self.targets))
+        return self.knowledge_model
 
 
 def parse_scenario(text: str) -> ScenarioFile:
@@ -427,36 +351,25 @@ def parse_scenario(text: str) -> ScenarioFile:
     if not worlds_raw:
         raise ScenarioValidationError("at least one world is required", "worlds")
     worlds = [_expect(w, str, f"worlds[{i}]", "a string") for i, w in enumerate(worlds_raw)]
-    if len(set(worlds)) != len(worlds):
+    index = {name: i for i, name in enumerate(worlds)}
+    if len(index) != len(worlds):
         raise ScenarioValidationError("world names must be unique", "worlds")
 
     agents_raw = _expect(doc.get("agents"), list, "agents", "a list of agents")
     if not agents_raw:
         raise ScenarioValidationError("at least one agent is required", "agents")
-    agents = []
-    names_seen = set()
-    world_set = set(worlds)
+    agents, partitions = [], []
     for a, item in enumerate(agents_raw):
         obj = _expect(item, dict, f"agents[{a}]", "an object")
         name = _expect(obj.get("name"), str, f"agents[{a}].name", "a string")
-        if name in names_seen:
+        if name in agents:
             raise ScenarioValidationError(f"duplicate agent name {name!r}", f"agents[{a}].name")
-        names_seen.add(name)
-        partition_raw = _expect(obj.get("partition"), list, f"agents[{a}].partition", "a list of cells")
-        partition = []
-        for c, cell in enumerate(partition_raw):
-            cell_names = _expect(cell, list, f"agents[{a}].partition[{c}]", "a list of world names")
-            in_cell = set()
-            for k, w in enumerate(cell_names):
-                path = f"agents[{a}].partition[{c}][{k}]"
-                _expect(w, str, path, "a string")
-                if w not in world_set:
-                    raise ScenarioValidationError(f"unknown world {w!r}", path)
-                if w in in_cell:
-                    raise ScenarioValidationError(f"world {w!r} is listed twice in cell {c}", path)
-                in_cell.add(w)
-            partition.append(list(cell_names))
-        agents.append(AgentSpec(name, partition))
+        agents.append(name)
+        path = f"agents[{a}].partition"
+        cells_raw = _expect(obj.get("partition"), list, path, "a list of cells")
+        cells = [_event(cell, index, f"{path}[{c}]", f"cell {c}") for c, cell in enumerate(cells_raw)]
+        partitions.append(_core(Partition, path, cells))
+    model = KnowledgeModel(len(worlds), tuple(partitions))
 
     measure_raw = _expect(doc.get("measure"), dict, "measure", "an object")
     if len(measure_raw) != 1 or next(iter(measure_raw)) not in _KINDS:
@@ -464,15 +377,10 @@ def parse_scenario(text: str) -> ScenarioFile:
     layer = next(iter(measure_raw))
     kind = _KINDS[layer]
     payload = _expect(measure_raw[layer], dict, f"measure.{layer}", "an object")
-    measure = {layer: kind.read(payload, len(worlds), f"measure.{layer}")}
+    measure = kind.read(payload, len(worlds), f"measure.{layer}")
 
-    hypothesis = None
-    if doc.get("hypothesis") is not None:
-        hyp_raw = _expect(doc["hypothesis"], list, "hypothesis", "a list of world names")
-        hypothesis = [_expect(w, str, f"hypothesis[{i}]", "a string") for i, w in enumerate(hyp_raw)]
-        if len(set(hypothesis)) != len(hypothesis):
-            i = next(i for i, w in enumerate(hypothesis) if w in hypothesis[:i])
-            raise ScenarioValidationError(f"world {hypothesis[i]!r} is listed twice in the hypothesis", f"hypothesis[{i}]")
+    hyp_raw = doc.get("hypothesis")
+    hypothesis = None if hyp_raw is None else _event(hyp_raw, index, "hypothesis", "the hypothesis")
 
     targets = None
     if doc.get("targets") is not None:
@@ -481,9 +389,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ScenarioValidationError(
                 f"expected {len(agents)} targets (one per agent), got {len(targets_raw)}", "targets"
             )
-        targets = [
-            kind.to_json(kind.target(t, measure[layer], f"targets[{i}]")) for i, t in enumerate(targets_raw)
-        ]
+        targets = tuple(kind.target(t, measure, f"targets[{i}]") for i, t in enumerate(targets_raw))
 
     tolerance = None
     if doc.get("tolerance") is not None:
@@ -496,45 +402,39 @@ def parse_scenario(text: str) -> ScenarioFile:
         if key not in known:
             raise ScenarioValidationError(f"unknown top-level field {key!r}", key)
 
-    sf = ScenarioFile(version, worlds, agents, measure, hypothesis, targets, tolerance)
-    # Building the core objects validates every module invariant up front.
-    sf.model()
-    sf.measure_object()
-    sf.hypothesis_event()
-    sf.target_values()
-    return sf
+    return ScenarioFile(worlds, agents, model, layer, measure, hypothesis, targets, tolerance)
 
 
 def serialize_scenario(sf: ScenarioFile) -> str:
-    """Render a scenario as canonical JSON; ``parse_scenario`` inverts this."""
+    """Render a scenario as canonical JSON, written from its core objects;
+    ``parse_scenario`` reads it back to a scenario with the same text."""
+    kind = _KINDS[sf.layer]
+
+    def names(e: Event) -> list[str]:
+        return [sf.worlds[w] for w in e]
+
     doc: dict[str, Any] = {
-        "version": sf.version,
+        "version": SCENARIO_VERSION,
         "worlds": list(sf.worlds),
-        "agents": [{"name": a.name, "partition": [list(c) for c in a.partition]} for a in sf.agents],
-        "measure": sf.measure,
+        "agents": [{"name": name, "partition": [names(c) for c in p.cells]}
+                   for name, p in zip(sf.agents, sf.knowledge_model.partitions)],
+        "measure": {sf.layer: kind.write(sf.measure)},
     }
     if sf.hypothesis is not None:
-        doc["hypothesis"] = list(sf.hypothesis)
+        doc["hypothesis"] = names(sf.hypothesis)
     if sf.targets is not None:
-        doc["targets"] = sf.targets
+        doc["targets"] = [kind.to_json(t) for t in sf.targets]
     if sf.tolerance is not None:
         doc["tolerance"] = sf.tolerance
     return json.dumps(doc, indent=2) + "\n"
 
 
 def scenario_from_bundle(bundle: ScenarioBundle) -> ScenarioFile:
-    """Render a generated bundle as a scenario document (worlds ``w0..``)."""
+    """A generated bundle as a scenario (worlds ``w0..``, agents ``a1..``)."""
     model = bundle.model
     worlds = [f"w{i}" for i in range(model.n_worlds)]
-    agents = [
-        AgentSpec(f"a{i + 1}", [[worlds[w] for w in cell] for cell in p.cells])
-        for i, p in enumerate(model.partitions)
-    ]
-    kind = _KINDS[bundle.layer]
-    payload = {bundle.layer: kind.write(bundle.measure)}
-    targets = [kind.to_json(t) for t in bundle.targets]
-    hypothesis = None if bundle.hypothesis is None else [worlds[w] for w in bundle.hypothesis]
-    return ScenarioFile(SCENARIO_VERSION, worlds, agents, payload, hypothesis, targets)
+    agents = [f"a{i + 1}" for i in range(model.n_agents)]
+    return ScenarioFile(worlds, agents, model, bundle.layer, bundle.measure, bundle.hypothesis, tuple(bundle.targets))
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +552,15 @@ def _pipeline_parts(sf: ScenarioFile, *, need_targets: bool):
     kind = _KINDS[sf.layer]
     if kind.layer is None:
         raise ScenarioValidationError("POVM scenarios only support conversion", "measure")
-    targets, h = sf.target_values(), sf.hypothesis_event()
+    targets, h = sf.targets, sf.hypothesis
     if targets is None and need_targets:
         raise ScenarioValidationError("this command needs per-agent targets", "targets")
     if targets is None and h is None:
         raise ScenarioValidationError("analysis needs targets or a hypothesis event", "hypothesis")
     if h is None and kind.needs_hypothesis:
         raise ScenarioValidationError(f"{sf.layer} agreement needs a hypothesis", "hypothesis")
-    model = sf.model()
-    return model, kind.layer(model, sf.measure_object(), h, targets or ())
+    model = sf.knowledge_model
+    return model, kind.layer(model, sf.measure, h, targets or ())
 
 
 def run_agree(
@@ -680,7 +580,7 @@ def run_agree(
         verdict=verdict,
         event=event,
         common=verdict.common_event,
-        agent_names=[a.name for a in sf.agents],
+        agent_names=list(sf.agents),
         timings={"build": t1 - t0, "verify": t2 - t1, "total": t2 - t0},
     )
 
@@ -708,7 +608,7 @@ def run_analyze(
     model, layer = _pipeline_parts(sf, need_targets=False)
     _check_tol(tol)  # also without targets, where no agreement event would check it
     has_targets = sf.targets is not None
-    event = _agreement_event(model, layer, tol) if has_targets else sf.hypothesis_event()
+    event = _agreement_event(model, layer, tol) if has_targets else sf.hypothesis
     t1 = time.perf_counter()
     trace = tuple(mutual_knowledge_chain(model, event, max_iters=max_iters))
     common = trace[-1]
@@ -726,7 +626,7 @@ def run_analyze(
         mutual_trace=trace,
         common=common,
         posteriors_by_cell=table,
-        agent_names=[a.name for a in sf.agents],
+        agent_names=list(sf.agents),
         timings={"build": t1 - t0, "verify": t2 - t1, "analyze": t3 - t2, "total": t3 - t0},
     )
 
@@ -741,18 +641,15 @@ def run_convert(sf: ScenarioFile, direction: str) -> ScenarioFile:
     if direction == "dovm2povm":
         if sf.layer != "quantum":
             raise ScenarioValidationError("dovm2povm needs a quantum scenario", "measure")
-        rho = sf.measure_object()
+        rho = sf.measure
         layer, measure = "povm", (_quantum().dovm_to_povm(rho), _quantum().DensityOperator(rho.total))
     elif direction == "povm2dovm":
         if sf.layer != "povm":
             raise ScenarioValidationError("povm2dovm needs a povm scenario", "measure")
-        layer, measure = "quantum", _quantum().povm_to_dovm(*sf.measure_object())
+        layer, measure = "quantum", _quantum().povm_to_dovm(*sf.measure)
     else:
         raise ScenarioValidationError(f"unknown direction {direction!r}", "direction")
-    payload = {layer: _KINDS[layer].write(measure)}
-    return ScenarioFile(
-        sf.version, list(sf.worlds), list(sf.agents), payload, sf.hypothesis, sf.targets, sf.tolerance
-    )
+    return replace(sf, layer=layer, measure=measure)
 
 
 def run_gen(

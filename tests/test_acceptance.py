@@ -367,12 +367,12 @@ def test_criterion_9_cli_contract():
     # parse/serialize round trips on the golden corpus and generated files
     for name in ("model_b_classical.json", "model_a_vacuous.json", "quantum_pair.json",
                  "gpt_simplex.json", "hypothesis_only.json"):
-        sf = parse_scenario((DATA / name).read_text())
-        if parse_scenario(serialize_scenario(sf)) != sf:
+        text = serialize_scenario(parse_scenario((DATA / name).read_text()))
+        if serialize_scenario(parse_scenario(text)) != text:
             failures.append(("round-trip", name))
     for layer in ("classical", "quantum", "gpt"):
-        sf = scenario_from_bundle(gen_planted_scenario(17, layer, 5, 2, dim=2))
-        if parse_scenario(serialize_scenario(sf)) != sf:
+        text = serialize_scenario(scenario_from_bundle(gen_planted_scenario(17, layer, 5, 2, dim=2)))
+        if serialize_scenario(parse_scenario(text)) != text:
             failures.append(("round-trip", layer))
 
     def cli(*args):

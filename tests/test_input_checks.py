@@ -19,6 +19,7 @@ from aumann import (
     PsdCone,
     ScenarioValidationError,
     SimplexCone,
+    VerdictStatus,
     agreement_event,
     effect_valid,
     gen_planted_scenario,
@@ -159,11 +160,15 @@ class TestTargetShape:
             ((GptState(PsdCone(1), [1.0]),) * 2, r"target 0 must have shape \(2,\), got \(1,\)"),
             ((good, GptState(SimplexCone(3), np.full(3, 1 / 3))), r"target 1 must have shape \(2,\), got \(3,\)"),
             ((good, [0.5, 0.25, 0.25]), r"target 1 must have shape \(2,\), got \(3,\)"),
+            ((good, GptState(PolyhedralCone([[1.0, 0.5], [1.0, -0.5]], [1.0, 0.0]), [1.0, 0.0])),
+             "target 1 is a state of another cone than the SVM's"),
         ]
         for targets, message in cases:
             for call in (gpt_agreement_event, verify_gpt_aumann):
                 with pytest.raises(ValueError, match=message):
                     call(b.model, b.measure, targets)
+        equal_cone = GptState(SimplexCone(2), good.coords)  # another object, the same cone
+        assert verify_gpt_aumann(b.model, b.measure, (good, equal_cone)).status is VerdictStatus.HOLDS
 
     def test_quantum_targets_must_match_the_dovm(self):
         b = gen_planted_scenario(3, "quantum", 6, 2, dim=2)
@@ -186,6 +191,11 @@ class TestTargetShape:
             ("quantum", [[0.5, 0], [0]], "a matrix of numbers"),
             ("gpt", [0.5, [0.5]], "a vector of numbers"),
             ("gpt", "ab", "a vector of numbers"),
+            ("classical", "0.5", "a number"),
+            ("classical", True, "a number"),
+            ("gpt", ["0.5", "0.5"], "a vector of numbers"),
+            ("gpt", [True, False], "a vector of numbers"),
+            ("quantum", [["0.5", "0"], ["0", "0.5"]], "a matrix of numbers"),
         ],
     )
     def test_malformed_targets_are_named(self, layer, bad, what):
@@ -293,11 +303,6 @@ def _files():
 
 
 class TestBuiltOnce:
-    def test_objects_are_kept(self):
-        for sf in _files():
-            for build in (sf.model, sf.measure_object, sf.hypothesis_event, sf.target_values):
-                assert build() is build()
-
     def test_runs_reuse_parsed_objects(self, monkeypatch):
         parsed = list(_files())
 
@@ -339,7 +344,7 @@ def test_analyze_table_agrees_with_the_event():
     for sf in _files():
         report = run_analyze(sf)
         tol = sf.tolerance or 1e-9
-        for rows, target in zip(report.posteriors_by_cell, sf.target_values()):
+        for rows, target in zip(report.posteriors_by_cell, sf.targets):
             for cell, value in rows:
                 if cell <= report.event and cell:
                     assert value is not None

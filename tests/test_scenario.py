@@ -136,7 +136,7 @@ class TestCanonicalUnit:
         for doc in self._gpt_docs():
             canonical = list(doc["measure"]["gpt"]["unit"])
             doc["measure"]["gpt"]["unit"][0] += 5e-13
-            assert parse_scenario(json.dumps(doc)).measure_object().cone.unit.tolist() == canonical
+            assert parse_scenario(json.dumps(doc)).measure.cone.unit.tolist() == canonical
 
     def test_every_fixture_and_generated_file_parses(self):
         for path in sorted(DATA.glob("*.json")):
@@ -146,28 +146,56 @@ class TestCanonicalUnit:
                                       ("gpt", "psd", 2), ("gpt", "psd", 3), ("gpt", "polyhedral", 3)):
             for seed in range(5):
                 for planted in (True, False):
-                    sf = run_gen(layer, seed, dim=dim, cone_kind=cone_kind, planted=planted)
-                    assert parse_scenario(serialize_scenario(sf)) == sf
+                    text = serialize_scenario(run_gen(layer, seed, dim=dim, cone_kind=cone_kind, planted=planted))
+                    assert serialize_scenario(parse_scenario(text)) == text
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("layer", ["classical", "quantum", "gpt"])
     def test_generated_scenarios_round_trip(self, layer):
-        sf = scenario_from_bundle(gen_planted_scenario(5, layer, 5, 2, dim=2))
-        assert parse_scenario(serialize_scenario(sf)) == sf
+        text = serialize_scenario(scenario_from_bundle(gen_planted_scenario(5, layer, 5, 2, dim=2)))
+        assert serialize_scenario(parse_scenario(text)) == text
 
     def test_polyhedral_round_trip(self):
         bundle = gen_planted_scenario(6, "gpt", 4, 2, dim=3, cone_kind="polyhedral", n_generators=5)
-        sf = scenario_from_bundle(bundle)
-        assert parse_scenario(serialize_scenario(sf)) == sf
+        text = serialize_scenario(scenario_from_bundle(bundle))
+        assert serialize_scenario(parse_scenario(text)) == text
 
     def test_golden_file_round_trips(self):
-        sf = load("model_b_classical.json")
-        assert parse_scenario(serialize_scenario(sf)) == sf
+        text = serialize_scenario(load("model_b_classical.json"))
+        assert serialize_scenario(parse_scenario(text)) == text
 
     def test_povm_file_round_trips(self):
-        povm_sf = run_convert(load("quantum_pair.json"), "dovm2povm")
-        assert parse_scenario(serialize_scenario(povm_sf)) == povm_sf
+        text = serialize_scenario(run_convert(load("quantum_pair.json"), "dovm2povm"))
+        assert serialize_scenario(parse_scenario(text)) == text
+
+    def test_written_form_is_canonical(self):
+        """Cells and the hypothesis come back in world order, a near-Hermitian
+        atom comes back symmetrised while an exactly Hermitian one is kept bit
+        for bit, and a simplex unit within the tolerance comes back canonical."""
+
+        def rewritten(doc):
+            return json.loads(serialize_scenario(parse_scenario(json.dumps(doc))))
+
+        doc = json.loads((DATA / "model_b_classical.json").read_text())
+        doc["agents"][0]["partition"] = [["w3", "w2"], ["w1", "w0"]]
+        doc["hypothesis"] = ["w2", "w0"]
+        out = rewritten(doc)
+        assert out["agents"][0]["partition"] == [["w2", "w3"], ["w0", "w1"]]
+        assert out["hypothesis"] == ["w0", "w2"]
+
+        doc = json.loads((DATA / "quantum_pair.json").read_text())
+        atoms = doc["measure"]["quantum"]["atoms"]
+        atoms[0][0][1][1] += 4e-13  # Im of entry (0, 1), now 4e-13 off Hermitian
+        out = rewritten(doc)["measure"]["quantum"]["atoms"]
+        upper, lower = out[0][0][1], out[0][1][0]
+        assert lower == [upper[0], -upper[1]] and upper != atoms[0][0][1]
+        assert upper[1] == (atoms[0][0][1][1] - atoms[0][1][0][1]) / 2
+        assert out[1] == atoms[1]
+
+        doc = json.loads((DATA / "gpt_simplex.json").read_text())
+        doc["measure"]["gpt"]["unit"][0] += 5e-13
+        assert rewritten(doc)["measure"]["gpt"]["unit"] == [1.0, 1.0, 1.0, 1.0]
 
 
 class TestRunAgree:
@@ -181,7 +209,7 @@ class TestRunAgree:
         sf = load("model_b_classical.json")
         report = run_agree(sf)
         direct = verify_aumann(
-            sf.model(), sf.measure_object(), sf.hypothesis_event(), sf.target_values()
+            sf.model(), sf.measure, sf.hypothesis, sf.targets
         )
         assert report.verdict.status == direct.status
         assert report.verdict.common_event == direct.common_event
@@ -266,15 +294,13 @@ class TestRunConvert:
         povm_sf = run_convert(sf, "dovm2povm")
         assert povm_sf.layer == "povm"
         back = run_convert(povm_sf, "povm2dovm")
-        a = np.asarray(sf.measure["quantum"]["atoms"])
-        b = np.asarray(back.measure["quantum"]["atoms"])
-        assert np.abs(a - b).max() <= 1e-8
+        assert np.abs(sf.measure.atoms - back.measure.atoms).max() <= 1e-8
         assert back.worlds == sf.worlds and back.agents == sf.agents
 
     def test_dovm2povm_stores_the_total_state_exactly(self):
         sf = load("quantum_pair.json")
-        state = run_convert(sf, "dovm2povm").measure["povm"]["state"]
-        total = sf.measure_object().total
+        state = json.loads(serialize_scenario(run_convert(sf, "dovm2povm")))["measure"]["povm"]["state"]
+        total = sf.measure.total
         assert state == [[[float(z.real), float(z.imag)] for z in row] for row in total]
 
     def test_direction_validation(self):
@@ -329,5 +355,5 @@ class TestUnconstrainedThroughFiles:
     def test_unconstrained_bundle_serializes(self):
         for seed in range(6):
             bundle = gen_unconstrained_scenario(seed, "classical", 5, 2)
-            sf = scenario_from_bundle(bundle)
-            assert parse_scenario(serialize_scenario(sf)) == sf
+            text = serialize_scenario(scenario_from_bundle(bundle))
+            assert serialize_scenario(parse_scenario(text)) == text
