@@ -138,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ScenarioError, OSError, ValueError, RuntimeError) as exc:
+    except (ScenarioError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

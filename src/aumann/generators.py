@@ -141,10 +141,9 @@ def gen_povm(seed, n_worlds: int, dim: int) -> Povm:
     return Povm(_sandwich(inv_root, atoms))
 
 
-def gen_dovm(seed, model, dim: int) -> Dovm:
-    """Random DOVM over the model's worlds: a random POVM sandwiched by a
+def gen_dovm(seed, n_worlds: int, dim: int) -> Dovm:
+    """Random DOVM over ``n_worlds`` worlds: a random POVM sandwiched by a
     random density operator's square root."""
-    n_worlds = model.n_worlds if isinstance(model, KnowledgeModel) else int(model)
     rng = _rng(seed)
     povm = gen_povm(rng, n_worlds, dim)
     sigma = gen_density(rng, dim)
@@ -206,6 +205,8 @@ def _draw_layer(rng: np.random.Generator, layer: str, n_worlds: int, dim: int, c
     """The layer's measure, its hypothesis (``None`` outside classical), its
     conditional on an event, and a function that draws ``n`` loose targets."""
     if layer == "classical":
+        if n_worlds > 63:  # the hypothesis is drawn as one int64 below 1 << n_worlds
+            raise ValueError(f"classical scenarios have at most 63 worlds, got {n_worlds}")
         mu = gen_probability(rng, n_worlds)
         h = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
         return mu, h, lambda e: conditional(mu, h, e), lambda n: tuple(float(x) for x in rng.random(n))

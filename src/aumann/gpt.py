@@ -169,10 +169,6 @@ class SimplexCone(ConeSpace):
     def __init__(self, dim: int):
         super().__init__(dim, np.ones(dim))
 
-    @property
-    def generators(self) -> np.ndarray:
-        return np.eye(self._dim)
-
     def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
         tol = PSD_EIG_TOL if tol is None else tol
         return (vs >= -tol).all(axis=1)
@@ -344,15 +340,16 @@ def _nnls_residual(a: np.ndarray, b: np.ndarray, maxiter: int) -> float:
 
     def solve(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares coefficients of ``b`` on the columns, and the parts
-        of ``a`` and ``b`` orthogonal to their span."""
+        of ``a`` and ``b`` orthogonal to their span, which is zero when the
+        columns span the whole space."""
         nonlocal iters
         iters += 1
         if iters > maxiter:
             raise RuntimeError(f"NNLS did not converge in {maxiter} iterations")
-        coefficients = np.linalg.lstsq(a[:, columns], ab, rcond=None)[0]
+        coefficients, _, rank, _ = np.linalg.lstsq(a[:, columns], ab, rcond=None)
         z = np.zeros(n)
         z[columns] = coefficients[:, -1]
-        return z, ab - a[:, columns] @ coefficients
+        return z, np.zeros_like(ab) if rank == dim else ab - a[:, columns] @ coefficients
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)

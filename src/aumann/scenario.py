@@ -5,7 +5,9 @@ a measure (classical weights, quantum DOVM atoms, a GPT cone with SVM atoms,
 or a POVM-with-state pair produced by conversion), plus an optional
 hypothesis, per-agent targets, and tolerance. Complex numbers serialize as
 ``[re, im]`` pairs. World names exist only at this boundary; the core works
-on indices.
+on indices. Every JSON object is read through ``_object``, which rejects a
+key it does not define, and every counted list through ``_list``, which
+checks the count before any entry is read, so no array outgrows the document.
 
 A :class:`ScenarioFile` holds the names and the core objects, each built
 once, at parse. Writing renders those objects, so the written document is
@@ -91,9 +93,23 @@ def _reject_constant(token: str) -> None:
     raise ScenarioSyntaxError(f"non-finite number {token} is not valid JSON")
 
 
-def _number_list(raw: Any, path: str) -> list[float]:
-    items = _expect(raw, list, path, "a list of numbers")
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(items)]
+def _object(raw: Any, path: str, what: str, fields: tuple[str, ...]) -> dict:
+    """``raw`` as a JSON object, none of whose keys lies outside ``fields``."""
+    obj = _expect(raw, dict, path, what)
+    for key in obj:
+        if key not in fields:
+            if not path:
+                raise ScenarioValidationError(f"unknown top-level field {key!r}", key)
+            raise ScenarioValidationError(f"unknown field {key!r}", f"{path}.{key}")
+    return obj
+
+
+def _list(raw: Any, path: str, what: str, n: int, noun: str) -> list:
+    """``raw`` as a JSON list of exactly ``n`` items, checked before any item is read."""
+    items = _expect(raw, list, path, what)
+    if len(items) != n:
+        raise ScenarioValidationError(f"expected {n} {noun}, got {len(items)}", path)
+    return items
 
 
 def _complex_from_json(raw: Any, path: str) -> complex:
@@ -104,14 +120,10 @@ def _complex_from_json(raw: Any, path: str) -> complex:
 
 
 def _matrix_from_json(raw: Any, dim: int, path: str) -> np.ndarray:
-    rows = _expect(raw, list, path, "a matrix (list of rows)")
-    if len(rows) != dim:
-        raise ScenarioValidationError(f"expected {dim} rows, got {len(rows)}", path)
+    rows = _list(raw, path, "a matrix (list of rows)", dim, "rows")
     out = np.empty((dim, dim), dtype=complex)
     for r, row in enumerate(rows):
-        entries = _expect(row, list, f"{path}[{r}]", "a row (list of [re, im] pairs)")
-        if len(entries) != dim:
-            raise ScenarioValidationError(f"expected {dim} entries, got {len(entries)}", f"{path}[{r}]")
+        entries = _list(row, f"{path}[{r}]", "a row (list of [re, im] pairs)", dim, "entries")
         for c, entry in enumerate(entries):
             out[r, c] = _complex_from_json(entry, f"{path}[{r}][{c}]")
     return out
@@ -122,11 +134,9 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
-def _vector(raw: Any, dim: int, path: str) -> list[float]:
-    values = _number_list(raw, path)
-    if len(values) != dim:
-        raise ScenarioValidationError(f"expected {dim} entries, got {len(values)}", path)
-    return values
+def _vector(raw: Any, n: int, path: str, noun: str) -> np.ndarray:
+    items = _list(raw, path, "a list of numbers", n, noun)
+    return np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(items)], float)
 
 
 def _positive_int(raw: Any, path: str, name: str) -> int:
@@ -134,12 +144,6 @@ def _positive_int(raw: Any, path: str, name: str) -> int:
     if value < 1:
         raise ScenarioValidationError(f"{name} must be positive", path)
     return value
-
-
-def _reject_unknown(payload: dict, known: set, path: str) -> None:
-    for key in payload:
-        if key not in known:
-            raise ScenarioValidationError(f"unknown field {key!r}", f"{path}.{key}")
 
 
 def _core(build: Callable, path: str, *args) -> Any:
@@ -168,74 +172,62 @@ def _event(raw: Any, index: dict[str, int], path: str, where: str) -> Event:
 # ---------------------------------------------------------------------------
 # measure kinds
 
-def _read_classical(payload: dict, n_worlds: int, path: str) -> ProbabilityMeasure:
-    weights = _number_list(payload.get("weights"), f"{path}.weights")
-    if len(weights) != n_worlds:
-        raise ScenarioValidationError(f"expected {n_worlds} weights, got {len(weights)}", f"{path}.weights")
-    _reject_unknown(payload, {"weights"}, path)
-    return _core(ProbabilityMeasure, path, np.asarray(weights, float))
+def _read_classical(raw: Any, n_worlds: int, path: str) -> ProbabilityMeasure:
+    payload = _object(raw, path, "an object", ("weights",))
+    return _core(ProbabilityMeasure, path, _vector(payload.get("weights"), n_worlds, f"{path}.weights", "weights"))
 
 
-def _matrices_reader(build: Callable, key: str, *single: str) -> Callable[[dict, int, str], Any]:
+def _matrices_reader(build: Callable, key: str, *single: str) -> Callable[[Any, int, str], Any]:
     """Reader of a payload with ``dim``, one matrix per world under ``key``,
     and one more matrix under each name in ``single``; ``build`` makes the
     measure from the stack and the single matrices."""
 
-    def read(payload: dict, n_worlds: int, path: str) -> Any:
+    def read(raw: Any, n_worlds: int, path: str) -> Any:
+        payload = _object(raw, path, "an object", ("dim", key, *single))
         dim = _positive_int(payload.get("dim"), f"{path}.dim", "dim")
-        mats_raw = _expect(payload.get(key), list, f"{path}.{key}", "a list of matrices")
-        if len(mats_raw) != n_worlds:
-            raise ScenarioValidationError(f"expected {n_worlds} matrices, got {len(mats_raw)}", f"{path}.{key}")
+        mats_raw = _list(payload.get(key), f"{path}.{key}", "a list of matrices", n_worlds, "matrices")
         mats = np.stack([_matrix_from_json(m, dim, f"{path}.{key}[{i}]") for i, m in enumerate(mats_raw)])
         singles = [_matrix_from_json(payload.get(name), dim, f"{path}.{name}") for name in single]
-        _reject_unknown(payload, {"dim", key, *single}, path)
         return _core(build, path, mats, *singles)
 
     return read
 
 
-def _read_gpt(payload: dict, n_worlds: int, path: str) -> Svm:
+# cone kind -> the fields of its JSON object besides "kind"; the first is its size
+_CONE_FIELDS = {"simplex": ("dim",), "psd": ("matrix_dim",), "polyhedral": ("dim", "generators")}
+
+
+def _read_gpt(raw: Any, n_worlds: int, path: str) -> Svm:
+    """Reads the cone's fields, then the unit against the size they declare, builds the cone, then reads the atoms."""
     gpt = _gpt()
-    cone_raw = _expect(payload.get("cone"), dict, f"{path}.cone", "an object")
-    kind = _expect(cone_raw.get("kind"), str, f"{path}.cone.kind", "a string")
-    cone = None  # a polyhedral cone is built from the file's unit, after the atoms are read
-    if kind in ("simplex", "polyhedral"):
-        dim = _positive_int(cone_raw.get("dim"), f"{path}.cone.dim", "dim")
-        if kind == "simplex":
-            cone = gpt.SimplexCone(dim)
-        else:
-            gens_raw = _expect(cone_raw.get("generators"), list, f"{path}.cone.generators", "a list of vectors")
-            gens = [_vector(g, dim, f"{path}.cone.generators[{i}]") for i, g in enumerate(gens_raw)]
-    elif kind == "psd":
-        cone = gpt.PsdCone(_positive_int(cone_raw.get("matrix_dim"), f"{path}.cone.matrix_dim", "matrix_dim"))
-        dim = cone.dim
+    payload = _object(raw, path, "an object", ("cone", "unit", "atoms"))
+    at = f"{path}.cone"
+    kind = _expect(_expect(payload.get("cone"), dict, at, "an object").get("kind"), str, f"{at}.kind", "a string")
+    if kind not in _CONE_FIELDS:
+        raise ScenarioValidationError(f"unknown cone kind {kind!r}", f"{at}.kind")
+    spec = _object(payload["cone"], at, "an object", ("kind", *_CONE_FIELDS[kind]))
+    size_field = _CONE_FIELDS[kind][0]
+    size = _positive_int(spec.get(size_field), f"{at}.{size_field}", size_field)
+    dim = size * size if kind == "psd" else size
+    if kind == "polyhedral":
+        gens_raw = _expect(spec.get("generators"), list, f"{at}.generators", "a list of vectors")
+        gens = [_vector(g, dim, f"{at}.generators[{i}]", "entries") for i, g in enumerate(gens_raw)]
+    unit = _vector(payload.get("unit"), dim, f"{path}.unit", "entries")
+    if kind == "polyhedral":
+        cone = _core(gpt.PolyhedralCone, at, np.asarray(gens, float), unit)
     else:
-        raise ScenarioValidationError(f"unknown cone kind {kind!r}", f"{path}.cone.kind")
-    unit = _vector(payload.get("unit"), dim, f"{path}.unit")
-    if cone is not None and not np.allclose(unit, cone.unit, rtol=0, atol=CANONICAL_UNIT_TOL):
-        raise ScenarioValidationError(f"unit must be the canonical {kind} unit functional", f"{path}.unit")
-    atoms_raw = _expect(payload.get("atoms"), list, f"{path}.atoms", "a list of vectors")
-    if len(atoms_raw) != n_worlds:
-        raise ScenarioValidationError(f"expected {n_worlds} atoms, got {len(atoms_raw)}", f"{path}.atoms")
-    atoms = [_vector(a, dim, f"{path}.atoms[{i}]") for i, a in enumerate(atoms_raw)]
-    _reject_unknown(payload, {"cone", "unit", "atoms"}, path)
-    if cone is None:
-        cone = _core(gpt.PolyhedralCone, f"{path}.cone", np.asarray(gens, float), np.asarray(unit, float))
+        cone = (gpt.SimplexCone if kind == "simplex" else gpt.PsdCone)(size)
+        if not np.allclose(unit, cone.unit, rtol=0, atol=CANONICAL_UNIT_TOL):
+            raise ScenarioValidationError(f"unit must be the canonical {kind} unit functional", f"{path}.unit")
+    atoms_raw = _list(payload.get("atoms"), f"{path}.atoms", "a list of vectors", n_worlds, "atoms")
+    atoms = [_vector(a, dim, f"{path}.atoms[{i}]", "entries") for i, a in enumerate(atoms_raw)]
     return _core(gpt.Svm, path, cone, np.asarray(atoms, float))
-
-
-# cone kind -> spec fields of a cone
-_CONES: dict[str, Callable] = {
-    "simplex": lambda cone: {"dim": cone.dim},
-    "psd": lambda cone: {"matrix_dim": cone.matrix_dim},
-    "polyhedral": lambda cone: {"dim": cone.dim, "generators": [[float(x) for x in g] for g in cone.generators]},
-}
 
 
 def _write_gpt(svm: Svm) -> dict:
     cone = svm.cone
     return {
-        "cone": {"kind": cone.kind, **_CONES[cone.kind](cone)},
+        "cone": {"kind": cone.kind, **{f: np.asarray(getattr(cone, f)).tolist() for f in _CONE_FIELDS[cone.kind]}},
         "unit": [float(x) for x in cone.unit],
         "atoms": [[float(x) for x in a] for a in svm.atoms],
     }
@@ -250,8 +242,8 @@ class _Kind:
     """How one measure kind is read, written, and verified; ``layer`` is
     ``None`` for povm, which only converts.
 
-    ``read(payload, n_worlds, path)`` returns the core measure, and reports
-    a core ``ValueError`` at ``path`` (a GPT cone's at ``path.cone``).
+    ``read(raw, n_worlds, path)`` turns the raw payload into the core measure,
+    and reports a core ``ValueError`` at ``path`` (a GPT cone's at ``path.cone``).
     ``target(raw, measure, path)`` reads one target against the measure's
     dimension; ``to_json`` writes a target or a value.
     ``layer(model, measure, hypothesis, targets)`` is the kind's pipeline
@@ -259,7 +251,7 @@ class _Kind:
     first call and ignore the hypothesis.
     """
 
-    read: Callable[[dict, int, str], Any]
+    read: Callable[[Any, int, str], Any]
     target: Callable[[Any, Any, str], Any]
     to_json: Callable[[Any], Any]
     write: Callable[[Any], dict]
@@ -285,7 +277,7 @@ _KINDS: dict[str, _Kind] = {
     ),
     "gpt": _Kind(
         read=_read_gpt,
-        target=lambda raw, svm, path: np.asarray(_vector(raw, svm.cone.dim, path), float),
+        target=lambda raw, svm, path: _vector(raw, svm.cone.dim, path, "entries"),
         to_json=lambda value: [float(x) for x in (value.coords if isinstance(value, _gpt().GptState) else value)],
         write=_write_gpt,
         layer=lambda model, svm, h, targets: _gpt()._gpt_layer(model, svm, targets),
@@ -341,7 +333,9 @@ def parse_scenario(text: str) -> ScenarioFile:
         raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
-    doc = _expect(raw, dict, "", "a JSON object")
+    doc = _object(
+        raw, "", "a JSON object", ("version", "worlds", "agents", "measure", "hypothesis", "targets", "tolerance")
+    )
 
     version = _expect(doc.get("version"), int, "version", "an integer")
     if version != SCENARIO_VERSION:
@@ -360,7 +354,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         raise ScenarioValidationError("at least one agent is required", "agents")
     agents, partitions = [], []
     for a, item in enumerate(agents_raw):
-        obj = _expect(item, dict, f"agents[{a}]", "an object")
+        obj = _object(item, f"agents[{a}]", "an object", ("name", "partition"))
         name = _expect(obj.get("name"), str, f"agents[{a}].name", "a string")
         if name in agents:
             raise ScenarioValidationError(f"duplicate agent name {name!r}", f"agents[{a}].name")
@@ -376,19 +370,14 @@ def parse_scenario(text: str) -> ScenarioFile:
         raise ScenarioValidationError(f"measure must have exactly one of the keys {tuple(_KINDS)}", "measure")
     layer = next(iter(measure_raw))
     kind = _KINDS[layer]
-    payload = _expect(measure_raw[layer], dict, f"measure.{layer}", "an object")
-    measure = kind.read(payload, len(worlds), f"measure.{layer}")
+    measure = kind.read(measure_raw[layer], len(worlds), f"measure.{layer}")
 
     hyp_raw = doc.get("hypothesis")
     hypothesis = None if hyp_raw is None else _event(hyp_raw, index, "hypothesis", "the hypothesis")
 
     targets = None
     if doc.get("targets") is not None:
-        targets_raw = _expect(doc["targets"], list, "targets", "a list")
-        if len(targets_raw) != len(agents):
-            raise ScenarioValidationError(
-                f"expected {len(agents)} targets (one per agent), got {len(targets_raw)}", "targets"
-            )
+        targets_raw = _list(doc["targets"], "targets", "a list", len(agents), "targets (one per agent)")
         targets = tuple(kind.target(t, measure, f"targets[{i}]") for i, t in enumerate(targets_raw))
 
     tolerance = None
@@ -396,11 +385,6 @@ def parse_scenario(text: str) -> ScenarioFile:
         tolerance = _number(doc["tolerance"], "tolerance")
         if tolerance <= 0:
             raise ScenarioValidationError("tolerance must be positive", "tolerance")
-
-    known = {"version", "worlds", "agents", "measure", "hypothesis", "targets", "tolerance"}
-    for key in doc:
-        if key not in known:
-            raise ScenarioValidationError(f"unknown top-level field {key!r}", key)
 
     return ScenarioFile(worlds, agents, model, layer, measure, hypothesis, targets, tolerance)
 

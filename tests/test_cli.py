@@ -38,8 +38,9 @@ class TestAgree:
         assert result.returncode == 0
         assert "vacuous_empty_common_knowledge" in result.stdout
 
-    def test_invalid_file_is_exit_two(self):
-        result = cli("agree", str(DATA / "invalid_weights.json"))
+    @pytest.mark.parametrize("name", ["invalid_weights.json", "invalid_cone_field.json", "invalid_huge_dim.json"])
+    def test_invalid_file_is_exit_two(self, name):
+        result = cli("agree", str(DATA / name))
         assert result.returncode == 2
         assert "error:" in result.stderr
 
@@ -138,6 +139,16 @@ class TestGen:
         result = cli("gen", "--layer", "gpt", "--cone", "polyhedral", "--dim", "3")
         assert result.returncode == 0
         parse_scenario(result.stdout)
+
+    def test_allocation_failure_is_exit_two(self, monkeypatch, capsys):
+        import aumann.cli
+
+        def run_gen(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(aumann.cli, "run_gen", run_gen)
+        assert aumann.cli.main(["gen", "--layer", "classical"]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
 
 
 class TestSearch:

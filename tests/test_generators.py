@@ -85,12 +85,6 @@ class TestGenPovmAndDovm:
         rho = gen_dovm(8, 5, 2)  # Dovm construction validates
         assert rho.n_worlds == 5
 
-    def test_dovm_accepts_model_or_count(self):
-        model = gen_model(1, 4, 2)
-        a = gen_dovm(2, model, 2)
-        b = gen_dovm(2, 4, 2)
-        assert np.array_equal(a.atoms, b.atoms)
-
     def test_golden_seed(self):
         atom = gen_dovm(5, 3, 2).atoms[0]
         assert atom[0, 0].real == pytest.approx(0.5013599638829789, abs=1e-15)
@@ -132,6 +126,11 @@ class TestScenarioGenerators:
         else:
             assert np.array_equal(a.measure.atoms, b.measure.atoms)
             assert np.array_equal(a.targets[0].coords, b.targets[0].coords)
+
+    def test_classical_worlds_fit_the_hypothesis_draw(self):
+        with pytest.raises(ValueError, match="at most 63 worlds, got 64"):
+            gen_planted_scenario(0, "classical", 64, 2)
+        assert gen_planted_scenario(0, "classical", 63, 2).model.n_worlds == 63
 
     def test_planted_cell_is_shared(self):
         bundle = gen_planted_scenario(77, "classical", 7, 3)
@@ -223,7 +222,7 @@ def _old_gen_planted_scenario(seed, layer, n_worlds, n_agents, dim=2, cone_kind=
         q = conditional(mu, hypothesis, shared)
         return ScenarioBundle("classical", model, mu, hypothesis, (q,) * n_agents, planted_cell=shared)
     if layer == "quantum":
-        rho = gen_dovm(rng, model, dim)
+        rho = gen_dovm(rng, n_worlds, dim)
         sigma = conditional_state(rho, shared)
         return ScenarioBundle("quantum", model, rho, None, (sigma,) * n_agents, planted_cell=shared)
     cone = _make_cone(rng, cone_kind, dim, n_generators)
@@ -251,7 +250,7 @@ def _old_gen_unconstrained_scenario(seed, layer, n_worlds, n_agents, dim=2, cone
             targets = tuple(float(x) for x in rng.random(n_agents))
         return ScenarioBundle("classical", model, mu, hypothesis, targets, anchor_world=anchor)
     if layer == "quantum":
-        rho = gen_dovm(rng, model, dim)
+        rho = gen_dovm(rng, n_worlds, dim)
         if anchored:
             targets = tuple(
                 conditional_state(rho, model.partitions[i].cell_of(anchor)) for i in range(n_agents)

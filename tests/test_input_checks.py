@@ -267,7 +267,10 @@ class TestScenarioShape:
     @pytest.mark.parametrize("dim", [-1, 0])
     def test_gpt_cone_dim_must_be_positive(self, kind, dim):
         doc = json.loads((DATA / "gpt_simplex.json").read_text())
-        doc["measure"]["gpt"]["cone"] = {"kind": kind, "dim": dim, "generators": []}
+        cone = {"kind": kind, "dim": dim}
+        if kind == "polyhedral":
+            cone["generators"] = []
+        doc["measure"]["gpt"]["cone"] = cone
         with pytest.raises(ScenarioValidationError) as info:
             parse_scenario(json.dumps(doc))
         assert info.value.path == "measure.gpt.cone.dim"

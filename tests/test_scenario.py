@@ -29,6 +29,12 @@ def load(name):
     return parse_scenario((DATA / name).read_text())
 
 
+def gpt_measure(cone, unit):
+    """A two-world GPT measure over ``cone`` whose atoms are each half of the state ``unit / |unit|^2``."""
+    atom = [x / (2 * sum(u * u for u in unit)) for x in unit]
+    return {"measure": {"gpt": {"cone": cone, "unit": unit, "atoms": [atom, atom]}}}
+
+
 MINIMAL = """
 {
   "version": 1,
@@ -69,6 +75,16 @@ class TestParsing:
             ({"surprise": 1}, "surprise"),
             ({"hypothesis": ["zz"]}, "hypothesis"),
             ({"agents": [{"name": "a", "partition": [["u"]]}]}, "partition"),
+            ({"agents": [{"name": "a", "partition": [["u", "v"]], "role": "x"}]}, r"^agents\[0\]\.role: unknown"),
+            (gpt_measure({"kind": "simplex", "dim": 2, "generators": []}, [1.0, 1.0]),
+             r"^measure\.gpt\.cone\.generators: unknown"),
+            (gpt_measure({"kind": "psd", "matrix_dim": 1, "dim": 1}, [1.0]), r"^measure\.gpt\.cone\.dim: unknown"),
+            (gpt_measure({"kind": "polyhedral", "dim": 2, "generators": [[1.0, 0.0], [1.0, 1.0]], "open": True},
+                         [1.0, 0.0]), r"^measure\.gpt\.cone\.open: unknown"),
+            (gpt_measure({"kind": "simplex", "dim": 10**12}, [1.0, 1.0]),
+             r"^measure\.gpt\.unit: expected 1000000000000 entries, got 2"),
+            (gpt_measure({"kind": "psd", "matrix_dim": 10**6}, [1.0, 1.0]),
+             r"^measure\.gpt\.unit: expected 1000000000000 entries, got 2"),
         ],
     )
     def test_validation_errors_with_paths(self, mutation, path_fragment):
