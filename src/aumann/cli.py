@@ -98,6 +98,11 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _print(result, as_json: bool) -> None:
+    """Write a report or search stats to stdout, as JSON or as text."""
+    sys.stdout.write(json.dumps(result.to_json_dict(), indent=2) + "\n" if as_json else result.to_text())
+
+
 def _verdict_exit_code(report) -> int:
     if report.verdict is not None and report.verdict.status is VerdictStatus.VIOLATED:
         return EXIT_VIOLATED
@@ -111,10 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             sf = _load(args.file)
             run = run_analyze if args.command == "analyze" else run_agree
             report = run(sf, tol=args.tol, max_iters=args.max_iters)
-            if args.json:
-                sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
-            else:
-                sys.stdout.write(report.to_text())
+            _print(report, args.json)
             return _verdict_exit_code(report)
 
         if args.command == "convert":
@@ -127,10 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             stats = run_search(
                 args.layer, args.seeds, base_seed=args.seed, mode=args.mode, workers=args.workers, tol=args.tol, **shape
             )
-            if args.json:
-                sys.stdout.write(json.dumps(stats.to_json_dict(), indent=2) + "\n")
-            else:
-                sys.stdout.write(stats.to_text())
+            _print(stats, args.json)
             return EXIT_VIOLATED if stats.violations else EXIT_OK
 
         if args.command == "gen":

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -83,7 +85,10 @@ def _expect(raw: Any, kind: type, path: str, what: str) -> Any:
 def _number(raw: Any, path: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioValidationError(f"expected a number, got {type(raw).__name__}", path)
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf if raw > 0 else -math.inf
     if not math.isfinite(value):  # a literal such as 1e999 overflows to infinity
         raise ScenarioValidationError(f"expected a finite number, got {value!r}", path)
     return value
@@ -522,17 +527,10 @@ def verify_bundle(bundle: ScenarioBundle, tol: float = MATCH_TOL) -> AgreementVe
     return _verify(model, _KINDS[bundle.layer].layer(model, bundle.measure, bundle.hypothesis, bundle.targets), tol)
 
 
-def _effective_tol(sf: ScenarioFile, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    if sf.tolerance is not None:
-        return sf.tolerance
-    return MATCH_TOL
-
-
-def _pipeline_parts(sf: ScenarioFile, *, need_targets: bool):
-    """(model, pipeline adapter) of a scenario; the adapter has no targets
-    when the scenario has none."""
+def _pipeline_parts(sf: ScenarioFile, tol: float | None, *, need_targets: bool):
+    """(model, pipeline adapter, tolerance) of a scenario; the adapter has no
+    targets when the scenario has none. The tolerance is ``tol``, else the
+    file's, else ``MATCH_TOL``, and is checked after the structure."""
     kind = _KINDS[sf.layer]
     if kind.layer is None:
         raise ScenarioValidationError("POVM scenarios only support conversion", "measure")
@@ -544,7 +542,11 @@ def _pipeline_parts(sf: ScenarioFile, *, need_targets: bool):
     if h is None and kind.needs_hypothesis:
         raise ScenarioValidationError(f"{sf.layer} agreement needs a hypothesis", "hypothesis")
     model = sf.knowledge_model
-    return model, kind.layer(model, sf.measure, h, targets or ())
+    layer = kind.layer(model, sf.measure, h, targets or ())
+    if tol is None:
+        tol = MATCH_TOL if sf.tolerance is None else sf.tolerance
+    _check_tol(tol)
+    return model, layer, tol
 
 
 def run_agree(
@@ -552,8 +554,7 @@ def run_agree(
 ) -> Report:
     """Verdict-centric run: build the agreement event and verify the theorem."""
     t0 = time.perf_counter()
-    tol = _effective_tol(sf, tol)
-    model, layer = _pipeline_parts(sf, need_targets=True)
+    model, layer, tol = _pipeline_parts(sf, tol, need_targets=True)
     event = _agreement_event(model, layer, tol)
     t1 = time.perf_counter()
     verdict = _verdict(layer, common_knowledge(model, event, max_iters=max_iters), tol)
@@ -588,9 +589,7 @@ def run_analyze(
     report carries a verdict; otherwise the hypothesis itself is analyzed.
     """
     t0 = time.perf_counter()
-    tol = _effective_tol(sf, tol)
-    model, layer = _pipeline_parts(sf, need_targets=False)
-    _check_tol(tol)  # also without targets, where no agreement event would check it
+    model, layer, tol = _pipeline_parts(sf, tol, need_targets=False)
     has_targets = sf.targets is not None
     event = _agreement_event(model, layer, tol) if has_targets else sf.hypothesis
     t1 = time.perf_counter()
@@ -636,6 +635,14 @@ def run_convert(sf: ScenarioFile, direction: str) -> ScenarioFile:
     return replace(sf, layer=layer, measure=measure)
 
 
+def _bundle(seed: int, layer: str, planted: bool, shape: tuple) -> ScenarioBundle:
+    """The planted or unconstrained bundle of ``seed``; ``shape`` is
+    (n_worlds, n_agents, dim, cone_kind)."""
+    from .generators import gen_planted_scenario, gen_unconstrained_scenario
+
+    return (gen_planted_scenario if planted else gen_unconstrained_scenario)(seed, layer, *shape)
+
+
 def run_gen(
     layer: str,
     seed: int,
@@ -648,11 +655,7 @@ def run_gen(
 ) -> ScenarioFile:
     """Generate a scenario document for the given layer and seed; a
     polyhedral cone gets ``2 * dim`` generators."""
-    from .generators import gen_planted_scenario, gen_unconstrained_scenario
-
-    gen = gen_planted_scenario if planted else gen_unconstrained_scenario
-    bundle = gen(seed, layer, n_worlds, n_agents, dim, cone_kind)
-    return scenario_from_bundle(bundle)
+    return scenario_from_bundle(_bundle(seed, layer, planted, (n_worlds, n_agents, dim, cone_kind)))
 
 
 @dataclass
@@ -688,22 +691,10 @@ class SearchStats:
         return "\n".join(lines) + "\n"
 
 
-def _search_shard(args) -> tuple[Counter, list[int]]:
-    from .generators import gen_planted_scenario, gen_unconstrained_scenario
-
-    layer, start, stop, params = args
-    counts: Counter = Counter()
-    bad: list[int] = []
-    for i in range(start, stop):
-        seed = params["base_seed"] + i
-        planted = params["mode"] == "planted" or (params["mode"] == "mix" and i % 2 == 0)
-        gen = gen_planted_scenario if planted else gen_unconstrained_scenario
-        bundle = gen(seed, layer, params["n_worlds"], params["n_agents"], params["dim"], params["cone_kind"])
-        verdict = verify_bundle(bundle, params["tol"])
-        counts[verdict.status.value] += 1
-        if verdict.status is VerdictStatus.VIOLATED:
-            bad.append(seed)
-    return counts, bad
+def _seed_status(layer: str, base_seed: int, mode: str, shape: tuple, tol: float, i: int) -> str:
+    """Verdict status of the ``i``-th seed of a search; ``mix`` plants the even ones."""
+    planted = mode == "planted" or (mode == "mix" and i % 2 == 0)
+    return verify_bundle(_bundle(base_seed + i, layer, planted, shape), tol).status.value
 
 
 def run_search(
@@ -721,9 +712,10 @@ def run_search(
 ) -> SearchStats:
     """Run seeded scenarios (planted, random, or an even mix) and tally verdicts.
 
-    Sharding by seed range means results are identical for any worker count;
-    the pool holds one process per shard, never more than ``workers``. A
-    polyhedral cone gets ``2 * dim`` generators.
+    Seeds are mapped in process, or over a pool of ``workers`` processes,
+    capped at the seeds and the CPUs, which returns them in seed order, so
+    results are identical for any worker count. A polyhedral cone gets
+    ``2 * dim`` generators.
     """
     from .generators import LAYERS
 
@@ -735,30 +727,21 @@ def run_search(
         raise ValueError(f"n_seeds must be nonnegative, got {n_seeds}")
     tol = MATCH_TOL if tol is None else tol
     _check_tol(tol)
-    params = {
-        "base_seed": base_seed,
-        "n_worlds": n_worlds,
-        "n_agents": n_agents,
-        "dim": dim,
-        "cone_kind": cone_kind,
-        "mode": mode,
-        "tol": tol,
-    }
+    seed_status = partial(_seed_status, layer, base_seed, mode, (n_worlds, n_agents, dim, cone_kind), tol)
     t0 = time.perf_counter()
-    counts: Counter = Counter()
-    bad: list[int] = []
-    if workers <= 1 or n_seeds == 0:
-        counts, bad = _search_shard((layer, 0, n_seeds, params))
-    else:
-        step = -(-n_seeds // workers)
-        shards = [
-            (layer, lo, min(lo + step, n_seeds), params) for lo in range(0, n_seeds, step)
-        ]
+    n_procs = min(workers, n_seeds, os.cpu_count() or 1)
+    if n_procs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            for shard_counts, shard_bad in pool.map(_search_shard, shards):
-                counts.update(shard_counts)
-                bad.extend(shard_bad)
+        with ProcessPoolExecutor(n_procs) as pool:
+            statuses = list(pool.map(seed_status, range(n_seeds), chunksize=-(-n_seeds // n_procs)))
+    else:
+        statuses = map(seed_status, range(n_seeds))
+    counts: Counter = Counter()
+    bad: list[int] = []
+    for i, status in enumerate(statuses):
+        counts[status] += 1
+        if status == VerdictStatus.VIOLATED.value:
+            bad.append(base_seed + i)
     elapsed = time.perf_counter() - t0
-    return SearchStats(layer, n_seeds, dict(counts), tuple(sorted(bad)), elapsed)
+    return SearchStats(layer, n_seeds, dict(counts), tuple(bad), elapsed)

@@ -4,6 +4,7 @@ repeated worlds) and the objects a scenario builds once."""
 import concurrent.futures
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +93,10 @@ class TestTolerance:
             verify_gpt_aumann(g.model, g.measure, g.targets, tol)
 
     def test_search_checks_before_any_shard(self, monkeypatch):
-        def shard(args):
-            raise AssertionError("a shard ran")
+        def seed_status(*args):
+            raise AssertionError("a seed ran")
 
-        monkeypatch.setattr(scenario, "_search_shard", shard)
+        monkeypatch.setattr(scenario, "_seed_status", seed_status)
         with pytest.raises(ValueError, match="tol"):
             run_search("classical", 10, tol=math.nan, workers=2)
 
@@ -221,10 +222,10 @@ def test_generators_reject_an_unknown_layer(gen):
 
 class TestSearchSeeds:
     def test_negative_count_exits_two_before_any_shard(self, monkeypatch, capsys):
-        def shard(args):
-            raise AssertionError("a shard ran")
+        def seed_status(*args):
+            raise AssertionError("a seed ran")
 
-        monkeypatch.setattr(scenario, "_search_shard", shard)
+        monkeypatch.setattr(scenario, "_seed_status", seed_status)
         assert main(["search", "--layer", "classical", "--seeds", "-5"]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert "n_seeds must be nonnegative" in captured.err
@@ -238,14 +239,17 @@ class TestSearchSeeds:
         out = capsys.readouterr().out
         assert "scenarios: 0\n" in out and "violations: 0\n" in out
 
-    @pytest.mark.parametrize("n_seeds, workers, n_shards", [(3, 8, 3), (1, 500, 1), (5, 2, 2), (10, 4, 4)])
-    def test_pool_has_one_process_per_shard(self, monkeypatch, n_seeds, workers, n_shards):
-        """No real pool starts: the fake records its size and maps inline."""
-        sizes = []
+    @pytest.mark.parametrize(
+        "n_seeds, workers, n_procs", [(3, 8, 3), (1, 500, 0), (5, 2, 2), (10, 4, 4), (10, 5000, 4)]
+    )
+    def test_pool_has_one_process_per_shard(self, monkeypatch, n_seeds, workers, n_procs):
+        """No real pool starts: the fake records its size and chunk size and
+        maps inline, on a faked 4-CPU machine; ``n_procs`` 0 means no pool."""
+        seen = []
 
         class InlinePool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                seen.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -253,12 +257,14 @@ class TestSearchSeeds:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
+                seen.append(chunksize)
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         stats = run_search("classical", n_seeds, workers=workers)
-        assert sizes == [n_shards]
+        assert seen == ([n_procs, -(-n_seeds // n_procs)] if n_procs else [])
         assert stats.counts == run_search("classical", n_seeds).counts
 
 

@@ -104,6 +104,22 @@ class TestParsing:
         text = MINIMAL.replace("[0.5, 0.5]", "[1e999, 0.5]")
         with pytest.raises(ScenarioValidationError, match=r"weights\[0\]"):
             parse_scenario(text)
+        # an integer literal too large for a float, at each kind of number the reader takes
+        big = 10**400
+        gpt = {"cone": {"kind": "simplex", "dim": 2}, "unit": [1, big], "atoms": [[0.5, 0], [0, 0.5]]}
+        quantum = {"dim": 1, "atoms": [[[[0.5, 0]]], [[[0.5, big]]]]}
+        cases = [
+            ({"measure": {"classical": {"weights": [big, 0.5]}}}, "measure.classical.weights[0]"),
+            ({"measure": {"classical": {"weights": [0.5, -big]}}}, "measure.classical.weights[1]"),
+            ({"hypothesis": ["u"], "targets": [big]}, "targets[0]"),
+            ({"tolerance": big}, "tolerance"),
+            ({"measure": {"gpt": gpt}}, "measure.gpt.unit[1]"),
+            ({"measure": {"quantum": quantum}}, "measure.quantum.atoms[1][0][0][1]"),
+        ]
+        for fields, path in cases:
+            with pytest.raises(ScenarioValidationError, match="expected a finite number") as info:
+                parse_scenario(json.dumps({**json.loads(MINIMAL), **fields}))
+            assert info.value.path == path
 
     def test_quantum_matrix_shape_checked(self):
         doc = json.loads(MINIMAL)
@@ -344,10 +360,15 @@ class TestRunGenAndSearch:
         assert sum(a.counts.values()) == 100
         assert a.violations == 0
 
-    def test_search_workers_agree(self):
-        solo = run_search("classical", 60, n_worlds=4, n_agents=2)
-        team = run_search("classical", 60, n_worlds=4, n_agents=2, workers=2)
+    @pytest.mark.parametrize(
+        "layer, cone_kind", [("classical", "simplex"), ("quantum", "simplex"),
+                             ("gpt", "simplex"), ("gpt", "psd"), ("gpt", "polyhedral")],
+    )
+    def test_search_workers_agree(self, layer, cone_kind):
+        solo = run_search(layer, 60, n_worlds=4, n_agents=2, cone_kind=cone_kind)
+        team = run_search(layer, 60, n_worlds=4, n_agents=2, cone_kind=cone_kind, workers=2)
         assert solo.counts == team.counts
+        assert solo.violation_seeds == team.violation_seeds
 
     def test_search_modes(self):
         planted = run_search("classical", 50, mode="planted", n_worlds=5, n_agents=3)
