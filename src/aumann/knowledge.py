@@ -6,7 +6,8 @@ Agent ``i`` knows event ``E`` at world ``w`` when the cell of ``w`` in
 partition ``i`` is contained in ``E``; iterating "everybody knows" to its
 fixed point yields common knowledge, which (on a finite world set) is also
 characterized by the meet of the agents' partitions. One loop computes the
-iteration; ``mutual_knowledge``, ``mutual_knowledge_chain`` and
+iteration and needs no bound, since every degree but the last removes a
+world; ``mutual_knowledge``, ``mutual_knowledge_chain`` and
 ``common_knowledge`` read one degree, all degrees, or the last.
 
 The loop is incremental. It keeps each agent's knowledge of the current
@@ -352,31 +353,21 @@ def mutual_knowledge(model: KnowledgeModel, e: Event, m: int) -> Event:
     return Event(cur, model.n_worlds)
 
 
-def mutual_knowledge_chain(model: KnowledgeModel, e: Event, max_iters: int | None = None) -> list[Event]:
-    """The trace ``[M_1(e), ..., M_k(e)]`` up to the first stabilized degree.
-
-    ``max_iters`` bounds the number of iterations as a safety valve; the
-    chain provably stabilizes within ``n_worlds`` steps, so the default
-    ``n_worlds + 1`` can only trip on a caller-supplied lower bound.
-    """
+def mutual_knowledge_chain(model: KnowledgeModel, e: Event) -> list[Event]:
+    """The trace ``[M_1(e), ..., M_k(e)]`` up to the first stabilized degree;
+    every degree but the last removes a world, so ``k <= n_worlds + 1``."""
     require_worlds("event", e.n, "model", model.n_worlds)
-    limit = model.n_worlds + 1 if max_iters is None else max_iters
-    chain: list[Event] = []
-    for mask in _mutual_degrees(model, e.mask):
-        if len(chain) >= limit:
-            raise RuntimeError(f"common-knowledge fixpoint not reached within {limit} iterations")
-        chain.append(Event(mask, model.n_worlds))
-    return chain
+    return [Event(mask, model.n_worlds) for mask in _mutual_degrees(model, e.mask)]
 
 
-def common_knowledge(model: KnowledgeModel, e: Event, max_iters: int | None = None) -> Event:
+def common_knowledge(model: KnowledgeModel, e: Event) -> Event:
     """Common knowledge of ``e``: the stabilized value of the mutual chain.
 
     On a finite world set the decreasing chain reaches a fixed point within
     ``n_worlds`` iterations, and that fixed point equals the intersection of
     all mutual-knowledge degrees.
     """
-    return mutual_knowledge_chain(model, e, max_iters)[-1]
+    return mutual_knowledge_chain(model, e)[-1]
 
 
 def meet_partition(model: KnowledgeModel) -> Partition:

@@ -36,14 +36,7 @@ import numpy as np
 from . import _EXPORTS
 from .classical import ProbabilityMeasure, _classical_layer
 from .errors import ScenarioSyntaxError, ScenarioValidationError
-from .knowledge import (
-    Event,
-    KnowledgeModel,
-    Partition,
-    common_knowledge,
-    know,
-    mutual_knowledge_chain,
-)
+from .knowledge import Event, KnowledgeModel, Partition, know, mutual_knowledge_chain
 from .tolerances import CANONICAL_UNIT_TOL, MATCH_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
 from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _Layer, _verdict, _verify
@@ -96,6 +89,15 @@ def _number(raw: Any, path: str) -> float:
 
 def _reject_constant(token: str) -> None:
     raise ScenarioSyntaxError(f"non-finite number {token} is not valid JSON")
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object from its key-value pairs; a key that repeats is a syntax error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ScenarioSyntaxError(f"duplicate key {key!r}")
+    return obj
 
 
 def _object(raw: Any, path: str, what: str, fields: tuple[str, ...]) -> dict:
@@ -330,14 +332,18 @@ class ScenarioFile:
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse and validate a scenario document.
 
-    Raises :class:`ScenarioSyntaxError` for malformed JSON and
-    :class:`ScenarioValidationError` (with a field path) for structural
-    problems, including core-object invariant violations.
+    Raises :class:`ScenarioSyntaxError` for malformed JSON (a repeated key
+    included) and :class:`ScenarioValidationError` (with a field path) for
+    structural problems, including core-object invariant violations.
     """
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
+    except ScenarioSyntaxError:
+        raise
+    except ValueError as exc:  # an integer literal with more digits than ``int`` converts
+        raise ScenarioSyntaxError(str(exc)) from exc
     doc = _object(
         raw, "", "a JSON object", ("version", "worlds", "agents", "measure", "hypothesis", "targets", "tolerance")
     )
@@ -527,15 +533,22 @@ def verify_bundle(bundle: ScenarioBundle, tol: float = MATCH_TOL) -> AgreementVe
     return _verify(model, _KINDS[bundle.layer].layer(model, bundle.measure, bundle.hypothesis, bundle.targets), tol)
 
 
-def _pipeline_parts(sf: ScenarioFile, tol: float | None, *, need_targets: bool):
-    """(model, pipeline adapter, tolerance) of a scenario; the adapter has no
-    targets when the scenario has none. The tolerance is ``tol``, else the
-    file's, else ``MATCH_TOL``, and is checked after the structure."""
+def _run(sf: ScenarioFile, tol: float | None, max_iters: int | None, analyze: bool) -> Report:
+    """The one run behind ``run_agree`` and ``run_analyze``.
+
+    Builds the agreement event (an analysis without targets takes the
+    hypothesis), its mutual-knowledge chain, which may have at most
+    ``max_iters`` degrees, and the verdict; an analysis adds each agent's
+    knowledge, the chain and every cell's conditional value (``None`` for a
+    null cell). The tolerance is ``tol``, else the file's, else
+    ``MATCH_TOL``, and is checked after the structure.
+    """
+    t0 = time.perf_counter()
     kind = _KINDS[sf.layer]
     if kind.layer is None:
         raise ScenarioValidationError("POVM scenarios only support conversion", "measure")
     targets, h = sf.targets, sf.hypothesis
-    if targets is None and need_targets:
+    if targets is None and not analyze:
         raise ScenarioValidationError("this command needs per-agent targets", "targets")
     if targets is None and h is None:
         raise ScenarioValidationError("analysis needs targets or a hypothesis event", "hypothesis")
@@ -546,72 +559,43 @@ def _pipeline_parts(sf: ScenarioFile, tol: float | None, *, need_targets: bool):
     if tol is None:
         tol = MATCH_TOL if sf.tolerance is None else sf.tolerance
     _check_tol(tol)
-    return model, layer, tol
-
-
-def run_agree(
-    sf: ScenarioFile, *, tol: float | None = None, max_iters: int | None = None
-) -> Report:
-    """Verdict-centric run: build the agreement event and verify the theorem."""
-    t0 = time.perf_counter()
-    model, layer, tol = _pipeline_parts(sf, tol, need_targets=True)
-    event = _agreement_event(model, layer, tol)
+    event = h if targets is None else _agreement_event(model, layer, tol)
     t1 = time.perf_counter()
-    verdict = _verdict(layer, common_knowledge(model, event, max_iters=max_iters), tol)
-    t2 = time.perf_counter()
-    return Report(
-        layer=sf.layer,
-        worlds=list(sf.worlds),
-        verdict=verdict,
-        event=event,
-        common=verdict.common_event,
-        agent_names=list(sf.agents),
-        timings={"build": t1 - t0, "verify": t2 - t1, "total": t2 - t0},
+    chain = tuple(mutual_knowledge_chain(model, event))
+    if max_iters is not None and len(chain) > max_iters:
+        raise RuntimeError(f"common-knowledge fixpoint not reached within {max_iters} iterations")
+    verdict = None if targets is None else _verdict(layer, chain[-1], tol)
+    t2 = t3 = time.perf_counter()
+    timings = {"build": t1 - t0, "verify": t2 - t1}
+    report = Report(
+        sf.layer, list(sf.worlds), verdict, event, common=chain[-1], agent_names=list(sf.agents), timings=timings
     )
+    if analyze:
+        report.knowledge = tuple(know(model, i, event) for i in range(model.n_agents))
+        report.mutual_trace = chain
+        report.posteriors_by_cell = []
+        for p in model.partitions:
+            live, conditionals = _cell_conditionals(layer, p)
+            found = dict(zip(live.tolist(), conditionals))
+            report.posteriors_by_cell.append([(cell, found.get(k)) for k, cell in enumerate(p.cells)])
+        t3 = time.perf_counter()
+        timings["analyze"] = t3 - t2
+    timings["total"] = t3 - t0
+    return report
 
 
-def _conditional_table(model: KnowledgeModel, layer) -> list:
-    """Per agent: (cell, conditional value) rows; None value marks null cells."""
-    table = []
-    for p in model.partitions:
-        live, conditionals = _cell_conditionals(layer, p)
-        found = dict(zip(live.tolist(), conditionals))
-        table.append([(cell, found.get(k)) for k, cell in enumerate(p.cells)])
-    return table
+def run_agree(sf: ScenarioFile, *, tol: float | None = None, max_iters: int | None = None) -> Report:
+    """Verdict-centric run: build the agreement event and verify the theorem."""
+    return _run(sf, tol, max_iters, False)
 
 
-def run_analyze(
-    sf: ScenarioFile, *, tol: float | None = None, max_iters: int | None = None
-) -> Report:
+def run_analyze(sf: ScenarioFile, *, tol: float | None = None, max_iters: int | None = None) -> Report:
     """Full knowledge analysis of the agreement event (or bare hypothesis).
 
     With targets present the analyzed event is the agreement event and the
     report carries a verdict; otherwise the hypothesis itself is analyzed.
     """
-    t0 = time.perf_counter()
-    model, layer, tol = _pipeline_parts(sf, tol, need_targets=False)
-    has_targets = sf.targets is not None
-    event = _agreement_event(model, layer, tol) if has_targets else sf.hypothesis
-    t1 = time.perf_counter()
-    trace = tuple(mutual_knowledge_chain(model, event, max_iters=max_iters))
-    common = trace[-1]
-    verdict = _verdict(layer, common, tol) if has_targets else None
-    t2 = time.perf_counter()
-    knowledge = tuple(know(model, i, event) for i in range(model.n_agents))
-    table = _conditional_table(model, layer)
-    t3 = time.perf_counter()
-    return Report(
-        layer=sf.layer,
-        worlds=list(sf.worlds),
-        verdict=verdict,
-        event=event,
-        knowledge=knowledge,
-        mutual_trace=trace,
-        common=common,
-        posteriors_by_cell=table,
-        agent_names=list(sf.agents),
-        timings={"build": t1 - t0, "verify": t2 - t1, "analyze": t3 - t2, "total": t3 - t0},
-    )
+    return _run(sf, tol, max_iters, True)
 
 
 def run_convert(sf: ScenarioFile, direction: str) -> ScenarioFile:
@@ -725,6 +709,8 @@ def run_search(
         raise ValueError(f"mode must be mix, planted, or random, got {mode!r}")
     if n_seeds < 0:
         raise ValueError(f"n_seeds must be nonnegative, got {n_seeds}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     tol = MATCH_TOL if tol is None else tol
     _check_tol(tol)
     seed_status = partial(_seed_status, layer, base_seed, mode, (n_worlds, n_agents, dim, cone_kind), tol)

@@ -38,7 +38,9 @@ class TestAgree:
         assert result.returncode == 0
         assert "vacuous_empty_common_knowledge" in result.stdout
 
-    @pytest.mark.parametrize("name", ["invalid_weights.json", "invalid_cone_field.json", "invalid_huge_dim.json"])
+    @pytest.mark.parametrize(
+        "name", ["invalid_weights.json", "invalid_cone_field.json", "invalid_huge_dim.json", "invalid_duplicate_key.json"]
+    )
     def test_invalid_file_is_exit_two(self, name):
         result = cli("agree", str(DATA / name))
         assert result.returncode == 2

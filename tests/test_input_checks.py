@@ -233,6 +233,20 @@ class TestSearchSeeds:
         with pytest.raises(ValueError, match="n_seeds"):
             run_search("classical", -1, workers=2)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_exit_two_before_any_seed(self, workers, monkeypatch, capsys):
+        def seed_status(*args):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(scenario, "_seed_status", seed_status)
+        assert main(["search", "--layer", "classical", "--seeds", "4", "--workers", str(workers)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert f"workers must be positive, got {workers}" in captured.err
+        assert captured.out == ""
+        for n_seeds in (0, 4):
+            with pytest.raises(ValueError, match="workers"):
+                run_search("classical", n_seeds, workers=workers)
+
     @pytest.mark.parametrize("workers", ["1", "2", "8"])
     def test_zero_seeds_is_an_empty_tally(self, workers, capsys):
         assert main(["search", "--layer", "classical", "--seeds", "0", "--workers", workers]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from aumann import (
     KnowledgeModel,
     NotCellUnion,
     Partition,
+    ProbabilityMeasure,
+    ScenarioFile,
     cell_decomposition,
     cell_of,
     common_knowledge,
@@ -15,6 +19,8 @@ from aumann import (
     meet_partition,
     mutual_knowledge,
     mutual_knowledge_chain,
+    run_agree,
+    run_analyze,
 )
 
 
@@ -166,11 +172,17 @@ class TestCommonKnowledge:
         assert common_knowledge(model_a, Event.empty(5)) == Event.empty(5)
 
     def test_max_iters_safety_valve(self, model_b):
+        """The scenario runs bound the chain of the event they analyze: ``e``
+        for an analysis without targets, the agreement event ``{2}`` of the
+        targets (0.5, 1); both chains have two degrees."""
         e = model_b.event([0, 1, 2])
-        with pytest.raises(RuntimeError):
-            common_knowledge(model_b, e, max_iters=1)
-        with pytest.raises(RuntimeError):
-            mutual_knowledge_chain(model_b, e, max_iters=1)
+        mu = ProbabilityMeasure([0.25] * 4)
+        sf = ScenarioFile(["w0", "w1", "w2", "w3"], ["a", "b"], model_b, "classical", mu, e)
+        for run, scenario in ((run_analyze, sf), (run_agree, replace(sf, targets=(0.5, 1.0)))):
+            assert len(mutual_knowledge_chain(model_b, run(scenario).event)) == 2
+            with pytest.raises(RuntimeError, match="^common-knowledge fixpoint not reached within 1 iterations$"):
+                run(scenario, max_iters=1)
+            assert run(scenario, max_iters=2).common == common_knowledge(model_b, run(scenario).event)
 
     def test_chain_trace(self, model_b):
         trace = mutual_knowledge_chain(model_b, model_b.event([0, 1, 2]))
@@ -253,7 +265,8 @@ def test_chain_decreases_and_stabilizes(me):
         assert cur <= prev
     # stabilization within n_worlds iterations
     assert levels[-1] == levels[-2]
-    assert common_knowledge(model, e, max_iters=model.n_worlds + 1) == levels[-1]
+    assert len(mutual_knowledge_chain(model, e)) <= model.n_worlds + 1
+    assert common_knowledge(model, e) == levels[-1]
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,7 +8,8 @@ cone kind, including targets placed at ``tol`` (and at the floats next to it)
 from a cell conditional.
 """
 
-from contextlib import nullcontext
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from aumann import (
     Event,
     GptState,
     KnowledgeModel,
+    ProbabilityMeasure,
+    ScenarioFile,
     agreement_event,
     common_knowledge,
     dovm_value,
@@ -30,6 +33,8 @@ from aumann import (
     probability,
     quantum_agreement_event,
     require_hermitian,
+    run_agree,
+    run_analyze,
     svm_value,
     trace_norm,
     verify_aumann,
@@ -363,6 +368,29 @@ def test_verify_bundle_matches_per_layer_verifiers():
             assert _same_bits(_pooled_array(got), _pooled_array(expected))
 
 
+def _check_run_limits(model, e, limits):
+    """``run_analyze`` of a uniform classical scenario with hypothesis ``e``,
+    and ``run_agree`` of it with the targets of world 0's cells, pass each
+    ``max_iters`` in ``limits(k)`` that is at least the length ``k`` of the
+    chain of the event they analyze, and raise the old loop's error for the
+    others."""
+    n = model.n_worlds
+    mu = ProbabilityMeasure(np.full(n, 1 / n))
+    sf = ScenarioFile([f"w{w}" for w in range(n)], [f"a{i}" for i in range(model.n_agents)], model, "classical", mu, e)
+    targets = tuple(next(v for cell, v in rows if 0 in cell) for rows in run_analyze(sf).posteriors_by_cell)
+    for run, scenario in ((run_analyze, sf), (run_agree, replace(sf, targets=targets))):
+        event = run(scenario).event
+        chain = _old_mutual_knowledge_chain(model, event)
+        for limit in limits(len(chain)):
+            if limit >= len(chain):
+                assert run(scenario, max_iters=limit).common == chain[-1]
+                continue
+            with pytest.raises(RuntimeError) as old:
+                _old_common_knowledge(model, event, max_iters=limit)
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(old.value))}$"):
+                run(scenario, max_iters=limit)
+
+
 def test_fixpoint_readers_match_the_old_loops():
     for seed in range(200):
         n = 1 + seed % 24
@@ -373,19 +401,7 @@ def test_fixpoint_readers_match_the_old_loops():
         assert common_knowledge(model, e) == _old_common_knowledge(model, e) == chain[-1]
         for m in range(n + 3):
             assert mutual_knowledge(model, e, m) == _old_mutual_knowledge(model, e, m)
-        for limit in range(-1, len(chain) + 1):
-            old_raises = new_raises = False
-            try:
-                _old_common_knowledge(model, e, max_iters=limit)
-            except RuntimeError:
-                old_raises = True
-            try:
-                common_knowledge(model, e, max_iters=limit)
-            except RuntimeError:
-                new_raises = True
-            assert new_raises == old_raises == (limit < len(chain))
-            with pytest.raises(RuntimeError) if old_raises else nullcontext():
-                mutual_knowledge_chain(model, e, max_iters=limit)
+        _check_run_limits(model, e, lambda k: range(-1, k + 1))
 
 
 def test_email_chain_fixpoint_steps():
@@ -407,15 +423,12 @@ def _email_chain_model(n):
 
 
 def _check_chain_readers(model, e):
-    """Every fixpoint reader, and every ``max_iters`` error, agrees with the old loop."""
+    """Every fixpoint reader, and every ``max_iters`` error of the scenario
+    runs, agrees with the old loop."""
     chain = mutual_knowledge_chain(model, e)
     assert chain == _old_mutual_knowledge_chain(model, e)
-    assert common_knowledge(model, e) == chain[-1]
-    for limit in (0, 1, len(chain) - 1, len(chain)):
-        with pytest.raises(RuntimeError) if limit < len(chain) else nullcontext():
-            _old_common_knowledge(model, e, max_iters=limit)
-        with pytest.raises(RuntimeError) if limit < len(chain) else nullcontext():
-            common_knowledge(model, e, max_iters=limit)
+    assert common_knowledge(model, e) == _old_common_knowledge(model, e) == chain[-1]
+    _check_run_limits(model, e, lambda k: (0, 1, k - 1, k))
     return chain
 
 

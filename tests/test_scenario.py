@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,19 @@ class TestParsing:
             with pytest.raises(ScenarioValidationError, match="expected a finite number") as info:
                 parse_scenario(json.dumps({**json.loads(MINIMAL), **fields}))
             assert info.value.path == path
+
+    def test_repeated_key_rejected(self):
+        """``json.loads`` alone keeps the last value of a repeated key."""
+        with pytest.raises(ScenarioSyntaxError, match="^duplicate key 'targets'$"):
+            load("invalid_duplicate_key.json")
+        with pytest.raises(ScenarioSyntaxError, match="^duplicate key 'weights'$"):
+            parse_scenario(MINIMAL.replace('"weights"', '"weights": [1, 0], "weights"'))
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+    def test_integer_beyond_the_digit_limit_is_a_syntax_error(self):
+        text = MINIMAL.replace('"version": 1', '"version": 1' + "0" * sys.get_int_max_str_digits())
+        with pytest.raises(ScenarioSyntaxError, match="integer string conversion"):
+            parse_scenario(text)
 
     def test_quantum_matrix_shape_checked(self):
         doc = json.loads(MINIMAL)
