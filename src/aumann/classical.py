@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import ConditioningOnNull, as_number, require_finite, require_worlds
-from .knowledge import Event, KnowledgeModel, Partition
+from .knowledge import Event, KnowledgeModel
 from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
 from .verdicts import AgreementVerdict, _agreement_event, _cell_conditionals, _Layer, _verify
 
@@ -85,27 +85,21 @@ def _indicator(e: Event) -> np.ndarray:
 def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float] = ()) -> _Layer:
     """The posterior of ``h`` under ``mu``, for the agreement pipeline.
 
-    Cell sums are two ``np.bincount``s over the labels, which add each
-    cell's worlds in increasing order starting from 0.0, so they equal a
-    per-world loop bit for bit; event sums are :func:`probability`.
+    Each world's atom is the pair (its weight if it lies in ``h``, else 0;
+    its weight), so the sum of atoms over an event ``e`` is the pair
+    ``(P(h & e), P(e))``: value and mass. Sums add worlds in increasing
+    order starting from 0.0, as :func:`probability` does, so they equal it
+    bit for bit.
     """
     require_worlds("measure", mu.n_worlds, "model", model.n_worlds)
     require_worlds("event", h.n, "model", model.n_worlds)
-    joint = mu.weights * _indicator(h)
-
-    def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-        k = len(partition)
-        p_joint = np.bincount(partition.labels, weights=joint, minlength=k)
-        return p_joint, np.bincount(partition.labels, weights=mu.weights, minlength=k)
-
-    def event_sums(e: Event) -> tuple[float, float]:
-        return probability(mu, h & e), probability(mu, e)
+    atoms = np.stack([mu.weights * _indicator(h), mu.weights], axis=1)
 
     def distance(xs: np.ndarray, target: float) -> np.ndarray:
         return np.abs(xs - target)
 
     targets = tuple(as_number(i, x) for i, x in enumerate(q))
-    return _Layer(cell_sums, event_sums, float, distance, targets)
+    return _Layer(atoms, lambda x: (x[..., 0], x[..., 1]), float, distance, targets)
 
 
 def agreement_event(

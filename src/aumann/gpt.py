@@ -26,8 +26,8 @@ import numpy as np
 from . import _EXPORTS
 from .classical import ProbabilityMeasure
 from .errors import ConditioningOnNull, as_array, require_finite, require_worlds
-from .knowledge import Event, KnowledgeModel, Partition
-from .quantum import Dovm, _cell_values, _event_value, require_hermitian
+from .knowledge import Event, KnowledgeModel
+from .quantum import Dovm, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
     HERMITIAN_LOOSE_TOL,
@@ -36,7 +36,7 @@ from .tolerances import (
     PSD_EIG_TOL,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, _agreement_event, _Layer, _verify
+from .verdicts import AgreementVerdict, _agreement_event, _event_value, _Layer, _verify
 
 __all__ = _EXPORTS["gpt"]
 
@@ -577,14 +577,6 @@ def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
     require_worlds("SVM", mu.n_worlds, "model", model.n_worlds)
     unit = mu.cone.unit
 
-    def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-        values = _cell_values(mu.atoms, partition)
-        return values, values @ unit
-
-    def event_sums(e: Event) -> tuple[np.ndarray, float]:
-        value = svm_value(mu, e)
-        return value, float(unit @ value)
-
     def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
         return np.abs(xs - target).max(axis=1)
 
@@ -598,7 +590,7 @@ def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
     for i, t in enumerate(targets):
         if isinstance(t, GptState) and not _same_cone(t.cone, mu.cone):
             raise ValueError(f"target {i} is a state of another cone than the SVM's")
-    return _Layer(cell_sums, event_sums, lambda x: GptState(mu.cone, x), distance, coords)
+    return _Layer(mu.atoms, lambda x: (x, x @ unit), lambda x: GptState(mu.cone, x), distance, coords)
 
 
 def gpt_agreement_event(model: KnowledgeModel, mu: Svm, targets: Sequence, tol: float = MATCH_TOL) -> Event:

@@ -21,8 +21,8 @@ then costs time linear in its length rather than quadratic.
 A partition is stored in two forms that describe the same cells in the same
 order: ``labels``, an integer array mapping each world to the number of its
 cell, and ``masks``, one bit-mask per cell. Per-cell sums over a measure are
-one ``np.bincount`` or ``np.add.at`` over the labels, and knowledge and
-agreement events are unions of masks. The cells as :class:`Event` objects
+one ``np.add.at`` over the labels (``verdicts._cell_values``), and knowledge
+and agreement events are unions of masks. The cells as :class:`Event` objects
 are built only when a caller asks for ``Partition.cells``.
 """
 

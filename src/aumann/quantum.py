@@ -1,9 +1,10 @@
 """Quantum layer: density-operator-valued measures and agreement.
 
 A DOVM assigns a PSD matrix to each world, the atoms summing to a density
-operator. Conditioning on an event sums the atoms over it (the GPT layer
-shares these sums) and normalizes by the trace. Sandwiching with the square
-root (or pseudo-inverse square root) of a state converts DOVMs and POVMs.
+operator. Conditioning on an event sums the atoms over it (by the one
+rule of ``verdicts``, which every layer shares) and normalizes by the
+trace. Sandwiching with the square root (or pseudo-inverse square root) of
+a state converts DOVMs and POVMs.
 
 Finiteness, squareness, Hermiticity and positivity are each checked in one
 place, on a stack of matrices (``_hermitian_stack``, ``_psd_stack``); a
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import ConditioningOnNull, NotHermitian, NotPsd, as_array, require_finite_items, require_worlds
-from .knowledge import Event, KnowledgeModel, Partition
+from .knowledge import Event, KnowledgeModel
 from .tolerances import (
     HERMITIAN_LOOSE_TOL,
     HERMITIAN_TOL,
@@ -30,7 +31,7 @@ from .tolerances import (
     SUPPORT_CUTOFF,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, _agreement_event, _Layer, _verify
+from .verdicts import AgreementVerdict, _agreement_event, _event_value, _Layer, _verify
 
 __all__ = _EXPORTS["quantum"]
 
@@ -111,24 +112,6 @@ def _require_psd(vals: np.ndarray, what: str) -> None:
     if any(v < -PSD_EIG_TOL for v in lowest.tolist()):  # cheaper than a numpy reduction on short stacks
         w = int(np.argmax(lowest < -PSD_EIG_TOL))
         raise NotPsd(f"{what} {w} has eigenvalue {lowest[w]:.3e} below -{PSD_EIG_TOL:.0e}")
-
-
-def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
-    """Sum of the per-world ``atoms`` over each cell, stacked in cell order.
-
-    Each cell's sum adds its worlds in increasing order, as
-    ``atoms[list(cell)].sum(axis=0)`` does, so the values agree bit for bit.
-    """
-    sums = np.zeros((len(partition),) + atoms.shape[1:], dtype=atoms.dtype)
-    np.add.at(sums, partition.labels, atoms)
-    return sums
-
-
-def _event_value(atoms: np.ndarray, e: Event) -> np.ndarray:
-    """Sum of the per-world ``atoms`` over the worlds of ``e``; zeros when it is empty."""
-    if not e:
-        return np.zeros(atoms.shape[1:], dtype=atoms.dtype)
-    return atoms[np.fromiter(e, dtype=np.intp)].sum(axis=0)
 
 
 def _sandwich(root: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -272,14 +255,6 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer
     ``d x d`` matrix for the DOVM's ``d``."""
     require_worlds("DOVM", rho.n_worlds, "model", model.n_worlds)
 
-    def cell_sums(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-        values = _cell_values(rho.atoms, partition)
-        return values, values.trace(axis1=1, axis2=2).real
-
-    def event_sums(e: Event) -> tuple[np.ndarray, float]:
-        value = dovm_value(rho, e)
-        return value, float(value.trace().real)
-
     def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
         return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=HERMITIAN_LOOSE_TOL))
 
@@ -292,7 +267,9 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer
             raise ValueError(f"target {i} must have shape {(rho.dim, rho.dim)}, got {m.shape}")
     if not all(isinstance(s, DensityOperator) for s in sigmas):  # a state is checked already
         matrices = _hermitian_stack(matrices, "target", HERMITIAN_LOOSE_TOL)
-    return _Layer(cell_sums, event_sums, DensityOperator, distance, tuple(matrices))
+    return _Layer(
+        rho.atoms, lambda x: (x, x.trace(axis1=-2, axis2=-1).real), DensityOperator, distance, tuple(matrices)
+    )
 
 
 def quantum_agreement_event(model: KnowledgeModel, rho: Dovm, sigmas: Sequence, tol: float = MATCH_TOL) -> Event:

@@ -333,8 +333,9 @@ def parse_scenario(text: str) -> ScenarioFile:
     """Parse and validate a scenario document.
 
     Raises :class:`ScenarioSyntaxError` for malformed JSON (a repeated key
-    included) and :class:`ScenarioValidationError` (with a field path) for
-    structural problems, including core-object invariant violations.
+    or nesting too deep to decode included) and
+    :class:`ScenarioValidationError` (with a field path) for structural
+    problems, including core-object invariant violations.
     """
     try:
         raw = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
@@ -344,6 +345,8 @@ def parse_scenario(text: str) -> ScenarioFile:
         raise
     except ValueError as exc:  # an integer literal with more digits than ``int`` converts
         raise ScenarioSyntaxError(str(exc)) from exc
+    except RecursionError as exc:  # lists or objects nested deeper than the decoder recurses
+        raise ScenarioSyntaxError("document nested too deeply") from exc
     doc = _object(
         raw, "", "a JSON object", ("version", "worlds", "agents", "measure", "hypothesis", "targets", "tolerance")
     )

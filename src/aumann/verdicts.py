@@ -5,8 +5,11 @@ agent, the cells whose conditional value is within ``tol`` of the agent's
 target; the intersection of those unions of cells is the agreement event;
 unless its common knowledge ``C`` is empty or has mass at most ``tol`` (the
 two vacuous outcomes), every target is compared with the value conditioned
-on ``C``. A layer supplies only the four operations of :class:`_Layer`;
-cells with mass at most ``NULL_MASS_TOL`` never match.
+on ``C``. A layer supplies its atom stack (one atom per world), how a sum
+of atoms splits into a value and a mass, the state type, the distance and
+the targets (:class:`_Layer`). Every cell and event value is a sum of
+atoms, taken here by one rule (:func:`_cell_values`, :func:`_event_value`)
+for every layer, and cells with mass at most ``NULL_MASS_TOL`` never match.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ class AgreementVerdict:
 class _Layer(NamedTuple):
     """One measure layer as the agreement pipeline sees it, with its targets."""
 
-    cell_sums: Callable[[Partition], tuple[np.ndarray, np.ndarray]]  # values and masses of all cells
-    event_sums: Callable[[Event], tuple[Any, float]]  # value and mass of one event
+    atoms: np.ndarray  # one atom per world, stacked along axis 0
+    parts: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # value and mass of a sum of atoms, or of a stack
     state: Callable[[Any], Any]  # a value divided by its mass, as the layer's state type
     distance: Callable[[np.ndarray, Any], np.ndarray]  # distance of each entry of a stack to a target
     targets: tuple  # one per agent, in the form ``distance`` takes
@@ -75,10 +78,28 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
+def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
+    """Sum of the per-world ``atoms`` over each cell, stacked in cell order.
+
+    Each cell's sum adds its worlds in increasing order starting from zeros,
+    as ``atoms[list(cell)].sum(axis=0)`` does, so the values agree bit for bit.
+    """
+    sums = np.zeros((len(partition),) + atoms.shape[1:], dtype=atoms.dtype)
+    np.add.at(sums, partition.labels, atoms)
+    return sums
+
+
+def _event_value(atoms: np.ndarray, e: Event) -> np.ndarray:
+    """Sum of the per-world ``atoms`` over the worlds of ``e``; zeros when it is empty."""
+    if not e:
+        return np.zeros(atoms.shape[1:], dtype=atoms.dtype)
+    return atoms[np.fromiter(e, dtype=np.intp)].sum(axis=0)
+
+
 def _cell_conditionals(layer: _Layer, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the cells with mass above ``NULL_MASS_TOL`` and their
     conditional values (value divided by mass), stacked in cell order."""
-    values, masses = layer.cell_sums(partition)
+    values, masses = layer.parts(_cell_values(layer.atoms, partition))
     live = np.flatnonzero(masses > NULL_MASS_TOL)
     scale = masses[live].reshape((-1,) + (1,) * (values.ndim - 1))
     return live, values[live] / scale
@@ -111,7 +132,7 @@ def _verdict(layer: _Layer, c: Event, tol: float) -> AgreementVerdict:
     targets = layer.targets
     if not c:
         return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, targets, None)
-    value, mass = layer.event_sums(c)
+    value, mass = layer.parts(_event_value(layer.atoms, c))
     if mass <= tol:
         return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, targets, None)
     pooled = value / mass

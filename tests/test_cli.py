@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
 
 
 def cli(*args, cwd=None):
@@ -289,3 +291,23 @@ def test_search_gpt_psd_dim3_past_seed_166():
     assert result.returncode == 0, result.stderr
     assert "scenarios: 200" in result.stdout
     assert "violations: 0" in result.stdout
+
+
+@pytest.mark.parametrize("part", ["runtime", "console"])
+def test_smoke_script(part, tmp_path):
+    """The CI workflow's command-line run (``tests/smoke.sh``) passes with
+    ``python -m aumann``; its runtime part with scipy unimportable."""
+    paths = [str(ROOT / "src")]
+    if part == "runtime":
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("raise ImportError('scipy is blocked')\n")
+        paths.insert(0, str(tmp_path))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "PYTHON": sys.executable}
+    if part == "runtime":
+        blocked = subprocess.run([sys.executable, "-c", "import scipy"], env=env, capture_output=True)
+        assert blocked.returncode != 0
+    result = subprocess.run(
+        ["bash", str(ROOT / "tests" / "smoke.sh"), part, sys.executable, "-m", "aumann"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

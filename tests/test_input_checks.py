@@ -5,6 +5,8 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from aumann import (
     GptState,
     PolyhedralCone,
     PsdCone,
+    ScenarioSyntaxError,
     ScenarioValidationError,
     SimplexCone,
     VerdictStatus,
@@ -315,6 +318,20 @@ class TestScenarioShape:
         with pytest.raises(ScenarioValidationError, match="cell 1 overlaps an earlier cell") as info:
             parse_scenario(json.dumps(doc))
         assert info.value.path == "agents[1].partition"
+
+
+def test_deep_nesting_is_a_syntax_error(tmp_path):
+    """A list nested past the decoder's recursion limit is malformed JSON, not a crash."""
+    depth = 100_000
+    text = '{"version": 1, "worlds": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(ScenarioSyntaxError, match="^document nested too deeply$"):
+        parse_scenario(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    result = subprocess.run([sys.executable, "-m", "aumann", "agree", str(path)], capture_output=True, text=True)
+    assert result.returncode == EXIT_INPUT_ERROR
+    assert result.stdout == ""
+    assert result.stderr == "error: document nested too deeply\n"
 
 
 def _files():

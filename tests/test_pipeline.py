@@ -30,11 +30,13 @@ from aumann import (
     gpt_agreement_event,
     mutual_knowledge,
     mutual_knowledge_chain,
+    posterior_function,
     probability,
     quantum_agreement_event,
     require_hermitian,
     run_agree,
     run_analyze,
+    scenario_from_bundle,
     svm_value,
     trace_norm,
     verify_aumann,
@@ -44,10 +46,11 @@ from aumann import (
 )
 from aumann.classical import _indicator
 from aumann.errors import require_worlds
+import aumann.scenario as scenario
 from aumann.generators import _rng
-from aumann.quantum import _cell_values, _hermitian_stack, _trace_norms
+from aumann.quantum import _hermitian_stack, _trace_norms
 from aumann.tolerances import MATCH_TOL, NULL_MASS_TOL
-from aumann.verdicts import AgreementVerdict, VerdictStatus
+from aumann.verdicts import AgreementVerdict, VerdictStatus, _cell_values, _event_value
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +369,94 @@ def test_verify_bundle_matches_per_layer_verifiers():
             assert got.status is expected.status
             assert got.common_event == expected.common_event
             assert _same_bits(_pooled_array(got), _pooled_array(expected))
+
+
+def _expected_table(bundle, agent):
+    """Each cell's conditional value by the reference sums, ``None`` for a
+    null cell. A GPT cell's mass is the unit applied to the stack of all cell
+    values at once, as the old verifier takes it: a matmul over a stack can
+    round differently from one dot product (at gpt-simplex dim 4 it differs
+    from ``_cell_conditional`` in the last bit)."""
+    mu = bundle.measure
+    cells = bundle.model.partitions[agent].cells
+    if bundle.layer == "gpt":
+        values = np.stack([svm_value(mu, cell) for cell in cells])
+        return [None if m <= NULL_MASS_TOL else v / m for v, m in zip(values, values @ mu.cone.unit)]
+    if bundle.layer == "quantum":
+        masses = [float(dovm_value(mu, cell).trace().real) for cell in cells]
+    else:
+        masses = [probability(mu, cell) for cell in cells]
+    return [None if m <= NULL_MASS_TOL else _cell_conditional(bundle, min(cell), agent)
+            for cell, m in zip(cells, masses)]
+
+
+def _table_bundles(n_worlds):
+    """Bundles of every kind, some with a null cell: one agent's cell whose
+    worlds have their weight moved to the other worlds (classical only)."""
+    for layer, cone_kind, dim in KINDS:
+        for seed in range(6):
+            for gen in (gen_planted_scenario, gen_unconstrained_scenario):
+                bundle = gen(seed, layer, n_worlds, 1 + seed % 3, dim=dim, cone_kind=cone_kind)
+                yield bundle
+                if layer == "classical" and len(bundle.model.partitions[0]) > 1:
+                    w = bundle.measure.weights.copy()
+                    w[list(bundle.model.partitions[0].cell_of(0))] = 0.0
+                    yield replace(bundle, measure=ProbabilityMeasure(w / w.sum()))
+
+
+@pytest.mark.parametrize("n_worlds", [6, 48])
+def test_analysis_table_matches_the_cell_conditionals(n_worlds):
+    """Every entry of the analysis cell table, and every classical
+    ``posterior_function`` value, is the cell conditional of the reference
+    sums bit for bit; a null cell gives ``None`` and NaN."""
+    nulls = 0
+    for bundle in _table_bundles(n_worlds):
+        report = run_analyze(scenario_from_bundle(bundle))
+        for agent, rows in enumerate(report.posteriors_by_cell):
+            expected = _expected_table(bundle, agent)
+            assert [cell for cell, _ in rows] == list(bundle.model.partitions[agent].cells)
+            assert all(_same_bits(value, e) for (_, value), e in zip(rows, expected))
+            nulls += sum(e is None for e in expected)
+            if bundle.layer == "classical":
+                per_world = posterior_function(bundle.model, bundle.measure, agent, bundle.hypothesis)
+                for (cell, _), e in zip(rows, expected):
+                    want = np.nan if e is None else e
+                    assert all(_same_bits(per_world[w], want) for w in cell)
+    assert nulls
+
+
+def _loop_sum(atoms, worlds):
+    """The atoms of ``worlds`` added one at a time, in increasing order, starting from zeros."""
+    total = np.zeros(atoms.shape[1:], dtype=atoms.dtype)
+    for w in sorted(worlds):
+        total = total + atoms[w]
+    return total
+
+
+@pytest.mark.parametrize("layer, cone_kind, dim", KINDS)
+@pytest.mark.parametrize("n_worlds", [6, 48, 63])
+def test_sums_add_worlds_in_increasing_order(layer, cone_kind, dim, n_worlds):
+    """``_cell_values`` and ``_event_value`` on each layer's atom stack equal
+    a per-cell loop bit for bit, and, on the classical stack, ``probability``
+    of the hypothesis within the cell and of the cell."""
+    for seed in range(4):
+        bundle = gen_unconstrained_scenario(seed, layer, n_worlds, 1 + seed % 3, dim=dim, cone_kind=cone_kind)
+        model, mu, h = bundle.model, bundle.measure, bundle.hypothesis
+        atoms = scenario._KINDS[layer].layer(model, mu, h, ()).atoms
+        rng = _rng(30_000 + seed)
+        events = [Event.empty(n_worlds), Event.full(n_worlds)]
+        events += [Event(int(rng.integers(0, 1 << 62)) & ((1 << n_worlds) - 1), n_worlds) for _ in range(8)]
+        for partition in model.partitions:
+            values = _cell_values(atoms, partition)
+            assert values.dtype == atoms.dtype and values.shape == (len(partition),) + atoms.shape[1:]
+            for k, cell in enumerate(partition.cells):
+                assert _same_bits(values[k], _loop_sum(atoms, cell))
+            events += partition.cells
+        for e in events:
+            value = _event_value(atoms, e)
+            assert _same_bits(value, _loop_sum(atoms, e))
+            if layer == "classical":
+                assert _same_bits(value, np.array([probability(mu, h & e), probability(mu, e)]))
 
 
 def _check_run_limits(model, e, limits):
