@@ -17,8 +17,6 @@ import numpy as np
 
 from aumann import parse_scenario, run_agree, run_analyze, run_convert, run_gen, run_search, serialize_scenario
 
-workdir = Path(tempfile.mkdtemp(prefix="aumann-demo-"))
-
 # The worked example as a scenario document.
 scenario_text = """
 {
@@ -53,21 +51,24 @@ print("POVM round trip preserves atoms:",
 stats = run_search("classical", 500, n_worlds=6, n_agents=2)
 print(stats.to_text())
 
-# The same operations through the installed CLI.
-path = workdir / "worked_example.json"
-path.write_text(serialize_scenario(sf))
-result = subprocess.run(
-    [sys.executable, "-m", "aumann", "agree", str(path), "--json"],
-    capture_output=True, text=True,
-)
-doc = json.loads(result.stdout)
-print("CLI exit code:", result.returncode)
-print("CLI verdict:", doc["verdict"]["status"], "| pooled:", doc["verdict"]["pooled_posterior"])
+# The same operations through the installed CLI, on files in a temporary
+# directory that is removed afterwards.
+with tempfile.TemporaryDirectory(prefix="aumann-demo-") as tmp:
+    workdir = Path(tmp)
+    path = workdir / "worked_example.json"
+    path.write_text(serialize_scenario(sf))
+    result = subprocess.run(
+        [sys.executable, "-m", "aumann", "agree", str(path), "--json"],
+        capture_output=True, text=True,
+    )
+    doc = json.loads(result.stdout)
+    print("CLI exit code:", result.returncode)
+    print("CLI verdict:", doc["verdict"]["status"], "| pooled:", doc["verdict"]["pooled_posterior"])
 
-bad = workdir / "broken.json"
-bad.write_text('{"version": 1}')
-result = subprocess.run(
-    [sys.executable, "-m", "aumann", "agree", str(bad)],
-    capture_output=True, text=True,
-)
-print("broken file exit code:", result.returncode, "| stderr:", result.stderr.strip())
+    bad = workdir / "broken.json"
+    bad.write_text('{"version": 1}')
+    result = subprocess.run(
+        [sys.executable, "-m", "aumann", "agree", str(bad)],
+        capture_output=True, text=True,
+    )
+    print("broken file exit code:", result.returncode, "| stderr:", result.stderr.strip())

@@ -8,42 +8,50 @@ bit-identical objects.
 The planted constructions guarantee non-vacuous theorem instances by giving
 every agent one shared cell and deriving the targets from it; unconstrained
 scenarios exercise the vacuous paths and hunt for (theorem-forbidden)
-violations. Each family draws its model and picks its targets; the layer's
-measure, hypothesis, conditionals and loose targets come from one shared draw.
+violations.
+
+Scenarios are drawn per seed and built per block. Each seed draws, from its
+own stream, its model and family (the planted cell, or the anchor coin and
+world), then the layer's raw numbers: the weights and hypothesis, the
+Ginibre normals or the uniforms of its measure, and its loose targets.
+A block of seeds (one seed for ``gen_planted_scenario`` and the like) then
+does the layer's arithmetic and every check once, on stacks shaped
+``(seeds, worlds, d, d)``: the Ginibre products, the eigensolves, the
+sandwiches and each measure class's ``_check``, and one check of all the
+block's targets. Only a polyhedral cone, which each seed draws for itself,
+is built and checked per seed. The bundles are bit for bit those of
+building each seed alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _EXPORTS
 from .classical import ProbabilityMeasure, conditional
-from .gpt import (
-    ConeSpace,
-    GptState,
-    PolyhedralCone,
-    PsdCone,
-    SimplexCone,
-    Svm,
-    embed_quantum,
-    gpt_conditional_state,
-)
+from .gpt import ConeSpace, GptState, PolyhedralCone, PsdCone, SimplexCone, Svm, _conditional_coords, _vectorize_rows
 from .knowledge import Event, KnowledgeModel, Partition
 from .quantum import (
     DensityOperator,
     Dovm,
     Povm,
+    _conditional_matrix,
+    _instances,
     _sandwich,
-    conditional_state,
-    povm_to_dovm,
+    psd_sqrt,
     psd_sqrt_pinv,
 )
 
 __all__ = _EXPORTS["generators"]
 
 LAYERS = ("classical", "quantum", "gpt")
+# Seeds per block of a search: each block's measures and targets are built
+# as one stack, so this trades numpy's per-call cost against the seeds a
+# process holds at once.
+BLOCK_SEEDS = 32
 
 _MAX_SEED = 1 << 64
 # Every generated weight is at least this over the world count, which keeps
@@ -111,43 +119,71 @@ def gen_model(seed, n_worlds: int, n_agents: int, max_cells: int | None = None) 
 
 def gen_probability(seed, n_worlds: int) -> ProbabilityMeasure:
     """Random measure with every weight at least ``_WEIGHT_FLOOR / n_worlds``."""
-    rng = _rng(seed)
-    raw = rng.dirichlet(np.ones(n_worlds))
-    weights = (1.0 - _WEIGHT_FLOOR) * raw + _WEIGHT_FLOOR / n_worlds
+    return _probability(_rng(seed).dirichlet(np.ones(n_worlds)))
+
+
+def _probability(raw: np.ndarray) -> ProbabilityMeasure:
+    """The measure of a Dirichlet draw, floored at ``_WEIGHT_FLOOR / n_worlds``."""
+    weights = (1.0 - _WEIGHT_FLOOR) * raw + _WEIGHT_FLOOR / raw.size
     return ProbabilityMeasure(weights / weights.sum())
 
 
-def _ginibre_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
-    return g @ g.conj().T
+def _ginibre(normals: np.ndarray) -> np.ndarray:
+    """Ginibre PSD matrices ``g @ g^dagger``, ``g = re + i im``, from
+    ``(..., 2, d, d)`` normals holding ``re`` then ``im``."""
+    g = normals[..., 0, :, :] + 1.0j * normals[..., 1, :, :]
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a ``(..., d, d)`` stack divided by its trace."""
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _povm_effects(atoms: np.ndarray) -> np.ndarray:
+    """Checked effects of a ``(b, n, d, d)`` block of PSD atom stacks, each
+    stack conjugated by the inverse root of its sum."""
+    inv_root, _ = psd_sqrt_pinv(atoms.sum(axis=1))
+    return Povm._check(_sandwich(inv_root, atoms))
+
+
+def _dovm_atoms(normals: np.ndarray) -> np.ndarray:
+    """Checked atoms ``(b, n, d, d)`` of ``b`` random DOVMs from their
+    ``(b, n + 1, 2, d, d)`` normals: the POVM of the first ``n`` Ginibre
+    matrices sandwiched by the square root of the state of the last."""
+    psd = _ginibre(normals)
+    effects = _povm_effects(psd[:, :-1])
+    sigma = DensityOperator._check(_unit_trace(psd[:, -1]))
+    return Dovm._check(_sandwich(psd_sqrt(sigma), effects))
+
+
+def _dovm_normals(rng: np.random.Generator, n_worlds: int, dim: int) -> np.ndarray:
+    """A DOVM's draws: each atom's Ginibre normals, then its state's."""
+    if dim < 1 or n_worlds < 1:
+        raise ValueError("dim and n_worlds must be positive")
+    return rng.standard_normal((n_worlds + 1, 2, dim, dim))
 
 
 def gen_density(seed, dim: int) -> DensityOperator:
     """Trace-normalized Ginibre matrix: full rank with probability 1."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    rng = _rng(seed)
-    m = _ginibre_psd(rng, dim)
-    return DensityOperator(m / m.trace().real)
+    normals = _rng(seed).standard_normal((1, 2, dim, dim))
+    return _instances(DensityOperator, DensityOperator._check(_unit_trace(_ginibre(normals))))[0]
 
 
 def gen_povm(seed, n_worlds: int, dim: int) -> Povm:
     """Random POVM: Ginibre PSD atoms conjugated by the inverse root of their sum."""
     if dim < 1 or n_worlds < 1:
         raise ValueError("dim and n_worlds must be positive")
-    rng = _rng(seed)
-    atoms = np.stack([_ginibre_psd(rng, dim) for _ in range(n_worlds)])
-    inv_root, _ = psd_sqrt_pinv(atoms.sum(axis=0))
-    return Povm(_sandwich(inv_root, atoms))
+    normals = _rng(seed).standard_normal((1, n_worlds, 2, dim, dim))
+    return _instances(Povm, _povm_effects(_ginibre(normals)))[0]
 
 
 def gen_dovm(seed, n_worlds: int, dim: int) -> Dovm:
     """Random DOVM over ``n_worlds`` worlds: a random POVM sandwiched by a
     random density operator's square root."""
-    rng = _rng(seed)
-    povm = gen_povm(rng, n_worlds, dim)
-    sigma = gen_density(rng, dim)
-    return povm_to_dovm(povm, sigma)
+    return _instances(Dovm, _dovm_atoms(_dovm_normals(_rng(seed), n_worlds, dim)[None]))[0]
 
 
 def gen_polyhedral_cone(seed, dim: int, n_generators: int) -> PolyhedralCone:
@@ -164,18 +200,31 @@ def gen_polyhedral_cone(seed, dim: int, n_generators: int) -> PolyhedralCone:
 
 def gen_svm(seed, cone: ConeSpace, n_worlds: int) -> Svm:
     """Random SVM over ``cone`` with strictly positive per-world unit mass."""
-    rng = _rng(seed)
+    return _instances(Svm, _svm_atoms(cone, _svm_draws(_rng(seed), cone, n_worlds)[None]), cone)[0]
+
+
+def _svm_draws(rng: np.random.Generator, cone: ConeSpace, n_worlds: int) -> np.ndarray:
+    """A random SVM's draws: a DOVM's normals on the PSD cone, else uniform
+    weights per world, of the coordinates or of the generators."""
+    if isinstance(cone, PsdCone):
+        return _dovm_normals(rng, n_worlds, cone.matrix_dim)
     if isinstance(cone, SimplexCone):
-        atoms = rng.uniform(0.1, 1.0, size=(n_worlds, cone.dim))
-    elif isinstance(cone, PsdCone):
-        return embed_quantum(gen_dovm(rng, n_worlds, cone.matrix_dim))
-    elif isinstance(cone, PolyhedralCone):
-        weights = rng.uniform(0.1, 1.0, size=(n_worlds, cone.generators.shape[0]))
-        atoms = weights @ cone.generators
-    else:
-        raise TypeError(f"unsupported cone kind {cone.kind!r}")
-    total_u = float(cone.unit @ atoms.sum(axis=0))
-    return Svm(cone, atoms / total_u)
+        return rng.uniform(0.1, 1.0, size=(n_worlds, cone.dim))
+    if isinstance(cone, PolyhedralCone):
+        return rng.uniform(0.1, 1.0, size=(n_worlds, cone.generators.shape[0]))
+    raise TypeError(f"unsupported cone kind {cone.kind!r}")
+
+
+def _svm_atoms(cone: ConeSpace, draws: np.ndarray) -> np.ndarray:
+    """Checked atoms ``(b, n, dim)`` of ``b`` random SVMs over ``cone`` from
+    their stacked draws: a vectorized DOVM on the PSD cone; else the
+    weights (times the generators of a polyhedral cone), scaled to unit total."""
+    if isinstance(cone, PsdCone):
+        return Svm._check(cone, _vectorize_rows(_dovm_atoms(draws)))
+    atoms = np.stack([w @ cone.generators for w in draws]) if isinstance(cone, PolyhedralCone) else draws
+    # one dot per SVM, as a single SVM's total is taken
+    totals = np.array([float(cone.unit @ a.sum(axis=0)) for a in atoms])
+    return Svm._check(cone, atoms / totals[:, None, None])
 
 
 def _planted_model(rng: np.random.Generator, n_worlds: int, n_agents: int) -> tuple[KnowledgeModel, Event]:
@@ -190,38 +239,121 @@ def _planted_model(rng: np.random.Generator, n_worlds: int, n_agents: int) -> tu
     return KnowledgeModel(n_worlds, tuple(partitions)), Event(partitions[0].masks[0], n_worlds)
 
 
-def _make_cone(rng: np.random.Generator, cone_kind: str, dim: int, n_generators: int | None) -> ConeSpace:
-    if cone_kind == "simplex":
-        return SimplexCone(dim)
-    if cone_kind == "psd":
-        return PsdCone(dim)
-    if cone_kind == "polyhedral":
-        return gen_polyhedral_cone(rng, dim, n_generators or 2 * dim)
-    raise ValueError(f"unknown cone kind {cone_kind!r}")
+class _Draw(NamedTuple):
+    """What one seed drew, in its order: the model and family, then the
+    layer's cone (GPT), measure draws and hypothesis (classical), and the
+    draws of its loose targets (none unless the seed is free)."""
+
+    model: KnowledgeModel
+    planted_cell: Event | None
+    anchor: int | None
+    cone: ConeSpace | None
+    measure: np.ndarray
+    hypothesis: Event | None
+    loose: Sequence
 
 
-def _draw_layer(rng: np.random.Generator, layer: str, n_worlds: int, dim: int, cone_kind: str,
-                n_generators: int | None) -> tuple:
-    """The layer's measure, its hypothesis (``None`` outside classical), its
-    conditional on an event, and a function that draws ``n`` loose targets."""
+def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, dim: int,
+          cone: ConeSpace | None, n_generators: int | None) -> _Draw:
+    """Everything ``seed`` draws, from its own stream; a GPT seed without a
+    ``cone`` draws a polyhedral one."""
+    rng = _rng(seed)
+    cell = anchor = hypothesis = None
+    if planted:
+        model, cell = _planted_model(rng, n_worlds, n_agents)
+    else:
+        model = gen_model(rng, n_worlds, n_agents)
+        if rng.integers(0, 2):
+            anchor = int(rng.integers(0, n_worlds))
+    n_loose = n_agents if cell is None and anchor is None else 0
     if layer == "classical":
-        if n_worlds > 63:  # the hypothesis is drawn as one int64 below 1 << n_worlds
-            raise ValueError(f"classical scenarios have at most 63 worlds, got {n_worlds}")
-        mu = gen_probability(rng, n_worlds)
-        h = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
-        return mu, h, lambda e: conditional(mu, h, e), lambda n: tuple(float(x) for x in rng.random(n))
+        measure = rng.dirichlet(np.ones(n_worlds))
+        hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
+        loose = rng.random(n_loose)
+    elif layer == "quantum":
+        measure = _dovm_normals(rng, n_worlds, dim)
+        loose = [rng.standard_normal((2, dim, dim)) for _ in range(n_loose)]
+    else:
+        if cone is None:
+            cone = gen_polyhedral_cone(rng, dim, n_generators or 2 * dim)
+        measure = _svm_draws(rng, cone, n_worlds)
+        loose = [_svm_draws(rng, cone, 1) for _ in range(n_loose)]
+    return _Draw(model, cell, anchor, cone, measure, hypothesis, loose)
+
+
+def _bundles(layer: str, draws: Sequence[_Draw], measures: Sequence, condition: Callable,
+             loose: Sequence, states: Callable) -> list[ScenarioBundle]:
+    """The bundles of a block of draws and their measures.
+
+    A planted seed's agents share the value conditioned on its planted cell,
+    an anchored seed's agents each get the value conditioned on their cell
+    at the anchor, ``condition(draw, measure, cell)``, and a free seed's
+    agents take the next of the block's ``loose`` values. ``states`` turns
+    the block's values into targets with one run of their check.
+    """
+    loose_values = iter(loose)
+    values = []
+    for d, m in zip(draws, measures):
+        if d.planted_cell is not None:
+            values.append(condition(d, m, d.planted_cell))
+        elif d.anchor is not None:
+            values.extend(condition(d, m, p.cell_of(d.anchor)) for p in d.model.partitions)
+        else:
+            values.extend(next(loose_values) for _ in d.model.partitions)
+    targets = iter(states(values))
+    out = []
+    for d, m in zip(draws, measures):
+        agents = d.model.partitions
+        own = (next(targets),) * len(agents) if d.planted_cell is not None else tuple(next(targets) for _ in agents)
+        out.append(ScenarioBundle(layer, d.model, m, d.hypothesis, own, d.planted_cell, d.anchor))
+    return out
+
+
+def _classical_bundles(draws: Sequence[_Draw]) -> list[ScenarioBundle]:
+    measures = [_probability(d.measure) for d in draws]
+    loose = [float(x) for d in draws for x in d.loose]
+    return _bundles("classical", draws, measures, lambda d, mu, e: conditional(mu, d.hypothesis, e), loose, list)
+
+
+def _quantum_bundles(draws: Sequence[_Draw]) -> list[ScenarioBundle]:
+    measures = _instances(Dovm, _dovm_atoms(np.stack([d.measure for d in draws])))
+    loose = [x for d in draws for x in d.loose]
+    values = _unit_trace(_ginibre(np.stack(loose))) if loose else ()
+    return _bundles("quantum", draws, measures, lambda d, rho, e: _conditional_matrix(rho, e), values,
+                    lambda v: _instances(DensityOperator, DensityOperator._check(np.stack(v))))
+
+
+def _gpt_bundles(cone: ConeSpace, draws: Sequence[_Draw]) -> list[ScenarioBundle]:
+    measures = _instances(Svm, _svm_atoms(cone, np.stack([d.measure for d in draws])), cone)
+    loose = [x for d in draws for x in d.loose]
+    values = _svm_atoms(cone, np.stack(loose))[:, 0] if loose else ()  # one-world SVMs
+    return _bundles("gpt", draws, measures, lambda d, mu, e: _conditional_coords(mu, e), values,
+                    lambda v: _instances(GptState, GptState._check(cone, np.stack(v)), cone))
+
+
+def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_agents: int, dim: int,
+               cone_kind: str, n_generators: int | None) -> list[ScenarioBundle]:
+    """The bundles of a block of ``(seed, planted)`` pairs, in order: each
+    seed's draws, then the block's measures and targets, built as one stack."""
+    if layer not in LAYERS:
+        raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
+    if n_worlds < 2 and any(planted for _, planted in seeds):
+        raise ValueError("planted scenarios need at least 2 worlds")
+    if layer == "classical" and n_worlds > 63:  # the hypothesis is drawn as one int64 below 1 << n_worlds
+        raise ValueError(f"classical scenarios have at most 63 worlds, got {n_worlds}")
+    if layer == "gpt" and cone_kind not in ("simplex", "psd", "polyhedral"):
+        raise ValueError(f"unknown cone kind {cone_kind!r}")
+    cone = None
+    if layer == "gpt" and cone_kind != "polyhedral":
+        cone = SimplexCone(dim) if cone_kind == "simplex" else PsdCone(dim)
+    draws = [_draw(seed, planted, layer, n_worlds, n_agents, dim, cone, n_generators) for seed, planted in seeds]
+    if layer == "classical":
+        return _classical_bundles(draws)
     if layer == "quantum":
-        rho = gen_dovm(rng, n_worlds, dim)
-        return rho, None, lambda e: conditional_state(rho, e), lambda n: tuple(
-            gen_density(rng, dim) for _ in range(n)
-        )
-    if layer == "gpt":
-        cone = _make_cone(rng, cone_kind, dim, n_generators)
-        svm = gen_svm(rng, cone, n_worlds)
-        return svm, None, lambda e: gpt_conditional_state(svm, e), lambda n: tuple(
-            GptState(cone, gen_svm(rng, cone, 1).atoms[0]) for _ in range(n)
-        )
-    raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
+        return _quantum_bundles(draws)
+    if cone is not None:
+        return _gpt_bundles(cone, draws)
+    return [b for d in draws for b in _gpt_bundles(d.cone, [d])]  # each seed has its own polyhedral cone
 
 
 def gen_planted_scenario(
@@ -239,12 +371,7 @@ def gen_planted_scenario(
     common knowledge of the event contains it and carries positive mass: the
     verdict is non-vacuous by construction (and must hold, by the theorems).
     """
-    if n_worlds < 2:
-        raise ValueError("planted scenarios need at least 2 worlds")
-    rng = _rng(seed)
-    model, shared = _planted_model(rng, n_worlds, n_agents)
-    measure, hypothesis, condition, _ = _draw_layer(rng, layer, n_worlds, dim, cone_kind, n_generators)
-    return ScenarioBundle(layer, model, measure, hypothesis, (condition(shared),) * n_agents, planted_cell=shared)
+    return _scenarios(layer, [(seed, True)], n_worlds, n_agents, dim, cone_kind, n_generators)[0]
 
 
 def gen_unconstrained_scenario(
@@ -263,13 +390,4 @@ def gen_unconstrained_scenario(
     event non-empty; otherwise targets are arbitrary, which usually makes
     the verdict vacuous.
     """
-    rng = _rng(seed)
-    model = gen_model(rng, n_worlds, n_agents)
-    anchored = bool(rng.integers(0, 2))
-    anchor = int(rng.integers(0, n_worlds)) if anchored else None
-    measure, hypothesis, condition, loose = _draw_layer(rng, layer, n_worlds, dim, cone_kind, n_generators)
-    if anchored:
-        targets = tuple(condition(p.cell_of(anchor)) for p in model.partitions)
-    else:
-        targets = loose(n_agents)
-    return ScenarioBundle(layer, model, measure, hypothesis, targets, anchor_world=anchor)
+    return _scenarios(layer, [(seed, False)], n_worlds, n_agents, dim, cone_kind, n_generators)[0]

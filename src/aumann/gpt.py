@@ -27,7 +27,7 @@ from . import _EXPORTS
 from .classical import ProbabilityMeasure
 from .errors import ConditioningOnNull, as_array, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel
-from .quantum import Dovm, require_hermitian
+from .quantum import Dovm, _first, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
     HERMITIAN_LOOSE_TOL,
@@ -83,11 +83,11 @@ def vectorize(m: np.ndarray) -> np.ndarray:
 
 
 def _vectorize_rows(h: np.ndarray) -> np.ndarray:
-    """Coordinates of each matrix in a Hermitian ``(n, k, k)`` stack, shape ``(n, k*k)``."""
+    """Coordinates of each matrix in a Hermitian ``(..., k, k)`` stack, shape ``(..., k*k)``."""
     rows, cols = _upper_pairs(h.shape[-1])
-    upper = h[:, rows, cols]
-    diagonal = np.diagonal(h, axis1=1, axis2=2).real
-    return np.concatenate([diagonal, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=1)
+    upper = h[..., rows, cols]
+    diagonal = np.diagonal(h, axis1=-2, axis2=-1).real
+    return np.concatenate([diagonal, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=-1)
 
 
 def devectorize(v: np.ndarray) -> np.ndarray:
@@ -138,9 +138,13 @@ class ConeSpace:
         return self._unit
 
     def _coerce(self, v) -> np.ndarray:
-        a = np.asarray(v, dtype=float)
-        if a.shape != (self._dim,):
-            raise ValueError(f"expected a vector of length {self._dim}, got shape {a.shape}")
+        return self._coerce_rows(np.asarray(v, dtype=float)[None])[0]
+
+    def _coerce_rows(self, vs) -> np.ndarray:
+        """``vs`` as a float array of vectors of length ``dim`` along its first axis."""
+        a = np.asarray(vs, dtype=float)
+        if a.shape[1:] != (self._dim,):
+            raise ValueError(f"expected a vector of length {self._dim}, got shape {a.shape[1:]}")
         return a
 
     def contains(self, v, tol: float | None = None) -> bool:
@@ -508,14 +512,21 @@ class GptState:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = self.cone._coerce(self.coords).copy()
-        if not self.cone.contains(coords):
+        object.__setattr__(self, "coords", self._check(self.cone, np.asarray(self.coords, dtype=float)[None])[0])
+
+    @staticmethod
+    def _check(cone: ConeSpace, coords) -> np.ndarray:
+        """The state check on a ``(b, dim)`` stack of coordinates: each in
+        the cone with unit value 1. Returns a read-only copy."""
+        coords = cone._coerce_rows(coords).copy()
+        if not cone._members(coords).all():
             raise ValueError("coordinates lie outside the cone")
-        u = float(self.cone.unit @ coords)
-        if abs(u - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"unit value is {u!r}, expected 1")
+        u = coords @ cone.unit
+        bad = np.abs(u - 1.0) > WEIGHT_SUM_TOL
+        if bad.any():
+            raise ValueError(f"unit value is {float(u[np.argmax(bad)])!r}, expected 1")
         coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
+        return coords
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,18 +537,25 @@ class Svm:
     atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] != self.cone.dim:
-            raise ValueError(f"atoms must have shape (n_worlds, {self.cone.dim}), got {atoms.shape}")
-        inside = self.cone._members(atoms)
+        object.__setattr__(self, "atoms", self._check(self.cone, np.asarray(self.atoms, dtype=float)[None])[0])
+
+    @staticmethod
+    def _check(cone: ConeSpace, atoms) -> np.ndarray:
+        """The SVM check on a ``(b, n, dim)`` block of atom stacks: atoms in
+        the cone with unit total. Returns a read-only copy."""
+        atoms = np.asarray(atoms, dtype=float)
+        if atoms.ndim != 3 or atoms.shape[1] < 1 or atoms.shape[2] != cone.dim:
+            raise ValueError(f"atoms must have shape (n_worlds, {cone.dim}), got {atoms.shape[1:]}")
+        inside = cone._members(atoms.reshape(-1, cone.dim)).reshape(atoms.shape[:2])
         if not inside.all():
-            raise ValueError(f"atom {int(np.argmin(inside))} lies outside the cone")
-        total_u = float(self.cone.unit @ atoms.sum(axis=0))
-        if abs(total_u - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"total unit value is {total_u!r}, expected 1")
+            raise ValueError(f"atom {_first(~inside)[1]} lies outside the cone")
+        total_u = atoms.sum(axis=1) @ cone.unit
+        bad = np.abs(total_u - 1.0) > WEIGHT_SUM_TOL
+        if bad.any():
+            raise ValueError(f"total unit value is {float(total_u[np.argmax(bad)])!r}, expected 1")
         atoms = atoms.copy()
         atoms.flags.writeable = False
-        object.__setattr__(self, "atoms", atoms)
+        return atoms
 
     @property
     def n_worlds(self) -> int:
@@ -554,13 +572,18 @@ def svm_value(mu: Svm, lam: Event) -> np.ndarray:
     return _event_value(mu.atoms, lam)
 
 
-def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
-    """Conditional state ``mu(lam) / u[mu(lam)]``."""
+def _conditional_coords(mu: Svm, lam: Event) -> np.ndarray:
+    """``mu(lam) / u[mu(lam)]``, not yet checked as a state."""
     value = svm_value(mu, lam)
     u = float(mu.cone.unit @ value)
     if u <= NULL_MASS_TOL:
         raise ConditioningOnNull(f"event {lam.worlds()} has unit mass {u!r}")
-    return GptState(mu.cone, value / u)
+    return value / u
+
+
+def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
+    """Conditional state ``mu(lam) / u[mu(lam)]``."""
+    return GptState(mu.cone, _conditional_coords(mu, lam))
 
 
 def _same_cone(a: ConeSpace, b: ConeSpace) -> bool:

@@ -7,14 +7,18 @@ trace. Sandwiching with the square root (or pseudo-inverse square root) of
 a state converts DOVMs and POVMs.
 
 Finiteness, squareness, Hermiticity and positivity are each checked in one
-place, on a stack of matrices (``_hermitian_stack``, ``_psd_stack``); a
-single matrix is checked as a stack of one, and errors name the first bad
-matrix of a stack by its index.
+place, on a block of stacks of matrices (``_hermitian_stack``,
+``_psd_stack``); a single matrix is checked as a stack of one, and errors
+name the first bad matrix of the first bad stack by its index in that
+stack. Each measure class has one check, its ``_check``, written on a
+block: the constructor runs it on a block of one, and a generator runs it
+once on a block of many, whose checked entries :func:`_instances` wraps,
+so an object built either way has passed the same check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -39,29 +43,38 @@ __all__ = _EXPORTS["quantum"]
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Symmetrize ``(m + m^dagger)/2`` if ``m`` is a finite square matrix within
     ``tol`` of Hermitian, else raise; ``m`` is checked as a stack of one."""
-    return _hermitian_stack(np.asarray(m)[None], "matrix", tol)[0]
+    return _hermitian_stack(np.asarray(m)[None, None], "matrix", tol)[0, 0]
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a ``(..., d, d)`` stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of the symmetrized ``m``; raises :class:`NotPsd` below ``-PSD_EIG_TOL``."""
-    vals, vecs = np.linalg.eigh(require_hermitian(m))
-    _require_psd(vals[None], "matrix")
-    return vals, vecs
+    """``eigh`` of the symmetrized ``m``, a matrix or a ``(..., d, d)``
+    stack, checked as one stack; raises :class:`NotPsd` below ``-PSD_EIG_TOL``."""
+    m = np.asarray(m)
+    vals, vecs = np.linalg.eigh(_hermitian_stack(m.reshape((1, -1) + m.shape[-2:]), "matrix"))
+    _require_psd(vals, "matrix")
+    return vals.reshape(m.shape[:-1]), vecs.reshape(m.shape)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """PSD square root via eigendecomposition.
+    """PSD square root via eigendecomposition, of a matrix or of each
+    matrix of a ``(..., d, d)`` stack.
 
     Eigenvalues in ``[-PSD_EIG_TOL, 0)`` are clamped to zero; anything below
     ``-PSD_EIG_TOL`` raises :class:`NotPsd`.
     """
     vals, vecs = _psd_eigh(m)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ _adjoint(vecs)
 
 
 def psd_sqrt_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse square root of a PSD matrix and its support projector.
+    """Pseudo-inverse square root of a PSD matrix and its support projector,
+    or of each matrix of a ``(..., d, d)`` stack.
 
     Eigenvalues at or below ``SUPPORT_CUTOFF`` count as zero rank, so the
     first return value satisfies ``r @ m @ r = support`` on the support of ``m``.
@@ -69,8 +82,8 @@ def psd_sqrt_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = _psd_eigh(m)
     keep = vals > SUPPORT_CUTOFF
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
-    root = (vecs * inv_sqrt) @ vecs.conj().T
-    support = (vecs * keep.astype(float)) @ vecs.conj().T
+    root = (vecs * inv_sqrt[..., None, :]) @ _adjoint(vecs)
+    support = (vecs * keep.astype(float)[..., None, :]) @ _adjoint(vecs)
     return root, support
 
 
@@ -84,50 +97,61 @@ def _trace_norms(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
 
 
-def _hermitian_stack(raw, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Check an ``(n, d, d)`` stack of finite matrices, each within ``tol`` of
-    Hermitian, and return it symmetrized; errors name the first bad index.
+def _first(bad: np.ndarray) -> tuple[int, int]:
+    """Stack and index of the first ``True`` of a ``(b, n)`` array, stack by stack."""
+    return divmod(int(np.argmax(bad)), bad.shape[1])
 
-    A passing stack costs one ``all`` and one ``max``; the index is looked
+
+def _hermitian_stack(raw, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Check a ``(b, n, d, d)`` block of ``b`` stacks of ``n`` finite
+    matrices, each within ``tol`` of Hermitian, and return it symmetrized;
+    errors name the first bad matrix of the first bad stack by its index in
+    that stack, as a check of that stack alone would.
+
+    A passing block costs one ``all`` and one ``max``; the index is looked
     for only on failure. Finiteness is checked first, so no NaN or infinity
     reaches the arithmetic.
     """
     a = np.asarray(raw, dtype=complex)
-    if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] < 1 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"{what} stack must have shape (n, d, d), got {a.shape}")
-    require_finite_items(a, what)
-    adjoint = a.conj().transpose(0, 2, 1)
+    if a.ndim != 4 or a.shape[1] < 1 or a.shape[2] < 1 or a.shape[2] != a.shape[3]:
+        raise ValueError(f"{what} stack must have shape (n, d, d), got {a.shape[1:]}")
+    if not np.isfinite(a).all():
+        for stack in a:
+            require_finite_items(stack, what)
+    adjoint = _adjoint(a)
     deviation = np.abs(a - adjoint)
     if deviation.max() > tol:
-        per_matrix = deviation.max(axis=(1, 2))
-        w = int(np.argmax(per_matrix > tol))
-        raise NotHermitian(f"{what} {w} deviates from Hermitian by {per_matrix[w]:.3e} (> {tol:.0e})")
+        per_matrix = deviation.max(axis=(2, 3))
+        k, w = _first(per_matrix > tol)
+        raise NotHermitian(f"{what} {w} deviates from Hermitian by {per_matrix[k, w]:.3e} (> {tol:.0e})")
     return (a + adjoint) / 2.0
 
 
 def _require_psd(vals: np.ndarray, what: str) -> None:
-    """Raise :class:`NotPsd` naming the first matrix of a stack whose
-    eigenvalues ``vals`` (ascending, one row per matrix) go below ``-PSD_EIG_TOL``."""
-    lowest = vals[:, 0]
-    if any(v < -PSD_EIG_TOL for v in lowest.tolist()):  # cheaper than a numpy reduction on short stacks
-        w = int(np.argmax(lowest < -PSD_EIG_TOL))
-        raise NotPsd(f"{what} {w} has eigenvalue {lowest[w]:.3e} below -{PSD_EIG_TOL:.0e}")
+    """Raise :class:`NotPsd` naming the first matrix of a block whose
+    eigenvalues ``vals`` (``(b, n, d)``, ascending) go below ``-PSD_EIG_TOL``."""
+    lowest = vals[..., 0]
+    if any(v < -PSD_EIG_TOL for v in lowest.ravel().tolist()):  # cheaper than a numpy reduction on short stacks
+        k, w = _first(lowest < -PSD_EIG_TOL)
+        raise NotPsd(f"{what} {w} has eigenvalue {lowest[k, w]:.3e} below -{PSD_EIG_TOL:.0e}")
 
 
 def _sandwich(root: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Hermitian part of ``root @ m @ root`` for every ``m`` in the stack.
+    """Hermitian part of ``root @ m @ root`` for every ``m`` in the stack; a
+    ``(..., d, d)`` stack of roots takes a ``(..., n, d, d)`` block of stacks.
 
     For Hermitian ``root`` and ``m`` the product is Hermitian up to
     round-off, which can exceed ``HERMITIAN_TOL`` at larger dimensions;
     ``_hermitian_stack`` symmetrizes the same way, so validated results are
     unchanged wherever the raw product already passed.
     """
+    root = root[..., None, :, :]
     p = root @ stack @ root
-    return (p + p.conj().transpose(0, 2, 1)) / 2.0
+    return (p + _adjoint(p)) / 2.0
 
 
 def _psd_stack(raw, what: str) -> np.ndarray:
-    """Symmetrized ``(n, d, d)`` stack of PSD matrices.
+    """Symmetrized ``(b, n, d, d)`` block of stacks of PSD matrices.
 
     Every Hermiticity check runs before the one batched eigensolve, so a
     non-Hermitian matrix is reported ahead of a non-PSD one at any index.
@@ -137,6 +161,21 @@ def _psd_stack(raw, what: str) -> np.ndarray:
     return h
 
 
+def _instances(cls, checked: np.ndarray, *head) -> list:
+    """One ``cls`` per entry of ``checked``, a block that ``cls._check`` has
+    returned; ``head`` holds the fields before the stacked one (a cone).
+    Each entry has passed the check its constructor would run on it alone,
+    so the constructor is not run again."""
+    names = [f.name for f in fields(cls)]
+    out = []
+    for entry in checked:
+        obj = object.__new__(cls)
+        for name, value in zip(names, (*head, entry)):
+            object.__setattr__(obj, name, value)
+        out.append(obj)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """PSD matrix of unit trace; the input is symmetrized on construction."""
@@ -144,12 +183,19 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _psd_stack(np.asarray(self.matrix)[None], "density operator")[0]
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
+        object.__setattr__(self, "matrix", self._check(np.asarray(self.matrix)[None])[0])
+
+    @staticmethod
+    def _check(matrices) -> np.ndarray:
+        """The density-operator check on a ``(b, d, d)`` stack: each matrix
+        PSD with unit trace. Returns the stack symmetrized and read-only."""
+        m = _psd_stack(np.asarray(matrices)[:, None], "density operator")[:, 0]
+        tr = m.trace(axis1=1, axis2=2).real
+        bad = np.abs(tr - 1.0) > WEIGHT_SUM_TOL
+        if bad.any():
+            raise ValueError(f"trace is {float(tr[np.argmax(bad)])!r}, expected 1")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return m
 
     @property
     def dim(self) -> int:
@@ -163,10 +209,17 @@ class Dovm:
     atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        stacked = _psd_stack(self.atoms, "atom")
-        DensityOperator(stacked.sum(axis=0))  # total must be a valid state
+        object.__setattr__(self, "atoms", self._check(np.asarray(self.atoms, dtype=complex)[None])[0])
+
+    @staticmethod
+    def _check(atoms) -> np.ndarray:
+        """The DOVM check on a ``(b, n, d, d)`` block of atom stacks: PSD
+        atoms whose total is a density operator. Returns the block
+        symmetrized and read-only."""
+        stacked = _psd_stack(atoms, "atom")
+        DensityOperator._check(stacked.sum(axis=1))  # each total must be a valid state
         stacked.flags.writeable = False
-        object.__setattr__(self, "atoms", stacked)
+        return stacked
 
     @property
     def n_worlds(self) -> int:
@@ -194,12 +247,19 @@ class Povm:
     effects: np.ndarray
 
     def __post_init__(self) -> None:
-        stacked = _psd_stack(self.effects, "effect")
-        total = stacked.sum(axis=0)
-        if float(np.abs(total @ total - total).max()) > WEIGHT_SUM_TOL:
+        object.__setattr__(self, "effects", self._check(np.asarray(self.effects, dtype=complex)[None])[0])
+
+    @staticmethod
+    def _check(effects) -> np.ndarray:
+        """The POVM check on a ``(b, n, d, d)`` block of effect stacks: PSD
+        effects summing to an orthogonal projector. Returns the block
+        symmetrized and read-only."""
+        stacked = _psd_stack(effects, "effect")
+        total = stacked.sum(axis=1)
+        if (np.abs(total @ total - total).max(axis=(1, 2)) > WEIGHT_SUM_TOL).any():
             raise ValueError("effects do not sum to an orthogonal projector")
         stacked.flags.writeable = False
-        object.__setattr__(self, "effects", stacked)
+        return stacked
 
     @property
     def n_worlds(self) -> int:
@@ -222,13 +282,18 @@ def dovm_value(rho: Dovm, lam: Event) -> np.ndarray:
     return _event_value(rho.atoms, lam)
 
 
-def conditional_state(rho: Dovm, lam: Event) -> DensityOperator:
-    """Conditional state ``rho(lam) / Tr[rho(lam)]``."""
+def _conditional_matrix(rho: Dovm, lam: Event) -> np.ndarray:
+    """``rho(lam) / Tr[rho(lam)]``, not yet checked as a state."""
     value = dovm_value(rho, lam)
     tr = float(value.trace().real)
     if tr <= NULL_MASS_TOL:
         raise ConditioningOnNull(f"event {lam.worlds()} has trace mass {tr!r}")
-    return DensityOperator(value / tr)
+    return value / tr
+
+
+def conditional_state(rho: Dovm, lam: Event) -> DensityOperator:
+    """Conditional state ``rho(lam) / Tr[rho(lam)]``."""
+    return DensityOperator(_conditional_matrix(rho, lam))
 
 
 def dovm_to_povm(rho: Dovm) -> Povm:
@@ -256,7 +321,7 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer
     require_worlds("DOVM", rho.n_worlds, "model", model.n_worlds)
 
     def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return _trace_norms(_hermitian_stack(xs - target, "cell conditional", tol=HERMITIAN_LOOSE_TOL))
+        return _trace_norms(_hermitian_stack((xs - target)[None], "cell conditional", tol=HERMITIAN_LOOSE_TOL)[0])
 
     matrices = [
         s.matrix if isinstance(s, DensityOperator) else as_array(i, "a matrix of numbers", s, "iufc")
@@ -266,7 +331,7 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer
         if m.shape != (rho.dim, rho.dim):
             raise ValueError(f"target {i} must have shape {(rho.dim, rho.dim)}, got {m.shape}")
     if not all(isinstance(s, DensityOperator) for s in sigmas):  # a state is checked already
-        matrices = _hermitian_stack(matrices, "target", HERMITIAN_LOOSE_TOL)
+        matrices = _hermitian_stack([matrices], "target", HERMITIAN_LOOSE_TOL)[0]
     return _Layer(
         rho.atoms, lambda x: (x, x.trace(axis1=-2, axis2=-1).real), DensityOperator, distance, tuple(matrices)
     )

@@ -622,14 +622,6 @@ def run_convert(sf: ScenarioFile, direction: str) -> ScenarioFile:
     return replace(sf, layer=layer, measure=measure)
 
 
-def _bundle(seed: int, layer: str, planted: bool, shape: tuple) -> ScenarioBundle:
-    """The planted or unconstrained bundle of ``seed``; ``shape`` is
-    (n_worlds, n_agents, dim, cone_kind)."""
-    from .generators import gen_planted_scenario, gen_unconstrained_scenario
-
-    return (gen_planted_scenario if planted else gen_unconstrained_scenario)(seed, layer, *shape)
-
-
 def run_gen(
     layer: str,
     seed: int,
@@ -642,7 +634,9 @@ def run_gen(
 ) -> ScenarioFile:
     """Generate a scenario document for the given layer and seed; a
     polyhedral cone gets ``2 * dim`` generators."""
-    return scenario_from_bundle(_bundle(seed, layer, planted, (n_worlds, n_agents, dim, cone_kind)))
+    from .generators import _scenarios
+
+    return scenario_from_bundle(_scenarios(layer, [(seed, planted)], n_worlds, n_agents, dim, cone_kind, None)[0])
 
 
 @dataclass
@@ -678,10 +672,16 @@ class SearchStats:
         return "\n".join(lines) + "\n"
 
 
-def _seed_status(layer: str, base_seed: int, mode: str, shape: tuple, tol: float, i: int) -> str:
-    """Verdict status of the ``i``-th seed of a search; ``mix`` plants the even ones."""
-    planted = mode == "planted" or (mode == "mix" and i % 2 == 0)
-    return verify_bundle(_bundle(base_seed + i, layer, planted, shape), tol).status.value
+def _block_statuses(layer: str, base_seed: int, mode: str, shape: tuple, tol: float, n_seeds: int,
+                    start: int) -> list[str]:
+    """Verdict statuses of the block of a search's seeds from offset ``start``
+    (``BLOCK_SEEDS`` of them, or up to ``n_seeds``); ``mix`` plants the even
+    offsets, and ``shape`` is (n_worlds, n_agents, dim, cone_kind)."""
+    from .generators import BLOCK_SEEDS, _scenarios
+
+    offsets = range(start, min(start + BLOCK_SEEDS, n_seeds))
+    seeds = [(base_seed + i, mode == "planted" or (mode == "mix" and i % 2 == 0)) for i in offsets]
+    return [verify_bundle(b, tol).status.value for b in _scenarios(layer, seeds, *shape, None)]
 
 
 def run_search(
@@ -699,12 +699,13 @@ def run_search(
 ) -> SearchStats:
     """Run seeded scenarios (planted, random, or an even mix) and tally verdicts.
 
-    Seeds are mapped in process, or over a pool of ``workers`` processes,
-    capped at the seeds and the CPUs, which returns them in seed order, so
-    results are identical for any worker count. A polyhedral cone gets
-    ``2 * dim`` generators.
+    Consecutive seeds are generated and verified in blocks of
+    ``generators.BLOCK_SEEDS``. Blocks are mapped in process, or over a pool
+    of ``workers`` processes, capped at the blocks and the CPUs, which
+    returns them in seed order, so results are identical for any worker
+    count. A polyhedral cone gets ``2 * dim`` generators.
     """
-    from .generators import LAYERS
+    from .generators import BLOCK_SEEDS, LAYERS
 
     if layer not in LAYERS:
         raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
@@ -716,19 +717,21 @@ def run_search(
         raise ValueError(f"workers must be positive, got {workers}")
     tol = MATCH_TOL if tol is None else tol
     _check_tol(tol)
-    seed_status = partial(_seed_status, layer, base_seed, mode, (n_worlds, n_agents, dim, cone_kind), tol)
+    shape = (n_worlds, n_agents, dim, cone_kind)
+    block_statuses = partial(_block_statuses, layer, base_seed, mode, shape, tol, n_seeds)
+    starts = range(0, n_seeds, BLOCK_SEEDS)
     t0 = time.perf_counter()
-    n_procs = min(workers, n_seeds, os.cpu_count() or 1)
+    n_procs = min(workers, len(starts), os.cpu_count() or 1)
     if n_procs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(n_procs) as pool:
-            statuses = list(pool.map(seed_status, range(n_seeds), chunksize=-(-n_seeds // n_procs)))
+            blocks = list(pool.map(block_statuses, starts))
     else:
-        statuses = map(seed_status, range(n_seeds))
+        blocks = map(block_statuses, starts)
     counts: Counter = Counter()
     bad: list[int] = []
-    for i, status in enumerate(statuses):
+    for i, status in enumerate(status for block in blocks for status in block):
         counts[status] += 1
         if status == VerdictStatus.VIOLATED.value:
             bad.append(base_seed + i)

@@ -22,8 +22,11 @@ from aumann import (
     gpt_conditional_state,
     verify_bundle,
 )
-from aumann.generators import LAYERS, _make_cone, _planted_model, _rng
-from aumann.gpt import PsdCone, SimplexCone
+from aumann import generators, gpt, quantum
+from aumann.errors import NotPsd
+from aumann.generators import BLOCK_SEEDS, LAYERS, _planted_model, _rng, _scenarios
+from aumann.gpt import PsdCone, SimplexCone, Svm, _vectorize_rows
+from aumann.quantum import DensityOperator, Dovm, Povm, _instances, require_hermitian
 
 
 class TestGenPartition:
@@ -172,6 +175,9 @@ class TestScenarioGenerators:
             gen_planted_scenario(0, "thermal", 4, 2)
         with pytest.raises(ValueError):
             gen_planted_scenario(0, "classical", 1, 2)
+        for bad in (lambda: gen_planted_scenario(0, "quantum", 4, 2, dim=0), lambda: gen_svm(0, PsdCone(2), 0)):
+            with pytest.raises(ValueError, match="dim and n_worlds must be positive"):
+                bad()
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -199,13 +205,81 @@ class TestHermitianSandwich:
 
 
 # ---------------------------------------------------------------------------
-# The two scenario families as they were written before they shared one
-# per-layer draw, each with its own three-way layer dispatch. They are the
-# reference the shared draw must reproduce bit for bit; the helpers they
-# call (model, measure and cone draws) are the package's own.
+# The reference the generators must reproduce bit for bit: the two scenario
+# families as they were written before they shared one per-layer draw, each
+# with its own three-way layer dispatch, over the measure draws as they were
+# written before blocks of seeds were built as one stack, one seed at a
+# time, with the square roots and sandwiches of that time. Only the model
+# draws, the probability draw and the polyhedral cone draw are the
+# package's own; the constructors run their checks on each object alone.
+
+def _old_sandwich(root, stack):
+    p = root @ stack @ root
+    return (p + p.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _old_eigh(m):
+    return np.linalg.eigh(require_hermitian(m))
+
+
+def _old_psd_sqrt(m):
+    vals, vecs = _old_eigh(m)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def _old_psd_sqrt_pinv(m):
+    vals, vecs = _old_eigh(m)
+    keep = vals > 1e-12
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
+    return (vecs * inv_sqrt) @ vecs.conj().T
+
+
+def _old_ginibre_psd(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T
+
+
+def _old_gen_density(rng, dim):
+    m = _old_ginibre_psd(rng, dim)
+    return DensityOperator(m / m.trace().real)
+
+
+def _old_gen_povm(rng, n_worlds, dim):
+    atoms = np.stack([_old_ginibre_psd(rng, dim) for _ in range(n_worlds)])
+    inv_root = _old_psd_sqrt_pinv(atoms.sum(axis=0))
+    return Povm(_old_sandwich(inv_root, atoms))
+
+
+def _old_gen_dovm(rng, n_worlds, dim):
+    povm = _old_gen_povm(rng, n_worlds, dim)
+    sigma = _old_gen_density(rng, dim)
+    return Dovm(_old_sandwich(_old_psd_sqrt(sigma.matrix), povm.effects))
+
+
+def _old_gen_svm(rng, cone, n_worlds):
+    if isinstance(cone, SimplexCone):
+        atoms = rng.uniform(0.1, 1.0, size=(n_worlds, cone.dim))
+    elif isinstance(cone, PsdCone):
+        rho = _old_gen_dovm(rng, n_worlds, cone.matrix_dim)
+        return Svm(PsdCone(rho.dim), _vectorize_rows(rho.atoms))
+    else:
+        weights = rng.uniform(0.1, 1.0, size=(n_worlds, cone.generators.shape[0]))
+        atoms = weights @ cone.generators
+    total_u = float(cone.unit @ atoms.sum(axis=0))
+    return Svm(cone, atoms / total_u)
+
+
+def _old_make_cone(rng, cone_kind, dim, n_generators):
+    if cone_kind == "simplex":
+        return SimplexCone(dim)
+    if cone_kind == "psd":
+        return PsdCone(dim)
+    return gen_polyhedral_cone(rng, dim, n_generators or 2 * dim)
+
 
 def _old_random_state(rng, cone):
-    single = gen_svm(rng, cone, 1)
+    single = _old_gen_svm(rng, cone, 1)
     return GptState(cone, single.atoms[0])
 
 
@@ -222,11 +296,11 @@ def _old_gen_planted_scenario(seed, layer, n_worlds, n_agents, dim=2, cone_kind=
         q = conditional(mu, hypothesis, shared)
         return ScenarioBundle("classical", model, mu, hypothesis, (q,) * n_agents, planted_cell=shared)
     if layer == "quantum":
-        rho = gen_dovm(rng, n_worlds, dim)
+        rho = _old_gen_dovm(rng, n_worlds, dim)
         sigma = conditional_state(rho, shared)
         return ScenarioBundle("quantum", model, rho, None, (sigma,) * n_agents, planted_cell=shared)
-    cone = _make_cone(rng, cone_kind, dim, n_generators)
-    svm = gen_svm(rng, cone, n_worlds)
+    cone = _old_make_cone(rng, cone_kind, dim, n_generators)
+    svm = _old_gen_svm(rng, cone, n_worlds)
     target = gpt_conditional_state(svm, shared)
     return ScenarioBundle("gpt", model, svm, None, (target,) * n_agents, planted_cell=shared)
 
@@ -250,16 +324,16 @@ def _old_gen_unconstrained_scenario(seed, layer, n_worlds, n_agents, dim=2, cone
             targets = tuple(float(x) for x in rng.random(n_agents))
         return ScenarioBundle("classical", model, mu, hypothesis, targets, anchor_world=anchor)
     if layer == "quantum":
-        rho = gen_dovm(rng, n_worlds, dim)
+        rho = _old_gen_dovm(rng, n_worlds, dim)
         if anchored:
             targets = tuple(
                 conditional_state(rho, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
             )
         else:
-            targets = tuple(gen_density(rng, dim) for _ in range(n_agents))
+            targets = tuple(_old_gen_density(rng, dim) for _ in range(n_agents))
         return ScenarioBundle("quantum", model, rho, None, targets, anchor_world=anchor)
-    cone = _make_cone(rng, cone_kind, dim, n_generators)
-    svm = gen_svm(rng, cone, n_worlds)
+    cone = _old_make_cone(rng, cone_kind, dim, n_generators)
+    svm = _old_gen_svm(rng, cone, n_worlds)
     if anchored:
         targets = tuple(
             gpt_conditional_state(svm, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
@@ -318,11 +392,163 @@ _FAMILIES = {
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 @pytest.mark.parametrize("kind", list(_PINNED_KINDS))
 def test_bundles_match_the_per_family_dispatch(family, kind):
-    """The shared per-layer draw gives every family the bundles, bit for bit,
-    that its own dispatch gave: same draws, in the same order."""
+    """The shared per-seed draw and block build give every family the
+    bundles, bit for bit, that its own dispatch gave: same draws, in the
+    same order, and the same arithmetic."""
     gen, old = _FAMILIES[family]
     layer, kw = _PINNED_KINDS[kind]
     for n_worlds, n_agents in _PINNED_SIZES:
         for seed in range(40):
             args = (seed, layer, n_worlds, n_agents)
             assert _bundle_bytes(gen(*args, **kw)) == _bundle_bytes(old(*args, **kw)), (args, kw)
+
+
+def _block(layer, seeds, n_worlds, n_agents, dim=2, cone_kind="simplex", n_generators=None):
+    return _scenarios(layer, seeds, n_worlds, n_agents, dim, cone_kind, n_generators)
+
+
+def _family(b: ScenarioBundle) -> str:
+    return "planted" if b.planted_cell is not None else "free" if b.anchor_world is None else "anchored"
+
+
+@pytest.mark.parametrize("kind", list(_PINNED_KINDS))
+def test_blocks_match_the_per_seed_reference(kind):
+    """A block that mixes planted, anchored and free seeds gives every seed
+    the bundle, bit for bit, that the per-seed reference gives it alone:
+    each seed draws from its own stream, and the block's stacked arithmetic
+    rounds as the per-seed arithmetic did."""
+    layer, kw = _PINNED_KINDS[kind]
+    for n_worlds, n_agents in _PINNED_SIZES:
+        families = set()
+        for length in (1, 2, BLOCK_SEEDS + 1):
+            for first in range(0, 120, max(length, 20)):
+                seeds = [(first + i, (first + i) % 3 == 0) for i in range(length)]
+                block = _block(layer, seeds, n_worlds, n_agents, **kw)
+                assert len(block) == length
+                for (seed, planted), got in zip(seeds, block):
+                    old = _old_gen_planted_scenario if planted else _old_gen_unconstrained_scenario
+                    assert _bundle_bytes(got) == _bundle_bytes(old(seed, layer, n_worlds, n_agents, **kw)), (
+                        seed, length, n_worlds, n_agents)
+                families.update(_family(b) for b in block)
+        assert families == {"planted", "anchored", "free"}
+
+
+def _array_bytes(obj) -> bytes:
+    return next(v for v in vars(obj).values() if isinstance(v, np.ndarray)).tobytes()
+
+
+def _faulty(block: np.ndarray, k: int, fault: str) -> np.ndarray:
+    """``block`` with entry ``k`` broken: a NaN, a non-Hermitian matrix, or
+    a non-PSD matrix of unchanged total (item 1 of a stack)."""
+    bad = block.copy()
+    m = bad[k] if bad.ndim == 3 else bad[k, 1]
+    d = m.shape[-1]
+    if fault == "nan":
+        m[0, d - 1] = np.nan
+    elif fault == "non-hermitian":
+        m[0, d - 1] += 0.25
+    else:
+        shift = np.diag(np.r_[2.0, -2.0, np.zeros(d - 2)])
+        m -= shift if bad.ndim == 3 else 2 * np.eye(d)
+        if bad.ndim == 4:
+            bad[k, 0] += 2 * np.eye(d)  # keeps the stack's total
+    return bad
+
+
+def _psd_state_coords(k: int, fault: str) -> np.ndarray:
+    coords = np.stack([gen_svm(seed, PsdCone(2), 1).atoms[0] for seed in range(4)])
+    if fault == "nan":
+        coords[k, 1] = np.nan
+    else:  # diag(1.5, -0.5): unit trace, outside the cone
+        coords[k] = [1.5, -0.5, 0.0, 0.0]
+    return coords
+
+
+_BLOCKS = {
+    "DensityOperator": (DensityOperator, (), lambda: np.stack([gen_density(s, 3).matrix for s in range(4)])),
+    "Povm": (Povm, (), lambda: np.stack([gen_povm(s, 3, 3).effects for s in range(4)])),
+    "Dovm": (Dovm, (), lambda: np.stack([gen_dovm(s, 3, 3).atoms for s in range(4)])),
+}
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [(name, fault) for name in _BLOCKS for fault in ("nan", "non-hermitian", "non-psd")]
+    + [(name, fault) for name in ("Svm", "GptState") for fault in ("nan", "non-psd")],  # coordinates are real
+)
+def test_stacked_checks_raise_what_single_constructors_raise(name, fault):
+    """A bad entry at index k of a block raises the exception, message
+    included, that building that entry alone raises."""
+    k = 2
+    if name in _BLOCKS:
+        cls, head, make = _BLOCKS[name]
+        bad = _faulty(make(), k, fault)
+    else:
+        cone = PsdCone(2)
+        cls, head = (Svm, (cone,)) if name == "Svm" else (GptState, (cone,))
+        coords = _psd_state_coords(k, fault)
+        bad = np.stack([coords] * 3, axis=1) / 3 if cls is Svm else coords
+    with pytest.raises(ValueError) as alone:
+        cls(*head, bad[k])
+    with pytest.raises(ValueError) as block:
+        cls._check(*head, bad)
+    assert type(block.value) is type(alone.value)
+    assert str(block.value) == str(alone.value)
+    good = np.delete(bad, k, axis=0)  # the other entries pass, and wrap as if built alone
+    for entry, obj in zip(good, _instances(cls, cls._check(*head, good), *head)):
+        assert _array_bytes(obj) == _array_bytes(cls(*head, entry))
+
+
+class TestBlockChecks:
+    """A fault in the block's own arithmetic is caught by the check the
+    object's constructor runs, and reported as that constructor reports it."""
+
+    seeds = [(s, s % 2 == 0) for s in range(6)]
+
+    def test_dovm_atoms_pass_the_psd_check(self, monkeypatch):
+        made = []
+
+        def sandwich(root, stack):
+            out = quantum._sandwich(root, stack)
+            if len(made) == 1:  # the second sandwich: the effects conjugated by the states' roots
+                out = _faulty(out, 3, "non-psd")
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(generators, "_sandwich", sandwich)
+        with pytest.raises(NotPsd) as block:
+            _block("quantum", self.seeds, 6, 2)
+        with pytest.raises(NotPsd) as alone:
+            Dovm(made[1][3])
+        assert str(block.value) == str(alone.value) and "atom 1 " in str(alone.value)
+
+    def test_quantum_targets_pass_the_density_operator_check(self, monkeypatch):
+        made = []
+
+        def conditional_matrix(rho, lam):
+            m = quantum._conditional_matrix(rho, lam)
+            if len(made) == 2:
+                m = m - np.diag([2.0, -2.0])  # unit trace, not PSD
+            made.append(m)
+            return m
+
+        monkeypatch.setattr(generators, "_conditional_matrix", conditional_matrix)
+        with pytest.raises(NotPsd) as block:
+            _block("quantum", self.seeds, 6, 2)
+        with pytest.raises(NotPsd) as alone:
+            DensityOperator(made[2])
+        assert str(block.value) == str(alone.value)
+
+    def test_gpt_targets_pass_the_state_check(self, monkeypatch):
+        made = []
+
+        def conditional_coords(mu, lam):
+            c = gpt._conditional_coords(mu, lam)
+            if len(made) == 1:
+                c = np.array([1.5, -0.5, 0.0, 0.0])  # unit value 1, outside the PSD cone
+            made.append(c)
+            return c
+
+        monkeypatch.setattr(generators, "_conditional_coords", conditional_coords)
+        with pytest.raises(ValueError, match="^coordinates lie outside the cone$"):
+            _block("gpt", self.seeds, 6, 2, dim=2, cone_kind="psd")

@@ -47,6 +47,7 @@ from aumann import (
     verify_quantum_aumann,
 )
 from aumann.cli import EXIT_INPUT_ERROR, main
+from aumann.generators import BLOCK_SEEDS
 
 DATA = Path(__file__).parent / "data"
 BAD_TOLS = ["nan", "inf", "0", "-1"]
@@ -99,7 +100,7 @@ class TestTolerance:
         def seed_status(*args):
             raise AssertionError("a seed ran")
 
-        monkeypatch.setattr(scenario, "_seed_status", seed_status)
+        monkeypatch.setattr(scenario, "_block_statuses", seed_status)
         with pytest.raises(ValueError, match="tol"):
             run_search("classical", 10, tol=math.nan, workers=2)
 
@@ -228,7 +229,7 @@ class TestSearchSeeds:
         def seed_status(*args):
             raise AssertionError("a seed ran")
 
-        monkeypatch.setattr(scenario, "_seed_status", seed_status)
+        monkeypatch.setattr(scenario, "_block_statuses", seed_status)
         assert main(["search", "--layer", "classical", "--seeds", "-5"]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert "n_seeds must be nonnegative" in captured.err
@@ -241,7 +242,7 @@ class TestSearchSeeds:
         def seed_status(*args):
             raise AssertionError("a seed ran")
 
-        monkeypatch.setattr(scenario, "_seed_status", seed_status)
+        monkeypatch.setattr(scenario, "_block_statuses", seed_status)
         assert main(["search", "--layer", "classical", "--seeds", "4", "--workers", str(workers)]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert f"workers must be positive, got {workers}" in captured.err
@@ -257,11 +258,13 @@ class TestSearchSeeds:
         assert "scenarios: 0\n" in out and "violations: 0\n" in out
 
     @pytest.mark.parametrize(
-        "n_seeds, workers, n_procs", [(3, 8, 3), (1, 500, 0), (5, 2, 2), (10, 4, 4), (10, 5000, 4)]
+        "n_blocks, workers, n_procs", [(3, 8, 3), (1, 500, 0), (5, 2, 2), (10, 4, 4), (10, 5000, 4)]
     )
-    def test_pool_has_one_process_per_shard(self, monkeypatch, n_seeds, workers, n_procs):
+    def test_pool_has_one_process_per_shard(self, monkeypatch, n_blocks, workers, n_procs):
         """No real pool starts: the fake records its size and chunk size and
-        maps inline, on a faked 4-CPU machine; ``n_procs`` 0 means no pool."""
+        maps inline, on a faked 4-CPU machine; ``n_procs`` 0 means no pool.
+        A pool maps seed blocks, one per task, the last one short."""
+        n_seeds = (n_blocks - 1) * BLOCK_SEEDS + 1
         seen = []
 
         class InlinePool:
@@ -281,8 +284,9 @@ class TestSearchSeeds:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         stats = run_search("classical", n_seeds, workers=workers)
-        assert seen == ([n_procs, -(-n_seeds // n_procs)] if n_procs else [])
+        assert seen == ([n_procs, 1] if n_procs else [])
         assert stats.counts == run_search("classical", n_seeds).counts
+        assert sum(stats.counts.values()) == n_seeds
 
 
 class TestScenarioShape:

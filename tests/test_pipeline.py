@@ -173,7 +173,7 @@ def _old_quantum_agreement_event(model, rho, sigmas, tol=MATCH_TOL):
         values = _cell_values(rho.atoms, partition)
         masses = values.trace(axis1=1, axis2=2).real
         live = np.flatnonzero(masses > NULL_MASS_TOL)
-        diffs = _hermitian_stack(values[live] / masses[live, None, None] - target, "cell conditional", tol=1e-9)
+        diffs = _hermitian_stack([values[live] / masses[live, None, None] - target], "cell conditional", tol=1e-9)[0]
         agent_mask = 0
         for k in live[_trace_norms(diffs) <= tol].tolist():
             agent_mask |= partition.masks[k]

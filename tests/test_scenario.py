@@ -22,6 +22,7 @@ from aumann import (
     verify_aumann,
 )
 from aumann.cli import EXIT_INPUT_ERROR, main
+from aumann.generators import BLOCK_SEEDS
 
 DATA = Path(__file__).parent / "data"
 
@@ -383,6 +384,16 @@ class TestRunGenAndSearch:
         team = run_search(layer, 60, n_worlds=4, n_agents=2, cone_kind=cone_kind, workers=2)
         assert solo.counts == team.counts
         assert solo.violation_seeds == team.violation_seeds
+
+    @pytest.mark.parametrize("n_seeds", [0, 1, BLOCK_SEEDS + 3])
+    def test_search_workers_agree_across_blocks(self, n_seeds):
+        """Two processes, each mapping whole seed blocks, tally what one does,
+        down to the seeds flagged, when the last block is short."""
+        solo = run_search("gpt", n_seeds, n_worlds=4, n_agents=2, cone_kind="psd")
+        team = run_search("gpt", n_seeds, n_worlds=4, n_agents=2, cone_kind="psd", workers=2)
+        assert solo.counts == team.counts
+        assert solo.violation_seeds == team.violation_seeds
+        assert sum(team.counts.values()) == n_seeds
 
     def test_search_modes(self):
         planted = run_search("classical", 50, mode="planted", n_worlds=5, n_agents=3)
