@@ -19,7 +19,7 @@ from . import _EXPORTS
 from .errors import ConditioningOnNull, as_number, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel
 from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
-from .verdicts import AgreementVerdict, _agreement_event, _cell_conditionals, _Layer, _verify
+from .verdicts import AgreementVerdict, _agreement_events, _cell_conditionals, _Layer, _Rule, _verify
 
 __all__ = _EXPORTS["classical"]
 
@@ -82,6 +82,10 @@ def _indicator(e: Event) -> np.ndarray:
     return np.unpackbits(raw, count=e.n, bitorder="little")
 
 
+# Values are posteriors, masses probabilities; a state is a float.
+_RULE = _Rule(lambda x, stacks: (x[..., 0], x[..., 1]), lambda xs, ys: np.abs(xs - ys), lambda v, space: v.tolist())
+
+
 def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float] = ()) -> _Layer:
     """The posterior of ``h`` under ``mu``, for the agreement pipeline.
 
@@ -93,13 +97,10 @@ def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q:
     """
     require_worlds("measure", mu.n_worlds, "model", model.n_worlds)
     require_worlds("event", h.n, "model", model.n_worlds)
-    atoms = np.stack([mu.weights * _indicator(h), mu.weights], axis=1)
-
-    def distance(xs: np.ndarray, target: float) -> np.ndarray:
-        return np.abs(xs - target)
-
-    targets = tuple(as_number(i, x) for i, x in enumerate(q))
-    return _Layer(atoms, lambda x: (x[..., 0], x[..., 1]), float, distance, targets)
+    atoms = np.empty((mu.n_worlds, 2))
+    np.multiply(mu.weights, _indicator(h), out=atoms[:, 0])
+    atoms[:, 1] = mu.weights
+    return _Layer(atoms, tuple(as_number(i, x) for i, x in enumerate(q)), _RULE)
 
 
 def agreement_event(
@@ -112,14 +113,14 @@ def agreement_event(
     result intersects the per-agent sets, so it is a union of cells of each
     agent's partition.
     """
-    return _agreement_event(model, _classical_layer(model, mu, h, q), tol)
+    return _agreement_events([model], [_classical_layer(model, mu, h, q)], tol)[0]
 
 
 def posterior_function(model: KnowledgeModel, mu: ProbabilityMeasure, agent: int, h: Event) -> np.ndarray:
     """Per-world posterior ``P(h | Q_agent(w))``; NaN on null cells."""
     model._check_agent(agent)
     partition = model.partitions[agent]
-    live, posteriors = _cell_conditionals(_classical_layer(model, mu, h), partition)
+    _, _, live, posteriors = _cell_conditionals([_classical_layer(model, mu, h)], [[partition]])
     per_cell = np.full(len(partition), np.nan)
     per_cell[live] = posteriors
     return per_cell[partition.labels]
@@ -134,4 +135,4 @@ def verify_aumann(
     ``C`` is empty or carries mass at most ``tol`` (the two vacuous cases),
     compares every target against ``P(h | C)``.
     """
-    return _verify(model, _classical_layer(model, mu, h, q), tol)
+    return _verify([model], [_classical_layer(model, mu, h, q)], tol)[0]

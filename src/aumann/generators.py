@@ -331,18 +331,28 @@ def _gpt_bundles(cone: ConeSpace, draws: Sequence[_Draw]) -> list[ScenarioBundle
                     lambda v: _instances(GptState, GptState._check(cone, np.stack(v)), cone))
 
 
-def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_agents: int, dim: int,
-               cone_kind: str, n_generators: int | None) -> list[ScenarioBundle]:
-    """The bundles of a block of ``(seed, planted)`` pairs, in order: each
-    seed's draws, then the block's measures and targets, built as one stack."""
+def _check_shape(layer: str, n_worlds: int, n_agents: int, cone_kind: str, planted: bool) -> None:
+    """Raise ``ValueError`` unless scenarios of this layer and shape (some
+    of them planted, if ``planted``) can be generated."""
     if layer not in LAYERS:
         raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
-    if n_worlds < 2 and any(planted for _, planted in seeds):
+    if n_worlds < 1:
+        raise ValueError(f"n_worlds must be positive, got {n_worlds}")
+    if n_agents < 1:
+        raise ValueError(f"n_agents must be positive, got {n_agents}")
+    if n_worlds < 2 and planted:
         raise ValueError("planted scenarios need at least 2 worlds")
     if layer == "classical" and n_worlds > 63:  # the hypothesis is drawn as one int64 below 1 << n_worlds
         raise ValueError(f"classical scenarios have at most 63 worlds, got {n_worlds}")
     if layer == "gpt" and cone_kind not in ("simplex", "psd", "polyhedral"):
         raise ValueError(f"unknown cone kind {cone_kind!r}")
+
+
+def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_agents: int, dim: int,
+               cone_kind: str, n_generators: int | None) -> list[ScenarioBundle]:
+    """The bundles of a block of ``(seed, planted)`` pairs, in order: each
+    seed's draws, then the block's measures and targets, built as one stack."""
+    _check_shape(layer, n_worlds, n_agents, cone_kind, any(planted for _, planted in seeds))
     cone = None
     if layer == "gpt" and cone_kind != "polyhedral":
         cone = SimplexCone(dim) if cone_kind == "simplex" else PsdCone(dim)

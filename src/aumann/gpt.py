@@ -27,7 +27,7 @@ from . import _EXPORTS
 from .classical import ProbabilityMeasure
 from .errors import ConditioningOnNull, as_array, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel
-from .quantum import Dovm, _first, require_hermitian
+from .quantum import Dovm, _first, _instances, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
     HERMITIAN_LOOSE_TOL,
@@ -36,7 +36,7 @@ from .tolerances import (
     PSD_EIG_TOL,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, _agreement_event, _event_value, _Layer, _verify
+from .verdicts import AgreementVerdict, _agreement_events, _event_value, _Layer, _Rule, _verify
 
 __all__ = _EXPORTS["gpt"]
 
@@ -592,17 +592,30 @@ def _same_cone(a: ConeSpace, b: ConeSpace) -> bool:
                       and (a.kind != "polyhedral" or np.array_equal(a.generators, b.generators)))
 
 
+def _gpt_parts(sums: np.ndarray, stacks) -> tuple[np.ndarray, np.ndarray]:
+    """Sums as values, and their unit values as masses. A matrix product
+    rounds by the shape of its stack, so each stack gets its own: one
+    product per partition's cells, one dot per event."""
+    masses = np.empty(len(sums))
+    for cone, at in stacks:
+        masses[at] = sums[at] @ cone.unit
+    return sums, masses
+
+
+# Values are sums of atoms, masses their unit values, distance the
+# coordinate max-norm; a state is a GptState of the scenario's cone.
+_RULE = _Rule(
+    _gpt_parts,
+    lambda xs, ys: np.abs(xs - ys).max(axis=-1),
+    lambda v, cone: _instances(GptState, GptState._check(cone, v), cone),
+)
+
+
 def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
-    """An SVM for the agreement pipeline: values are sums of atoms, masses
-    their unit values, and distance is the coordinate max-norm. Every
-    target, state or raw, must have the SVM's cone dimension, and a state
-    must belong to the SVM's cone."""
+    """An SVM for the agreement pipeline. Every target, state or raw, must
+    have the SVM's cone dimension, and a state must belong to the SVM's cone."""
     require_worlds("SVM", mu.n_worlds, "model", model.n_worlds)
     unit = mu.cone.unit
-
-    def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return np.abs(xs - target).max(axis=1)
-
     coords = tuple(
         t.coords if isinstance(t, GptState) else as_array(i, "a vector of numbers", t, "iuf").astype(float)
         for i, t in enumerate(targets)
@@ -613,7 +626,7 @@ def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
     for i, t in enumerate(targets):
         if isinstance(t, GptState) and not _same_cone(t.cone, mu.cone):
             raise ValueError(f"target {i} is a state of another cone than the SVM's")
-    return _Layer(mu.atoms, lambda x: (x, x @ unit), lambda x: GptState(mu.cone, x), distance, coords)
+    return _Layer(mu.atoms, coords, _RULE, mu.cone)
 
 
 def gpt_agreement_event(model: KnowledgeModel, mu: Svm, targets: Sequence, tol: float = MATCH_TOL) -> Event:
@@ -624,7 +637,7 @@ def gpt_agreement_event(model: KnowledgeModel, mu: Svm, targets: Sequence, tol: 
     :class:`GptState` or plain coordinate vectors (an unnormalized target
     simply never matches).
     """
-    return _agreement_event(model, _gpt_layer(model, mu, targets), tol)
+    return _agreement_events([model], [_gpt_layer(model, mu, targets)], tol)[0]
 
 
 def verify_gpt_aumann(
@@ -636,7 +649,7 @@ def verify_gpt_aumann(
     unit mass at most ``tol``; otherwise each target must be within ``tol``
     (max-norm) of the conditional state on the common event.
     """
-    return _verify(model, _gpt_layer(model, mu, targets), tol)
+    return _verify([model], [_gpt_layer(model, mu, targets)], tol)[0]
 
 
 def embed_classical(mu: ProbabilityMeasure) -> Svm:

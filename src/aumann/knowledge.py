@@ -21,7 +21,7 @@ then costs time linear in its length rather than quadratic.
 A partition is stored in two forms that describe the same cells in the same
 order: ``labels``, an integer array mapping each world to the number of its
 cell, and ``masks``, one bit-mask per cell. Per-cell sums over a measure are
-one ``np.add.at`` over the labels (``verdicts._cell_values``), and knowledge
+one scatter over the labels (``verdicts._sums``), and knowledge
 and agreement events are unions of masks. The cells as :class:`Event` objects
 are built only when a caller asks for ``Partition.cells``.
 """
@@ -367,7 +367,10 @@ def common_knowledge(model: KnowledgeModel, e: Event) -> Event:
     ``n_worlds`` iterations, and that fixed point equals the intersection of
     all mutual-knowledge degrees.
     """
-    return mutual_knowledge_chain(model, e)[-1]
+    require_worlds("event", e.n, "model", model.n_worlds)
+    for mask in _mutual_degrees(model, e.mask):
+        pass
+    return Event(mask, model.n_worlds)
 
 
 def meet_partition(model: KnowledgeModel) -> Partition:

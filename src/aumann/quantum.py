@@ -35,7 +35,7 @@ from .tolerances import (
     SUPPORT_CUTOFF,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, _agreement_event, _event_value, _Layer, _verify
+from .verdicts import AgreementVerdict, _agreement_events, _event_value, _Layer, _Rule, _verify
 
 __all__ = _EXPORTS["quantum"]
 
@@ -314,15 +314,23 @@ def povm_to_dovm(e: Povm, sigma: DensityOperator) -> Dovm:
     return Dovm(_sandwich(root, e.effects))
 
 
+def _trace_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Trace-norm distance of each matrix of ``xs`` to the matching one of ``ys``."""
+    return _trace_norms(_hermitian_stack((xs - ys)[None], "cell conditional", tol=HERMITIAN_LOOSE_TOL)[0])
+
+
+# Values are sums of atoms, masses their traces; a state is a DensityOperator.
+_RULE = _Rule(
+    lambda x, stacks: (x, x.trace(axis1=-2, axis2=-1).real),
+    _trace_distances,
+    lambda v, space: _instances(DensityOperator, DensityOperator._check(v)),
+)
+
+
 def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer:
-    """A DOVM for the agreement pipeline: values are sums of atoms, masses
-    their traces, and distance is the trace norm. Every target must be a
-    ``d x d`` matrix for the DOVM's ``d``."""
+    """A DOVM for the agreement pipeline; distance is the trace norm. Every
+    target must be a ``d x d`` matrix for the DOVM's ``d``."""
     require_worlds("DOVM", rho.n_worlds, "model", model.n_worlds)
-
-    def distance(xs: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return _trace_norms(_hermitian_stack((xs - target)[None], "cell conditional", tol=HERMITIAN_LOOSE_TOL)[0])
-
     matrices = [
         s.matrix if isinstance(s, DensityOperator) else as_array(i, "a matrix of numbers", s, "iufc")
         for i, s in enumerate(sigmas)
@@ -332,9 +340,7 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer
             raise ValueError(f"target {i} must have shape {(rho.dim, rho.dim)}, got {m.shape}")
     if not all(isinstance(s, DensityOperator) for s in sigmas):  # a state is checked already
         matrices = _hermitian_stack([matrices], "target", HERMITIAN_LOOSE_TOL)[0]
-    return _Layer(
-        rho.atoms, lambda x: (x, x.trace(axis1=-2, axis2=-1).real), DensityOperator, distance, tuple(matrices)
-    )
+    return _Layer(rho.atoms, tuple(matrices), _RULE)
 
 
 def quantum_agreement_event(model: KnowledgeModel, rho: Dovm, sigmas: Sequence, tol: float = MATCH_TOL) -> Event:
@@ -345,7 +351,7 @@ def quantum_agreement_event(model: KnowledgeModel, rho: Dovm, sigmas: Sequence, 
     :class:`DensityOperator` or plain Hermitian matrices (an unnormalized
     target simply never matches).
     """
-    return _agreement_event(model, _quantum_layer(model, rho, sigmas), tol)
+    return _agreement_events([model], [_quantum_layer(model, rho, sigmas)], tol)[0]
 
 
 def verify_quantum_aumann(
@@ -357,4 +363,4 @@ def verify_quantum_aumann(
     trace mass at most ``tol``; otherwise each target must be within ``tol``
     trace-norm distance of the conditional state on the common event.
     """
-    return _verify(model, _quantum_layer(model, rho, sigmas), tol)
+    return _verify([model], [_quantum_layer(model, rho, sigmas)], tol)[0]

@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import ScenarioSyntaxError, ScenarioValidationError
 from .knowledge import Event, KnowledgeModel, Partition, know, mutual_knowledge_chain
 from .tolerances import CANONICAL_UNIT_TOL, MATCH_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
-from .verdicts import _agreement_event, _cell_conditionals, _check_tol, _Layer, _verdict, _verify
+from .verdicts import _agreement_events, _cell_conditionals, _check_tol, _Layer, _verdicts, _verify
 
 if TYPE_CHECKING:
     from .generators import ScenarioBundle
@@ -530,10 +530,15 @@ def _json_text(doc) -> str:
     return "[" + ", ".join("[" + ", ".join(f"{re:.6f}{im:+.6f}j" for re, im in row) + "]" for row in doc) + "]"
 
 
+def _verify_bundles(bundles: Sequence[ScenarioBundle], tol: float) -> list[AgreementVerdict]:
+    """Verify a block of generated bundles of one layer and shape as one stack."""
+    layers = [_KINDS[b.layer].layer(b.model, b.measure, b.hypothesis, b.targets) for b in bundles]
+    return _verify([b.model for b in bundles], layers, tol)
+
+
 def verify_bundle(bundle: ScenarioBundle, tol: float = MATCH_TOL) -> AgreementVerdict:
-    """Dispatch a generated bundle to its layer's verifier."""
-    model = bundle.model
-    return _verify(model, _KINDS[bundle.layer].layer(model, bundle.measure, bundle.hypothesis, bundle.targets), tol)
+    """Verify a generated bundle with its layer's pipeline (a block of one)."""
+    return _verify_bundles([bundle], tol)[0]
 
 
 def _run(sf: ScenarioFile, tol: float | None, max_iters: int | None, analyze: bool) -> Report:
@@ -562,12 +567,12 @@ def _run(sf: ScenarioFile, tol: float | None, max_iters: int | None, analyze: bo
     if tol is None:
         tol = MATCH_TOL if sf.tolerance is None else sf.tolerance
     _check_tol(tol)
-    event = h if targets is None else _agreement_event(model, layer, tol)
+    event = h if targets is None else _agreement_events([model], [layer], tol)[0]
     t1 = time.perf_counter()
     chain = tuple(mutual_knowledge_chain(model, event))
     if max_iters is not None and len(chain) > max_iters:
         raise RuntimeError(f"common-knowledge fixpoint not reached within {max_iters} iterations")
-    verdict = None if targets is None else _verdict(layer, chain[-1], tol)
+    verdict = None if targets is None else _verdicts([layer], [chain[-1]], tol)[0]
     t2 = t3 = time.perf_counter()
     timings = {"build": t1 - t0, "verify": t2 - t1}
     report = Report(
@@ -576,11 +581,10 @@ def _run(sf: ScenarioFile, tol: float | None, max_iters: int | None, analyze: bo
     if analyze:
         report.knowledge = tuple(know(model, i, event) for i in range(model.n_agents))
         report.mutual_trace = chain
-        report.posteriors_by_cell = []
-        for p in model.partitions:
-            live, conditionals = _cell_conditionals(layer, p)
-            found = dict(zip(live.tolist(), conditionals))
-            report.posteriors_by_cell.append([(cell, found.get(k)) for k, cell in enumerate(p.cells)])
+        _, starts, live, conditionals = _cell_conditionals([layer], [model.partitions])
+        found = dict(zip(live.tolist(), conditionals))
+        report.posteriors_by_cell = [[(cell, found.get(start + k)) for k, cell in enumerate(p.cells)]
+                                     for p, start in zip(model.partitions, starts)]
         t3 = time.perf_counter()
         timings["analyze"] = t3 - t2
     timings["total"] = t3 - t0
@@ -641,13 +645,20 @@ def run_gen(
 
 @dataclass
 class SearchStats:
-    """Verdict counts over a seed range; any violation signals a bug."""
+    """Verdict counts over a seed range; any violation signals a bug.
+
+    ``generate_s`` and ``verify_s`` are the time spent building and
+    verifying the blocks, summed over blocks (over every worker's blocks,
+    so with several workers they may exceed ``elapsed_s``).
+    """
 
     layer: str
     n_scenarios: int
     counts: dict[str, int]
     violation_seeds: tuple[int, ...]
     elapsed_s: float
+    generate_s: float
+    verify_s: float
 
     @property
     def violations(self) -> int:
@@ -661,6 +672,8 @@ class SearchStats:
             "violations": self.violations,
             "violation_seeds": list(self.violation_seeds),
             "elapsed_s": self.elapsed_s,
+            "generate_s": self.generate_s,
+            "verify_s": self.verify_s,
         }
 
     def to_text(self) -> str:
@@ -668,20 +681,26 @@ class SearchStats:
         for status in VerdictStatus:
             lines.append(f"{status.value}: {self.counts.get(status.value, 0)}")
         lines.append(f"violations: {self.violations}")
-        lines.append(f"elapsed: {self.elapsed_s:.3f}s")
+        lines.append(f"elapsed: {self.elapsed_s:.3f}s (generate {self.generate_s:.3f}s, verify {self.verify_s:.3f}s)")
         return "\n".join(lines) + "\n"
 
 
 def _block_statuses(layer: str, base_seed: int, mode: str, shape: tuple, tol: float, n_seeds: int,
-                    start: int) -> list[str]:
+                    start: int) -> tuple[list[str], float, float]:
     """Verdict statuses of the block of a search's seeds from offset ``start``
-    (``BLOCK_SEEDS`` of them, or up to ``n_seeds``); ``mix`` plants the even
+    (``BLOCK_SEEDS`` of them, or up to ``n_seeds``), and the seconds spent
+    generating and verifying it. The block's bundles are built as one stack
+    and verified as one, with one call each; ``mix`` plants the even
     offsets, and ``shape`` is (n_worlds, n_agents, dim, cone_kind)."""
     from .generators import BLOCK_SEEDS, _scenarios
 
     offsets = range(start, min(start + BLOCK_SEEDS, n_seeds))
     seeds = [(base_seed + i, mode == "planted" or (mode == "mix" and i % 2 == 0)) for i in offsets]
-    return [verify_bundle(b, tol).status.value for b in _scenarios(layer, seeds, *shape, None)]
+    t0 = time.perf_counter()
+    bundles = _scenarios(layer, seeds, *shape, None)
+    t1 = time.perf_counter()
+    statuses = [v.status.value for v in _verify_bundles(bundles, tol)]
+    return statuses, t1 - t0, time.perf_counter() - t1
 
 
 def run_search(
@@ -699,16 +718,17 @@ def run_search(
 ) -> SearchStats:
     """Run seeded scenarios (planted, random, or an even mix) and tally verdicts.
 
-    Consecutive seeds are generated and verified in blocks of
-    ``generators.BLOCK_SEEDS``. Blocks are mapped in process, or over a pool
-    of ``workers`` processes, capped at the blocks and the CPUs, which
-    returns them in seed order, so results are identical for any worker
-    count. A polyhedral cone gets ``2 * dim`` generators.
+    The search's shape, mode, count, workers and tolerance are checked
+    before any block runs. Consecutive seeds then form blocks of
+    ``generators.BLOCK_SEEDS``; each block is generated as one stack and
+    verified as one stack. Blocks are mapped in process, or over a pool of
+    ``workers`` processes, capped at the blocks and the CPUs, which returns
+    them in seed order, so results are identical for any worker count. A
+    polyhedral cone gets ``2 * dim`` generators.
     """
-    from .generators import BLOCK_SEEDS, LAYERS
+    from .generators import BLOCK_SEEDS, _check_shape
 
-    if layer not in LAYERS:
-        raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
+    _check_shape(layer, n_worlds, n_agents, cone_kind, mode != "random")
     if mode not in ("mix", "planted", "random"):
         raise ValueError(f"mode must be mix, planted, or random, got {mode!r}")
     if n_seeds < 0:
@@ -728,12 +748,10 @@ def run_search(
         with ProcessPoolExecutor(n_procs) as pool:
             blocks = list(pool.map(block_statuses, starts))
     else:
-        blocks = map(block_statuses, starts)
-    counts: Counter = Counter()
-    bad: list[int] = []
-    for i, status in enumerate(status for block in blocks for status in block):
-        counts[status] += 1
-        if status == VerdictStatus.VIOLATED.value:
-            bad.append(base_seed + i)
+        blocks = list(map(block_statuses, starts))
+    statuses = [status for block, _, _ in blocks for status in block]
+    bad = tuple(base_seed + i for i, status in enumerate(statuses) if status == VerdictStatus.VIOLATED.value)
     elapsed = time.perf_counter() - t0
-    return SearchStats(layer, n_seeds, dict(counts), tuple(bad), elapsed)
+    generate_s = float(sum(generate for _, generate, _ in blocks))
+    verify_s = float(sum(verify for _, _, verify in blocks))
+    return SearchStats(layer, n_seeds, dict(Counter(statuses)), bad, elapsed, generate_s, verify_s)

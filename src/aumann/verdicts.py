@@ -5,11 +5,27 @@ agent, the cells whose conditional value is within ``tol`` of the agent's
 target; the intersection of those unions of cells is the agreement event;
 unless its common knowledge ``C`` is empty or has mass at most ``tol`` (the
 two vacuous outcomes), every target is compared with the value conditioned
-on ``C``. A layer supplies its atom stack (one atom per world), how a sum
-of atoms splits into a value and a mass, the state type, the distance and
-the targets (:class:`_Layer`). Every cell and event value is a sum of
-atoms, taken here by one rule (:func:`_cell_values`, :func:`_event_value`)
-for every layer, and cells with mass at most ``NULL_MASS_TOL`` never match.
+on ``C``.
+
+The pipeline runs on a block of scenarios of one layer that share their
+world count, agent count and atom shape, as a search's block does; a single
+verdict is a block of one. Each scenario enters as a :class:`_Layer`, which
+its layer's adapter builds after the per-scenario checks: its atom stack
+(one atom per world), its targets and its space (a GPT measure's cone). The
+layer's :class:`_Rule` splits sums of atoms into values and masses, measures
+distances and turns conditioned values into checked states. A block takes
+the cell sums of every (scenario, agent) partition in one scatter
+(:func:`_sums`), their masses in one ``parts`` call, every live cell's match
+in one ``distance`` call and each scenario's agreement event in one gather.
+Common knowledge is taken per scenario. Then one scatter sums every common
+event, one test finds the vacuous ones, one ``distance`` call compares the
+targets with the pooled values, and one state check runs per space.
+
+Every sum adds its worlds in increasing order starting from zeros, so a
+block gives each scenario the bits it gets alone. A matrix product rounds by
+the shape of its stack, so a GPT mass stays one product per partition's
+cell stack and one dot per event, as a scenario alone takes them. Cells
+with mass at most ``NULL_MASS_TOL`` never match.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,14 +77,30 @@ class AgreementVerdict:
         return self.status is VerdictStatus.HOLDS
 
 
+class _Rule(NamedTuple):
+    """How the pipeline reads one measure layer; every scenario of a block shares it.
+
+    ``parts(sums, stacks)`` gives the values and masses of a stack of sums;
+    ``stacks`` yields, for each stack a scenario alone would take (a
+    partition's cells, as a slice of rows, or one event's sum, as a row
+    index), that scenario's space. ``distance(xs, ys)`` compares two stacks
+    of values entry by entry. ``states(values, space)`` checks a stack of
+    conditioned values of one space once and returns them as the layer's
+    state type.
+    """
+
+    parts: Callable[[np.ndarray, Iterable[tuple[Any, Any]]], tuple[np.ndarray, np.ndarray]]
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    states: Callable[[np.ndarray, Any], list]
+
+
 class _Layer(NamedTuple):
-    """One measure layer as the agreement pipeline sees it, with its targets."""
+    """One scenario's measure and targets, as the agreement pipeline sees them."""
 
     atoms: np.ndarray  # one atom per world, stacked along axis 0
-    parts: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # value and mass of a sum of atoms, or of a stack
-    state: Callable[[Any], Any]  # a value divided by its mass, as the layer's state type
-    distance: Callable[[np.ndarray, Any], np.ndarray]  # distance of each entry of a stack to a target
-    targets: tuple  # one per agent, in the form ``distance`` takes
+    targets: tuple  # one per agent, in the form ``rule.distance`` takes
+    rule: _Rule
+    space: Any = None  # what the rule needs of the scenario beyond its atoms: a GPT measure's cone
 
 
 def _check_tol(tol: float) -> None:
@@ -78,15 +110,28 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
+def _sums(n: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``n`` sums of the float or complex ``rows``, row ``j`` added to sum
+    ``index[j]``; each sum adds its rows in order, starting from zeros.
+
+    One ``np.bincount`` per real component (a complex entry is two), which
+    adds its weights in that order too, and runs several times faster than
+    ``np.add.at`` over rows.
+    """
+    parts = rows.reshape(len(rows), math.prod(rows.shape[1:])).view(np.float64)
+    out = np.empty((n, parts.shape[1]))
+    for j in range(parts.shape[1]):
+        out[:, j] = np.bincount(index, parts[:, j], minlength=n)
+    return out.view(rows.dtype).reshape((n,) + rows.shape[1:])
+
+
 def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
     """Sum of the per-world ``atoms`` over each cell, stacked in cell order.
 
     Each cell's sum adds its worlds in increasing order starting from zeros,
     as ``atoms[list(cell)].sum(axis=0)`` does, so the values agree bit for bit.
     """
-    sums = np.zeros((len(partition),) + atoms.shape[1:], dtype=atoms.dtype)
-    np.add.at(sums, partition.labels, atoms)
-    return sums
+    return _sums(len(partition), partition.labels, atoms)
 
 
 def _event_value(atoms: np.ndarray, e: Event) -> np.ndarray:
@@ -96,53 +141,112 @@ def _event_value(atoms: np.ndarray, e: Event) -> np.ndarray:
     return atoms[np.fromiter(e, dtype=np.intp)].sum(axis=0)
 
 
-def _cell_conditionals(layer: _Layer, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the cells with mass above ``NULL_MASS_TOL`` and their
-    conditional values (value divided by mass), stacked in cell order."""
-    values, masses = layer.parts(_cell_values(layer.atoms, partition))
+def _cell_conditionals(
+    layers: Sequence[_Layer], partitions: Sequence[Sequence[Partition]]
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """The cells of the partitions ``partitions[s]`` of each scenario
+    ``layers[s]``, numbered across the block partition after partition.
+
+    Returns each world's cell number (one row per partition), the number of
+    each partition's first cell (and, last, the cell count), the cells with
+    mass above ``NULL_MASS_TOL`` and their conditional values (value divided
+    by mass), stacked in cell order.
+    """
+    owners = [layer for layer, own in zip(layers, partitions) for _ in own]
+    flat = [p for own in partitions for p in own]
+    starts = [0]
+    for p in flat:
+        starts.append(starts[-1] + len(p))
+    labels = np.array([p.labels for p in flat]) + np.array(starts[:-1])[:, None]
+    sums = _sums(starts[-1], labels.ravel(), np.concatenate([layer.atoms for layer in owners]))
+    stacks = ((layer.space, slice(a, b)) for layer, a, b in zip(owners, starts, starts[1:]))
+    values, masses = layers[0].rule.parts(sums, stacks)
     live = np.flatnonzero(masses > NULL_MASS_TOL)
     scale = masses[live].reshape((-1,) + (1,) * (values.ndim - 1))
-    return live, values[live] / scale
+    return labels, starts, live, values[live] / scale
 
 
-def _agreement_event(model: KnowledgeModel, layer: _Layer, tol: float) -> Event:
-    """Worlds whose cell, for every agent, has a conditional value within
-    ``tol`` of that agent's target."""
+def _agreement_events(models: Sequence[KnowledgeModel], layers: Sequence[_Layer], tol: float) -> list[Event]:
+    """For each scenario, the worlds whose cell, for every agent, has a
+    conditional value within ``tol`` of that agent's target.
+
+    The targets' count and finiteness are checked scenario by scenario,
+    before any arithmetic, so a block with one bad scenario raises what
+    verifying that scenario alone raises. Every agent's cells are compared,
+    also those after an agent whose cells left the intersection empty.
+    """
     _check_tol(tol)
-    targets = layer.targets
-    if len(targets) != model.n_agents:
-        raise ValueError(f"expected {model.n_agents} targets, got {len(targets)}")
-    require_finite_items(targets, "target")
-    acc = (1 << model.n_worlds) - 1
-    for partition, target in zip(model.partitions, targets):
-        live, conditionals = _cell_conditionals(layer, partition)
-        masks = partition.masks
-        agent_mask = 0
-        for k in live[layer.distance(conditionals, target) <= tol].tolist():
-            agent_mask |= masks[k]
-        acc &= agent_mask
-        if not acc:
-            break
-    return Event(acc, model.n_worlds)
+    for model, layer in zip(models, layers):
+        targets = layer.targets
+        if len(targets) != model.n_agents:
+            raise ValueError(f"expected {model.n_agents} targets, got {len(targets)}")
+        require_finite_items(targets, "target")
+    n = models[0].n_worlds
+    if any(m.n_worlds != n or m.n_agents != models[0].n_agents for m in models):
+        raise ValueError("a block's scenarios must share their world and agent counts")
+    labels, starts, live, conditionals = _cell_conditionals(layers, [m.partitions for m in models])
+    targets = np.array([t for layer in layers for t in layer.targets])
+    owner = np.repeat(np.arange(len(targets)), [b - a for a, b in zip(starts, starts[1:])])  # each cell's partition
+    matched = np.zeros(starts[-1], dtype=bool)
+    matched[live] = layers[0].rule.distance(conditionals, targets[owner[live]]) <= tol
+    agreed = matched[labels].reshape(len(models), -1, n).all(axis=1)
+    return [Event(int.from_bytes(row.tobytes(), "little"), n)
+            for row in np.packbits(agreed, axis=1, bitorder="little")]
 
 
-def _verdict(layer: _Layer, c: Event, tol: float) -> AgreementVerdict:
-    """Compare every target with the value conditioned on the common event ``c``,
-    ``value / mass``, which each layer's state type stores bit for bit."""
-    targets = layer.targets
-    if not c:
-        return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, targets, None)
-    value, mass = layer.parts(_event_value(layer.atoms, c))
-    if mass <= tol:
-        return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, targets, None)
-    pooled = value / mass
-    state = layer.state(pooled)
-    ok = bool((layer.distance(np.array(targets), pooled) <= tol).all())
-    status = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
-    return AgreementVerdict(status, c, targets, state)
+def _event_sums(layers: Sequence[_Layer], events: Sequence[Event]) -> np.ndarray:
+    """Sum of each scenario's atoms over the worlds of its non-empty event, stacked."""
+    n = layers[0].atoms.shape[0]
+    masks = b"".join(e.mask.to_bytes((n + 7) // 8, "little") for e in events)
+    bits = np.unpackbits(np.frombuffer(masks, np.uint8).reshape(len(events), -1), axis=1, count=n,
+                         bitorder="little")
+    rows, worlds = np.nonzero(bits)
+    return _sums(len(events), rows, np.array([layer.atoms for layer in layers])[rows, worlds])
 
 
-def _verify(model: KnowledgeModel, layer: _Layer, tol: float) -> AgreementVerdict:
-    """Agreement event, its common knowledge, then the pooled comparison."""
-    c = common_knowledge(model, _agreement_event(model, layer, tol))
-    return _verdict(layer, c, tol)
+def _pooled(layers: Sequence[_Layer], pooled: np.ndarray, tol: float) -> tuple[list[bool], list]:
+    """Whether every target of each scenario is within ``tol`` of its pooled
+    value, and the pooled values as checked states, one check per space."""
+    if not layers:
+        return [], []
+    rule = layers[0].rule
+    n_agents = len(layers[0].targets)
+    targets = np.array([t for layer in layers for t in layer.targets])
+    near = rule.distance(targets, np.repeat(pooled, n_agents, axis=0)) <= tol
+    by_space: dict[int, list[int]] = {}
+    for j, layer in enumerate(layers):
+        by_space.setdefault(id(layer.space), []).append(j)
+    states = [None] * len(layers)
+    for group in by_space.values():
+        for j, state in zip(group, rule.states(pooled[group], layers[group[0]].space)):
+            states[j] = state
+    return near.reshape(-1, n_agents).all(axis=1).tolist(), states
+
+
+def _verdicts(layers: Sequence[_Layer], events: Sequence[Event], tol: float) -> list[AgreementVerdict]:
+    """Compare each scenario's targets with the value conditioned on its
+    common event, ``value / mass``, which each layer's state type stores
+    bit for bit."""
+    statuses = [VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE] * len(layers)
+    states = [None] * len(layers)
+    full = [s for s, c in enumerate(events) if c]
+    if full:
+        values, masses = layers[0].rule.parts(_event_sums([layers[s] for s in full], [events[s] for s in full]),
+                                              ((layers[s].space, k) for k, s in enumerate(full)))
+        heavy = ~(masses <= tol)
+        pooled_at = [s for s, h in zip(full, heavy.tolist()) if h]
+        scale = masses[heavy].reshape((-1,) + (1,) * (values.ndim - 1))
+        oks, checked = _pooled([layers[s] for s in pooled_at], values[heavy] / scale, tol)
+        for s in full:  # null, unless pooled below
+            statuses[s] = VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE
+        for s, ok, state in zip(pooled_at, oks, checked):
+            statuses[s] = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
+            states[s] = state
+    return [AgreementVerdict(status, c, layer.targets, state)
+            for status, c, layer, state in zip(statuses, events, layers, states)]
+
+
+def _verify(models: Sequence[KnowledgeModel], layers: Sequence[_Layer], tol: float) -> list[AgreementVerdict]:
+    """Agreement events, their common knowledge, then the pooled comparisons, for a block."""
+    events = _agreement_events(models, layers, tol)
+    return _verdicts(layers, [common_knowledge(m, e) for m, e in zip(models, events)], tol)

@@ -289,6 +289,49 @@ class TestSearchSeeds:
         assert sum(stats.counts.values()) == n_seeds
 
 
+class TestSearchShape:
+    """A search's shape is checked before any block runs, and ``gen``'s
+    before any draw, with messages that name the parameter."""
+
+    CASES = [
+        ({"n_worlds": 0, "mode": "random"}, ["--worlds", "0", "--mode", "random"], "n_worlds must be positive, got 0"),
+        ({"n_worlds": -3, "mode": "random"}, ["--worlds", "-3", "--mode", "random"],
+         "n_worlds must be positive, got -3"),
+        ({"n_agents": 0}, ["--agents", "0"], "n_agents must be positive, got 0"),
+        ({"n_worlds": 70}, ["--worlds", "70"], "classical scenarios have at most 63 worlds, got 70"),
+        ({"n_worlds": 1}, ["--worlds", "1"], "planted scenarios need at least 2 worlds"),
+    ]
+
+    @pytest.mark.parametrize("n_seeds", [0, 2, BLOCK_SEEDS + 1])
+    @pytest.mark.parametrize("kwargs, flags, message", CASES)
+    def test_search_exits_two_before_any_block(self, kwargs, flags, message, n_seeds, monkeypatch, capsys):
+        def block_statuses(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(scenario, "_block_statuses", block_statuses)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_search("classical", n_seeds, workers=2, **kwargs)
+        argv = ["search", "--layer", "classical", "--seeds", str(n_seeds), "--workers", "2", *flags]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kwargs, flags, message", CASES[:3])
+    def test_gen_exits_two(self, kwargs, flags, message, capsys):
+        planted = kwargs.pop("mode", None) != "random"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_gen("classical", 0, planted=planted, **kwargs)
+        argv = ["gen", "--layer", "classical", *(f for f in flags if f not in ("--mode", "random"))]
+        assert main(argv + ([] if planted else ["--random"])) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_random_search_takes_one_world(self):
+        """Only planted scenarios need two worlds."""
+        stats = run_search("classical", 3, n_worlds=1, mode="random")
+        assert sum(stats.counts.values()) == 3
+
+
 class TestScenarioShape:
     @pytest.mark.parametrize("kind", ["simplex", "polyhedral"])
     @pytest.mark.parametrize("dim", [-1, 0])

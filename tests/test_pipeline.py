@@ -47,10 +47,18 @@ from aumann import (
 from aumann.classical import _indicator
 from aumann.errors import require_worlds
 import aumann.scenario as scenario
-from aumann.generators import _rng
+from aumann.generators import BLOCK_SEEDS, _rng, _scenarios
+from aumann.gpt import PolyhedralCone, PsdCone, SimplexCone
 from aumann.quantum import _hermitian_stack, _trace_norms
 from aumann.tolerances import MATCH_TOL, NULL_MASS_TOL
-from aumann.verdicts import AgreementVerdict, VerdictStatus, _cell_values, _event_value
+from aumann.verdicts import (
+    AgreementVerdict,
+    VerdictStatus,
+    _agreement_events,
+    _cell_conditionals,
+    _cell_values,
+    _event_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +377,151 @@ def test_verify_bundle_matches_per_layer_verifiers():
             assert got.status is expected.status
             assert got.common_event == expected.common_event
             assert _same_bits(_pooled_array(got), _pooled_array(expected))
+
+
+# ---------------------------------------------------------------------------
+# blocks: a search verifies its bundles as one stack
+
+# the kinds pinned in test_generators.py
+BLOCK_KINDS = {
+    "classical": ("classical", {}),
+    "quantum-d2": ("quantum", {"dim": 2}),
+    "quantum-d3": ("quantum", {"dim": 3}),
+    "gpt-simplex": ("gpt", {"cone_kind": "simplex", "dim": 3}),
+    "gpt-psd": ("gpt", {"cone_kind": "psd", "dim": 2}),
+    "gpt-polyhedral": ("gpt", {"cone_kind": "polyhedral", "dim": 3}),
+    "gpt-polyhedral-5gen": ("gpt", {"cone_kind": "polyhedral", "dim": 4, "n_generators": 5}),
+}
+
+
+def _gen_block(layer, seeds, n_worlds, n_agents, dim=2, cone_kind="simplex", n_generators=None):
+    return _scenarios(layer, seeds, n_worlds, n_agents, dim, cone_kind, n_generators)
+
+
+def _layers(block):
+    return [scenario._KINDS[b.layer].layer(b.model, b.measure, b.hypothesis, b.targets) for b in block]
+
+
+def _check_block(bundles, targets, tol):
+    """The agreement events and verdicts of the bundles with these targets,
+    verified as one block, against the reference verifiers scenario by
+    scenario; returns the statuses seen."""
+    block = [replace(b, targets=t) for b, t in zip(bundles, targets)]
+    events = _agreement_events([b.model for b in block], _layers(block), tol)
+    verdicts = scenario._verify_bundles(block, tol)
+    assert len(events) == len(verdicts) == len(block)
+    for b, e, v in zip(block, events, verdicts):
+        e_old, v_old = _pair(b, tol)[1](b.targets)
+        assert e == e_old
+        assert v.status is v_old.status
+        assert v.common_event == v_old.common_event
+        assert _same_bits(_pooled_array(v), _pooled_array(v_old))
+    return {v.status for v in verdicts}
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+def test_block_verdicts_match_the_per_seed_reference(kind):
+    """Blocks of 1, 2 and ``BLOCK_SEEDS + 1`` seeds that mix planted,
+    anchored and free seeds give every seed the agreement event, status,
+    common event and pooled value, bit for bit, of the reference verifier
+    run on it alone, also with each seed's targets at ``tol`` (and at the
+    floats next to it) from its cell conditionals."""
+    layer, kw = BLOCK_KINDS[kind]
+    seen, families = set(), set()
+    for n_worlds, n_agents in ((2, 1), (6, 2), (48, 6)):
+        for length in (1, 2, BLOCK_SEEDS + 1):
+            seeds = [(length + i, (length + i) % 3 == 0) for i in range(length)]
+            bundles = _gen_block(layer, seeds, n_worlds, n_agents, **kw)
+            families.update("planted" if b.planted_cell is not None else "free" if b.anchor_world is None
+                            else "anchored" for b in bundles)
+            for tol in (MATCH_TOL, 1e-6, 1e-3):
+                seen |= _check_block(bundles, [b.targets for b in bundles], tol)
+            rng = _rng(40_000 + length)
+            worlds = [int(rng.integers(0, n_worlds)) for _ in bundles]
+            for tol in (MATCH_TOL, 1e-3):
+                for delta in _deltas(tol):
+                    targets = [
+                        tuple(_shifted(b, _cell_conditional(b, w, i), delta, rng) for i in range(n_agents))
+                        for b, w in zip(bundles, worlds)
+                    ]
+                    seen |= _check_block(bundles, targets, tol)
+    assert families == {"planted", "anchored", "free"}
+    assert {VerdictStatus.HOLDS, VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE} <= seen
+    assert VerdictStatus.VIOLATED not in seen
+
+
+def test_gpt_masses_keep_the_per_partition_product():
+    """A GPT cell's mass is the unit applied to its partition's cell stack,
+    one product per partition, as a scenario alone takes it. In this block
+    (gpt-simplex dim 4, as search-wide runs it) one product over all the
+    block's cells rounds some masses differently in the last bit, so a
+    block-wide product would fail here."""
+    block = _gen_block("gpt", [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)], 6, 2, dim=4)
+    layers = _layers(block)
+    _, starts, live, conditionals = _cell_conditionals(layers, [b.model.partitions for b in block])
+    unit = block[0].measure.cone.unit  # the block's one simplex cone
+    values = [_cell_values(b.measure.atoms, p) for b in block for p in b.model.partitions]
+    masses = np.concatenate([v @ unit for v in values])
+    assert not np.array_equal(np.concatenate(values) @ unit, masses)
+    expected_live = np.flatnonzero(masses > NULL_MASS_TOL)
+    assert np.array_equal(live, expected_live)
+    expected = np.concatenate(values)[expected_live] / masses[expected_live, None]
+    assert _same_bits(conditionals, expected)
+    assert starts == [0, *np.cumsum([len(v) for v in values]).tolist()]
+
+
+_OTHER_STATE = {  # a state of another cone of the same dimension
+    "gpt-simplex": lambda: GptState(PsdCone(2), [0.5, 0.5, 0.0, 0.0]),
+    "gpt-psd": lambda: GptState(SimplexCone(4), [0.25] * 4),
+    "gpt-polyhedral": lambda: GptState(PolyhedralCone(np.array([[1.0, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]]),
+                                                      np.array([1.0, 0, 0])), [1.0, 0.0, 0.0]),
+}
+
+
+def _faulty_targets(bundle, kind, fault):
+    """The bundle's targets with one fault: a NaN in agent 1's, one target
+    too few, agent 1's of the wrong shape, or agent 1's a state of another cone."""
+    targets = list(bundle.targets)
+    if fault == "count":
+        return tuple(targets[:-1])
+    if fault == "cone":
+        targets[1] = _OTHER_STATE[kind]()
+    elif bundle.layer == "classical":
+        targets[1] = float("nan")
+    else:
+        raw = targets[1].matrix if bundle.layer == "quantum" else targets[1].coords
+        if fault == "nan":
+            raw = raw.copy()
+            raw.flat[0] = np.nan
+        else:
+            raw = np.zeros(tuple(n + 1 for n in raw.shape), dtype=raw.dtype)
+        targets[1] = raw
+    return tuple(targets)
+
+
+_FAULTS = [("classical", f) for f in ("nan", "count")] + [
+    (k, f) for k in ("quantum-d2", "gpt-simplex", "gpt-psd", "gpt-polyhedral") for f in ("nan", "count", "shape")
+] + [(k, "cone") for k in _OTHER_STATE]
+_BLOCK_FAULT_KINDS = dict(BLOCK_KINDS, **{"gpt-simplex": ("gpt", {"cone_kind": "simplex", "dim": 4})})
+
+
+@pytest.mark.parametrize("kind, fault", _FAULTS)
+def test_a_block_raises_what_its_bad_scenario_raises(kind, fault):
+    """A block whose scenario 2 has a bad target raises the type and message
+    that verifying scenario 2 alone raises, from the verifier and from the
+    agreement event, whichever agent the fault is at."""
+    layer, kw = _BLOCK_FAULT_KINDS[kind]
+    bundles = _gen_block(layer, [(i, i % 2 == 0) for i in range(5)], 6, 2, **kw)
+    bad = replace(bundles[2], targets=_faulty_targets(bundles[2], kind, fault))
+    block = bundles[:2] + [bad] + bundles[3:]
+    with pytest.raises(ValueError) as alone:
+        _pair(bad, MATCH_TOL)[0](bad.targets)
+    message = f"^{re.escape(str(alone.value))}$"
+    assert re.search(r"target|expected", str(alone.value))
+    with pytest.raises(type(alone.value), match=message):
+        scenario._verify_bundles(block, MATCH_TOL)
+    with pytest.raises(type(alone.value), match=message):
+        _agreement_events([b.model for b in block], _layers(block), MATCH_TOL)
 
 
 def _expected_table(bundle, agent):

@@ -412,6 +412,20 @@ class TestRunGenAndSearch:
         assert "violations: 0" in stats.to_text()
         assert json.dumps(stats.to_json_dict())
 
+    @pytest.mark.parametrize("n_seeds", [0, 1, BLOCK_SEEDS + 3])
+    def test_stats_keep_generate_and_verify_time_apart(self, n_seeds):
+        """Each block times its generation and its verification; the stats
+        carry both sums, in process within the elapsed time."""
+        stats = run_search("quantum", n_seeds, n_worlds=4, n_agents=2)
+        assert 0 <= stats.generate_s and 0 <= stats.verify_s
+        assert stats.generate_s + stats.verify_s <= stats.elapsed_s
+        if n_seeds:
+            assert stats.generate_s > 0 and stats.verify_s > 0
+        doc = stats.to_json_dict()
+        assert (doc["generate_s"], doc["verify_s"]) == (stats.generate_s, stats.verify_s)
+        assert (f"elapsed: {stats.elapsed_s:.3f}s (generate {stats.generate_s:.3f}s, "
+                f"verify {stats.verify_s:.3f}s)\n") in stats.to_text()
+
 
 class TestUnconstrainedThroughFiles:
     def test_unconstrained_bundle_serializes(self):
