@@ -10,16 +10,16 @@ the common knowledge of that event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import _EXPORTS
-from .errors import ConditioningOnNull, as_number, require_finite, require_worlds
+from .errors import as_number, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel
-from .tolerances import MATCH_TOL, NULL_MASS_TOL, WEIGHT_SUM_TOL
-from .verdicts import AgreementVerdict, _agreement_events, _cell_conditionals, _Layer, _Rule, _verify
+from .tolerances import MATCH_TOL, WEIGHT_SUM_TOL
+from .verdicts import (AgreementVerdict, _agreement_events, _cell_conditionals, _conditional, _event_sums, _Layer,
+                       _Rule, _verify)
 
 __all__ = _EXPORTS["classical"]
 
@@ -52,28 +52,19 @@ class ProbabilityMeasure:
     def uniform(cls, n: int) -> "ProbabilityMeasure":
         return cls(np.full(n, 1.0 / n))
 
-    @cached_property
-    def _w(self) -> tuple[float, ...]:
-        return tuple(self.weights.tolist())
-
 
 def probability(mu: ProbabilityMeasure, e: Event) -> float:
-    """Total weight of the worlds in ``e``."""
+    """Total weight of the worlds in ``e``, added in increasing order from 0.0."""
     require_worlds("event", e.n, "measure", mu.n_worlds)
-    w = mu._w
-    total = 0.0
-    for world in e:
-        total += w[world]
-    return total
+    return float(_event_sums([_Layer(mu.weights[:, None], (), _RULE)], [e])[0, 0])
 
 
 def conditional(mu: ProbabilityMeasure, h: Event, lam: Event) -> float:
     """Posterior ``P(h | lam)``; raises :class:`ConditioningOnNull` when
     ``lam`` carries mass at or below ``NULL_MASS_TOL``."""
-    p_lam = probability(mu, lam)
-    if p_lam <= NULL_MASS_TOL:
-        raise ConditioningOnNull(f"event {lam.worlds()} has mass {p_lam!r}")
-    return probability(mu, h & lam) / p_lam
+    require_worlds("event", lam.n, "measure", mu.n_worlds)
+    require_worlds("event", h.n, "measure", mu.n_worlds)
+    return _conditional(_Layer(_atoms(mu, h), (), _RULE), lam)
 
 
 def _indicator(e: Event) -> np.ndarray:
@@ -86,21 +77,21 @@ def _indicator(e: Event) -> np.ndarray:
 _RULE = _Rule(lambda x, stacks: (x[..., 0], x[..., 1]), lambda xs, ys: np.abs(xs - ys), lambda v, space: v.tolist())
 
 
-def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float] = ()) -> _Layer:
-    """The posterior of ``h`` under ``mu``, for the agreement pipeline.
-
-    Each world's atom is the pair (its weight if it lies in ``h``, else 0;
-    its weight), so the sum of atoms over an event ``e`` is the pair
-    ``(P(h & e), P(e))``: value and mass. Sums add worlds in increasing
-    order starting from 0.0, as :func:`probability` does, so they equal it
-    bit for bit.
-    """
-    require_worlds("measure", mu.n_worlds, "model", model.n_worlds)
-    require_worlds("event", h.n, "model", model.n_worlds)
+def _atoms(mu: ProbabilityMeasure, h: Event) -> np.ndarray:
+    """The posterior of ``h`` under ``mu`` as an atom stack: each world's
+    atom is the pair (its weight if it lies in ``h``, else 0; its weight),
+    so the sum over an event ``e`` is ``(P(h & e), P(e))``: value and mass."""
     atoms = np.empty((mu.n_worlds, 2))
     np.multiply(mu.weights, _indicator(h), out=atoms[:, 0])
     atoms[:, 1] = mu.weights
-    return _Layer(atoms, tuple(as_number(i, x) for i, x in enumerate(q)), _RULE)
+    return atoms
+
+
+def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float] = ()) -> _Layer:
+    """The posterior of ``h`` under ``mu``, for the agreement pipeline."""
+    require_worlds("measure", mu.n_worlds, "model", model.n_worlds)
+    require_worlds("event", h.n, "model", model.n_worlds)
+    return _Layer(_atoms(mu, h), tuple(as_number(i, x) for i, x in enumerate(q)), _RULE)
 
 
 def agreement_event(

@@ -18,32 +18,26 @@ A block of seeds (one seed for ``gen_planted_scenario`` and the like) then
 does the layer's arithmetic and every check once, on stacks shaped
 ``(seeds, worlds, d, d)``: the Ginibre products, the eigensolves, the
 sandwiches and each measure class's ``_check``, and one check of all the
-block's targets. Only a polyhedral cone, which each seed draws for itself,
-is built and checked per seed. The bundles are bit for bit those of
-building each seed alone.
+block's targets. The planted and anchored targets are conditioned as one
+block too, by the one conditioning rule of ``verdicts`` that the public
+conditionals and the verifiers take. Only a polyhedral cone, which each
+seed draws for itself, is built and checked per seed. The bundles are bit
+for bit those of building each seed alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _EXPORTS
-from .classical import ProbabilityMeasure, conditional
-from .gpt import ConeSpace, GptState, PolyhedralCone, PsdCone, SimplexCone, Svm, _conditional_coords, _vectorize_rows
+from .classical import ProbabilityMeasure, _classical_layer
+from .gpt import ConeSpace, PolyhedralCone, PsdCone, SimplexCone, Svm, _gpt_layer, _vectorize_rows
 from .knowledge import Event, KnowledgeModel, Partition
-from .quantum import (
-    DensityOperator,
-    Dovm,
-    Povm,
-    _conditional_matrix,
-    _instances,
-    _sandwich,
-    psd_sqrt,
-    psd_sqrt_pinv,
-)
+from .quantum import DensityOperator, Dovm, Povm, _instances, _quantum_layer, _sandwich, psd_sqrt, psd_sqrt_pinv
+from .verdicts import _conditionals, _Layer
 
 __all__ = _EXPORTS["generators"]
 
@@ -281,26 +275,23 @@ def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, di
     return _Draw(model, cell, anchor, cone, measure, hypothesis, loose)
 
 
-def _bundles(layer: str, draws: Sequence[_Draw], measures: Sequence, condition: Callable,
-             loose: Sequence, states: Callable) -> list[ScenarioBundle]:
-    """The bundles of a block of draws and their measures.
-
-    A planted seed's agents share the value conditioned on its planted cell,
-    an anchored seed's agents each get the value conditioned on their cell
-    at the anchor, ``condition(draw, measure, cell)``, and a free seed's
-    agents take the next of the block's ``loose`` values. ``states`` turns
-    the block's values into targets with one run of their check.
+def _bundles(layer: str, draws: Sequence[_Draw], measures: Sequence, layers: Sequence[_Layer],
+             loose: Sequence) -> list[ScenarioBundle]:
+    """The bundles of a block of draws, their measures and those measures'
+    ``_Layer``s. A planted seed's agents share the value conditioned on its
+    planted cell, an anchored seed's agents each get the value conditioned
+    on their cell at the anchor, all in one ``_conditionals`` call, and a
+    free seed's agents take the next of the block's ``loose`` values. The
+    layer's ``states`` turns the block's values into targets with one check.
     """
+    cells = [[d.planted_cell] if d.planted_cell is not None else
+             [] if d.anchor is None else [p.cell_of(d.anchor) for p in d.model.partitions] for d in draws]
+    owners = [own for own, events in zip(layers, cells) for _ in events]
+    conditioned = iter(_conditionals(owners, [e for events in cells for e in events]) if owners else ())
     loose_values = iter(loose)
-    values = []
-    for d, m in zip(draws, measures):
-        if d.planted_cell is not None:
-            values.append(condition(d, m, d.planted_cell))
-        elif d.anchor is not None:
-            values.extend(condition(d, m, p.cell_of(d.anchor)) for p in d.model.partitions)
-        else:
-            values.extend(next(loose_values) for _ in d.model.partitions)
-    targets = iter(states(values))
+    values = [next(conditioned if events else loose_values)
+              for d, events in zip(draws, cells) for _ in events or d.model.partitions]
+    targets = iter(layers[0].rule.states(np.array(values), layers[0].space))
     out = []
     for d, m in zip(draws, measures):
         agents = d.model.partitions
@@ -311,29 +302,31 @@ def _bundles(layer: str, draws: Sequence[_Draw], measures: Sequence, condition: 
 
 def _classical_bundles(draws: Sequence[_Draw]) -> list[ScenarioBundle]:
     measures = [_probability(d.measure) for d in draws]
-    loose = [float(x) for d in draws for x in d.loose]
-    return _bundles("classical", draws, measures, lambda d, mu, e: conditional(mu, d.hypothesis, e), loose, list)
+    layers = [_classical_layer(d.model, mu, d.hypothesis) for d, mu in zip(draws, measures)]
+    return _bundles("classical", draws, measures, layers, [float(x) for d in draws for x in d.loose])
 
 
 def _quantum_bundles(draws: Sequence[_Draw]) -> list[ScenarioBundle]:
     measures = _instances(Dovm, _dovm_atoms(np.stack([d.measure for d in draws])))
     loose = [x for d in draws for x in d.loose]
     values = _unit_trace(_ginibre(np.stack(loose))) if loose else ()
-    return _bundles("quantum", draws, measures, lambda d, rho, e: _conditional_matrix(rho, e), values,
-                    lambda v: _instances(DensityOperator, DensityOperator._check(np.stack(v))))
+    return _bundles("quantum", draws, measures, [_quantum_layer(d.model, rho, ()) for d, rho in zip(draws, measures)],
+                    values)
 
 
 def _gpt_bundles(cone: ConeSpace, draws: Sequence[_Draw]) -> list[ScenarioBundle]:
     measures = _instances(Svm, _svm_atoms(cone, np.stack([d.measure for d in draws])), cone)
     loose = [x for d in draws for x in d.loose]
     values = _svm_atoms(cone, np.stack(loose))[:, 0] if loose else ()  # one-world SVMs
-    return _bundles("gpt", draws, measures, lambda d, mu, e: _conditional_coords(mu, e), values,
-                    lambda v: _instances(GptState, GptState._check(cone, np.stack(v)), cone))
+    return _bundles("gpt", draws, measures, [_gpt_layer(d.model, mu, ()) for d, mu in zip(draws, measures)], values)
 
 
-def _check_shape(layer: str, n_worlds: int, n_agents: int, cone_kind: str, planted: bool) -> None:
+def _check_shape(layer: str, n_worlds: int, n_agents: int, dim: int, cone_kind: str,
+                 planted: bool) -> ConeSpace | None:
     """Raise ``ValueError`` unless scenarios of this layer and shape (some
-    of them planted, if ``planted``) can be generated."""
+    of them planted, if ``planted``) can be generated, with the message a
+    seed's draw would raise; return the cone all the seeds share (a simplex
+    or PSD cone), else ``None``."""
     if layer not in LAYERS:
         raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
     if n_worlds < 1:
@@ -344,18 +337,22 @@ def _check_shape(layer: str, n_worlds: int, n_agents: int, cone_kind: str, plant
         raise ValueError("planted scenarios need at least 2 worlds")
     if layer == "classical" and n_worlds > 63:  # the hypothesis is drawn as one int64 below 1 << n_worlds
         raise ValueError(f"classical scenarios have at most 63 worlds, got {n_worlds}")
+    if layer == "quantum" and dim < 1:
+        raise ValueError("dim and n_worlds must be positive")  # as _dovm_normals
     if layer == "gpt" and cone_kind not in ("simplex", "psd", "polyhedral"):
         raise ValueError(f"unknown cone kind {cone_kind!r}")
+    if layer == "gpt" and cone_kind == "polyhedral" and dim < 2:
+        raise ValueError("polyhedral cones need ambient dimension at least 2")  # as gen_polyhedral_cone
+    if layer == "gpt" and cone_kind != "polyhedral":
+        return SimplexCone(dim) if cone_kind == "simplex" else PsdCone(dim)  # whose constructors check dim
+    return None
 
 
 def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_agents: int, dim: int,
                cone_kind: str, n_generators: int | None) -> list[ScenarioBundle]:
     """The bundles of a block of ``(seed, planted)`` pairs, in order: each
     seed's draws, then the block's measures and targets, built as one stack."""
-    _check_shape(layer, n_worlds, n_agents, cone_kind, any(planted for _, planted in seeds))
-    cone = None
-    if layer == "gpt" and cone_kind != "polyhedral":
-        cone = SimplexCone(dim) if cone_kind == "simplex" else PsdCone(dim)
+    cone = _check_shape(layer, n_worlds, n_agents, dim, cone_kind, any(planted for _, planted in seeds))
     draws = [_draw(seed, planted, layer, n_worlds, n_agents, dim, cone, n_generators) for seed, planted in seeds]
     if layer == "classical":
         return _classical_bundles(draws)

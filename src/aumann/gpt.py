@@ -25,18 +25,17 @@ import numpy as np
 
 from . import _EXPORTS
 from .classical import ProbabilityMeasure
-from .errors import ConditioningOnNull, as_array, require_finite, require_worlds
+from .errors import as_array, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel
 from .quantum import Dovm, _first, _instances, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
     HERMITIAN_LOOSE_TOL,
     MATCH_TOL,
-    NULL_MASS_TOL,
     PSD_EIG_TOL,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, _agreement_events, _event_value, _Layer, _Rule, _verify
+from .verdicts import AgreementVerdict, _agreement_events, _conditional, _event_sums, _Layer, _Rule, _verify
 
 __all__ = _EXPORTS["gpt"]
 
@@ -566,26 +565,6 @@ class Svm:
         return self.atoms.sum(axis=0)
 
 
-def svm_value(mu: Svm, lam: Event) -> np.ndarray:
-    """Measure value on ``lam``: the coordinate-wise sum of atoms."""
-    require_worlds("event", lam.n, "SVM", mu.n_worlds)
-    return _event_value(mu.atoms, lam)
-
-
-def _conditional_coords(mu: Svm, lam: Event) -> np.ndarray:
-    """``mu(lam) / u[mu(lam)]``, not yet checked as a state."""
-    value = svm_value(mu, lam)
-    u = float(mu.cone.unit @ value)
-    if u <= NULL_MASS_TOL:
-        raise ConditioningOnNull(f"event {lam.worlds()} has unit mass {u!r}")
-    return value / u
-
-
-def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
-    """Conditional state ``mu(lam) / u[mu(lam)]``."""
-    return GptState(mu.cone, _conditional_coords(mu, lam))
-
-
 def _same_cone(a: ConeSpace, b: ConeSpace) -> bool:
     """Equal kind and unit and, for polyhedral cones, equal generators."""
     return a is b or (a.kind == b.kind and np.array_equal(a.unit, b.unit)
@@ -609,6 +588,19 @@ _RULE = _Rule(
     lambda xs, ys: np.abs(xs - ys).max(axis=-1),
     lambda v, cone: _instances(GptState, GptState._check(cone, v), cone),
 )
+
+
+def svm_value(mu: Svm, lam: Event) -> np.ndarray:
+    """Measure value on ``lam``: the coordinate-wise sum of atoms."""
+    require_worlds("event", lam.n, "SVM", mu.n_worlds)
+    return _event_sums([_Layer(mu.atoms, (), _RULE, mu.cone)], [lam])[0]
+
+
+def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
+    """Conditional state ``mu(lam) / u[mu(lam)]``; raises
+    :class:`ConditioningOnNull` when the unit value is at most ``NULL_MASS_TOL``."""
+    require_worlds("event", lam.n, "SVM", mu.n_worlds)
+    return _conditional(_Layer(mu.atoms, (), _RULE, mu.cone), lam)
 
 
 def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:

@@ -1,10 +1,11 @@
 """Quantum layer: density-operator-valued measures and agreement.
 
 A DOVM assigns a PSD matrix to each world, the atoms summing to a density
-operator. Conditioning on an event sums the atoms over it (by the one
-rule of ``verdicts``, which every layer shares) and normalizes by the
-trace. Sandwiching with the square root (or pseudo-inverse square root) of
-a state converts DOVMs and POVMs.
+operator. Conditioning on an event sums the atoms over it and divides by
+the trace, in ``verdicts``, which conditions every layer; this module gives
+it the layer's rule (trace masses, trace-norm distances, density operators
+as states). Sandwiching with the square root (or pseudo-inverse square
+root) of a state converts DOVMs and POVMs.
 
 Finiteness, squareness, Hermiticity and positivity are each checked in one
 place, on a block of stacks of matrices (``_hermitian_stack``,
@@ -24,18 +25,17 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .errors import ConditioningOnNull, NotHermitian, NotPsd, as_array, require_finite_items, require_worlds
+from .errors import NotHermitian, NotPsd, as_array, require_finite_items, require_worlds
 from .knowledge import Event, KnowledgeModel
 from .tolerances import (
     HERMITIAN_LOOSE_TOL,
     HERMITIAN_TOL,
     MATCH_TOL,
-    NULL_MASS_TOL,
     PSD_EIG_TOL,
     SUPPORT_CUTOFF,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, _agreement_events, _event_value, _Layer, _Rule, _verify
+from .verdicts import AgreementVerdict, _agreement_events, _conditional, _event_sums, _Layer, _Rule, _verify
 
 __all__ = _EXPORTS["quantum"]
 
@@ -276,26 +276,6 @@ class Povm:
         return float(np.abs(total - np.eye(self.dim)).max()) <= WEIGHT_SUM_TOL
 
 
-def dovm_value(rho: Dovm, lam: Event) -> np.ndarray:
-    """Measure value on ``lam``: the sum of atoms over its worlds."""
-    require_worlds("event", lam.n, "DOVM", rho.n_worlds)
-    return _event_value(rho.atoms, lam)
-
-
-def _conditional_matrix(rho: Dovm, lam: Event) -> np.ndarray:
-    """``rho(lam) / Tr[rho(lam)]``, not yet checked as a state."""
-    value = dovm_value(rho, lam)
-    tr = float(value.trace().real)
-    if tr <= NULL_MASS_TOL:
-        raise ConditioningOnNull(f"event {lam.worlds()} has trace mass {tr!r}")
-    return value / tr
-
-
-def conditional_state(rho: Dovm, lam: Event) -> DensityOperator:
-    """Conditional state ``rho(lam) / Tr[rho(lam)]``."""
-    return DensityOperator(_conditional_matrix(rho, lam))
-
-
 def dovm_to_povm(rho: Dovm) -> Povm:
     """Sandwich each atom with the pseudo-inverse square root of the total.
 
@@ -325,6 +305,19 @@ _RULE = _Rule(
     _trace_distances,
     lambda v, space: _instances(DensityOperator, DensityOperator._check(v)),
 )
+
+
+def dovm_value(rho: Dovm, lam: Event) -> np.ndarray:
+    """Measure value on ``lam``: the sum of atoms over its worlds."""
+    require_worlds("event", lam.n, "DOVM", rho.n_worlds)
+    return _event_sums([_Layer(rho.atoms, (), _RULE)], [lam])[0]
+
+
+def conditional_state(rho: Dovm, lam: Event) -> DensityOperator:
+    """Conditional state ``rho(lam) / Tr[rho(lam)]``; raises
+    :class:`ConditioningOnNull` when the trace is at most ``NULL_MASS_TOL``."""
+    require_worlds("event", lam.n, "DOVM", rho.n_worlds)
+    return _conditional(_Layer(rho.atoms, (), _RULE), lam)
 
 
 def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer:

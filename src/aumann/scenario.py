@@ -728,7 +728,7 @@ def run_search(
     """
     from .generators import BLOCK_SEEDS, _check_shape
 
-    _check_shape(layer, n_worlds, n_agents, cone_kind, mode != "random")
+    _check_shape(layer, n_worlds, n_agents, dim, cone_kind, mode != "random")
     if mode not in ("mix", "planted", "random"):
         raise ValueError(f"mode must be mix, planted, or random, got {mode!r}")
     if n_seeds < 0:

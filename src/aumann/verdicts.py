@@ -21,6 +21,11 @@ Common knowledge is taken per scenario. Then one scatter sums every common
 event, one test finds the vacuous ones, one ``distance`` call compares the
 targets with the pooled values, and one state check runs per space.
 
+Conditioning has one home, :func:`_condition`. The pooled values, the
+public conditionals and the generators' conditioned targets all take it
+through one event sum (:func:`_event_conditionals`), with a null cutoff of
+``tol`` for the pooled value and ``NULL_MASS_TOL`` elsewhere.
+
 Every sum adds its worlds in increasing order starting from zeros, so a
 block gives each scenario the bits it gets alone. A matrix product rounds by
 the shape of its stack, so a GPT mass stays one product per partition's
@@ -37,7 +42,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import require_finite_items
+from .errors import ConditioningOnNull, require_finite_items
 from .knowledge import Event, KnowledgeModel, Partition, common_knowledge
 from .tolerances import NULL_MASS_TOL
 
@@ -134,11 +139,11 @@ def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
     return _sums(len(partition), partition.labels, atoms)
 
 
-def _event_value(atoms: np.ndarray, e: Event) -> np.ndarray:
-    """Sum of the per-world ``atoms`` over the worlds of ``e``; zeros when it is empty."""
-    if not e:
-        return np.zeros(atoms.shape[1:], dtype=atoms.dtype)
-    return atoms[np.fromiter(e, dtype=np.intp)].sum(axis=0)
+def _condition(values: np.ndarray, masses: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which of a stack of sums have mass above ``cutoff``, and those sums'
+    values divided by their masses, stacked: the one conditioning step."""
+    heavy = ~(masses <= cutoff)
+    return heavy, values[heavy] / masses[heavy].reshape((-1,) + (1,) * (values.ndim - 1))
 
 
 def _cell_conditionals(
@@ -160,10 +165,8 @@ def _cell_conditionals(
     labels = np.array([p.labels for p in flat]) + np.array(starts[:-1])[:, None]
     sums = _sums(starts[-1], labels.ravel(), np.concatenate([layer.atoms for layer in owners]))
     stacks = ((layer.space, slice(a, b)) for layer, a, b in zip(owners, starts, starts[1:]))
-    values, masses = layers[0].rule.parts(sums, stacks)
-    live = np.flatnonzero(masses > NULL_MASS_TOL)
-    scale = masses[live].reshape((-1,) + (1,) * (values.ndim - 1))
-    return labels, starts, live, values[live] / scale
+    live, conditionals = _condition(*layers[0].rule.parts(sums, stacks), NULL_MASS_TOL)
+    return labels, starts, np.flatnonzero(live), conditionals
 
 
 def _agreement_events(models: Sequence[KnowledgeModel], layers: Sequence[_Layer], tol: float) -> list[Event]:
@@ -195,13 +198,38 @@ def _agreement_events(models: Sequence[KnowledgeModel], layers: Sequence[_Layer]
 
 
 def _event_sums(layers: Sequence[_Layer], events: Sequence[Event]) -> np.ndarray:
-    """Sum of each scenario's atoms over the worlds of its non-empty event, stacked."""
+    """Sum of each scenario's atoms over the worlds of its event (zeros for
+    an empty one), stacked; the atoms of a block share their shape."""
     n = layers[0].atoms.shape[0]
     masks = b"".join(e.mask.to_bytes((n + 7) // 8, "little") for e in events)
     bits = np.unpackbits(np.frombuffer(masks, np.uint8).reshape(len(events), -1), axis=1, count=n,
                          bitorder="little")
     rows, worlds = np.nonzero(bits)
     return _sums(len(events), rows, np.array([layer.atoms for layer in layers])[rows, worlds])
+
+
+def _event_conditionals(layers: Sequence[_Layer], events: Sequence[Event], cutoff: float) -> tuple:
+    """Each scenario's atoms summed over its event: the masses, which are
+    above ``cutoff``, and those sums' values divided by their masses. One
+    ``parts`` call takes a stack per event: a GPT mass is one dot per event."""
+    values, masses = layers[0].rule.parts(_event_sums(layers, events),
+                                          ((layer.space, k) for k, layer in enumerate(layers)))
+    return (masses, *_condition(values, masses, cutoff))
+
+
+def _conditionals(layers: Sequence[_Layer], events: Sequence[Event]) -> np.ndarray:
+    """Each scenario's value conditioned on its event; raises :class:`ConditioningOnNull`
+    for the first event with mass at most ``NULL_MASS_TOL``."""
+    masses, heavy, values = _event_conditionals(layers, events, NULL_MASS_TOL)
+    if not heavy.all():
+        k = int(np.argmin(heavy))
+        raise ConditioningOnNull(f"event {events[k].worlds()} has mass {float(masses[k])!r}")
+    return values
+
+
+def _conditional(layer: _Layer, e: Event) -> Any:
+    """The layer's state conditioned on ``e``, checked: a block of one."""
+    return layer.rule.states(_conditionals([layer], [e]), layer.space)[0]
 
 
 def _pooled(layers: Sequence[_Layer], pooled: np.ndarray, tol: float) -> tuple[list[bool], list]:
@@ -231,12 +259,9 @@ def _verdicts(layers: Sequence[_Layer], events: Sequence[Event], tol: float) -> 
     states = [None] * len(layers)
     full = [s for s, c in enumerate(events) if c]
     if full:
-        values, masses = layers[0].rule.parts(_event_sums([layers[s] for s in full], [events[s] for s in full]),
-                                              ((layers[s].space, k) for k, s in enumerate(full)))
-        heavy = ~(masses <= tol)
+        _, heavy, pooled = _event_conditionals([layers[s] for s in full], [events[s] for s in full], tol)
         pooled_at = [s for s, h in zip(full, heavy.tolist()) if h]
-        scale = masses[heavy].reshape((-1,) + (1,) * (values.ndim - 1))
-        oks, checked = _pooled([layers[s] for s in pooled_at], values[heavy] / scale, tol)
+        oks, checked = _pooled([layers[s] for s in pooled_at], pooled, tol)
         for s in full:  # null, unless pooled below
             statuses[s] = VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE
         for s, ok, state in zip(pooled_at, oks, checked):

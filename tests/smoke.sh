@@ -54,6 +54,9 @@ console)
     expect_exit 2 "${aumann[@]}" agree --max-iters 0 tests/data/model_b_classical.json
     expect_exit 2 "${aumann[@]}" analyze --max-iters 0 tests/data/hypothesis_only.json
     expect_exit 2 "${aumann[@]}" search --layer classical --seeds 4 --workers 0
+    # a dim no seed could be drawn with is rejected also when no seed runs
+    expect_exit 2 "${aumann[@]}" search --layer quantum --dim 0 --seeds 0
+    expect_exit 2 "${aumann[@]}" search --layer gpt --cone polyhedral --dim 1 --seeds 0
     # 40 and 75 seeds cross the boundaries of 32-seed blocks (generators.BLOCK_SEEDS), in every search kind
     for block in "--layer quantum --seeds 40" "--layer gpt --cone polyhedral --dim 3 --seeds 40" \
         "--layer gpt --cone psd --seeds 75" "--layer classical --worlds 48 --agents 6 --seeds 40" \

@@ -9,6 +9,7 @@ from aumann import (
     conditional,
     conditional_state,
     cone_membership,
+    dovm_value,
     gen_density,
     gen_dovm,
     gen_model,
@@ -20,13 +21,17 @@ from aumann import (
     gen_svm,
     gen_unconstrained_scenario,
     gpt_conditional_state,
+    probability,
+    svm_value,
     verify_bundle,
 )
-from aumann import generators, gpt, quantum
-from aumann.errors import NotPsd
+from aumann import generators, quantum, verdicts
+from aumann.classical import ProbabilityMeasure
+from aumann.errors import ConditioningOnNull, NotPsd
 from aumann.generators import BLOCK_SEEDS, LAYERS, _planted_model, _rng, _scenarios
 from aumann.gpt import PsdCone, SimplexCone, Svm, _vectorize_rows
 from aumann.quantum import DensityOperator, Dovm, Povm, _instances, require_hermitian
+from aumann.tolerances import NULL_MASS_TOL
 
 
 class TestGenPartition:
@@ -212,6 +217,47 @@ class TestHermitianSandwich:
 # time, with the square roots and sandwiches of that time. Only the model
 # draws, the probability draw and the polyhedral cone draw are the
 # package's own; the constructors run their checks on each object alone.
+# The three conditionals are frozen too, as they were before every layer
+# conditioned through the pipeline's one event sum: a pure-Python sum of
+# weights, the atoms' sum over the event's worlds, and a division by the
+# trace or by one dot with the unit.
+
+def _old_probability(mu, e):
+    w = mu.weights.tolist()
+    total = 0.0
+    for world in e:
+        total += w[world]
+    return total
+
+
+def _old_conditional(mu, h, lam):
+    p_lam = _old_probability(mu, lam)
+    if p_lam <= NULL_MASS_TOL:
+        raise ConditioningOnNull(f"event {lam.worlds()} has mass {p_lam!r}")
+    return _old_probability(mu, h & lam) / p_lam
+
+
+def _old_event_value(atoms, e):
+    if not e:
+        return np.zeros(atoms.shape[1:], dtype=atoms.dtype)
+    return atoms[np.fromiter(e, dtype=np.intp)].sum(axis=0)
+
+
+def _old_conditional_state(rho, lam):
+    value = _old_event_value(rho.atoms, lam)
+    tr = float(value.trace().real)
+    if tr <= NULL_MASS_TOL:
+        raise ConditioningOnNull(f"event {lam.worlds()} has trace mass {tr!r}")
+    return DensityOperator(value / tr)
+
+
+def _old_gpt_conditional_state(mu, lam):
+    value = _old_event_value(mu.atoms, lam)
+    u = float(mu.cone.unit @ value)
+    if u <= NULL_MASS_TOL:
+        raise ConditioningOnNull(f"event {lam.worlds()} has unit mass {u!r}")
+    return GptState(mu.cone, value / u)
+
 
 def _old_sandwich(root, stack):
     p = root @ stack @ root
@@ -293,15 +339,15 @@ def _old_gen_planted_scenario(seed, layer, n_worlds, n_agents, dim=2, cone_kind=
     if layer == "classical":
         mu = gen_probability(rng, n_worlds)
         hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
-        q = conditional(mu, hypothesis, shared)
+        q = _old_conditional(mu, hypothesis, shared)
         return ScenarioBundle("classical", model, mu, hypothesis, (q,) * n_agents, planted_cell=shared)
     if layer == "quantum":
         rho = _old_gen_dovm(rng, n_worlds, dim)
-        sigma = conditional_state(rho, shared)
+        sigma = _old_conditional_state(rho, shared)
         return ScenarioBundle("quantum", model, rho, None, (sigma,) * n_agents, planted_cell=shared)
     cone = _old_make_cone(rng, cone_kind, dim, n_generators)
     svm = _old_gen_svm(rng, cone, n_worlds)
-    target = gpt_conditional_state(svm, shared)
+    target = _old_gpt_conditional_state(svm, shared)
     return ScenarioBundle("gpt", model, svm, None, (target,) * n_agents, planted_cell=shared)
 
 
@@ -317,7 +363,7 @@ def _old_gen_unconstrained_scenario(seed, layer, n_worlds, n_agents, dim=2, cone
         hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
         if anchored:
             targets = tuple(
-                conditional(mu, hypothesis, model.partitions[i].cell_of(anchor))
+                _old_conditional(mu, hypothesis, model.partitions[i].cell_of(anchor))
                 for i in range(n_agents)
             )
         else:
@@ -327,7 +373,7 @@ def _old_gen_unconstrained_scenario(seed, layer, n_worlds, n_agents, dim=2, cone
         rho = _old_gen_dovm(rng, n_worlds, dim)
         if anchored:
             targets = tuple(
-                conditional_state(rho, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
+                _old_conditional_state(rho, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
             )
         else:
             targets = tuple(_old_gen_density(rng, dim) for _ in range(n_agents))
@@ -336,7 +382,7 @@ def _old_gen_unconstrained_scenario(seed, layer, n_worlds, n_agents, dim=2, cone
     svm = _old_gen_svm(rng, cone, n_worlds)
     if anchored:
         targets = tuple(
-            gpt_conditional_state(svm, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
+            _old_gpt_conditional_state(svm, model.partitions[i].cell_of(anchor)) for i in range(n_agents)
         )
     else:
         targets = tuple(_old_random_state(rng, cone) for _ in range(n_agents))
@@ -433,6 +479,66 @@ def test_blocks_match_the_per_seed_reference(kind):
         assert families == {"planted", "anchored", "free"}
 
 
+def _null_world_zero(m):
+    """``m`` with world 0's atom (or weight) added to world 1's and set to zero."""
+    raw = (m.weights if isinstance(m, ProbabilityMeasure) else m.atoms).copy()
+    raw[1] += raw[0]
+    raw[0] = 0.0
+    if isinstance(m, ProbabilityMeasure):
+        return ProbabilityMeasure(raw)
+    return Dovm(raw) if isinstance(m, Dovm) else Svm(m.cone, raw)
+
+
+def _public_and_frozen(layer, m, h):
+    """(public, frozen) pairs of functions of an event: the conditional and
+    the measure value, as arrays or floats."""
+    if layer == "classical":
+        return [(lambda e: conditional(m, h, e), lambda e: _old_conditional(m, h, e)),
+                (lambda e: probability(m, e), lambda e: _old_probability(m, e))]
+    if layer == "quantum":
+        return [(lambda e: conditional_state(m, e).matrix, lambda e: _old_conditional_state(m, e).matrix),
+                (lambda e: dovm_value(m, e), lambda e: _old_event_value(m.atoms, e))]
+    return [(lambda e: gpt_conditional_state(m, e).coords, lambda e: _old_gpt_conditional_state(m, e).coords),
+            (lambda e: svm_value(m, e), lambda e: _old_event_value(m.atoms, e))]
+
+
+def _value_bytes(x) -> tuple:
+    if isinstance(x, float):
+        return "float", np.float64(x).tobytes()
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("n_worlds, n_agents", _PINNED_SIZES)
+@pytest.mark.parametrize("kind", list(_PINNED_KINDS))
+def test_public_conditionals_match_the_frozen_ones(kind, n_worlds, n_agents):
+    """``conditional``, ``conditional_state`` and ``gpt_conditional_state``,
+    now blocks of one through the pipeline's event sum, and ``probability``,
+    ``dovm_value`` and ``svm_value`` give the frozen per-layer code's values
+    bit for bit on the empty and full events, every cell and random events,
+    and raise :class:`ConditioningOnNull` where it raised: on the empty
+    event, and on a world whose atom is zero."""
+    layer, kw = _PINNED_KINDS[kind]
+    for seed in range(3):
+        bundle = gen_unconstrained_scenario(seed, layer, n_worlds, n_agents, **kw)
+        rng = _rng(50_000 + seed)
+        events = [Event.empty(n_worlds), Event.full(n_worlds), Event.from_worlds([0], n_worlds)]
+        events += [cell for p in bundle.model.partitions for cell in p.cells]
+        events += [Event(int(rng.integers(0, 1 << 62)) & ((1 << n_worlds) - 1), n_worlds) for _ in range(6)]
+        raised = set()
+        for k, m in enumerate((bundle.measure, _null_world_zero(bundle.measure))):
+            for public, frozen in _public_and_frozen(layer, m, bundle.hypothesis):
+                for e in events:
+                    try:
+                        expected = frozen(e)
+                    except ConditioningOnNull:
+                        with pytest.raises(ConditioningOnNull, match=r"^event \(.*\) has mass 0\.0$"):
+                            public(e)
+                        raised.add((k, e.mask))
+                        continue
+                    assert _value_bytes(public(e)) == _value_bytes(expected), (seed, e)
+        assert {(0, 0), (1, 0), (1, 1)} <= raised  # the empty event, and world 0 once it is null
+
+
 def _array_bytes(obj) -> bytes:
     return next(v for v in vars(obj).values() if isinstance(v, np.ndarray)).tobytes()
 
@@ -525,30 +631,33 @@ class TestBlockChecks:
     def test_quantum_targets_pass_the_density_operator_check(self, monkeypatch):
         made = []
 
-        def conditional_matrix(rho, lam):
-            m = quantum._conditional_matrix(rho, lam)
-            if len(made) == 2:
-                m = m - np.diag([2.0, -2.0])  # unit trace, not PSD
-            made.append(m)
-            return m
+        def conditionals(layers, events):
+            values = verdicts._conditionals(layers, events)
+            values[2] -= np.diag([2.0, -2.0])  # unit trace, not PSD
+            made.append(values)
+            return values
 
-        monkeypatch.setattr(generators, "_conditional_matrix", conditional_matrix)
+        monkeypatch.setattr(generators, "_conditionals", conditionals)
         with pytest.raises(NotPsd) as block:
             _block("quantum", self.seeds, 6, 2)
         with pytest.raises(NotPsd) as alone:
-            DensityOperator(made[2])
+            DensityOperator(made[0][2])
+        assert len(made) == 1  # one call conditions the block's planted and anchored targets
         assert str(block.value) == str(alone.value)
 
     def test_gpt_targets_pass_the_state_check(self, monkeypatch):
         made = []
 
-        def conditional_coords(mu, lam):
-            c = gpt._conditional_coords(mu, lam)
-            if len(made) == 1:
-                c = np.array([1.5, -0.5, 0.0, 0.0])  # unit value 1, outside the PSD cone
-            made.append(c)
-            return c
+        def conditionals(layers, events):
+            values = verdicts._conditionals(layers, events)
+            values[1] = [1.5, -0.5, 0.0, 0.0]  # unit value 1, outside the PSD cone
+            made.append(values)
+            return values
 
-        monkeypatch.setattr(generators, "_conditional_coords", conditional_coords)
-        with pytest.raises(ValueError, match="^coordinates lie outside the cone$"):
+        monkeypatch.setattr(generators, "_conditionals", conditionals)
+        with pytest.raises(ValueError, match="^coordinates lie outside the cone$") as block:
             _block("gpt", self.seeds, 6, 2, dim=2, cone_kind="psd")
+        with pytest.raises(ValueError) as alone:
+            GptState(PsdCone(2), made[0][1])
+        assert len(made) == 1
+        assert str(block.value) == str(alone.value)

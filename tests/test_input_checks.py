@@ -26,7 +26,9 @@ from aumann import (
     VerdictStatus,
     agreement_event,
     effect_valid,
+    gen_dovm,
     gen_planted_scenario,
+    gen_polyhedral_cone,
     gen_unconstrained_scenario,
     gpt_agreement_event,
     parse_scenario,
@@ -302,20 +304,43 @@ class TestSearchShape:
         ({"n_worlds": 1}, ["--worlds", "1"], "planted scenarios need at least 2 worlds"),
     ]
 
-    @pytest.mark.parametrize("n_seeds", [0, 2, BLOCK_SEEDS + 1])
-    @pytest.mark.parametrize("kwargs, flags, message", CASES)
-    def test_search_exits_two_before_any_block(self, kwargs, flags, message, n_seeds, monkeypatch, capsys):
+    # a dim a seed's draw rejects, with the message the draw raises
+    DIM_CASES = [
+        ("quantum", {"dim": 0}, ["--dim", "0"], "dim and n_worlds must be positive", lambda: gen_dovm(0, 6, 0)),
+        ("gpt", {"cone_kind": "polyhedral", "dim": 1}, ["--cone", "polyhedral", "--dim", "1"],
+         "polyhedral cones need ambient dimension at least 2", lambda: gen_polyhedral_cone(0, 1, 2)),
+        ("gpt", {"cone_kind": "simplex", "dim": 0}, ["--cone", "simplex", "--dim", "0"],
+         "cone dimension must be positive", lambda: SimplexCone(0)),
+        ("gpt", {"cone_kind": "psd", "dim": 0}, ["--cone", "psd", "--dim", "0"],
+         "matrix dimension must be positive", lambda: PsdCone(0)),
+    ]
+
+    @staticmethod
+    def _exits_two_before_any_block(layer, n_seeds, kwargs, flags, message, monkeypatch, capsys):
         def block_statuses(*args):
             raise AssertionError("a block ran")
 
         monkeypatch.setattr(scenario, "_block_statuses", block_statuses)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            run_search("classical", n_seeds, workers=2, **kwargs)
-        argv = ["search", "--layer", "classical", "--seeds", str(n_seeds), "--workers", "2", *flags]
+            run_search(layer, n_seeds, workers=2, **kwargs)
+        argv = ["search", "--layer", layer, "--seeds", str(n_seeds), "--workers", "2", *flags]
         assert main(argv) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("n_seeds", [0, 2, BLOCK_SEEDS + 1])
+    @pytest.mark.parametrize("kwargs, flags, message", CASES)
+    def test_search_exits_two_before_any_block(self, kwargs, flags, message, n_seeds, monkeypatch, capsys):
+        self._exits_two_before_any_block("classical", n_seeds, kwargs, flags, message, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("n_seeds", [0, BLOCK_SEEDS + 1])
+    @pytest.mark.parametrize("layer, kwargs, flags, message, draw", DIM_CASES)
+    def test_search_checks_dim_before_any_block(self, layer, kwargs, flags, message, draw, n_seeds, monkeypatch,
+                                                capsys):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            draw()
+        self._exits_two_before_any_block(layer, n_seeds, kwargs, flags, message, monkeypatch, capsys)
 
     @pytest.mark.parametrize("kwargs, flags, message", CASES[:3])
     def test_gen_exits_two(self, kwargs, flags, message, capsys):

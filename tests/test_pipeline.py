@@ -57,7 +57,8 @@ from aumann.verdicts import (
     _agreement_events,
     _cell_conditionals,
     _cell_values,
-    _event_value,
+    _event_conditionals,
+    _event_sums,
 )
 
 
@@ -470,6 +471,24 @@ def test_gpt_masses_keep_the_per_partition_product():
     assert starts == [0, *np.cumsum([len(v) for v in values]).tolist()]
 
 
+def test_gpt_event_masses_keep_one_dot_per_event():
+    """A GPT event's mass is the unit applied to its sum alone, one dot per
+    event, as ``gpt_conditional_state`` of that event alone takes it. Over
+    every cell of this block (gpt-simplex dim 4) taken as events, one
+    product over the stack of sums rounds some masses differently in the
+    last bit, so a block-wide product would fail here."""
+    block = _gen_block("gpt", [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)], 6, 2, dim=4)
+    cells = [(layer, cell) for layer, b in zip(_layers(block), block) for p in b.model.partitions for cell in p.cells]
+    owners, events = [layer for layer, _ in cells], [cell for _, cell in cells]
+    sums = _event_sums(owners, events)
+    unit = block[0].measure.cone.unit
+    masses = np.array([s @ unit for s in sums])
+    assert not np.array_equal(sums @ unit, masses)
+    got, heavy, conditionals = _event_conditionals(owners, events, NULL_MASS_TOL)
+    assert _same_bits(got, masses) and heavy.all()
+    assert _same_bits(conditionals, sums / masses[:, None])
+
+
 _OTHER_STATE = {  # a state of another cone of the same dimension
     "gpt-simplex": lambda: GptState(PsdCone(2), [0.5, 0.5, 0.0, 0.0]),
     "gpt-psd": lambda: GptState(SimplexCone(4), [0.25] * 4),
@@ -589,13 +608,15 @@ def _loop_sum(atoms, worlds):
 @pytest.mark.parametrize("layer, cone_kind, dim", KINDS)
 @pytest.mark.parametrize("n_worlds", [6, 48, 63])
 def test_sums_add_worlds_in_increasing_order(layer, cone_kind, dim, n_worlds):
-    """``_cell_values`` and ``_event_value`` on each layer's atom stack equal
-    a per-cell loop bit for bit, and, on the classical stack, ``probability``
-    of the hypothesis within the cell and of the cell."""
+    """``_cell_values`` and, on a block of events, ``_event_sums`` on each
+    layer's atom stack equal a per-cell loop bit for bit, and, on the
+    classical stack, ``probability`` of the hypothesis within the cell and
+    of the cell; ``_event_conditionals`` divides those sums by their masses."""
     for seed in range(4):
         bundle = gen_unconstrained_scenario(seed, layer, n_worlds, 1 + seed % 3, dim=dim, cone_kind=cone_kind)
         model, mu, h = bundle.model, bundle.measure, bundle.hypothesis
-        atoms = scenario._KINDS[layer].layer(model, mu, h, ()).atoms
+        own = scenario._KINDS[layer].layer(model, mu, h, ())
+        atoms = own.atoms
         rng = _rng(30_000 + seed)
         events = [Event.empty(n_worlds), Event.full(n_worlds)]
         events += [Event(int(rng.integers(0, 1 << 62)) & ((1 << n_worlds) - 1), n_worlds) for _ in range(8)]
@@ -605,11 +626,17 @@ def test_sums_add_worlds_in_increasing_order(layer, cone_kind, dim, n_worlds):
             for k, cell in enumerate(partition.cells):
                 assert _same_bits(values[k], _loop_sum(atoms, cell))
             events += partition.cells
-        for e in events:
-            value = _event_value(atoms, e)
+        sums = _event_sums([own] * len(events), events)
+        masses, heavy, conditioned = _event_conditionals([own] * len(events), events, NULL_MASS_TOL)
+        assert sums.dtype == atoms.dtype and sums.shape == (len(events),) + atoms.shape[1:]
+        assert heavy.tolist() == [m > NULL_MASS_TOL for m in masses.tolist()] and not heavy[0]  # the empty event
+        for e, value in zip(events, sums):
             assert _same_bits(value, _loop_sum(atoms, e))
             if layer == "classical":
                 assert _same_bits(value, np.array([probability(mu, h & e), probability(mu, e)]))
+        parts = [_loop_sum(atoms, e)[..., 0] / m if layer == "classical" else _loop_sum(atoms, e) / m
+                 for e, m in zip(events, masses) if m > NULL_MASS_TOL]
+        assert _same_bits(conditioned, np.array(parts))
 
 
 def _check_run_limits(model, e, limits):
