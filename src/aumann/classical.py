@@ -74,7 +74,7 @@ def _indicator(e: Event) -> np.ndarray:
 
 
 # Values are posteriors, masses probabilities; a state is a float.
-_RULE = _Rule(lambda x, stacks: (x[..., 0], x[..., 1]), lambda xs, ys: np.abs(xs - ys), lambda v, space: v.tolist())
+_RULE = _Rule(lambda x, stacks: (x[..., 0], x[..., 1]), lambda xs, ys: np.abs(xs - ys), lambda v, spaces: v.tolist())
 
 
 def _atoms(mu: ProbabilityMeasure, h: Event) -> np.ndarray:

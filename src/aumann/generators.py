@@ -20,9 +20,10 @@ does the layer's arithmetic and every check once, on stacks shaped
 sandwiches and each measure class's ``_check``, and one check of all the
 block's targets. The planted and anchored targets are conditioned as one
 block too, by the one conditioning rule of ``verdicts`` that the public
-conditionals and the verifiers take. Only a polyhedral cone, which each
-seed draws for itself, is built and checked per seed. The bundles are bit
-for bit those of building each seed alone.
+conditionals and the verifiers take. A gpt-polyhedral seed draws its own
+cone's generators; the block builds all its seeds' cones as one stack
+(``gpt._polyhedral_cones``), and its measure and state checks take a cone
+per row. The bundles are bit for bit those of building each seed alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,17 @@ import numpy as np
 
 from . import _EXPORTS
 from .classical import ProbabilityMeasure, _classical_layer
-from .gpt import ConeSpace, PolyhedralCone, PsdCone, SimplexCone, Svm, _gpt_layer, _vectorize_rows
+from .gpt import (
+    ConeSpace,
+    PolyhedralCone,
+    PsdCone,
+    SimplexCone,
+    Svm,
+    _gpt_layer,
+    _polyhedral_cones,
+    _unit_values,
+    _vectorize_rows,
+)
 from .knowledge import Event, KnowledgeModel, Partition
 from .quantum import DensityOperator, Dovm, Povm, _instances, _quantum_layer, _sandwich, psd_sqrt, psd_sqrt_pinv
 from .verdicts import _conditionals, _Layer
@@ -184,17 +195,25 @@ def gen_polyhedral_cone(seed, dim: int, n_generators: int) -> PolyhedralCone:
     """Random pointed cone: generators ``(1, x)`` with unit ``(1, 0, ..., 0)``."""
     if dim < 2:
         raise ValueError("polyhedral cones need ambient dimension at least 2")
-    rng = _rng(seed)
-    tails = rng.standard_normal((n_generators, dim - 1))
-    generators = np.hstack([np.ones((n_generators, 1)), tails])
-    unit = np.zeros(dim)
-    unit[0] = 1.0
-    return PolyhedralCone(generators, unit)
+    tails = _rng(seed).standard_normal((n_generators, dim - 1))
+    return PolyhedralCone(_polyhedral_generators(tails), np.eye(dim)[0])
+
+
+def _polyhedral_generators(tails: np.ndarray) -> np.ndarray:
+    """The generators ``(1, x)`` of random polyhedral cones from the drawn
+    ``x``, along the last axis of ``tails``."""
+    return np.concatenate([np.ones(tails.shape[:-1] + (1,)), tails], axis=-1)
 
 
 def gen_svm(seed, cone: ConeSpace, n_worlds: int) -> Svm:
     """Random SVM over ``cone`` with strictly positive per-world unit mass."""
-    return _instances(Svm, _svm_atoms(cone, _svm_draws(_rng(seed), cone, n_worlds)[None]), cone)[0]
+    return _instances(Svm, _svm_atoms([cone], _svm_draws(_rng(seed), cone, n_worlds)[None]), [cone])[0]
+
+
+def _weights(rng: np.random.Generator, n_worlds: int, width: int) -> np.ndarray:
+    """A random SVM's uniform weights, ``width`` per world: of the
+    coordinates of a simplex cone or of a polyhedral cone's generators."""
+    return rng.uniform(0.1, 1.0, size=(n_worlds, width))
 
 
 def _svm_draws(rng: np.random.Generator, cone: ConeSpace, n_worlds: int) -> np.ndarray:
@@ -203,22 +222,23 @@ def _svm_draws(rng: np.random.Generator, cone: ConeSpace, n_worlds: int) -> np.n
     if isinstance(cone, PsdCone):
         return _dovm_normals(rng, n_worlds, cone.matrix_dim)
     if isinstance(cone, SimplexCone):
-        return rng.uniform(0.1, 1.0, size=(n_worlds, cone.dim))
+        return _weights(rng, n_worlds, cone.dim)
     if isinstance(cone, PolyhedralCone):
-        return rng.uniform(0.1, 1.0, size=(n_worlds, cone.generators.shape[0]))
+        return _weights(rng, n_worlds, cone.generators.shape[0])
     raise TypeError(f"unsupported cone kind {cone.kind!r}")
 
 
-def _svm_atoms(cone: ConeSpace, draws: np.ndarray) -> np.ndarray:
-    """Checked atoms ``(b, n, dim)`` of ``b`` random SVMs over ``cone`` from
-    their stacked draws: a vectorized DOVM on the PSD cone; else the
-    weights (times the generators of a polyhedral cone), scaled to unit total."""
-    if isinstance(cone, PsdCone):
-        return Svm._check(cone, _vectorize_rows(_dovm_atoms(draws)))
-    atoms = np.stack([w @ cone.generators for w in draws]) if isinstance(cone, PolyhedralCone) else draws
-    # one dot per SVM, as a single SVM's total is taken
-    totals = np.array([float(cone.unit @ a.sum(axis=0)) for a in atoms])
-    return Svm._check(cone, atoms / totals[:, None, None])
+def _svm_atoms(cones: Sequence[ConeSpace], draws: np.ndarray) -> np.ndarray:
+    """Checked atoms ``(b, n, dim)`` of ``b`` random SVMs, SVM ``k`` over
+    ``cones[k]``, from their stacked draws: a vectorized DOVM on the PSD
+    cone; else the weights (times the generators of a polyhedral cone, one
+    product per SVM), scaled to unit total with one dot per SVM, as a
+    single SVM is."""
+    if isinstance(cones[0], PsdCone):
+        return Svm._check(cones, _vectorize_rows(_dovm_atoms(draws)))
+    if isinstance(cones[0], PolyhedralCone):
+        draws = draws @ np.stack([c.generators for c in cones])
+    return Svm._check(cones, draws / _unit_values(cones, draws.sum(axis=1))[:, None, None])
 
 
 def _planted_model(rng: np.random.Generator, n_worlds: int, n_agents: int) -> tuple[KnowledgeModel, Event]:
@@ -235,13 +255,15 @@ def _planted_model(rng: np.random.Generator, n_worlds: int, n_agents: int) -> tu
 
 class _Draw(NamedTuple):
     """What one seed drew, in its order: the model and family, then the
-    layer's cone (GPT), measure draws and hypothesis (classical), and the
-    draws of its loose targets (none unless the seed is free)."""
+    layer's cone (GPT: the search's, or the drawn tails ``x`` of the
+    generators ``(1, x)`` of the seed's own polyhedral cone), measure draws
+    and hypothesis (classical), and the draws of its loose targets (none
+    unless the seed is free)."""
 
     model: KnowledgeModel
     planted_cell: Event | None
     anchor: int | None
-    cone: ConeSpace | None
+    cone: ConeSpace | np.ndarray | None
     measure: np.ndarray
     hypothesis: Event | None
     loose: Sequence
@@ -250,7 +272,7 @@ class _Draw(NamedTuple):
 def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, dim: int,
           cone: ConeSpace | None, n_generators: int | None) -> _Draw:
     """Everything ``seed`` draws, from its own stream; a GPT seed without a
-    ``cone`` draws a polyhedral one."""
+    ``cone`` draws its own polyhedral one, which its block builds."""
     rng = _rng(seed)
     cell = anchor = hypothesis = None
     if planted:
@@ -267,11 +289,13 @@ def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, di
     elif layer == "quantum":
         measure = _dovm_normals(rng, n_worlds, dim)
         loose = [rng.standard_normal((2, dim, dim)) for _ in range(n_loose)]
-    else:
-        if cone is None:
-            cone = gen_polyhedral_cone(rng, dim, n_generators or 2 * dim)
+    elif cone is not None:
         measure = _svm_draws(rng, cone, n_worlds)
         loose = [_svm_draws(rng, cone, 1) for _ in range(n_loose)]
+    else:
+        cone = rng.standard_normal((n_generators or 2 * dim, dim - 1))
+        measure = _weights(rng, n_worlds, len(cone))
+        loose = [_weights(rng, 1, len(cone)) for _ in range(n_loose)]
     return _Draw(model, cell, anchor, cone, measure, hypothesis, loose)
 
 
@@ -291,7 +315,8 @@ def _bundles(layer: str, draws: Sequence[_Draw], measures: Sequence, layers: Seq
     loose_values = iter(loose)
     values = [next(conditioned if events else loose_values)
               for d, events in zip(draws, cells) for _ in events or d.model.partitions]
-    targets = iter(layers[0].rule.states(np.array(values), layers[0].space))
+    spaces = [layer.space for layer, d, events in zip(layers, draws, cells) for _ in events or d.model.partitions]
+    targets = iter(layers[0].rule.states(np.array(values), spaces))
     out = []
     for d, m in zip(draws, measures):
         agents = d.model.partitions
@@ -314,10 +339,12 @@ def _quantum_bundles(draws: Sequence[_Draw]) -> list[ScenarioBundle]:
                     values)
 
 
-def _gpt_bundles(cone: ConeSpace, draws: Sequence[_Draw]) -> list[ScenarioBundle]:
-    measures = _instances(Svm, _svm_atoms(cone, np.stack([d.measure for d in draws])), cone)
+def _gpt_bundles(cones: Sequence[ConeSpace], draws: Sequence[_Draw]) -> list[ScenarioBundle]:
+    """The bundles of a block of GPT draws, seed ``k``'s over ``cones[k]``."""
+    measures = _instances(Svm, _svm_atoms(cones, np.stack([d.measure for d in draws])), cones)
     loose = [x for d in draws for x in d.loose]
-    values = _svm_atoms(cone, np.stack(loose))[:, 0] if loose else ()  # one-world SVMs
+    loose_cones = [c for c, d in zip(cones, draws) for _ in d.loose]
+    values = _svm_atoms(loose_cones, np.stack(loose))[:, 0] if loose else ()  # one-world SVMs
     return _bundles("gpt", draws, measures, [_gpt_layer(d.model, mu, ()) for d, mu in zip(draws, measures)], values)
 
 
@@ -358,9 +385,10 @@ def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_a
         return _classical_bundles(draws)
     if layer == "quantum":
         return _quantum_bundles(draws)
-    if cone is not None:
-        return _gpt_bundles(cone, draws)
-    return [b for d in draws for b in _gpt_bundles(d.cone, [d])]  # each seed has its own polyhedral cone
+    if cone is None:  # each seed has its own polyhedral cone
+        generators = _polyhedral_generators(np.stack([d.cone for d in draws]))
+        return _gpt_bundles(_polyhedral_cones(generators, np.eye(dim)[[0] * len(draws)]), draws)
+    return _gpt_bundles([cone] * len(draws), draws)
 
 
 def gen_planted_scenario(

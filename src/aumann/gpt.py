@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, isqrt, sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,22 +111,30 @@ def _devectorize_rows(vs: np.ndarray) -> np.ndarray:
     return m
 
 
+def _require_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValueError("cone dimension must be positive")
+
+
+def _unit_functionals(dim: int, units: np.ndarray) -> np.ndarray:
+    """A ``(b, dim)`` stack of unit functionals, checked, as a read-only copy."""
+    _require_dim(dim)
+    if units.shape[1:] != (dim,):
+        raise ValueError(f"unit functional must have shape ({dim},), got {units.shape[1:]}")
+    require_finite(units, "unit functional")
+    units = units.copy()
+    units.flags.writeable = False
+    return units
+
+
 class ConeSpace:
     """Pointed convex cone in ``R^dim`` with a linear unit functional."""
 
     kind = "abstract"
 
     def __init__(self, dim: int, unit: np.ndarray):
-        if dim < 1:
-            raise ValueError("cone dimension must be positive")
-        unit = np.asarray(unit, dtype=float)
-        if unit.shape != (dim,):
-            raise ValueError(f"unit functional must have shape ({dim},), got {unit.shape}")
-        require_finite(unit, "unit functional")
-        unit = unit.copy()
-        unit.flags.writeable = False
         self._dim = dim
-        self._unit = unit
+        self._unit = _unit_functionals(dim, np.asarray(unit, dtype=float)[None])[0]
 
     @property
     def dim(self) -> int:
@@ -160,8 +168,36 @@ class ConeSpace:
     def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
         raise NotImplementedError
 
+    @staticmethod
+    def _rows_in(cones: Sequence[ConeSpace], vs: np.ndarray, per: int) -> np.ndarray:
+        """Membership of each row of ``vs`` in its own cone, the rows ``per``
+        to a cone of ``cones``. A simplex or PSD cone is fixed by its kind
+        and dimension, so the first cone decides every row."""
+        return cones[0]._member_rows(vs, None)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self._dim})"
+
+
+def _members_in(cones: Sequence[ConeSpace], vs: np.ndarray, per: int = 1) -> np.ndarray:
+    """Membership of each row of ``vs`` in its own cone, as booleans: the
+    rows come ``per`` to a cone, in the order of ``cones``, which share
+    their kind. Non-finite coordinates raise ``ValueError`` before any
+    solver runs."""
+    kind = type(cones[0])
+    if any(type(c) is not kind for c in cones):
+        raise ValueError("a block's cones must share their kind")
+    require_finite(vs, "cone coordinates")
+    return kind._rows_in(cones, vs, per)
+
+
+def _unit_values(cones: Sequence[ConeSpace], vs: np.ndarray) -> np.ndarray:
+    """The unit value of each row of ``vs`` under its own cone's unit
+    functional, one dot product per row, as a row alone takes it."""
+    first = cones[0]
+    units = np.broadcast_to(first.unit, vs.shape) if all(c is first for c in cones) else np.array(
+        [c.unit for c in cones])
+    return (vs[:, None, :] @ units[:, :, None])[:, 0, 0]
 
 
 class SimplexCone(ConeSpace):
@@ -170,6 +206,7 @@ class SimplexCone(ConeSpace):
     kind = "simplex"
 
     def __init__(self, dim: int):
+        _require_dim(dim)
         super().__init__(dim, np.ones(dim))
 
     def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
@@ -247,50 +284,75 @@ def _cofactor_index(m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, cols, signs
 
 
-def _facet_normals(unit_gens: np.ndarray) -> np.ndarray | None:
-    """Unit inward facet normals of the cone spanned by the unit generators,
-    or ``None`` when they cannot certify membership.
+def _facet_normals(unit_gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit inward facet normals of each cone of a ``(b, m, dim)`` stack of
+    unit generators, stacked ``(b, F, dim)`` with each cone's padded by
+    repeating its last, and how many each cone has: 0 when they cannot
+    certify membership.
 
     Every facet of a full-dimensional cone is spanned by dim-1 independent
     generators, so each candidate is the cofactor normal of a (dim-1)-subset;
     it is a facet when every generator lies on one side.
     """
-    m, dim = unit_gens.shape
+    b, m, dim = unit_gens.shape
     if m < dim or comb(m, dim - 1) * dim > _MAX_FACET_MINORS:
-        return None
+        return np.zeros((b, 1, dim)), np.zeros(b, dtype=np.intp)
     rows, cols, signs = _cofactor_index(m, dim)
-    normals = np.linalg.det(unit_gens[rows, cols]) * signs
-    volumes = np.linalg.norm(normals, axis=1)
+    normals = np.linalg.det(unit_gens[:, rows, cols]) * signs
+    volumes = np.linalg.norm(normals, axis=2)
     independent = volumes > _DEPENDENT_VOLUME
-    volumes = volumes[independent]
-    if (volumes <= _MIN_VOLUME).any():
-        return None
-    normals = normals[independent] / volumes[:, None]
-    sides = unit_gens @ normals.T  # sines of the angles between generators and hyperplanes
-    if not np.abs(sides).max(initial=0.0) > _MIN_VOLUME:
-        return None  # rank below dim, or too close to it
-    facets = np.concatenate(
-        [normals[sides.min(axis=0) >= -_FACET_SLACK], -normals[sides.max(axis=0) <= _FACET_SLACK]]
-    )
-    return facets if facets.shape[0] else None
+    trusted = ~(independent & (volumes <= _MIN_VOLUME)).any(axis=1)
+    normals = normals / np.where(independent, volumes, 1.0)[..., None]
+    sides = unit_gens @ normals.transpose(0, 2, 1)  # sines of the angles between generators and hyperplanes
+    spread = np.where(independent[:, None, :], np.abs(sides), 0.0).max(axis=(1, 2))
+    trusted &= spread > _MIN_VOLUME  # else the rank is below dim, or too close to it
+    kept = independent[:, None, :] & np.stack([sides.min(axis=1) >= -_FACET_SLACK, sides.max(axis=1) <= _FACET_SLACK],
+                                              axis=1)
+    kept = kept.reshape(b, -1)  # the candidates as normals, then negated
+    counts = np.where(trusted, kept.sum(axis=1), 0)
+    # each cone's kept candidates, in order, then its last one repeated
+    order = np.argsort(~kept, axis=1, kind="stable")
+    last = np.maximum(counts, 1)[:, None] - 1
+    pick = np.take_along_axis(order, np.minimum(np.arange(max(counts.max(), 1)), last), axis=1)
+    candidates = np.concatenate([normals, -normals], axis=1)
+    return np.take_along_axis(candidates, pick[..., None], axis=1), counts
 
 
 def _least_change_fit(basis: np.ndarray) -> np.ndarray:
-    """The ``(dim, m)`` map taking ``v`` to the least-squares solution of
-    ``basis @ x = v`` nearest the uniform combination ``t * 1`` that matches
-    ``v`` along ``basis @ 1``. For a point well inside the cone that
-    solution is nonnegative, and certifies the point a member."""
+    """The ``(b, dim, m)`` maps taking ``v`` to the least-squares solution
+    of ``basis[k] @ x = v`` nearest the uniform combination ``t * 1`` that
+    matches ``v`` along ``basis[k] @ 1``. For a point well inside the cone
+    that solution is nonnegative, and certifies the point a member."""
     pinv = np.linalg.pinv(basis)
-    center = basis.sum(axis=1)
-    return pinv.T + np.outer(center / (center @ center), 1.0 - pinv @ center)
+    center = basis.sum(axis=2)[..., None]
+    norms = center.transpose(0, 2, 1) @ center
+    return pinv.transpose(0, 2, 1) + center / norms * (1.0 - pinv @ center).transpose(0, 2, 1)
 
 
-def _certificates(
-    unit_gens: np.ndarray, unit: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """Unit normals whose half-spaces hold the cone, their relative
-    round-off margin, and a fit that certifies members when the normals are
-    not all of the cone's facets (``None`` when they are).
+class _Certificates(NamedTuple):
+    """The membership certificates of a stack of polyhedral cones, entry
+    ``k`` for cone ``k``.
+
+    ``normals`` are unit normals whose half-spaces hold the cone, each
+    cone's padded to the stack's length by repeating its last, which leaves
+    their minimum unchanged; ``counts`` says how many are the cone's facets.
+    ``margins`` are their relative round-off margins. Where a cone's normals
+    are not all its facets (``fitted``), ``fits`` certify members;
+    ``bases`` hold the unit generators as columns. Fits and bases are zero
+    past a cone's own generators.
+    """
+
+    normals: np.ndarray  # (c, F, dim)
+    counts: np.ndarray  # (c,)
+    margins: np.ndarray  # (c,)
+    fitted: np.ndarray  # (c,) booleans
+    fits: np.ndarray  # (c, dim, m)
+    bases: np.ndarray  # (c, dim, m)
+
+
+def _certificates(unit_gens: np.ndarray, units: np.ndarray) -> _Certificates:
+    """The certificates of the cones of a ``(b, m, dim)`` stack of unit
+    generators under their ``(b, dim)`` unit functionals.
 
     A point outside one half-space by more than ``tol`` is outside the cone,
     because the distance to a supporting half-space is at most the distance
@@ -301,22 +363,65 @@ def _certificates(
     facet is within ``_FACET_SLACK`` of supporting the cone, so a point
     ``p`` of the cone has ``F @ p >= -_FACET_SLACK * |p| / alpha``, where
     ``alpha`` is the least cosine between the unit functional and a
-    generator; the margin is that figure per unit of ``max |p_i|``.
+    generator; the margin is that figure per unit of ``max |p_i|``. A cone
+    with ``alpha <= 0`` is rejected: its one normal is zero, its margin 0
+    and its fit 0, so only a point near 0 is certified.
     """
-    m, dim = unit_gens.shape
-    if np.abs(unit).max() > 0:
-        unit = _unit_rows(unit)
-    values = unit_gens @ unit
-    alpha = float(values.min())
-    if not alpha > 0:  # the cone is rejected; only a point near 0 is certified
-        return np.empty((0, dim)), 0.0, np.zeros((dim, m))
-    margin = _FACET_SLACK * (1.0 + 1.0 / alpha) * sqrt(dim)
-    facets = _facet_normals(unit_gens)
-    if facets is not None:
-        return facets, margin, None
-    # The fit runs on the generators scaled to unit value, where states are
-    # mixtures of them; its coefficients are rescaled to the unit generators.
-    return unit[None], margin, _least_change_fit(unit_gens.T / values) / values
+    b, m, dim = unit_gens.shape
+    units = units.copy()
+    nonzero = np.abs(units).max(axis=1) > 0
+    units[nonzero] = _unit_rows(units[nonzero])
+    values = (unit_gens @ units[:, :, None])[..., 0]
+    alphas = values.min(axis=1)
+    valid = alphas > 0
+    margins = np.zeros(b)
+    margins[valid] = _FACET_SLACK * (1.0 + 1.0 / alphas[valid]) * sqrt(dim)
+    normals, counts = _facet_normals(unit_gens)
+    counts[~valid] = 0
+    fitted = counts == 0
+    normals[fitted] = np.where(valid[:, None], units, 0.0)[fitted, None, :]
+    fits = np.zeros((b, dim, m))
+    at = np.flatnonzero(fitted & valid)
+    if at.size:
+        # The fit runs on the generators scaled to unit value, where states
+        # are mixtures of them; its coefficients are rescaled to the unit generators.
+        scale = values[at, None, :]
+        fits[at] = _least_change_fit(unit_gens[at].transpose(0, 2, 1) / scale) / scale
+    return _Certificates(normals, counts, margins, fitted, fits, unit_gens.transpose(0, 2, 1))
+
+
+def _row_dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a[r] @ v[r]`` for each ``r`` of an ``(n, k, d)`` and an ``(n, d)``
+    stack, the products added in coordinate order: a row rounds alike in
+    any stack, whatever its length and neighbours."""
+    out = a[..., 0] * v[:, None, 0]
+    for j in range(1, v.shape[1]):
+        out += a[..., j] * v[:, None, j]
+    return out
+
+
+def _stack_of(cones: Sequence[PolyhedralCone]) -> tuple[_Certificates, np.ndarray]:
+    """Certificates holding every cone of ``cones``, and each cone's entry:
+    the stack the cones were built in, when they share one, else a new
+    stack of their own entries."""
+    stack = cones[0]._stack
+    if all(c._stack is stack for c in cones):
+        return stack, np.array([c._at for c in cones], dtype=np.intp)
+    own = [(c._stack, c._at, max(c._stack.counts[c._at], 1)) for c in cones]
+    width = max(n for _, _, n in own)
+    m = max(s.fits.shape[2] for s, _, _ in own)
+
+    def padded(a: np.ndarray) -> np.ndarray:
+        return np.concatenate([a, np.zeros(a.shape[:-1] + (m - a.shape[-1],))], axis=-1)
+
+    return _Certificates(
+        np.stack([s.normals[k, np.minimum(np.arange(width), n - 1)] for s, k, n in own]),
+        np.array([s.counts[k] for s, k, _ in own]),
+        np.array([s.margins[k] for s, k, _ in own]),
+        np.array([s.fitted[k] for s, k, _ in own]),
+        np.stack([padded(s.fits[k]) for s, k, _ in own]),
+        np.stack([padded(s.bases[k]) for s, k, _ in own]),
+    ), np.arange(len(cones))
 
 
 def _nnls_residual(a: np.ndarray, b: np.ndarray, maxiter: int) -> float:
@@ -406,59 +511,87 @@ class PolyhedralCone(ConeSpace):
     half-space, and a point is certified a member by a nonnegative
     combination of the generators within ``tol`` of it. The remaining
     points get the exact NNLS residual.
+
+    Cones are built as a stack (:func:`_polyhedral_cones`, as a search
+    block builds its seeds' cones): the certificates and the checks run
+    once for the stack, and a constructed cone is a stack of one. Rows that
+    each name their cone are decided by one call on the stacked
+    certificates (:func:`_members_in`), with each undecided point's own NNLS.
     """
 
     kind = "polyhedral"
 
     def __init__(self, generators: np.ndarray, unit: np.ndarray):
-        g = np.asarray(generators, dtype=float)
-        if g.ndim != 2 or g.shape[0] < 1:
-            raise ValueError(f"generators must have shape (m, dim), got {g.shape}")
-        require_finite(g, "generators")
-        g = g.copy()
-        g.flags.writeable = False
-        self._generators = g
-        super().__init__(g.shape[1], unit)
-        if not (np.abs(g).max(axis=1) > 0).all():
-            raise ValueError("generators must be nonzero")
-        unit_gens = _unit_rows(g)
-        self._basis = unit_gens.T
-        self._certificates = _certificates(unit_gens, self._unit)
-        negated_inside = self._members(-g)
-        if negated_inside.any():
-            j = int(np.argmax(negated_inside))
-            raise ValueError(f"cone is not pointed: -generators[{j}] lies in the cone")
-        values = g @ self._unit
-        if (values <= 0).any():
-            raise ValueError("unit functional must be strictly positive on every generator")
+        _build_polyhedral([self], np.asarray(generators, dtype=float)[None], np.asarray(unit, dtype=float)[None])
 
     @property
     def generators(self) -> np.ndarray:
         return self._generators
 
     def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
+        return self._rows_in([self], vs, len(vs), tol)
+
+    @staticmethod
+    def _rows_in(cones: Sequence[PolyhedralCone], vs: np.ndarray, per: int, tol: float | None = None) -> np.ndarray:
         tol = CONE_FEAS_TOL if tol is None else tol
         if tol < 0:  # no distance is negative
             return np.zeros(vs.shape[0], dtype=bool)
-        normals, relative_margin, fit = self._certificates
+        stack, at = _stack_of(cones)
+        owner = np.repeat(at, per)
         peaks = np.abs(vs).max(axis=1)
-        margin = relative_margin * peaks
-        low = (vs @ normals.T).min(axis=1, initial=np.inf)  # minus the largest violation
-        if fit is None:
-            inside = low >= margin
-        else:
+        margin = stack.margins[owner] * peaks
+        low = _row_dots(stack.normals[owner], vs).min(axis=1)  # minus the largest violation
+        inside = low >= margin
+        fitted = np.flatnonzero(stack.fitted[owner])
+        if fitted.size:
+            k, v = owner[fitted], vs[fitted]
             # |r| <= sqrt(dim) * max |r_i|, a bound that cannot overflow
-            residuals = np.maximum(vs @ fit, 0.0) @ self._basis.T - vs
-            bound = (tol + _NNLS_ROUNDOFF * peaks) / sqrt(self._dim)
-            inside = np.abs(residuals).max(axis=1) <= bound
+            coefficients = np.maximum(_row_dots(stack.fits[k].transpose(0, 2, 1), v), 0.0)
+            residuals = _row_dots(stack.bases[k], coefficients) - v
+            bound = (tol + _NNLS_ROUNDOFF * peaks[fitted]) / sqrt(vs.shape[1])
+            inside[fitted] = np.abs(residuals).max(axis=1) <= bound
         # an overflowed product is NaN, and stays undecided
         undecided = ~inside & ~(low < -(tol + margin))
-        # 50 least-squares solves per generator leave ample room on cones with one or two.
-        maxiter = 50 * self._basis.shape[1]
         for i in np.flatnonzero(undecided):
-            residual = _nnls_residual(self._basis, vs[i], maxiter)
+            basis = cones[i // per]._basis
+            # 50 least-squares solves per generator leave ample room on cones with one or two.
+            residual = _nnls_residual(basis, vs[i], 50 * basis.shape[1])
             inside[i] = residual <= tol + _NNLS_ROUNDOFF * peaks[i]
         return inside
+
+
+def _build_polyhedral(cones: Sequence[PolyhedralCone], generators: np.ndarray, units: np.ndarray) -> None:
+    """Build ``cones[k]`` from the ``(b, m, dim)`` stack of generators and
+    the ``(b, dim)`` unit functionals, every check and the certificates
+    once for the stack. A bad cone at index ``k`` raises what building it
+    alone raises."""
+    if generators.ndim != 3 or generators.shape[1] < 1:
+        raise ValueError(f"generators must have shape (m, dim), got {generators.shape[1:]}")
+    require_finite(generators, "generators")
+    g = generators.copy()
+    g.flags.writeable = False
+    b, m, dim = g.shape
+    units = _unit_functionals(dim, units)
+    if not (np.abs(g).max(axis=2) > 0).all():
+        raise ValueError("generators must be nonzero")
+    unit_gens = _unit_rows(g)
+    stack = _certificates(unit_gens, units)
+    for k, cone in enumerate(cones):
+        cone._dim, cone._unit, cone._generators = dim, units[k], g[k]
+        cone._basis, cone._stack, cone._at = stack.bases[k], stack, k
+    negated_inside = PolyhedralCone._rows_in(cones, -g.reshape(-1, dim), m).reshape(b, m)
+    if negated_inside.any():
+        raise ValueError(f"cone is not pointed: -generators[{_first(negated_inside)[1]}] lies in the cone")
+    if ((g @ units[:, :, None]) <= 0).any():
+        raise ValueError("unit functional must be strictly positive on every generator")
+
+
+def _polyhedral_cones(generators: np.ndarray, units: np.ndarray) -> list[PolyhedralCone]:
+    """The polyhedral cones of a ``(b, m, dim)`` stack of generators under
+    their ``(b, dim)`` unit functionals, built as one stack."""
+    cones = [object.__new__(PolyhedralCone) for _ in range(len(generators))]
+    _build_polyhedral(cones, np.asarray(generators, dtype=float), np.asarray(units, dtype=float))
+    return cones
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,16 +644,17 @@ class GptState:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", self._check(self.cone, np.asarray(self.coords, dtype=float)[None])[0])
+        object.__setattr__(self, "coords", self._check([self.cone], np.asarray(self.coords, dtype=float)[None])[0])
 
     @staticmethod
-    def _check(cone: ConeSpace, coords) -> np.ndarray:
-        """The state check on a ``(b, dim)`` stack of coordinates: each in
-        the cone with unit value 1. Returns a read-only copy."""
-        coords = cone._coerce_rows(coords).copy()
-        if not cone._members(coords).all():
+    def _check(cones: Sequence[ConeSpace], coords) -> np.ndarray:
+        """The state check on a ``(b, dim)`` stack of coordinates, row ``k``
+        a state of ``cones[k]``: each in its cone with unit value 1. Returns
+        a read-only copy."""
+        coords = cones[0]._coerce_rows(coords).copy()
+        if not _members_in(cones, coords).all():
             raise ValueError("coordinates lie outside the cone")
-        u = coords @ cone.unit
+        u = _unit_values(cones, coords)
         bad = np.abs(u - 1.0) > WEIGHT_SUM_TOL
         if bad.any():
             raise ValueError(f"unit value is {float(u[np.argmax(bad)])!r}, expected 1")
@@ -536,19 +670,21 @@ class Svm:
     atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", self._check(self.cone, np.asarray(self.atoms, dtype=float)[None])[0])
+        object.__setattr__(self, "atoms", self._check([self.cone], np.asarray(self.atoms, dtype=float)[None])[0])
 
     @staticmethod
-    def _check(cone: ConeSpace, atoms) -> np.ndarray:
-        """The SVM check on a ``(b, n, dim)`` block of atom stacks: atoms in
-        the cone with unit total. Returns a read-only copy."""
+    def _check(cones: Sequence[ConeSpace], atoms) -> np.ndarray:
+        """The SVM check on a ``(b, n, dim)`` block of atom stacks, stack
+        ``k`` over ``cones[k]``: atoms in their cone with unit total.
+        Returns a read-only copy."""
         atoms = np.asarray(atoms, dtype=float)
-        if atoms.ndim != 3 or atoms.shape[1] < 1 or atoms.shape[2] != cone.dim:
-            raise ValueError(f"atoms must have shape (n_worlds, {cone.dim}), got {atoms.shape[1:]}")
-        inside = cone._members(atoms.reshape(-1, cone.dim)).reshape(atoms.shape[:2])
+        dim = cones[0].dim
+        if atoms.ndim != 3 or atoms.shape[1] < 1 or atoms.shape[2] != dim:
+            raise ValueError(f"atoms must have shape (n_worlds, {dim}), got {atoms.shape[1:]}")
+        inside = _members_in(cones, atoms.reshape(-1, dim), atoms.shape[1]).reshape(atoms.shape[:2])
         if not inside.all():
             raise ValueError(f"atom {_first(~inside)[1]} lies outside the cone")
-        total_u = atoms.sum(axis=1) @ cone.unit
+        total_u = _unit_values(cones, atoms.sum(axis=1))
         bad = np.abs(total_u - 1.0) > WEIGHT_SUM_TOL
         if bad.any():
             raise ValueError(f"total unit value is {float(total_u[np.argmax(bad)])!r}, expected 1")
@@ -582,11 +718,11 @@ def _gpt_parts(sums: np.ndarray, stacks) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Values are sums of atoms, masses their unit values, distance the
-# coordinate max-norm; a state is a GptState of the scenario's cone.
+# coordinate max-norm; a state is a GptState of its scenario's cone.
 _RULE = _Rule(
     _gpt_parts,
     lambda xs, ys: np.abs(xs - ys).max(axis=-1),
-    lambda v, cone: _instances(GptState, GptState._check(cone, v), cone),
+    lambda v, cones: _instances(GptState, GptState._check(cones, v), cones),
 )
 
 

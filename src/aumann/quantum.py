@@ -161,14 +161,14 @@ def _psd_stack(raw, what: str) -> np.ndarray:
     return h
 
 
-def _instances(cls, checked: np.ndarray, *head) -> list:
+def _instances(cls, checked: np.ndarray, *heads) -> list:
     """One ``cls`` per entry of ``checked``, a block that ``cls._check`` has
-    returned; ``head`` holds the fields before the stacked one (a cone).
-    Each entry has passed the check its constructor would run on it alone,
-    so the constructor is not run again."""
+    returned; ``heads`` hold, entry by entry, the fields before the stacked
+    one (a cone per entry). Each entry has passed the check its constructor
+    would run on it alone, so the constructor is not run again."""
     names = [f.name for f in fields(cls)]
     out = []
-    for entry in checked:
+    for entry, *head in zip(checked, *heads):
         obj = object.__new__(cls)
         for name, value in zip(names, (*head, entry)):
             object.__setattr__(obj, name, value)
@@ -303,7 +303,7 @@ def _trace_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 _RULE = _Rule(
     lambda x, stacks: (x, x.trace(axis1=-2, axis2=-1).real),
     _trace_distances,
-    lambda v, space: _instances(DensityOperator, DensityOperator._check(v)),
+    lambda v, spaces: _instances(DensityOperator, DensityOperator._check(v)),
 )
 
 

@@ -19,7 +19,8 @@ the cell sums of every (scenario, agent) partition in one scatter
 in one ``distance`` call and each scenario's agreement event in one gather.
 Common knowledge is taken per scenario. Then one scatter sums every common
 event, one test finds the vacuous ones, one ``distance`` call compares the
-targets with the pooled values, and one state check runs per space.
+targets with the pooled values, and one state check, which takes each
+value's own space, turns them into states.
 
 Conditioning has one home, :func:`_condition`. The pooled values, the
 public conditionals and the generators' conditioned targets all take it
@@ -89,14 +90,14 @@ class _Rule(NamedTuple):
     ``stacks`` yields, for each stack a scenario alone would take (a
     partition's cells, as a slice of rows, or one event's sum, as a row
     index), that scenario's space. ``distance(xs, ys)`` compares two stacks
-    of values entry by entry. ``states(values, space)`` checks a stack of
-    conditioned values of one space once and returns them as the layer's
-    state type.
+    of values entry by entry. ``states(values, spaces)`` checks a stack of
+    conditioned values once, value ``k`` in the space ``spaces[k]``, and
+    returns them as the layer's state type.
     """
 
     parts: Callable[[np.ndarray, Iterable[tuple[Any, Any]]], tuple[np.ndarray, np.ndarray]]
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    states: Callable[[np.ndarray, Any], list]
+    states: Callable[[np.ndarray, Sequence[Any]], list]
 
 
 class _Layer(NamedTuple):
@@ -229,25 +230,19 @@ def _conditionals(layers: Sequence[_Layer], events: Sequence[Event]) -> np.ndarr
 
 def _conditional(layer: _Layer, e: Event) -> Any:
     """The layer's state conditioned on ``e``, checked: a block of one."""
-    return layer.rule.states(_conditionals([layer], [e]), layer.space)[0]
+    return layer.rule.states(_conditionals([layer], [e]), [layer.space])[0]
 
 
 def _pooled(layers: Sequence[_Layer], pooled: np.ndarray, tol: float) -> tuple[list[bool], list]:
     """Whether every target of each scenario is within ``tol`` of its pooled
-    value, and the pooled values as checked states, one check per space."""
+    value, and the pooled values as checked states, in one check."""
     if not layers:
         return [], []
     rule = layers[0].rule
     n_agents = len(layers[0].targets)
     targets = np.array([t for layer in layers for t in layer.targets])
     near = rule.distance(targets, np.repeat(pooled, n_agents, axis=0)) <= tol
-    by_space: dict[int, list[int]] = {}
-    for j, layer in enumerate(layers):
-        by_space.setdefault(id(layer.space), []).append(j)
-    states = [None] * len(layers)
-    for group in by_space.values():
-        for j, state in zip(group, rule.states(pooled[group], layers[group[0]].space)):
-            states[j] = state
+    states = rule.states(pooled, [layer.space for layer in layers])
     return near.reshape(-1, n_agents).all(axis=1).tolist(), states
 
 

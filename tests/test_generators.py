@@ -29,7 +29,7 @@ from aumann import generators, quantum, verdicts
 from aumann.classical import ProbabilityMeasure
 from aumann.errors import ConditioningOnNull, NotPsd
 from aumann.generators import BLOCK_SEEDS, LAYERS, _planted_model, _rng, _scenarios
-from aumann.gpt import PsdCone, SimplexCone, Svm, _vectorize_rows
+from aumann.gpt import PolyhedralCone, PsdCone, SimplexCone, Svm, _polyhedral_cones, _vectorize_rows
 from aumann.quantum import DensityOperator, Dovm, Povm, _instances, require_hermitian
 from aumann.tolerances import NULL_MASS_TOL
 
@@ -427,6 +427,8 @@ _PINNED_KINDS = {
     "gpt-psd": ("gpt", {"cone_kind": "psd", "dim": 2}),
     "gpt-polyhedral": ("gpt", {"cone_kind": "polyhedral", "dim": 3}),
     "gpt-polyhedral-5gen": ("gpt", {"cone_kind": "polyhedral", "dim": 4, "n_generators": 5}),
+    # 12 generators need C(12, 5) * 6 minors, past gpt._MAX_FACET_MINORS: the fit certificate and the NNLS decide
+    "gpt-polyhedral-dim6": ("gpt", {"cone_kind": "polyhedral", "dim": 6}),
 }
 _PINNED_SIZES = ((2, 1), (6, 2), (12, 3), (48, 6))  # (worlds, agents)
 _FAMILIES = {
@@ -561,13 +563,28 @@ def _faulty(block: np.ndarray, k: int, fault: str) -> np.ndarray:
     return bad
 
 
-def _psd_state_coords(k: int, fault: str) -> np.ndarray:
-    coords = np.stack([gen_svm(seed, PsdCone(2), 1).atoms[0] for seed in range(4)])
-    if fault == "nan":
-        coords[k, 1] = np.nan
-    else:  # diag(1.5, -0.5): unit trace, outside the cone
-        coords[k] = [1.5, -0.5, 0.0, 0.0]
-    return coords
+def _polyhedral_stack(n: int = 4, dim: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """The generators and units of ``n`` random cones, stacked."""
+    return np.stack([gen_polyhedral_cone(seed, dim, 2 * dim).generators for seed in range(n)]), np.eye(dim)[[0] * n]
+
+
+def _state_coords(k: int, fault: str) -> tuple[list, np.ndarray]:
+    """A cone per entry and a state of each, entry ``k`` broken: a NaN, or
+    a point of unit value 1 outside its cone (a PSD one; or a polyhedral
+    one, the point lying in another cone of the block)."""
+    if fault != "outside-own-cone":
+        cones = [PsdCone(2)] * 4
+        coords = np.stack([gen_svm(seed, cones[0], 1).atoms[0] for seed in range(4)])
+        if fault == "nan":
+            coords[k, 1] = np.nan
+        else:  # diag(1.5, -0.5): unit trace, outside the cone
+            coords[k] = [1.5, -0.5, 0.0, 0.0]
+        return cones, coords
+    cones = _polyhedral_cones(*_polyhedral_stack())
+    coords = np.stack([gen_svm(seed, cone, 1).atoms[0] for seed, cone in enumerate(cones)])
+    # the centroid of another cone's generators (1, x), well inside that cone
+    coords[k] = next(c for c in (cone.generators.mean(axis=0) for cone in cones) if not cones[k].contains(c))
+    return cones, coords
 
 
 _BLOCKS = {
@@ -580,29 +597,64 @@ _BLOCKS = {
 @pytest.mark.parametrize(
     "name, fault",
     [(name, fault) for name in _BLOCKS for fault in ("nan", "non-hermitian", "non-psd")]
-    + [(name, fault) for name in ("Svm", "GptState") for fault in ("nan", "non-psd")],  # coordinates are real
+    # coordinates are real; a GPT check takes a cone per entry
+    + [(name, fault) for name in ("Svm", "GptState") for fault in ("nan", "non-psd", "outside-own-cone")],
 )
 def test_stacked_checks_raise_what_single_constructors_raise(name, fault):
     """A bad entry at index k of a block raises the exception, message
     included, that building that entry alone raises."""
     k = 2
     if name in _BLOCKS:
-        cls, head, make = _BLOCKS[name]
+        cls, heads, make = _BLOCKS[name]
         bad = _faulty(make(), k, fault)
     else:
-        cone = PsdCone(2)
-        cls, head = (Svm, (cone,)) if name == "Svm" else (GptState, (cone,))
-        coords = _psd_state_coords(k, fault)
+        cls = Svm if name == "Svm" else GptState
+        cones, coords = _state_coords(k, fault)
+        heads = (cones,)
         bad = np.stack([coords] * 3, axis=1) / 3 if cls is Svm else coords
     with pytest.raises(ValueError) as alone:
-        cls(*head, bad[k])
+        cls(*(h[k] for h in heads), bad[k])
     with pytest.raises(ValueError) as block:
-        cls._check(*head, bad)
+        cls._check(*heads, bad)
     assert type(block.value) is type(alone.value)
     assert str(block.value) == str(alone.value)
     good = np.delete(bad, k, axis=0)  # the other entries pass, and wrap as if built alone
-    for entry, obj in zip(good, _instances(cls, cls._check(*head, good), *head)):
-        assert _array_bytes(obj) == _array_bytes(cls(*head, entry))
+    heads = [h[:k] + h[k + 1:] for h in heads]
+    for j, (entry, obj) in enumerate(zip(good, _instances(cls, cls._check(*heads, good), *heads))):
+        assert _array_bytes(obj) == _array_bytes(cls(*(h[j] for h in heads), entry))
+
+
+def _certificate_bytes(cone: PolyhedralCone) -> tuple:
+    stack, k = cone._stack, cone._at
+    own = max(stack.counts[k], 1)
+    return tuple(a.tobytes() for a in (stack.normals[k, :own], stack.counts[k], stack.margins[k], stack.fitted[k],
+                                       stack.fits[k], stack.bases[k], cone.generators, cone.unit))
+
+
+@pytest.mark.parametrize("fault, message", [
+    pytest.param("non-pointed", "cone is not pointed: -generators[0] lies in the cone", id="non-pointed"),
+    pytest.param("unit-not-positive", "unit functional must be strictly positive on every generator",
+                 id="unit-not-positive"),
+])
+def test_stacked_cone_build_raises_what_building_alone_raises(fault, message):
+    """A bad cone at index k of a stack raises the exception, message
+    included, that building it alone raises; the other cones get the
+    certificates, bit for bit, that they get alone."""
+    k = 2
+    gens, units = _polyhedral_stack()
+    if fault == "non-pointed":
+        gens[k, 1] = -gens[k, 0]
+    else:  # (0, x) is pointed with the rest, but has unit value 0
+        gens[k, 1, 0] = 0.0
+    with pytest.raises(ValueError) as alone:
+        PolyhedralCone(gens[k], units[k])
+    with pytest.raises(ValueError) as block:
+        _polyhedral_cones(gens, units)
+    assert type(block.value) is type(alone.value) is ValueError
+    assert str(block.value) == str(alone.value) == message
+    good, units = np.delete(gens, k, axis=0), units[1:]
+    for g, u, cone in zip(good, units, _polyhedral_cones(good, units)):
+        assert _certificate_bytes(cone) == _certificate_bytes(PolyhedralCone(g, u))
 
 
 class TestBlockChecks:

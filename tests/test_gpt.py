@@ -462,8 +462,8 @@ def _probe_points(cone, rng, tol):
 
 def _facets(cone):
     """The cone's facet normals, or None when it has no usable facets."""
-    normals, _, fit = cone._certificates
-    return normals if fit is None else None
+    stack, k = cone._stack, cone._at
+    return None if stack.fitted[k] else stack.normals[k, : stack.counts[k]]
 
 
 class TestNumpyConeMembership:
@@ -614,6 +614,47 @@ class TestNumpyConeMembership:
         a = rng.standard_normal((dim, n))
         b = rng.standard_normal(dim) * rng.choice([1e-3, 1.0, 10.0])
         assert abs(_nnls_residual(a, b, 50 * n) - nnls(a, b, maxiter=50 * n)[1]) <= 1e-12
+
+    @pytest.mark.parametrize("restack", [False, True], ids=["one-stack", "restacked"])
+    def test_rows_that_name_their_cones_are_decided_as_each_cone_alone(self, restack, monkeypatch):
+        """One membership call over rows of many cones decides every row as
+        its own cone does alone, and sends the same points to the NNLS: the
+        certificates are the cone's own, padded to the stack's length. The
+        cones come from one stack, or from stacks of several generator
+        counts (facet and fit certificates, a cone of rank below dim among
+        them), which the call restacks."""
+        rng = np.random.default_rng(5)
+        counts = (6, 7, 4, 9, 2) if restack else (6,)
+        cones = []
+        for m in counts:
+            n = 3 if restack else 12
+            gens = np.stack([gen_polyhedral_cone(100 * m + s, 3, m).generators for s in range(n)])
+            cones += gpt._polyhedral_cones(gens, np.eye(3)[[0] * n])
+        assert len({id(c._stack) for c in cones}) == len(counts)
+        assert {bool(c._stack.fitted[c._at]) for c in cones} == ({True, False} if restack else {False})
+        per = 16
+        points = []
+        for j, cone in enumerate(cones):  # members of the cone and of the next, points near it, random points
+            points += list(rng.uniform(0, 1, (4, len(cone.generators))) @ cone.generators)
+            points += list(cones[(j + 1) % len(cones)].generators.mean(axis=0) * rng.uniform(0.5, 2.0, (4, 1)))
+            points += list(_probe_points(cone, rng, CONE_FEAS_TOL)[:4])
+            points += list(3.0 * rng.standard_normal((per - len(points) % per, 3)))
+        points = np.array(points)
+        sent = []
+
+        def nnls(a, b, maxiter):
+            sent.append((a.tobytes(), b.tobytes()))
+            return _nnls_residual(a, b, maxiter)
+
+        monkeypatch.setattr(gpt, "_nnls_residual", nnls)
+        expected = [cone._members(points[j * per:(j + 1) * per]) for j, cone in enumerate(cones)]
+        alone, sent[:] = list(sent), []
+        assert np.array_equal(gpt._members_in(cones, points, per), np.concatenate(expected))
+        assert sent == alone
+        with pytest.raises(ValueError, match="^a block's cones must share their kind$"):
+            gpt._members_in([cones[0], SimplexCone(3)], points[:2])
+        with pytest.raises(ValueError, match="^a block's cones must share their kind$"):
+            gpt._members_in([cones[0], SimplexCone(3)], points[:2])
 
     def test_nnls_iteration_cap_raises(self):
         # three solves are needed to bring in three columns

@@ -313,6 +313,11 @@ class TestSearchShape:
          "cone dimension must be positive", lambda: SimplexCone(0)),
         ("gpt", {"cone_kind": "psd", "dim": 0}, ["--cone", "psd", "--dim", "0"],
          "matrix dimension must be positive", lambda: PsdCone(0)),
+        # a negative dim is checked before any array is sized by it
+        ("gpt", {"cone_kind": "simplex", "dim": -1}, ["--cone", "simplex", "--dim", "-1"],
+         "cone dimension must be positive", lambda: SimplexCone(-1)),
+        ("gpt", {"cone_kind": "psd", "dim": -1}, ["--cone", "psd", "--dim", "-1"],
+         "matrix dimension must be positive", lambda: PsdCone(-1)),
     ]
 
     @staticmethod
