@@ -123,7 +123,7 @@ def verify_aumann(
     """Check the classical agreement theorem for targets ``q``.
 
     Builds the agreement event, takes its common knowledge ``C``, and, unless
-    ``C`` is empty or carries mass at most ``tol`` (the two vacuous cases),
+    ``C`` is empty or carries mass at most ``NULL_MASS_TOL`` (the two vacuous cases),
     compares every target against ``P(h | C)``.
     """
     return _verify([model], [_classical_layer(model, mu, h, q)], tol)[0]

@@ -11,12 +11,15 @@ scenarios exercise the vacuous paths and hunt for (theorem-forbidden)
 violations.
 
 Scenarios are drawn per seed and built per block. Each seed draws, from its
-own stream, its model and family (the planted cell, or the anchor coin and
-world), then the layer's raw numbers: the weights and hypothesis, the
-Ginibre normals or the uniforms of its measure, and its loose targets.
-A block of seeds (one seed for ``gen_planted_scenario`` and the like) then
-does the layer's arithmetic and every check once, on stacks shaped
-``(seeds, worlds, d, d)``: the Ginibre products, the eigensolves, the
+own stream, its model as label rows, one per agent, and its family (the
+planted cell, which every agent labels 0, or the anchor coin and world),
+then the layer's raw numbers: the weights and hypothesis, the Ginibre
+normals or the uniforms of its measure, and its loose targets. A block of
+seeds (one seed for ``gen_planted_scenario`` and the like) then builds all
+its seeds' partitions from one label stack with one checked call
+(``knowledge._partitions``; ``gen_model`` and ``gen_partition`` are blocks
+of one), and does the layer's arithmetic and every check once, on stacks
+shaped ``(seeds, worlds, d, d)``: the Ginibre products, the eigensolves, the
 sandwiches and each measure class's ``_check``, and one check of all the
 block's targets. The planted and anchored targets are conditioned as one
 block too, by the one conditioning rule of ``verdicts`` that the public
@@ -46,7 +49,7 @@ from .gpt import (
     _unit_values,
     _vectorize_rows,
 )
-from .knowledge import Event, KnowledgeModel, Partition
+from .knowledge import Event, KnowledgeModel, Partition, _partitions
 from .quantum import DensityOperator, Dovm, Povm, _instances, _quantum_layer, _sandwich, psd_sqrt, psd_sqrt_pinv
 from .verdicts import _conditionals, _Layer
 
@@ -60,7 +63,7 @@ BLOCK_SEEDS = 32
 
 _MAX_SEED = 1 << 64
 # Every generated weight is at least this over the world count, which keeps
-# planted cells comfortably above the vacuity cutoff, so plant soundness is
+# planted cells comfortably above the null-mass cutoff, so plant soundness is
 # deterministic rather than almost-sure.
 _WEIGHT_FLOOR = 1e-3
 
@@ -108,18 +111,26 @@ def gen_partition(seed, n_worlds: int, max_cells: int) -> Partition:
     """Random partition of ``n_worlds`` worlds into at most ``max_cells`` cells."""
     if not 1 <= max_cells <= n_worlds:
         raise ValueError(f"max_cells must be in 1..{n_worlds}, got {max_cells}")
-    rng = _rng(seed)
-    return Partition.from_labels(_cell_labels(rng, n_worlds, max_cells), n_worlds)
+    return Partition.from_labels(_cell_labels(_rng(seed), n_worlds, max_cells), n_worlds)
+
+
+def _model_labels(rng: np.random.Generator, n_worlds: int, n_agents: int, max_cells: int) -> np.ndarray:
+    """Label rows ``(agents, worlds)`` of a model with independent per-agent partitions."""
+    return np.array([_cell_labels(rng, n_worlds, max_cells) for _ in range(n_agents)], dtype=np.intp)
+
+
+def _models(n_worlds: int, labels: Sequence[np.ndarray]) -> list[KnowledgeModel]:
+    """The knowledge models of a block's label rows, ``(agents, worlds)`` per
+    model, with every partition built in one checked call."""
+    n_agents = len(labels[0])
+    partitions = _partitions(np.concatenate(labels), n_worlds)
+    return [KnowledgeModel(n_worlds, tuple(partitions[k:k + n_agents])) for k in range(0, len(partitions), n_agents)]
 
 
 def gen_model(seed, n_worlds: int, n_agents: int, max_cells: int | None = None) -> KnowledgeModel:
     """Random knowledge model with independent per-agent partitions."""
-    rng = _rng(seed)
     max_cells = n_worlds if max_cells is None else max_cells
-    partitions = tuple(
-        Partition.from_labels(_cell_labels(rng, n_worlds, max_cells), n_worlds) for _ in range(n_agents)
-    )
-    return KnowledgeModel(n_worlds, partitions)
+    return _models(n_worlds, [_model_labels(_rng(seed), n_worlds, n_agents, max_cells)])[0]
 
 
 def gen_probability(seed, n_worlds: int) -> ProbabilityMeasure:
@@ -241,27 +252,28 @@ def _svm_atoms(cones: Sequence[ConeSpace], draws: np.ndarray) -> np.ndarray:
     return Svm._check(cones, draws / _unit_values(cones, draws.sum(axis=1))[:, None, None])
 
 
-def _planted_model(rng: np.random.Generator, n_worlds: int, n_agents: int) -> tuple[KnowledgeModel, Event]:
+def _planted_labels(rng: np.random.Generator, n_worlds: int, n_agents: int) -> np.ndarray:
+    """Label rows ``(agents, worlds)`` of a planted model: every agent's cell
+    0 is the same shared cell, and the other worlds are split per agent."""
     size = int(rng.integers(1, n_worlds))
     perm = rng.permutation(n_worlds)
     rest = np.sort(perm[size:])
-    partitions = []
-    for _ in range(n_agents):
-        labels = np.zeros(n_worlds, dtype=np.intp)  # cell 0 is the shared cell
-        labels[rest] = _cell_labels(rng, rest.size, rest.size) + 1
-        partitions.append(Partition.from_labels(labels, n_worlds))
-    return KnowledgeModel(n_worlds, tuple(partitions)), Event(partitions[0].masks[0], n_worlds)
+    labels = np.zeros((n_agents, n_worlds), dtype=np.intp)
+    for row in labels:
+        row[rest] = _cell_labels(rng, rest.size, rest.size) + 1
+    return labels
 
 
 class _Draw(NamedTuple):
-    """What one seed drew, in its order: the model and family, then the
-    layer's cone (GPT: the search's, or the drawn tails ``x`` of the
+    """What one seed drew, in its order: its model's label rows ``(agents,
+    worlds)`` and its family (planted, or the anchor world if anchored),
+    then the layer's cone (GPT: the search's, or the drawn tails ``x`` of the
     generators ``(1, x)`` of the seed's own polyhedral cone), measure draws
     and hypothesis (classical), and the draws of its loose targets (none
     unless the seed is free)."""
 
-    model: KnowledgeModel
-    planted_cell: Event | None
+    labels: np.ndarray
+    planted: bool
     anchor: int | None
     cone: ConeSpace | np.ndarray | None
     measure: np.ndarray
@@ -274,14 +286,14 @@ def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, di
     """Everything ``seed`` draws, from its own stream; a GPT seed without a
     ``cone`` draws its own polyhedral one, which its block builds."""
     rng = _rng(seed)
-    cell = anchor = hypothesis = None
+    anchor = hypothesis = None
     if planted:
-        model, cell = _planted_model(rng, n_worlds, n_agents)
+        labels = _planted_labels(rng, n_worlds, n_agents)
     else:
-        model = gen_model(rng, n_worlds, n_agents)
+        labels = _model_labels(rng, n_worlds, n_agents, n_worlds)
         if rng.integers(0, 2):
             anchor = int(rng.integers(0, n_worlds))
-    n_loose = n_agents if cell is None and anchor is None else 0
+    n_loose = n_agents if not planted and anchor is None else 0
     if layer == "classical":
         measure = rng.dirichlet(np.ones(n_worlds))
         hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
@@ -296,56 +308,60 @@ def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, di
         cone = rng.standard_normal((n_generators or 2 * dim, dim - 1))
         measure = _weights(rng, n_worlds, len(cone))
         loose = [_weights(rng, 1, len(cone)) for _ in range(n_loose)]
-    return _Draw(model, cell, anchor, cone, measure, hypothesis, loose)
+    return _Draw(labels, planted, anchor, cone, measure, hypothesis, loose)
 
 
-def _bundles(layer: str, draws: Sequence[_Draw], measures: Sequence, layers: Sequence[_Layer],
-             loose: Sequence) -> list[ScenarioBundle]:
-    """The bundles of a block of draws, their measures and those measures'
-    ``_Layer``s. A planted seed's agents share the value conditioned on its
-    planted cell, an anchored seed's agents each get the value conditioned
-    on their cell at the anchor, all in one ``_conditionals`` call, and a
-    free seed's agents take the next of the block's ``loose`` values. The
-    layer's ``states`` turns the block's values into targets with one check.
+def _bundles(layer: str, draws: Sequence[_Draw], models: Sequence[KnowledgeModel], measures: Sequence,
+             layers: Sequence[_Layer], loose: Sequence) -> list[ScenarioBundle]:
+    """The bundles of a block of draws, their models, measures and those
+    measures' ``_Layer``s. A planted seed's agents share the value
+    conditioned on its planted cell (agent 0's cell 0), an anchored seed's
+    agents each get the value conditioned on their cell at the anchor, all
+    in one ``_conditionals`` call, and a free seed's agents take the next of
+    the block's ``loose`` values. The layer's ``states`` turns the block's
+    values into targets with one check.
     """
-    cells = [[d.planted_cell] if d.planted_cell is not None else
-             [] if d.anchor is None else [p.cell_of(d.anchor) for p in d.model.partitions] for d in draws]
+    cells = [[Event(m.partitions[0].masks[0], m.n_worlds)] if d.planted else
+             [] if d.anchor is None else [p.cell_of(d.anchor) for p in m.partitions] for d, m in zip(draws, models)]
     owners = [own for own, events in zip(layers, cells) for _ in events]
     conditioned = iter(_conditionals(owners, [e for events in cells for e in events]) if owners else ())
     loose_values = iter(loose)
     values = [next(conditioned if events else loose_values)
-              for d, events in zip(draws, cells) for _ in events or d.model.partitions]
-    spaces = [layer.space for layer, d, events in zip(layers, draws, cells) for _ in events or d.model.partitions]
+              for m, events in zip(models, cells) for _ in events or m.partitions]
+    spaces = [layer.space for layer, m, events in zip(layers, models, cells) for _ in events or m.partitions]
     targets = iter(layers[0].rule.states(np.array(values), spaces))
     out = []
-    for d, m in zip(draws, measures):
-        agents = d.model.partitions
-        own = (next(targets),) * len(agents) if d.planted_cell is not None else tuple(next(targets) for _ in agents)
-        out.append(ScenarioBundle(layer, d.model, m, d.hypothesis, own, d.planted_cell, d.anchor))
+    for d, model, m, events in zip(draws, models, measures, cells):
+        agents = model.partitions
+        own = (next(targets),) * len(agents) if d.planted else tuple(next(targets) for _ in agents)
+        planted_cell = events[0] if d.planted else None
+        out.append(ScenarioBundle(layer, model, m, d.hypothesis, own, planted_cell, d.anchor))
     return out
 
 
-def _classical_bundles(draws: Sequence[_Draw]) -> list[ScenarioBundle]:
+def _classical_bundles(draws: Sequence[_Draw], models: Sequence[KnowledgeModel]) -> list[ScenarioBundle]:
     measures = [_probability(d.measure) for d in draws]
-    layers = [_classical_layer(d.model, mu, d.hypothesis) for d, mu in zip(draws, measures)]
-    return _bundles("classical", draws, measures, layers, [float(x) for d in draws for x in d.loose])
+    layers = [_classical_layer(model, mu, d.hypothesis) for d, model, mu in zip(draws, models, measures)]
+    return _bundles("classical", draws, models, measures, layers, [float(x) for d in draws for x in d.loose])
 
 
-def _quantum_bundles(draws: Sequence[_Draw]) -> list[ScenarioBundle]:
+def _quantum_bundles(draws: Sequence[_Draw], models: Sequence[KnowledgeModel]) -> list[ScenarioBundle]:
     measures = _instances(Dovm, _dovm_atoms(np.stack([d.measure for d in draws])))
     loose = [x for d in draws for x in d.loose]
     values = _unit_trace(_ginibre(np.stack(loose))) if loose else ()
-    return _bundles("quantum", draws, measures, [_quantum_layer(d.model, rho, ()) for d, rho in zip(draws, measures)],
-                    values)
+    return _bundles("quantum", draws, models, measures,
+                    [_quantum_layer(model, rho, ()) for model, rho in zip(models, measures)], values)
 
 
-def _gpt_bundles(cones: Sequence[ConeSpace], draws: Sequence[_Draw]) -> list[ScenarioBundle]:
+def _gpt_bundles(cones: Sequence[ConeSpace], draws: Sequence[_Draw],
+                 models: Sequence[KnowledgeModel]) -> list[ScenarioBundle]:
     """The bundles of a block of GPT draws, seed ``k``'s over ``cones[k]``."""
     measures = _instances(Svm, _svm_atoms(cones, np.stack([d.measure for d in draws])), cones)
     loose = [x for d in draws for x in d.loose]
     loose_cones = [c for c, d in zip(cones, draws) for _ in d.loose]
     values = _svm_atoms(loose_cones, np.stack(loose))[:, 0] if loose else ()  # one-world SVMs
-    return _bundles("gpt", draws, measures, [_gpt_layer(d.model, mu, ()) for d, mu in zip(draws, measures)], values)
+    return _bundles("gpt", draws, models, measures, [_gpt_layer(model, mu, ()) for model, mu in zip(models, measures)],
+                    values)
 
 
 def _check_shape(layer: str, n_worlds: int, n_agents: int, dim: int, cone_kind: str,
@@ -378,17 +394,19 @@ def _check_shape(layer: str, n_worlds: int, n_agents: int, dim: int, cone_kind: 
 def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_agents: int, dim: int,
                cone_kind: str, n_generators: int | None) -> list[ScenarioBundle]:
     """The bundles of a block of ``(seed, planted)`` pairs, in order: each
-    seed's draws, then the block's measures and targets, built as one stack."""
+    seed's draws, then the block's partitions and models from one label
+    stack, and its measures and targets, built as one stack."""
     cone = _check_shape(layer, n_worlds, n_agents, dim, cone_kind, any(planted for _, planted in seeds))
     draws = [_draw(seed, planted, layer, n_worlds, n_agents, dim, cone, n_generators) for seed, planted in seeds]
+    models = _models(n_worlds, [d.labels for d in draws])
     if layer == "classical":
-        return _classical_bundles(draws)
+        return _classical_bundles(draws, models)
     if layer == "quantum":
-        return _quantum_bundles(draws)
+        return _quantum_bundles(draws, models)
     if cone is None:  # each seed has its own polyhedral cone
         generators = _polyhedral_generators(np.stack([d.cone for d in draws]))
-        return _gpt_bundles(_polyhedral_cones(generators, np.eye(dim)[[0] * len(draws)]), draws)
-    return _gpt_bundles([cone] * len(draws), draws)
+        return _gpt_bundles(_polyhedral_cones(generators, np.eye(dim)[[0] * len(draws)]), draws, models)
+    return _gpt_bundles([cone] * len(draws), draws, models)
 
 
 def gen_planted_scenario(

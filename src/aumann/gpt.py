@@ -774,8 +774,8 @@ def verify_gpt_aumann(
     """Check the GPT agreement theorem for target states ``targets``.
 
     Vacuous when the common knowledge of the agreement event is empty or has
-    unit mass at most ``tol``; otherwise each target must be within ``tol``
-    (max-norm) of the conditional state on the common event.
+    unit mass at most ``NULL_MASS_TOL``; otherwise each target must be within
+    ``tol`` (max-norm) of the conditional state on the common event.
     """
     return _verify([model], [_gpt_layer(model, mu, targets)], tol)[0]
 

@@ -24,6 +24,12 @@ cell, and ``masks``, one bit-mask per cell. Per-cell sums over a measure are
 one scatter over the labels (``verdicts._sums``), and knowledge
 and agreement events are unions of masks. The cells as :class:`Event` objects
 are built only when a caller asks for ``Partition.cells``.
+
+Partitions given by labels are built per stack: :func:`_partitions` takes a
+``(partitions, worlds)`` label stack, checks every row at once and builds
+all masks with one scatter into 64-bit words. ``Partition.from_labels`` is
+a stack of one, and a search block builds all its seeds' partitions with one
+call.
 """
 
 from __future__ import annotations
@@ -160,12 +166,9 @@ class Partition:
         for k, mask in enumerate(masks):
             for w in _iter_bits(mask):
                 labels[w] = k
-        self._store(n, np.array(labels, dtype=np.intp), masks)
-        self.__dict__["cells"] = cells
-
-    def _store(self, n: int, labels: np.ndarray, masks: tuple[int, ...]) -> None:
+        labels = np.array(labels, dtype=np.intp)
         labels.flags.writeable = False
-        self.__dict__.update(n=n, labels=labels, masks=masks)
+        self.__dict__.update(n=n, labels=labels, masks=masks, cells=cells)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
@@ -176,32 +179,10 @@ class Partition:
         """Partition of ``0..n-1`` whose cell ``k`` holds the worlds labelled ``k``.
 
         ``labels[w]`` is the cell of world ``w``; the labels must number the
-        cells ``0..k-1`` with every number used. Masks are built in one pass
-        over the labels and checked like those of :class:`Partition`.
+        cells ``0..k-1`` with every number used. A stack of one for
+        :func:`_partitions`, which raises what a cell list would.
         """
-        if n < 1:
-            raise ValueError(f"world count must be positive, got {n}")
-        raw = np.asarray(labels)
-        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
-            raise ValueError("cell labels must be a 1-d sequence of integers")
-        if raw.size > n:
-            raise ValueError(f"world {n} outside 0..{n - 1}")
-        labels = raw.astype(np.intp)
-        values = labels.tolist()
-        low = min(values, default=0)
-        if low < 0:
-            raise ValueError(f"cell label {low} is negative")
-        n_cells = max(values, default=-1) + 1
-        if n_cells > n:  # more cell numbers than worlds, so one below n is unused
-            used = set(values)
-            raise ValueError(f"cell {next(k for k in range(n) if k not in used)} is empty")
-        masks = [0] * n_cells
-        for w, k in enumerate(values):
-            masks[k] |= 1 << w
-        _check_masks(masks, n)
-        p = cls.__new__(cls)
-        p._store(n, labels, tuple(masks))
-        return p
+        return _partitions(np.asarray(labels)[None], n)[0]
 
     @cached_property
     def cells(self) -> tuple[Event, ...]:
@@ -232,6 +213,72 @@ class Partition:
         if not 0 <= world < self.n:
             raise IndexError(f"world {world} outside 0..{self.n - 1}")
         return Event(self.masks[self.labels[world]], self.n)
+
+
+def _partitions(labels, n: int) -> list[Partition]:
+    """Partitions of ``0..n-1``, one per row of a ``(partitions, worlds)``
+    stack of cell labels, as :meth:`Partition.from_labels` builds each.
+
+    Every row is checked at once: labels are integers, none is negative, and
+    one ``bincount`` over the labels offset by row finds each row's empty
+    cells. The first row that fails raises what ``from_labels`` raises on it
+    alone. The masks are then one scatter of the worlds' bits into 64-bit
+    words, one word per 64 worlds of each cell, and the partitions are
+    built with no second check.
+    """
+    if n < 1:
+        raise ValueError(f"world count must be positive, got {n}")
+    raw = np.asarray(labels)
+    if raw.ndim != 2 or (raw.size and raw.dtype.kind not in "iu"):
+        raise ValueError("cell labels must be a 1-d sequence of integers")
+    n_rows, width = raw.shape
+    if width > n:
+        raise ValueError(f"world {n} outside 0..{n - 1}")
+    if not n_rows:
+        return []
+    if not width:
+        raise ValueError("a partition needs at least one cell")
+    if raw.dtype.kind == "u":  # past intp a label would wrap to a negative one; any label past n leaves a cell empty
+        raw = np.minimum(raw, n)
+    labels = raw.astype(np.intp)
+    labels.flags.writeable = False
+    low = labels.min(axis=1)
+    # label n stands for every label past the worlds: such a row has an empty cell below n
+    n_cells = np.clip(labels.max(axis=1) + 1, 1, n + 1)
+    ends = np.cumsum(n_cells)
+    starts = ends - n_cells
+    cells = starts[:, None] + np.clip(labels, 0, n)  # each world's cell, numbered across the stack
+    counts = np.bincount(cells.ravel(), minlength=int(ends[-1]))
+    empty = np.flatnonzero(counts == 0)  # in row order: each row's first empty cell comes first
+    has_empty = np.zeros(n_rows, dtype=bool)
+    has_empty[np.searchsorted(starts, empty, "right") - 1] = True
+    failing = (low < 0) | has_empty | (width < n)
+    if failing.any():
+        r = int(np.argmax(failing))
+        if low[r] < 0:
+            raise ValueError(f"cell label {low[r]} is negative")
+        if has_empty[r]:
+            raise ValueError(f"cell {empty[np.searchsorted(empty, starts[r])] - starts[r]} is empty")
+        raise ValueError("cells do not cover the world set")
+    n_words = (n + 63) // 64
+    worlds = np.arange(n)
+    words = np.zeros(int(ends[-1]) * n_words, dtype=np.uint64)
+    np.bitwise_or.at(words, (cells * n_words + worlds // 64).ravel(),
+                     np.tile(np.left_shift(np.uint64(1), (worlds % 64).astype(np.uint64)), n_rows))
+    if n_words == 1:
+        masks = words.tolist()
+    else:  # a cell's words, lowest worlds first, joined into one integer
+        words = words.reshape(-1, n_words).astype(object)
+        masks = words[:, 0]
+        for j in range(1, n_words):
+            masks = masks | words[:, j] << 64 * j
+        masks = masks.tolist()
+    out = []
+    for row, start, end in zip(labels, starts.tolist(), ends.tolist()):  # rows: read-only views
+        p = Partition.__new__(Partition)
+        p.__dict__.update(n=n, labels=row, masks=tuple(masks[start:end]))
+        out.append(p)
+    return out
 
 
 @dataclass(frozen=True)

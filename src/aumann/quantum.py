@@ -353,7 +353,7 @@ def verify_quantum_aumann(
     """Check the quantum agreement theorem for target states ``sigmas``.
 
     Vacuous when the common knowledge of the agreement event is empty or has
-    trace mass at most ``tol``; otherwise each target must be within ``tol``
-    trace-norm distance of the conditional state on the common event.
+    trace mass at most ``NULL_MASS_TOL``; otherwise each target must be within
+    ``tol`` trace-norm distance of the conditional state on the common event.
     """
     return _verify([model], [_quantum_layer(model, rho, sigmas)], tol)[0]

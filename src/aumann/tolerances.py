@@ -26,12 +26,13 @@ HERMITIAN_LOOSE_TOL = 1e-9
 SUPPORT_CUTOFF = 1e-12
 
 # Default matching tolerance for posterior equality (classical), trace-norm
-# state equality (quantum), and coordinate max-norm equality (GPT). Also the
-# vacuity cutoff used by the verify_* operations.
+# state equality (quantum), and coordinate max-norm equality (GPT). It does
+# not decide vacuity: a common event is null by NULL_MASS_TOL alone.
 MATCH_TOL = 1e-9
 
 # A cell or event with mass at or below this is considered null: conditioning
-# on it raises and its worlds are excluded from agreement-event matching.
+# on it raises, its worlds are excluded from agreement-event matching, and a
+# common event this light gives a vacuous verdict.
 NULL_MASS_TOL = 1e-12
 
 # Polyhedral cone membership: a point belongs to the cone when the nonnegative

@@ -3,9 +3,10 @@
 The classical, quantum and GPT theorems are checked by one algorithm: per
 agent, the cells whose conditional value is within ``tol`` of the agent's
 target; the intersection of those unions of cells is the agreement event;
-unless its common knowledge ``C`` is empty or has mass at most ``tol`` (the
-two vacuous outcomes), every target is compared with the value conditioned
-on ``C``.
+unless its common knowledge ``C`` is empty or has mass at most
+``NULL_MASS_TOL`` (the two vacuous outcomes), every target is compared with
+the value conditioned on ``C``. The matching ``tol`` plays no part in the
+vacuity test.
 
 The pipeline runs on a block of scenarios of one layer that share their
 world count, agent count and atom shape, as a search's block does; a single
@@ -24,8 +25,8 @@ value's own space, turns them into states.
 
 Conditioning has one home, :func:`_condition`. The pooled values, the
 public conditionals and the generators' conditioned targets all take it
-through one event sum (:func:`_event_conditionals`), with a null cutoff of
-``tol`` for the pooled value and ``NULL_MASS_TOL`` elsewhere.
+through one event sum (:func:`_event_conditionals`), with the one null
+cutoff ``NULL_MASS_TOL``.
 
 Every sum adds its worlds in increasing order starting from zeros, so a
 block gives each scenario the bits it gets alone. A matrix product rounds by
@@ -254,7 +255,7 @@ def _verdicts(layers: Sequence[_Layer], events: Sequence[Event], tol: float) -> 
     states = [None] * len(layers)
     full = [s for s, c in enumerate(events) if c]
     if full:
-        _, heavy, pooled = _event_conditionals([layers[s] for s in full], [events[s] for s in full], tol)
+        _, heavy, pooled = _event_conditionals([layers[s] for s in full], [events[s] for s in full], NULL_MASS_TOL)
         pooled_at = [s for s, h in zip(full, heavy.tolist()) if h]
         oks, checked = _pooled([layers[s] for s in pooled_at], pooled, tol)
         for s in full:  # null, unless pooled below

@@ -59,9 +59,10 @@ console)
     expect_exit 2 "${aumann[@]}" search --layer gpt --cone polyhedral --dim 1 --seeds 0
     expect_exit 2 "${aumann[@]}" search --layer gpt --cone simplex --dim -1 --seeds 0
     # 40 and 75 seeds cross the boundaries of 32-seed blocks (generators.BLOCK_SEEDS), in every search kind;
-    # polyhedral cones at dim 3 get facet certificates, at dim 6 the fit certificate
+    # polyhedral cones at dim 3 get facet certificates, at dim 6 the fit certificate; at 70 worlds a cell's
+    # mask is built from two 64-bit words
     for block in "--layer quantum --seeds 40" "--layer gpt --cone polyhedral --dim 3 --seeds 40" \
-        "--layer gpt --cone polyhedral --dim 6 --seeds 40" \
+        "--layer gpt --cone polyhedral --dim 6 --seeds 40" "--layer quantum --worlds 70 --agents 3 --seeds 40" \
         "--layer gpt --cone psd --seeds 75" "--layer classical --worlds 48 --agents 6 --seeds 40" \
         "--layer gpt --cone simplex --dim 4 --worlds 48 --agents 6 --seeds 40"; do
         # shellcheck disable=SC2086  # $block is several flags

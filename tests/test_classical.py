@@ -21,6 +21,9 @@ from aumann import (
     probability,
     verify_aumann,
 )
+from aumann.classical import _classical_layer
+from aumann.tolerances import MATCH_TOL
+from aumann.verdicts import _verdicts
 
 
 def uniform(n):
@@ -159,16 +162,42 @@ class TestVerifyAumann:
         assert v.status is VerdictStatus.HOLDS
         assert v.pooled_posterior == pytest.approx(q)
 
-    def test_vacuous_null_common_knowledge(self):
-        # both agents share the tiny-mass cell {2, 3}; its posterior is 0.5,
-        # so the agreement event is exactly that cell, with mass 2e-10 <= tol
-        delta = 1e-10
+    @staticmethod
+    def _tiny_cell(delta):
+        """Both agents share the cell {2, 3} of mass 2 * delta, whose posterior of {2} is 0.5."""
         model = KnowledgeModel.from_blocks(4, [[[0, 1], [2, 3]], [[0, 1], [2, 3]]])
         mu = ProbabilityMeasure(np.array([0.5 - delta, 0.5 - delta, delta, delta]))
-        h = model.event([2])
-        v = verify_aumann(model, mu, h, (0.5, 0.5))
+        return model, mu, model.event([2])
+
+    def test_vacuous_null_common_knowledge(self):
+        # the common event {2, 3} has mass 2e-13 <= NULL_MASS_TOL. A common
+        # event that verify_aumann reaches is a union of cells that each weigh
+        # more than the cutoff, so the verdict step is given this one directly.
+        model, mu, h = self._tiny_cell(1e-13)
+        (v,) = _verdicts([_classical_layer(model, mu, h, (0.5, 0.5))], [model.event([2, 3])], MATCH_TOL)
         assert v.status is VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE
         assert v.common_event.worlds() == (2, 3)
+        assert v.pooled_posterior is None
+
+    def test_null_cutoff_is_not_the_matching_tol(self):
+        # a common event of mass 2e-10, at most MATCH_TOL but above
+        # NULL_MASS_TOL, is pooled
+        model, mu, h = self._tiny_cell(1e-10)
+        v = verify_aumann(model, mu, h, (0.5, 0.5))
+        assert v.status is VerdictStatus.HOLDS
+        assert v.common_event.worlds() == (2, 3)
+        assert v.pooled_posterior == pytest.approx(0.5)
+        # a null cell never matches, so its worlds leave the agreement event
+        model, mu, h = self._tiny_cell(1e-13)
+        v = verify_aumann(model, mu, h, (0.5, 0.5))
+        assert v.status is VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE
+
+    def test_large_tol_pools_the_whole_space(self, model_b):
+        # every cell matches at tol 10: the common event is the whole space, of mass 1
+        v = verify_aumann(model_b, uniform(4), model_b.event([0, 2]), (0.5, 0.5), tol=10)
+        assert v.status is VerdictStatus.HOLDS
+        assert v.common_event == Event.full(4)
+        assert v.pooled_posterior == pytest.approx(0.5)
 
 
 @settings(max_examples=150, deadline=None)

@@ -35,6 +35,14 @@ class TestAgree:
         assert doc["verdict"]["pooled_posterior"] == 0.5
         assert doc["verdict"]["common_event"] == ["w0", "w1"]
 
+    def test_large_tol_is_not_a_null_cutoff(self):
+        # every cell matches at tol 10, and the common event of mass 1 is pooled
+        result = cli("agree", str(DATA / "model_b_classical.json"), "--tol", "10")
+        assert result.returncode == 0
+        assert "verdict: holds" in result.stdout
+        assert "common event: [w0, w1, w2, w3]" in result.stdout
+        assert "pooled posterior: 0.500000" in result.stdout
+
     def test_vacuous_is_exit_zero(self):
         result = cli("agree", str(DATA / "model_a_vacuous.json"))
         assert result.returncode == 0

@@ -4,6 +4,8 @@ import pytest
 from aumann import (
     Event,
     GptState,
+    KnowledgeModel,
+    Partition,
     ScenarioBundle,
     VerdictStatus,
     conditional,
@@ -12,7 +14,6 @@ from aumann import (
     dovm_value,
     gen_density,
     gen_dovm,
-    gen_model,
     gen_partition,
     gen_planted_scenario,
     gen_polyhedral_cone,
@@ -28,7 +29,7 @@ from aumann import (
 from aumann import generators, quantum, verdicts
 from aumann.classical import ProbabilityMeasure
 from aumann.errors import ConditioningOnNull, NotPsd
-from aumann.generators import BLOCK_SEEDS, LAYERS, _planted_model, _rng, _scenarios
+from aumann.generators import BLOCK_SEEDS, LAYERS, _rng, _scenarios
 from aumann.gpt import PolyhedralCone, PsdCone, SimplexCone, Svm, _polyhedral_cones, _vectorize_rows
 from aumann.quantum import DensityOperator, Dovm, Povm, _instances, require_hermitian
 from aumann.tolerances import NULL_MASS_TOL
@@ -214,13 +215,47 @@ class TestHermitianSandwich:
 # families as they were written before they shared one per-layer draw, each
 # with its own three-way layer dispatch, over the measure draws as they were
 # written before blocks of seeds were built as one stack, one seed at a
-# time, with the square roots and sandwiches of that time. Only the model
-# draws, the probability draw and the polyhedral cone draw are the
-# package's own; the constructors run their checks on each object alone.
+# time, with the square roots and sandwiches of that time. The model draws
+# are frozen as they were before a block built its partitions from one
+# label stack, one partition at a time through the cell constructor. Only
+# the probability draw and the polyhedral cone draw are the package's own;
+# the constructors run their checks on each object alone.
 # The three conditionals are frozen too, as they were before every layer
 # conditioned through the pipeline's one event sum: a pure-Python sum of
 # weights, the atoms' sum over the event's worlds, and a division by the
 # trace or by one dot with the unit.
+
+def _old_cell_labels(rng, n, max_cells):
+    k = int(rng.integers(1, max_cells + 1))
+    order = rng.permutation(n)
+    labels = np.empty(n, dtype=np.intp)
+    labels[order[:k]] = np.arange(k)
+    if n > k:
+        labels[order[k:]] = rng.integers(0, k, size=n - k)
+    return labels
+
+
+def _old_partition(labels, n):
+    """The partition whose cell ``k`` holds the worlds labelled ``k``, built from its cells."""
+    return Partition(Event.from_worlds(np.flatnonzero(labels == k).tolist(), n) for k in range(int(labels.max()) + 1))
+
+
+def _old_gen_model(rng, n_worlds, n_agents):
+    partitions = tuple(_old_partition(_old_cell_labels(rng, n_worlds, n_worlds), n_worlds) for _ in range(n_agents))
+    return KnowledgeModel(n_worlds, partitions)
+
+
+def _old_planted_model(rng, n_worlds, n_agents):
+    size = int(rng.integers(1, n_worlds))
+    perm = rng.permutation(n_worlds)
+    rest = np.sort(perm[size:])
+    partitions = []
+    for _ in range(n_agents):
+        labels = np.zeros(n_worlds, dtype=np.intp)  # cell 0 is the shared cell
+        labels[rest] = _old_cell_labels(rng, rest.size, rest.size) + 1
+        partitions.append(_old_partition(labels, n_worlds))
+    return KnowledgeModel(n_worlds, tuple(partitions)), Event(partitions[0].masks[0], n_worlds)
+
 
 def _old_probability(mu, e):
     w = mu.weights.tolist()
@@ -335,7 +370,7 @@ def _old_gen_planted_scenario(seed, layer, n_worlds, n_agents, dim=2, cone_kind=
     if n_worlds < 2:
         raise ValueError("planted scenarios need at least 2 worlds")
     rng = _rng(seed)
-    model, shared = _planted_model(rng, n_worlds, n_agents)
+    model, shared = _old_planted_model(rng, n_worlds, n_agents)
     if layer == "classical":
         mu = gen_probability(rng, n_worlds)
         hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
@@ -355,7 +390,7 @@ def _old_gen_unconstrained_scenario(seed, layer, n_worlds, n_agents, dim=2, cone
     if layer not in LAYERS:
         raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
     rng = _rng(seed)
-    model = gen_model(rng, n_worlds, n_agents)
+    model = _old_gen_model(rng, n_worlds, n_agents)
     anchored = bool(rng.integers(0, 2))
     anchor = int(rng.integers(0, n_worlds)) if anchored else None
     if layer == "classical":
@@ -409,7 +444,7 @@ def _bundle_bytes(b: ScenarioBundle) -> tuple:
     return (
         b.layer,
         b.model.n_worlds,
-        tuple(tuple(p.masks) for p in b.model.partitions),
+        tuple((p.labels.dtype.str, p.labels.tobytes(), tuple(p.masks)) for p in b.model.partitions),
         type(m).__name__, raw.dtype.str, raw.shape, raw.tobytes(),
         cone_bytes,
         tuple(_target_bytes(t) for t in b.targets),
@@ -479,6 +514,22 @@ def test_blocks_match_the_per_seed_reference(kind):
                         seed, length, n_worlds, n_agents)
                 families.update(_family(b) for b in block)
         assert families == {"planted", "anchored", "free"}
+
+
+@pytest.mark.parametrize("kind", ["quantum-d2", "gpt-simplex"])
+def test_blocks_past_64_worlds_match_the_per_seed_reference(kind):
+    """At 70 worlds a cell's mask takes two 64-bit words in the block's
+    partition build; every seed still gets the per-seed reference's bundle
+    bit for bit."""
+    layer, kw = _PINNED_KINDS[kind]
+    seeds = [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)]
+    block = _block(layer, seeds, 70, 3, **kw)
+    for (seed, planted), got in zip(seeds, block):
+        old = _old_gen_planted_scenario if planted else _old_gen_unconstrained_scenario
+        assert _bundle_bytes(got) == _bundle_bytes(old(seed, layer, 70, 3, **kw)), seed
+    assert {_family(b) for b in block} == {"planted", "anchored", "free"}
+    low = (1 << 64) - 1
+    assert any(m & low and m >> 64 for b in block for p in b.model.partitions for m in p.masks)  # joined words
 
 
 def _null_world_zero(m):

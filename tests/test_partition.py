@@ -1,5 +1,5 @@
-"""Label/mask partitions: the constructor, the public API, and the generators
-checked against the block-list algorithm they replaced."""
+"""Label/mask partitions: the constructor, the stacked build, the public API,
+and the generators checked against the block-list algorithm they replaced."""
 
 import pickle
 
@@ -17,6 +17,7 @@ from aumann import (
     gen_unconstrained_scenario,
 )
 from aumann.generators import _rng
+from aumann.knowledge import _partitions
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,11 @@ def _old_planted_model(rng, n_worlds, n_agents):
     return KnowledgeModel(n_worlds, tuple(partitions)), Event.from_worlds(shared, n_worlds)
 
 
+def _rows(model):
+    """A model's label rows, one per agent, as the generators draw them."""
+    return np.array([p.labels for p in model.partitions])
+
+
 def _same_partition(a, b):
     """Equal cells in the same order, and the labels agree with the cells."""
     assert a == b
@@ -91,7 +97,9 @@ class TestGeneratorsMatchBlockLists:
     def test_planted_models_every_size(self):
         for n in range(2, 65):
             for n_agents in (1, 2, 5):
-                new_model, new_cell = generators._planted_model(_rng(n * 10 + n_agents), n, n_agents)
+                labels = generators._planted_labels(_rng(n * 10 + n_agents), n, n_agents)
+                new_model = generators._models(n, [labels])[0]
+                new_cell = Event.from_worlds(np.flatnonzero(labels[0] == 0).tolist(), n)  # agent 0's cell 0
                 old_model, old_cell = _old_planted_model(_rng(n * 10 + n_agents), n, n_agents)
                 assert new_cell == old_cell
                 for a, b in zip(new_model.partitions, old_model.partitions):
@@ -119,8 +127,10 @@ class TestGeneratorsMatchBlockLists:
             return out
 
         new = bundles()
-        monkeypatch.setattr(generators, "gen_model", _old_gen_model)
-        monkeypatch.setattr(generators, "_planted_model", _old_planted_model)
+        monkeypatch.setattr(generators, "_model_labels",
+                            lambda rng, n, n_agents, max_cells: _rows(_old_gen_model(rng, n, n_agents, max_cells)))
+        monkeypatch.setattr(generators, "_planted_labels",
+                            lambda rng, n, n_agents: _rows(_old_planted_model(rng, n, n_agents)[0]))
         old = bundles()
         for a, b in zip(new, old):
             assert a.model == b.model
@@ -179,6 +189,9 @@ class TestFromLabels:
         # more cell numbers than worlds: the first unused one is named
         with pytest.raises(ValueError, match="cell 1 is empty"):
             Partition.from_labels([0, 7, 2**62], 3)
+        # an unsigned label past intp is a label past the worlds, not a negative one
+        with pytest.raises(ValueError, match="cell 1 is empty"):
+            Partition.from_labels(np.array([0, 2**63, 0], dtype=np.uint64), 3)
 
     @pytest.mark.parametrize("bad", [[0, 1.0, 0], [0.5, 0, 1], [True, False, True], ["0", "1", "0"], [[0], [1], [0]]])
     def test_non_integers(self, bad):
@@ -200,6 +213,72 @@ class TestFromLabels:
         assert message(lambda: Partition.from_labels([0, 1, 0, 1], 3)) == message(
             lambda: Partition.from_blocks([[0, 2], [1, 3]], 3)
         )
+
+
+def _message(build):
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+class TestStackedBuild:
+    """``knowledge._partitions`` builds a whole label stack with one check;
+    ``Partition.from_labels`` is its stack of one."""
+
+    GOOD = [0, 1, 0]
+
+    @pytest.mark.parametrize("bad", [[0, -1, 0], [-3, -1, -2], [0, 2, 2], [1, 1, 2], [0, 7, 2**62], [2, 0, 0]])
+    def test_bad_row_two_raises_what_it_raises_alone(self, bad):
+        stack = np.array([self.GOOD, [2, 1, 0], bad])
+        assert _message(lambda: _partitions(stack, 3)) == _message(lambda: Partition.from_labels(bad, 3))
+
+    def test_first_bad_row_decides(self):
+        stack = np.array([self.GOOD, [0, 2, 2], [0, -1, 0]])
+        assert _message(lambda: _partitions(stack, 3)) == _message(lambda: Partition.from_labels([0, 2, 2], 3))
+        stack = np.array([self.GOOD, [0, -1, 0], [0, 2, 2]])
+        assert _message(lambda: _partitions(stack, 3)) == _message(lambda: Partition.from_labels([0, -1, 0], 3))
+
+    @pytest.mark.parametrize("width, n", [(2, 3), (4, 3), (0, 3)])
+    def test_a_stack_of_the_wrong_width_raises_what_each_row_raises(self, width, n):
+        # a stack's rows share their width, so every row fails alike
+        rows = np.array([[0, 1, 0, 1][:width]] * 3, dtype=np.intp).reshape(3, width)
+        assert _message(lambda: _partitions(rows, n)) == _message(lambda: Partition.from_labels(rows[2], n))
+
+    def test_a_narrow_stack_raises_what_its_first_row_raises(self):
+        # every row of a narrow stack fails: one with an empty cell names it
+        for rows in ([[0, 2], [0, 1], [0, 1]], [[0, 1], [0, 2], [0, 1]]):
+            assert _message(lambda: _partitions(rows, 3)) == _message(lambda: Partition.from_labels(rows[0], 3))
+
+    # a stack has one dtype: a float in row 2 makes it a float stack, and booleans stack only with booleans
+    @pytest.mark.parametrize("stack", [[GOOD, GOOD, [0, 1.0, 0]], [[True, False, True]] * 3])
+    def test_non_integers(self, stack):
+        assert _message(lambda: _partitions(stack, 3)) == _message(lambda: Partition.from_labels(stack[2], 3))
+
+    def test_world_count_and_shape(self):
+        assert _message(lambda: _partitions([self.GOOD], 0)) == _message(lambda: Partition.from_labels(self.GOOD, 0))
+        assert _message(lambda: _partitions(self.GOOD, 3)) == _message(lambda: Partition.from_labels([self.GOOD], 3))
+        assert _partitions(np.empty((0, 3), dtype=np.intp), 3) == []
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_rows_equal_from_labels_and_the_cells(self, n):
+        rng = np.random.default_rng(n)
+        rows = [rng.permutation(np.arange(n) % k) for k in (1, max(1, n // 7), n)]
+        rows += [np.array([(w * 5) % 3 if n > 2 else 0 for w in range(n)]) % min(n, 3)]
+        stack = np.array(rows)
+        built = _partitions(stack, n)
+        stack[:] = 0  # the partitions hold their own labels
+        for row, p in zip(rows, built):
+            alone = Partition.from_labels(row, n)
+            cells = Partition.from_blocks([np.flatnonzero(row == k).tolist() for k in range(row.max() + 1)], n)
+            assert p == alone == cells
+            assert p.masks == alone.masks == cells.masks
+            assert p.labels.dtype == alone.labels.dtype == cells.labels.dtype == np.intp
+            assert np.array_equal(p.labels, row) and np.array_equal(alone.labels, row)
+            assert not p.labels.flags.writeable
+            q = pickle.loads(pickle.dumps(p))
+            assert q == p and q.masks == p.masks and np.array_equal(q.labels, p.labels)
+            assert not q.labels.flags.writeable
+            assert [c.worlds() for c in p.cells] == [c.worlds() for c in cells.cells]
 
 
 class TestPartitionApi:

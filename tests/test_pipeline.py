@@ -157,7 +157,7 @@ def _old_verify_aumann(model, mu, h, q, tol=MATCH_TOL, *, max_iters=None):
     if not c:
         return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
     p_c = probability(mu, c)
-    if p_c <= tol:
+    if p_c <= NULL_MASS_TOL:
         return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
     pooled = probability(mu, h & c) / p_c
     ok = all(abs(q_i - pooled) <= tol for q_i in posteriors)
@@ -200,7 +200,7 @@ def _old_verify_quantum_aumann(model, rho, sigmas, tol=MATCH_TOL, *, max_iters=N
         return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
     value = dovm_value(rho, c)
     tr = float(value.trace().real)
-    if tr <= tol:
+    if tr <= NULL_MASS_TOL:
         return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
     pooled = DensityOperator(value / tr)
     ok = all(trace_norm(t - pooled.matrix) <= tol for t in posteriors)
@@ -244,7 +244,7 @@ def _old_verify_gpt_aumann(model, mu, targets, tol=MATCH_TOL, *, max_iters=None)
         return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
     value = svm_value(mu, c)
     u = float(mu.cone.unit @ value)
-    if u <= tol:
+    if u <= NULL_MASS_TOL:
         return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
     pooled = GptState(mu.cone, value / u)
     ok = all(float(np.abs(t - pooled.coords).max()) <= tol for t in posteriors)
