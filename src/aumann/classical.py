@@ -18,8 +18,8 @@ from . import _EXPORTS
 from .errors import as_number, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel
 from .tolerances import MATCH_TOL, WEIGHT_SUM_TOL
-from .verdicts import (AgreementVerdict, _agreement_events, _cell_conditionals, _conditional, _event_sums, _Layer,
-                       _Rule, _verify)
+from .verdicts import (AgreementVerdict, _agreement_events, _Block, _cell_conditionals, _conditional, _event_sums,
+                       _mask_rows, _Measures, _model_block, _Rule, _verify)
 
 __all__ = _EXPORTS["classical"]
 
@@ -34,15 +34,22 @@ class ProbabilityMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d array")
+        object.__setattr__(self, "weights", self._check(w[None])[0])
+
+    @staticmethod
+    def _check(weights) -> np.ndarray:
+        """The measure check on a ``(b, n)`` stack of weights: finite,
+        nonnegative, each row summing to 1. Returns a read-only copy."""
+        w = np.array(weights, dtype=float)
         require_finite(w, "weights")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-        w = w.copy()
+        total = w.sum(axis=1)
+        bad = np.abs(total - 1.0) > WEIGHT_SUM_TOL
+        if bad.any():
+            raise ValueError(f"weights sum to {float(total[np.argmax(bad)])!r}, expected 1")
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        return w
 
     @property
     def n_worlds(self) -> int:
@@ -56,7 +63,7 @@ class ProbabilityMeasure:
 def probability(mu: ProbabilityMeasure, e: Event) -> float:
     """Total weight of the worlds in ``e``, added in increasing order from 0.0."""
     require_worlds("event", e.n, "measure", mu.n_worlds)
-    return float(_event_sums([_Layer(mu.weights[:, None], (), _RULE)], [e])[0, 0])
+    return float(_event_sums(mu.weights[None, :, None], _mask_rows([e.mask], e.n))[0, 0])
 
 
 def conditional(mu: ProbabilityMeasure, h: Event, lam: Event) -> float:
@@ -64,34 +71,36 @@ def conditional(mu: ProbabilityMeasure, h: Event, lam: Event) -> float:
     ``lam`` carries mass at or below ``NULL_MASS_TOL``."""
     require_worlds("event", lam.n, "measure", mu.n_worlds)
     require_worlds("event", h.n, "measure", mu.n_worlds)
-    return _conditional(_Layer(_atoms(mu, h), (), _RULE), lam)
+    return _conditional(_measure(mu, h), lam)
 
 
-def _indicator(e: Event) -> np.ndarray:
-    """0/1 per world: whether it lies in ``e``."""
-    raw = np.frombuffer(e.mask.to_bytes((e.n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=e.n, bitorder="little")
+# Values are posteriors, masses probabilities; a state is a float, which has no check.
+_RULE = _Rule(lambda x, stacks: (x[..., 0], x[..., 1]), lambda xs, ys: np.abs(xs - ys), lambda v, spaces: v,
+              lambda v, spaces: v.tolist())
 
 
-# Values are posteriors, masses probabilities; a state is a float.
-_RULE = _Rule(lambda x, stacks: (x[..., 0], x[..., 1]), lambda xs, ys: np.abs(xs - ys), lambda v, spaces: v.tolist())
+def _measures(weights: np.ndarray, hypotheses: np.ndarray) -> _Measures:
+    """The posteriors of hypotheses as a stack of measures, one per row of
+    ``weights`` and of ``hypotheses`` (``(b, n)``, boolean): each world's
+    atom is the pair (its weight if it lies in the hypothesis, else 0; its
+    weight), so the sum over an event ``e`` is ``(P(h & e), P(e))``: value
+    and mass."""
+    atoms = np.empty(weights.shape + (2,))
+    np.multiply(weights, hypotheses, out=atoms[..., 0])
+    atoms[..., 1] = weights
+    return _Measures(atoms, _RULE, [None] * len(atoms))
 
 
-def _atoms(mu: ProbabilityMeasure, h: Event) -> np.ndarray:
-    """The posterior of ``h`` under ``mu`` as an atom stack: each world's
-    atom is the pair (its weight if it lies in ``h``, else 0; its weight),
-    so the sum over an event ``e`` is ``(P(h & e), P(e))``: value and mass."""
-    atoms = np.empty((mu.n_worlds, 2))
-    np.multiply(mu.weights, _indicator(h), out=atoms[:, 0])
-    atoms[:, 1] = mu.weights
-    return atoms
+def _measure(mu: ProbabilityMeasure, h: Event) -> _Measures:
+    """The posterior of ``h`` under ``mu``, as a stack of one."""
+    return _measures(mu.weights[None], _mask_rows([h.mask], h.n))
 
 
-def _classical_layer(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float] = ()) -> _Layer:
-    """The posterior of ``h`` under ``mu``, for the agreement pipeline."""
+def _classical_block(model: KnowledgeModel, mu: ProbabilityMeasure, h: Event, q: Sequence[float] = ()) -> _Block:
+    """The posterior of ``h`` under ``mu`` with targets ``q``, as a block of one."""
     require_worlds("measure", mu.n_worlds, "model", model.n_worlds)
     require_worlds("event", h.n, "model", model.n_worlds)
-    return _Layer(_atoms(mu, h), tuple(as_number(i, x) for i, x in enumerate(q)), _RULE)
+    return _model_block(model, _measure(mu, h), np.array([as_number(i, x) for i, x in enumerate(q)], dtype=float))
 
 
 def agreement_event(
@@ -104,14 +113,14 @@ def agreement_event(
     result intersects the per-agent sets, so it is a union of cells of each
     agent's partition.
     """
-    return _agreement_events([model], [_classical_layer(model, mu, h, q)], tol)[0]
+    return Event(_agreement_events(_classical_block(model, mu, h, q), tol)[0], model.n_worlds)
 
 
 def posterior_function(model: KnowledgeModel, mu: ProbabilityMeasure, agent: int, h: Event) -> np.ndarray:
     """Per-world posterior ``P(h | Q_agent(w))``; NaN on null cells."""
     model._check_agent(agent)
     partition = model.partitions[agent]
-    _, _, live, posteriors = _cell_conditionals([_classical_layer(model, mu, h)], [[partition]])
+    live, posteriors = _cell_conditionals(_classical_block(KnowledgeModel(model.n_worlds, (partition,)), mu, h))
     per_cell = np.full(len(partition), np.nan)
     per_cell[live] = posteriors
     return per_cell[partition.labels]
@@ -126,4 +135,4 @@ def verify_aumann(
     ``C`` is empty or carries mass at most ``NULL_MASS_TOL`` (the two vacuous cases),
     compares every target against ``P(h | C)``.
     """
-    return _verify([model], [_classical_layer(model, mu, h, q)], tol)[0]
+    return _verify(_classical_block(model, mu, h, q), tol)[0]

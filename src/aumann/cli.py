@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the verdict holds or is vacuous (and for successful
 conversions/generation), 1 when a verdict is violated or a search finds
-violations, 2 on input errors.
+violations or planted failures (planted seeds whose verdict is not
+``holds``), 2 on input errors.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.layer, args.seeds, base_seed=args.seed, mode=args.mode, workers=args.workers, tol=args.tol, **shape
             )
             _print(stats, args.json)
-            return EXIT_VIOLATED if stats.violations else EXIT_OK
+            return EXIT_VIOLATED if stats.violations or stats.planted_failures else EXIT_OK
 
         if args.command == "gen":
             _emit(serialize_scenario(run_gen(args.layer, args.seed, planted=not args.random, **shape)), args.out)

@@ -15,43 +15,41 @@ own stream, its model as label rows, one per agent, and its family (the
 planted cell, which every agent labels 0, or the anchor coin and world),
 then the layer's raw numbers: the weights and hypothesis, the Ginibre
 normals or the uniforms of its measure, and its loose targets. A block of
-seeds (one seed for ``gen_planted_scenario`` and the like) then builds all
-its seeds' partitions from one label stack with one checked call
-(``knowledge._partitions``; ``gen_model`` and ``gen_partition`` are blocks
-of one), and does the layer's arithmetic and every check once, on stacks
-shaped ``(seeds, worlds, d, d)``: the Ginibre products, the eigensolves, the
-sandwiches and each measure class's ``_check``, and one check of all the
-block's targets. The planted and anchored targets are conditioned as one
-block too, by the one conditioning rule of ``verdicts`` that the public
-conditionals and the verifiers take. A gpt-polyhedral seed draws its own
-cone's generators; the block builds all its seeds' cones as one stack
-(``gpt._polyhedral_cones``), and its measure and state checks take a cone
-per row. The bundles are bit for bit those of building each seed alone.
+seeds (one seed for ``gen_planted_scenario`` and the like) is then built
+and checked as one ``verdicts._Block`` of stacks, with no per-seed object:
+one checked call numbers every cell of its label stack and builds the
+masks (``knowledge._cell_stack``), and the layer's arithmetic and every
+check run once, on stacks shaped ``(seeds, worlds, d, d)``: the classical
+weights and their ``ProbabilityMeasure`` check, the Ginibre products, the
+eigensolves, the sandwiches and each measure class's ``_check``. The
+planted and anchored targets are conditioned as one block too, from
+boolean event rows taken from the labels, by the one conditioning rule of
+``verdicts``, and every target of the block is checked as a state in one
+call. A gpt-polyhedral seed draws its own cone's generators; the block
+builds all its seeds' cones as one stack (``gpt._polyhedral_cones``), and
+its measure and state checks take a cone per row.
+
+A search verifies that block as it is. :class:`ScenarioBundle` objects are
+built from it (by iterating it) only for ``gen``, ``run_gen`` and the public
+``gen_*`` functions; ``gen_model`` and ``gen_partition`` are blocks of one
+of ``knowledge._partitions``. The bundles are bit for bit those of
+building each seed alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _EXPORTS
-from .classical import ProbabilityMeasure, _classical_layer
-from .gpt import (
-    ConeSpace,
-    PolyhedralCone,
-    PsdCone,
-    SimplexCone,
-    Svm,
-    _gpt_layer,
-    _polyhedral_cones,
-    _unit_values,
-    _vectorize_rows,
-)
-from .knowledge import Event, KnowledgeModel, Partition, _partitions
-from .quantum import DensityOperator, Dovm, Povm, _instances, _quantum_layer, _sandwich, psd_sqrt, psd_sqrt_pinv
-from .verdicts import _conditionals, _Layer
+from . import classical, gpt, quantum
+from .classical import ProbabilityMeasure
+from .gpt import ConeSpace, PolyhedralCone, PsdCone, SimplexCone, Svm, _polyhedral_cones, _unit_values, _vectorize_rows
+from .knowledge import Event, KnowledgeModel, Partition, _built, _cell_stack, _partitions
+from .quantum import DensityOperator, Dovm, Povm, _instances, _sandwich, psd_sqrt, psd_sqrt_pinv
+from .verdicts import _Block, _conditionals, _mask_rows, _Measures
 
 __all__ = _EXPORTS["generators"]
 
@@ -135,13 +133,14 @@ def gen_model(seed, n_worlds: int, n_agents: int, max_cells: int | None = None) 
 
 def gen_probability(seed, n_worlds: int) -> ProbabilityMeasure:
     """Random measure with every weight at least ``_WEIGHT_FLOOR / n_worlds``."""
-    return _probability(_rng(seed).dirichlet(np.ones(n_worlds)))
+    return _instances(ProbabilityMeasure, _probabilities(_rng(seed).dirichlet(np.ones(n_worlds))[None]))[0]
 
 
-def _probability(raw: np.ndarray) -> ProbabilityMeasure:
-    """The measure of a Dirichlet draw, floored at ``_WEIGHT_FLOOR / n_worlds``."""
-    weights = (1.0 - _WEIGHT_FLOOR) * raw + _WEIGHT_FLOOR / raw.size
-    return ProbabilityMeasure(weights / weights.sum())
+def _probabilities(raw: np.ndarray) -> np.ndarray:
+    """Checked weights of a ``(b, n)`` stack of Dirichlet draws, each
+    floored at ``_WEIGHT_FLOOR / n`` and scaled to unit total."""
+    weights = (1.0 - _WEIGHT_FLOOR) * raw + _WEIGHT_FLOOR / raw.shape[1]
+    return ProbabilityMeasure._check(weights / weights.sum(axis=1)[:, None])
 
 
 def _ginibre(normals: np.ndarray) -> np.ndarray:
@@ -269,15 +268,15 @@ class _Draw(NamedTuple):
     worlds)`` and its family (planted, or the anchor world if anchored),
     then the layer's cone (GPT: the search's, or the drawn tails ``x`` of the
     generators ``(1, x)`` of the seed's own polyhedral cone), measure draws
-    and hypothesis (classical), and the draws of its loose targets (none
-    unless the seed is free)."""
+    and hypothesis mask (classical), and the draws of its loose targets
+    (none unless the seed is free)."""
 
     labels: np.ndarray
     planted: bool
     anchor: int | None
     cone: ConeSpace | np.ndarray | None
     measure: np.ndarray
-    hypothesis: Event | None
+    hypothesis: int | None
     loose: Sequence
 
 
@@ -296,7 +295,7 @@ def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, di
     n_loose = n_agents if not planted and anchor is None else 0
     if layer == "classical":
         measure = rng.dirichlet(np.ones(n_worlds))
-        hypothesis = Event(int(rng.integers(0, 1 << n_worlds)), n_worlds)
+        hypothesis = int(rng.integers(0, 1 << n_worlds))
         loose = rng.random(n_loose)
     elif layer == "quantum":
         measure = _dovm_normals(rng, n_worlds, dim)
@@ -311,57 +310,76 @@ def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, di
     return _Draw(labels, planted, anchor, cone, measure, hypothesis, loose)
 
 
-def _bundles(layer: str, draws: Sequence[_Draw], models: Sequence[KnowledgeModel], measures: Sequence,
-             layers: Sequence[_Layer], loose: Sequence) -> list[ScenarioBundle]:
-    """The bundles of a block of draws, their models, measures and those
-    measures' ``_Layer``s. A planted seed's agents share the value
+def _targets(draws: Sequence[_Draw], labels: np.ndarray, measures: _Measures, loose: np.ndarray) -> np.ndarray:
+    """The target stack ``(seeds, agents, ...)`` of a block of draws, its
+    label stack and measures. A planted seed's agents share the value
     conditioned on its planted cell (agent 0's cell 0), an anchored seed's
     agents each get the value conditioned on their cell at the anchor, all
-    in one ``_conditionals`` call, and a free seed's agents take the next of
-    the block's ``loose`` values. The layer's ``states`` turns the block's
-    values into targets with one check.
+    in one ``_conditionals`` call on boolean event rows taken from the
+    labels, and a free seed's agents take the next of the block's ``loose``
+    values. The layer's ``check`` checks every value as a state at once, in
+    seed order; the stack is read-only.
     """
-    cells = [[Event(m.partitions[0].masks[0], m.n_worlds)] if d.planted else
-             [] if d.anchor is None else [p.cell_of(d.anchor) for p in m.partitions] for d, m in zip(draws, models)]
-    owners = [own for own, events in zip(layers, cells) for _ in events]
-    conditioned = iter(_conditionals(owners, [e for events in cells for e in events]) if owners else ())
-    loose_values = iter(loose)
-    values = [next(conditioned if events else loose_values)
-              for m, events in zip(models, cells) for _ in events or m.partitions]
-    spaces = [layer.space for layer, m, events in zip(layers, models, cells) for _ in events or m.partitions]
-    targets = iter(layers[0].rule.states(np.array(values), spaces))
-    out = []
-    for d, model, m, events in zip(draws, models, measures, cells):
-        agents = model.partitions
-        own = (next(targets),) * len(agents) if d.planted else tuple(next(targets) for _ in agents)
-        planted_cell = events[0] if d.planted else None
-        out.append(ScenarioBundle(layer, model, m, d.hypothesis, own, planted_cell, d.anchor))
-    return out
+    n_seeds, n_agents, _ = labels.shape
+    planted = np.array([d.planted for d in draws])
+    width = np.where(planted, 1, n_agents)  # each seed's values: a planted seed's agents share one
+    first = np.cumsum(width) - width
+    seed = np.repeat(np.arange(n_seeds), width)  # each value's seed and agent, in seed order
+    agent = np.arange(len(seed)) - first[seed]
+    conditioned = np.array([d.planted or d.anchor is not None for d in draws])[seed]
+    own, at = seed[conditioned], agent[conditioned]
+    atoms, rule, spaces = measures
+    values = []
+    if len(own):
+        anchors = np.array([d.anchor or 0 for d in draws])[own]
+        cell = np.where(planted[own], 0, labels[own, at, anchors])  # the label of the cell conditioned on
+        rows = labels[own, at] == cell[:, None]
+        values.append(_conditionals(_Measures(atoms[own], rule, [spaces[s] for s in own]), rows))
+    if len(loose):
+        values.append(loose)
+    # each value's place among the conditioned values, then the loose ones
+    order = np.where(conditioned, np.cumsum(conditioned) - 1, len(own) + np.cumsum(~conditioned) - 1)
+    checked = rule.check(np.concatenate(values)[order], [spaces[s] for s in seed])
+    targets = checked[first[:, None] + np.where(planted[:, None], 0, np.arange(n_agents))]
+    targets.flags.writeable = False
+    return targets
 
 
-def _classical_bundles(draws: Sequence[_Draw], models: Sequence[KnowledgeModel]) -> list[ScenarioBundle]:
-    measures = [_probability(d.measure) for d in draws]
-    layers = [_classical_layer(model, mu, d.hypothesis) for d, model, mu in zip(draws, models, measures)]
-    return _bundles("classical", draws, models, measures, layers, [float(x) for d in draws for x in d.loose])
+@dataclass(frozen=True)
+class _Scenarios:
+    """A generated block: the checked block of stacks a search verifies,
+    and what a bundle adds to it. Iterating it builds each seed's bundle
+    from the stacks; ``raw`` is the checked stack its measures wrap (the
+    weights of a classical block, else the atoms)."""
 
+    layer: str
+    block: _Block
+    raw: np.ndarray
+    planted: Sequence[bool]
+    anchors: Sequence[int | None]
+    hypotheses: Sequence[int | None]  # masks
 
-def _quantum_bundles(draws: Sequence[_Draw], models: Sequence[KnowledgeModel]) -> list[ScenarioBundle]:
-    measures = _instances(Dovm, _dovm_atoms(np.stack([d.measure for d in draws])))
-    loose = [x for d in draws for x in d.loose]
-    values = _unit_trace(_ginibre(np.stack(loose))) if loose else ()
-    return _bundles("quantum", draws, models, measures,
-                    [_quantum_layer(model, rho, ()) for model, rho in zip(models, measures)], values)
+    def __len__(self) -> int:
+        return len(self.planted)
 
-
-def _gpt_bundles(cones: Sequence[ConeSpace], draws: Sequence[_Draw],
-                 models: Sequence[KnowledgeModel]) -> list[ScenarioBundle]:
-    """The bundles of a block of GPT draws, seed ``k``'s over ``cones[k]``."""
-    measures = _instances(Svm, _svm_atoms(cones, np.stack([d.measure for d in draws])), cones)
-    loose = [x for d in draws for x in d.loose]
-    loose_cones = [c for c, d in zip(cones, draws) for _ in d.loose]
-    values = _svm_atoms(loose_cones, np.stack(loose))[:, 0] if loose else ()  # one-world SVMs
-    return _bundles("gpt", draws, models, measures, [_gpt_layer(model, mu, ()) for model, mu in zip(models, measures)],
-                    values)
+    def __iter__(self) -> Iterator[ScenarioBundle]:
+        block = self.block
+        n_seeds, n_agents, n = block.labels.shape
+        partitions = _built(n, block.labels.reshape(-1, n), block.starts, block.masks)
+        rule, spaces = block.measures.rule, block.measures.spaces
+        if self.layer == "classical":
+            measures = _instances(ProbabilityMeasure, self.raw)
+        else:
+            measures = _instances(Dovm, self.raw) if self.layer == "quantum" else _instances(Svm, self.raw, spaces)
+        states = rule.states(block.targets.reshape((-1,) + block.targets.shape[2:]),
+                             [space for space in spaces for _ in range(n_agents)])
+        for s, (planted, anchor, h) in enumerate(zip(self.planted, self.anchors, self.hypotheses)):
+            first = s * n_agents
+            own = tuple(states[first:first + n_agents])
+            model = KnowledgeModel(n, tuple(partitions[first:first + n_agents]))
+            yield ScenarioBundle(self.layer, model, measures[s], None if h is None else Event(h, n),
+                                 (own[0],) * n_agents if planted else own,
+                                 Event(block.masks[block.starts[first]], n) if planted else None, anchor)
 
 
 def _check_shape(layer: str, n_worlds: int, n_agents: int, dim: int, cone_kind: str,
@@ -392,21 +410,38 @@ def _check_shape(layer: str, n_worlds: int, n_agents: int, dim: int, cone_kind: 
 
 
 def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_agents: int, dim: int,
-               cone_kind: str, n_generators: int | None) -> list[ScenarioBundle]:
-    """The bundles of a block of ``(seed, planted)`` pairs, in order: each
-    seed's draws, then the block's partitions and models from one label
-    stack, and its measures and targets, built as one stack."""
+               cone_kind: str, n_generators: int | None) -> _Scenarios:
+    """The block of ``(seed, planted)`` pairs, in order: each seed's draws,
+    then one checked label stack, the measures and the targets, each built
+    and checked as one stack."""
     cone = _check_shape(layer, n_worlds, n_agents, dim, cone_kind, any(planted for _, planted in seeds))
     draws = [_draw(seed, planted, layer, n_worlds, n_agents, dim, cone, n_generators) for seed, planted in seeds]
-    models = _models(n_worlds, [d.labels for d in draws])
+    labels, cells, starts, masks = _cell_stack(np.concatenate([d.labels for d in draws]), n_worlds)
+    shape = (len(draws), n_agents, n_worlds)
+    hypotheses = [d.hypothesis for d in draws]
+    loose = [x for d in draws for x in d.loose]
+    stacked = np.stack([d.measure for d in draws])
     if layer == "classical":
-        return _classical_bundles(draws, models)
-    if layer == "quantum":
-        return _quantum_bundles(draws, models)
-    if cone is None:  # each seed has its own polyhedral cone
-        generators = _polyhedral_generators(np.stack([d.cone for d in draws]))
-        return _gpt_bundles(_polyhedral_cones(generators, np.eye(dim)[[0] * len(draws)]), draws, models)
-    return _gpt_bundles([cone] * len(draws), draws, models)
+        raw = _probabilities(stacked)
+        measures = classical._measures(raw, _mask_rows(hypotheses, n_worlds))
+        loose = np.array(loose, dtype=float)
+    elif layer == "quantum":
+        raw = _dovm_atoms(stacked)
+        measures = quantum._measures(raw)
+        loose = _unit_trace(_ginibre(np.stack(loose))) if loose else ()
+    else:
+        if cone is None:  # each seed has its own polyhedral cone
+            cones = _polyhedral_cones(_polyhedral_generators(np.stack([d.cone for d in draws])),
+                                      np.eye(dim)[[0] * len(draws)])
+        else:
+            cones = [cone] * len(draws)
+        raw = _svm_atoms(cones, stacked)
+        measures = gpt._measures(raw, cones)
+        loose_cones = [c for c, d in zip(cones, draws) for _ in d.loose]
+        loose = _svm_atoms(loose_cones, np.stack(loose))[:, 0] if loose else ()  # one-world SVMs
+    targets = _targets(draws, labels.reshape(shape), measures, loose)
+    block = _Block(labels.reshape(shape), cells.reshape(shape), starts, masks, measures, targets)
+    return _Scenarios(layer, block, raw, [d.planted for d in draws], [d.anchor for d in draws], hypotheses)
 
 
 def gen_planted_scenario(
@@ -424,7 +459,8 @@ def gen_planted_scenario(
     common knowledge of the event contains it and carries positive mass: the
     verdict is non-vacuous by construction (and must hold, by the theorems).
     """
-    return _scenarios(layer, [(seed, True)], n_worlds, n_agents, dim, cone_kind, n_generators)[0]
+    (bundle,) = _scenarios(layer, [(seed, True)], n_worlds, n_agents, dim, cone_kind, n_generators)
+    return bundle
 
 
 def gen_unconstrained_scenario(
@@ -443,4 +479,5 @@ def gen_unconstrained_scenario(
     event non-empty; otherwise targets are arbitrary, which usually makes
     the verdict vacuous.
     """
-    return _scenarios(layer, [(seed, False)], n_worlds, n_agents, dim, cone_kind, n_generators)[0]
+    (bundle,) = _scenarios(layer, [(seed, False)], n_worlds, n_agents, dim, cone_kind, n_generators)
+    return bundle

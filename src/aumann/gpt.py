@@ -35,7 +35,8 @@ from .tolerances import (
     PSD_EIG_TOL,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, _agreement_events, _conditional, _event_sums, _Layer, _Rule, _verify
+from .verdicts import (AgreementVerdict, _agreement_events, _Block, _conditional, _event_sums, _mask_rows, _Measures,
+                       _model_block, _Rule, _verify)
 
 __all__ = _EXPORTS["gpt"]
 
@@ -722,26 +723,32 @@ def _gpt_parts(sums: np.ndarray, stacks) -> tuple[np.ndarray, np.ndarray]:
 _RULE = _Rule(
     _gpt_parts,
     lambda xs, ys: np.abs(xs - ys).max(axis=-1),
-    lambda v, cones: _instances(GptState, GptState._check(cones, v), cones),
+    lambda v, cones: GptState._check(cones, v),
+    lambda v, cones: _instances(GptState, v, cones),
 )
+
+
+def _measures(atoms: np.ndarray, cones: Sequence[ConeSpace]) -> _Measures:
+    """A ``(b, n, dim)`` block of SVM atom stacks, stack ``k`` over ``cones[k]``, as a stack of measures."""
+    return _Measures(atoms, _RULE, cones)
 
 
 def svm_value(mu: Svm, lam: Event) -> np.ndarray:
     """Measure value on ``lam``: the coordinate-wise sum of atoms."""
     require_worlds("event", lam.n, "SVM", mu.n_worlds)
-    return _event_sums([_Layer(mu.atoms, (), _RULE, mu.cone)], [lam])[0]
+    return _event_sums(mu.atoms[None], _mask_rows([lam.mask], lam.n))[0]
 
 
 def gpt_conditional_state(mu: Svm, lam: Event) -> GptState:
     """Conditional state ``mu(lam) / u[mu(lam)]``; raises
     :class:`ConditioningOnNull` when the unit value is at most ``NULL_MASS_TOL``."""
     require_worlds("event", lam.n, "SVM", mu.n_worlds)
-    return _conditional(_Layer(mu.atoms, (), _RULE, mu.cone), lam)
+    return _conditional(_measures(mu.atoms[None], [mu.cone]), lam)
 
 
-def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
-    """An SVM for the agreement pipeline. Every target, state or raw, must
-    have the SVM's cone dimension, and a state must belong to the SVM's cone."""
+def _gpt_block(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Block:
+    """An SVM and its targets as a block of one. Every target, state or raw,
+    must have the SVM's cone dimension, and a state must belong to the SVM's cone."""
     require_worlds("SVM", mu.n_worlds, "model", model.n_worlds)
     unit = mu.cone.unit
     coords = tuple(
@@ -754,7 +761,7 @@ def _gpt_layer(model: KnowledgeModel, mu: Svm, targets: Sequence) -> _Layer:
     for i, t in enumerate(targets):
         if isinstance(t, GptState) and not _same_cone(t.cone, mu.cone):
             raise ValueError(f"target {i} is a state of another cone than the SVM's")
-    return _Layer(mu.atoms, coords, _RULE, mu.cone)
+    return _model_block(model, _measures(mu.atoms[None], [mu.cone]), coords)
 
 
 def gpt_agreement_event(model: KnowledgeModel, mu: Svm, targets: Sequence, tol: float = MATCH_TOL) -> Event:
@@ -765,7 +772,7 @@ def gpt_agreement_event(model: KnowledgeModel, mu: Svm, targets: Sequence, tol: 
     :class:`GptState` or plain coordinate vectors (an unnormalized target
     simply never matches).
     """
-    return _agreement_events([model], [_gpt_layer(model, mu, targets)], tol)[0]
+    return Event(_agreement_events(_gpt_block(model, mu, targets), tol)[0], model.n_worlds)
 
 
 def verify_gpt_aumann(
@@ -777,7 +784,7 @@ def verify_gpt_aumann(
     unit mass at most ``NULL_MASS_TOL``; otherwise each target must be within
     ``tol`` (max-norm) of the conditional state on the common event.
     """
-    return _verify([model], [_gpt_layer(model, mu, targets)], tol)[0]
+    return _verify(_gpt_block(model, mu, targets), tol)[0]
 
 
 def embed_classical(mu: ProbabilityMeasure) -> Svm:

@@ -25,11 +25,13 @@ one scatter over the labels (``verdicts._sums``), and knowledge
 and agreement events are unions of masks. The cells as :class:`Event` objects
 are built only when a caller asks for ``Partition.cells``.
 
-Partitions given by labels are built per stack: :func:`_partitions` takes a
-``(partitions, worlds)`` label stack, checks every row at once and builds
-all masks with one scatter into 64-bit words. ``Partition.from_labels`` is
-a stack of one, and a search block builds all its seeds' partitions with one
-call.
+Partitions given by labels are built per stack: :func:`_cell_stack` takes a
+``(partitions, worlds)`` label stack, checks every row at once, numbers the
+cells across the stack and builds all masks with one scatter into 64-bit
+words. :func:`_partitions` builds a ``Partition`` per row from it, and
+``Partition.from_labels`` is a stack of one; a search block keeps the
+stack, the numbering and the masks as they are, and ``_mutual_degrees``
+reads each agent's cell masks and labels from them without a partition.
 """
 
 from __future__ import annotations
@@ -215,16 +217,19 @@ class Partition:
         return Event(self.masks[self.labels[world]], self.n)
 
 
-def _partitions(labels, n: int) -> list[Partition]:
-    """Partitions of ``0..n-1``, one per row of a ``(partitions, worlds)``
-    stack of cell labels, as :meth:`Partition.from_labels` builds each.
+def _cell_stack(labels, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Check a ``(partitions, worlds)`` stack of cell labels of ``0..n-1``,
+    one partition per row, and number its cells across the stack.
 
     Every row is checked at once: labels are integers, none is negative, and
     one ``bincount`` over the labels offset by row finds each row's empty
-    cells. The first row that fails raises what ``from_labels`` raises on it
-    alone. The masks are then one scatter of the worlds' bits into 64-bit
-    words, one word per 64 worlds of each cell, and the partitions are
-    built with no second check.
+    cells. The first row that fails raises what ``Partition.from_labels``
+    raises on it alone. The masks are then one scatter of the worlds' bits
+    into 64-bit words, one word per 64 worlds of each cell.
+
+    Returns the labels (a read-only ``intp`` copy), each world's cell
+    numbered across the stack, row after row, each row's first cell number
+    followed by the cell count, and each cell's bit-mask by that number.
     """
     if n < 1:
         raise ValueError(f"world count must be positive, got {n}")
@@ -234,21 +239,21 @@ def _partitions(labels, n: int) -> list[Partition]:
     n_rows, width = raw.shape
     if width > n:
         raise ValueError(f"world {n} outside 0..{n - 1}")
-    if not n_rows:
-        return []
-    if not width:
+    if n_rows and not width:
         raise ValueError("a partition needs at least one cell")
     if raw.dtype.kind == "u":  # past intp a label would wrap to a negative one; any label past n leaves a cell empty
         raw = np.minimum(raw, n)
     labels = raw.astype(np.intp)
     labels.flags.writeable = False
+    if not n_rows:
+        return labels, labels, np.zeros(1, dtype=np.intp), []
     low = labels.min(axis=1)
     # label n stands for every label past the worlds: such a row has an empty cell below n
     n_cells = np.clip(labels.max(axis=1) + 1, 1, n + 1)
-    ends = np.cumsum(n_cells)
-    starts = ends - n_cells
+    bounds = np.concatenate([[0], np.cumsum(n_cells)])
+    starts = bounds[:-1]
     cells = starts[:, None] + np.clip(labels, 0, n)  # each world's cell, numbered across the stack
-    counts = np.bincount(cells.ravel(), minlength=int(ends[-1]))
+    counts = np.bincount(cells.ravel(), minlength=int(bounds[-1]))
     empty = np.flatnonzero(counts == 0)  # in row order: each row's first empty cell comes first
     has_empty = np.zeros(n_rows, dtype=bool)
     has_empty[np.searchsorted(starts, empty, "right") - 1] = True
@@ -262,7 +267,7 @@ def _partitions(labels, n: int) -> list[Partition]:
         raise ValueError("cells do not cover the world set")
     n_words = (n + 63) // 64
     worlds = np.arange(n)
-    words = np.zeros(int(ends[-1]) * n_words, dtype=np.uint64)
+    words = np.zeros(int(bounds[-1]) * n_words, dtype=np.uint64)
     np.bitwise_or.at(words, (cells * n_words + worlds // 64).ravel(),
                      np.tile(np.left_shift(np.uint64(1), (worlds % 64).astype(np.uint64)), n_rows))
     if n_words == 1:
@@ -273,12 +278,28 @@ def _partitions(labels, n: int) -> list[Partition]:
         for j in range(1, n_words):
             masks = masks | words[:, j] << 64 * j
         masks = masks.tolist()
+    return labels, cells, bounds, masks
+
+
+def _built(n: int, labels: np.ndarray, bounds: np.ndarray, masks: Sequence[int]) -> list[Partition]:
+    """The partitions of checked label rows (read-only rows, each row's
+    first cell number then the cell count, and the masks), built with no
+    second check; each partition's labels are a view of its row."""
     out = []
-    for row, start, end in zip(labels, starts.tolist(), ends.tolist()):  # rows: read-only views
+    for row, start, end in zip(labels, bounds[:-1].tolist(), bounds[1:].tolist()):
         p = Partition.__new__(Partition)
         p.__dict__.update(n=n, labels=row, masks=tuple(masks[start:end]))
         out.append(p)
     return out
+
+
+def _partitions(labels, n: int) -> list[Partition]:
+    """Partitions of ``0..n-1``, one per row of a ``(partitions, worlds)``
+    stack of cell labels, as :meth:`Partition.from_labels` builds each: one
+    checked :func:`_cell_stack` call, then the partitions with no second check.
+    """
+    rows, _, bounds, masks = _cell_stack(labels, n)
+    return _built(n, rows, bounds, masks)
 
 
 @dataclass(frozen=True)
@@ -345,8 +366,14 @@ def know(model: KnowledgeModel, agent: int, e: Event) -> Event:
     return Event(_know_mask(model.partitions[agent].masks, e.mask), model.n_worlds)
 
 
-def _mutual_degrees(model: KnowledgeModel, mask: int) -> Iterator[int]:
-    """Masks of the mutual-knowledge degrees 1, 2, ... of the event ``mask``.
+def _cells(model: KnowledgeModel) -> list[tuple[Sequence[int], np.ndarray]]:
+    """Each agent's cell masks and each world's cell, as :func:`_mutual_degrees` reads them."""
+    return [(p.masks, p.labels) for p in model.partitions]
+
+
+def _mutual_degrees(agents: Sequence[tuple[Sequence[int], Sequence[int]]], mask: int) -> Iterator[int]:
+    """Masks of the mutual-knowledge degrees 1, 2, ... of the event ``mask``,
+    for agents given by their cell masks and the cell of each world.
 
     Each degree intersects every agent's knowledge of the one before. The
     last mask yielded is the first that equals its predecessor: the common
@@ -357,18 +384,18 @@ def _mutual_degrees(model: KnowledgeModel, mask: int) -> Iterator[int]:
     those cells are cleared instead of rescanning every cell, unless there
     are at least as many removed worlds as the agent has cells.
     """
-    full = (1 << model.n_worlds) - 1
-    known = [0] * model.n_agents  # per agent: union of its cells inside ``mask``
+    full = (1 << len(agents[0][1])) - 1
+    known = [0] * len(agents)  # per agent: union of its cells inside ``mask``
     removed, n_removed = 0, -1  # no earlier degree: scan every cell
     while True:
         nxt = full
-        for i, p in enumerate(model.partitions):
-            if 0 <= n_removed < len(p.masks):
-                k, masks, labels = known[i], p.masks, p.labels
+        for i, (masks, labels) in enumerate(agents):
+            if 0 <= n_removed < len(masks):
+                k = known[i]
                 for w in _iter_bits(removed):
                     k &= ~masks[labels[w]]
             else:
-                k = _know_mask(p.masks, mask)
+                k = _know_mask(masks, mask)
             known[i] = k
             nxt &= k
             if not nxt:
@@ -395,7 +422,7 @@ def mutual_knowledge(model: KnowledgeModel, e: Event, m: int) -> Event:
         raise ValueError("degree m must be nonnegative")
     require_worlds("event", e.n, "model", model.n_worlds)
     cur = e.mask
-    for cur in islice(_mutual_degrees(model, e.mask), m):
+    for cur in islice(_mutual_degrees(_cells(model), e.mask), m):
         pass
     return Event(cur, model.n_worlds)
 
@@ -404,7 +431,7 @@ def mutual_knowledge_chain(model: KnowledgeModel, e: Event) -> list[Event]:
     """The trace ``[M_1(e), ..., M_k(e)]`` up to the first stabilized degree;
     every degree but the last removes a world, so ``k <= n_worlds + 1``."""
     require_worlds("event", e.n, "model", model.n_worlds)
-    return [Event(mask, model.n_worlds) for mask in _mutual_degrees(model, e.mask)]
+    return [Event(mask, model.n_worlds) for mask in _mutual_degrees(_cells(model), e.mask)]
 
 
 def common_knowledge(model: KnowledgeModel, e: Event) -> Event:
@@ -415,7 +442,7 @@ def common_knowledge(model: KnowledgeModel, e: Event) -> Event:
     all mutual-knowledge degrees.
     """
     require_worlds("event", e.n, "model", model.n_worlds)
-    for mask in _mutual_degrees(model, e.mask):
+    for mask in _mutual_degrees(_cells(model), e.mask):
         pass
     return Event(mask, model.n_worlds)
 

@@ -35,7 +35,8 @@ from .tolerances import (
     SUPPORT_CUTOFF,
     WEIGHT_SUM_TOL,
 )
-from .verdicts import AgreementVerdict, _agreement_events, _conditional, _event_sums, _Layer, _Rule, _verify
+from .verdicts import (AgreementVerdict, _agreement_events, _Block, _conditional, _event_sums, _mask_rows, _Measures,
+                       _model_block, _Rule, _verify)
 
 __all__ = _EXPORTS["quantum"]
 
@@ -303,26 +304,32 @@ def _trace_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 _RULE = _Rule(
     lambda x, stacks: (x, x.trace(axis1=-2, axis2=-1).real),
     _trace_distances,
-    lambda v, spaces: _instances(DensityOperator, DensityOperator._check(v)),
+    lambda v, spaces: DensityOperator._check(v),
+    lambda v, spaces: _instances(DensityOperator, v),
 )
+
+
+def _measures(atoms: np.ndarray) -> _Measures:
+    """A ``(b, n, d, d)`` block of DOVM atom stacks, as a stack of measures."""
+    return _Measures(atoms, _RULE, [None] * len(atoms))
 
 
 def dovm_value(rho: Dovm, lam: Event) -> np.ndarray:
     """Measure value on ``lam``: the sum of atoms over its worlds."""
     require_worlds("event", lam.n, "DOVM", rho.n_worlds)
-    return _event_sums([_Layer(rho.atoms, (), _RULE)], [lam])[0]
+    return _event_sums(rho.atoms[None], _mask_rows([lam.mask], lam.n))[0]
 
 
 def conditional_state(rho: Dovm, lam: Event) -> DensityOperator:
     """Conditional state ``rho(lam) / Tr[rho(lam)]``; raises
     :class:`ConditioningOnNull` when the trace is at most ``NULL_MASS_TOL``."""
     require_worlds("event", lam.n, "DOVM", rho.n_worlds)
-    return _conditional(_Layer(rho.atoms, (), _RULE), lam)
+    return _conditional(_measures(rho.atoms[None]), lam)
 
 
-def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer:
-    """A DOVM for the agreement pipeline; distance is the trace norm. Every
-    target must be a ``d x d`` matrix for the DOVM's ``d``."""
+def _quantum_block(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Block:
+    """A DOVM and its targets as a block of one; distance is the trace norm.
+    Every target must be a ``d x d`` matrix for the DOVM's ``d``."""
     require_worlds("DOVM", rho.n_worlds, "model", model.n_worlds)
     matrices = [
         s.matrix if isinstance(s, DensityOperator) else as_array(i, "a matrix of numbers", s, "iufc")
@@ -333,7 +340,7 @@ def _quantum_layer(model: KnowledgeModel, rho: Dovm, sigmas: Sequence) -> _Layer
             raise ValueError(f"target {i} must have shape {(rho.dim, rho.dim)}, got {m.shape}")
     if not all(isinstance(s, DensityOperator) for s in sigmas):  # a state is checked already
         matrices = _hermitian_stack([matrices], "target", HERMITIAN_LOOSE_TOL)[0]
-    return _Layer(rho.atoms, tuple(matrices), _RULE)
+    return _model_block(model, _measures(rho.atoms[None]), matrices)
 
 
 def quantum_agreement_event(model: KnowledgeModel, rho: Dovm, sigmas: Sequence, tol: float = MATCH_TOL) -> Event:
@@ -344,7 +351,7 @@ def quantum_agreement_event(model: KnowledgeModel, rho: Dovm, sigmas: Sequence, 
     :class:`DensityOperator` or plain Hermitian matrices (an unnormalized
     target simply never matches).
     """
-    return _agreement_events([model], [_quantum_layer(model, rho, sigmas)], tol)[0]
+    return Event(_agreement_events(_quantum_block(model, rho, sigmas), tol)[0], model.n_worlds)
 
 
 def verify_quantum_aumann(
@@ -356,4 +363,4 @@ def verify_quantum_aumann(
     trace mass at most ``NULL_MASS_TOL``; otherwise each target must be within
     ``tol`` trace-norm distance of the conditional state on the common event.
     """
-    return _verify([model], [_quantum_layer(model, rho, sigmas)], tol)[0]
+    return _verify(_quantum_block(model, rho, sigmas), tol)[0]

@@ -8,6 +8,8 @@ hypothesis, per-agent targets, and tolerance. Complex numbers serialize as
 on indices. Every JSON object is read through ``_object``, which rejects a
 key it does not define, and every counted list through ``_list``, which
 checks the count before any entry is read, so no array outgrows the document.
+The decoder knows no paths, so it only marks an object whose key repeats;
+the reader rejects that object at its path (``agents[1]``) when it meets it.
 
 A :class:`ScenarioFile` holds the names and the core objects, each built
 once, at parse. Writing renders those objects, so the written document is
@@ -29,17 +31,17 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from . import _EXPORTS
-from .classical import ProbabilityMeasure, _classical_layer
+from .classical import ProbabilityMeasure, _classical_block
 from .errors import ScenarioSyntaxError, ScenarioValidationError
 from .knowledge import Event, KnowledgeModel, Partition, know, mutual_knowledge_chain
 from .tolerances import CANONICAL_UNIT_TOL, MATCH_TOL
 from .verdicts import AgreementVerdict, VerdictStatus
-from .verdicts import _agreement_events, _cell_conditionals, _check_tol, _Layer, _verdicts, _verify
+from .verdicts import _agreement_events, _Block, _cell_conditionals, _check_tol, _statuses, _verdicts, _verify
 
 if TYPE_CHECKING:
     from .generators import ScenarioBundle
@@ -70,12 +72,14 @@ def _gpt():
 # parsing helpers
 
 def _expect(raw: Any, kind: type, path: str, what: str) -> Any:
+    _unique(raw, path)
     if not isinstance(raw, kind) or isinstance(raw, bool):
         raise ScenarioValidationError(f"expected {what}, got {type(raw).__name__}", path)
     return raw
 
 
 def _number(raw: Any, path: str) -> float:
+    _unique(raw, path)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioValidationError(f"expected a number, got {type(raw).__name__}", path)
     try:
@@ -91,17 +95,30 @@ def _reject_constant(token: str) -> None:
     raise ScenarioSyntaxError(f"non-finite number {token} is not valid JSON")
 
 
+class _Repeated(dict):
+    """A JSON object one of whose keys, ``key``, repeats; the reader kept its last value."""
+
+    key: str
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """A JSON object from its key-value pairs; a key that repeats is a syntax error."""
+    """A JSON object from its key-value pairs, marked as :class:`_Repeated`
+    if a key repeats: the decoder knows no path, so the reader reports it."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ScenarioSyntaxError(f"duplicate key {key!r}")
+        obj = _Repeated(obj)
+        obj.key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
     return obj
 
 
+def _unique(raw: Any, path: str) -> None:
+    """Raise :class:`ScenarioSyntaxError` at ``path`` if ``raw`` is an object whose key repeats."""
+    if isinstance(raw, _Repeated):
+        raise ScenarioSyntaxError(f"duplicate key {raw.key!r}", path)
+
+
 def _object(raw: Any, path: str, what: str, fields: tuple[str, ...]) -> dict:
-    """``raw`` as a JSON object, none of whose keys lies outside ``fields``."""
+    """``raw`` as a JSON object, none of whose keys repeats or lies outside ``fields``."""
     obj = _expect(raw, dict, path, what)
     for key in obj:
         if key not in fields:
@@ -253,16 +270,17 @@ class _Kind:
     and reports a core ``ValueError`` at ``path`` (a GPT cone's at ``path.cone``).
     ``target(raw, measure, path)`` reads one target against the measure's
     dimension; ``to_json`` writes a target or a value.
-    ``layer(model, measure, hypothesis, targets)`` is the kind's pipeline
-    adapter; the quantum and GPT adapters import their layer module on
-    first call and ignore the hypothesis.
+    ``block(model, measure, hypothesis, targets)`` is the kind's pipeline
+    adapter, which checks a scenario and returns it as a block of one; the
+    quantum and GPT adapters import their layer module on first call and
+    ignore the hypothesis.
     """
 
     read: Callable[[Any, int, str], Any]
     target: Callable[[Any, Any, str], Any]
     to_json: Callable[[Any], Any]
     write: Callable[[Any], dict]
-    layer: Callable[[KnowledgeModel, Any, Event | None, tuple], _Layer] | None = None
+    block: Callable[[KnowledgeModel, Any, Event | None, tuple], _Block] | None = None
     needs_hypothesis: bool = False
 
 
@@ -272,7 +290,7 @@ _KINDS: dict[str, _Kind] = {
         target=lambda raw, mu, path: _number(raw, path),
         to_json=float,
         write=lambda mu: {"weights": [float(x) for x in mu.weights]},
-        layer=_classical_layer,
+        block=_classical_block,
         needs_hypothesis=True,
     ),
     "quantum": _Kind(
@@ -280,14 +298,14 @@ _KINDS: dict[str, _Kind] = {
         target=lambda raw, rho, path: _matrix_from_json(raw, rho.dim, path),
         to_json=_matrix_value_json,
         write=lambda rho: {"dim": rho.dim, "atoms": [_matrix_to_json(a) for a in rho.atoms]},
-        layer=lambda model, rho, h, targets: _quantum()._quantum_layer(model, rho, targets),
+        block=lambda model, rho, h, targets: _quantum()._quantum_block(model, rho, targets),
     ),
     "gpt": _Kind(
         read=_read_gpt,
         target=lambda raw, svm, path: _vector(raw, svm.cone.dim, path, "entries"),
         to_json=lambda value: [float(x) for x in (value.coords if isinstance(value, _gpt().GptState) else value)],
         write=_write_gpt,
-        layer=lambda model, svm, h, targets: _gpt()._gpt_layer(model, svm, targets),
+        block=lambda model, svm, h, targets: _gpt()._gpt_block(model, svm, targets),
     ),
     "povm": _Kind(
         read=_matrices_reader(
@@ -530,15 +548,9 @@ def _json_text(doc) -> str:
     return "[" + ", ".join("[" + ", ".join(f"{re:.6f}{im:+.6f}j" for re, im in row) + "]" for row in doc) + "]"
 
 
-def _verify_bundles(bundles: Sequence[ScenarioBundle], tol: float) -> list[AgreementVerdict]:
-    """Verify a block of generated bundles of one layer and shape as one stack."""
-    layers = [_KINDS[b.layer].layer(b.model, b.measure, b.hypothesis, b.targets) for b in bundles]
-    return _verify([b.model for b in bundles], layers, tol)
-
-
 def verify_bundle(bundle: ScenarioBundle, tol: float = MATCH_TOL) -> AgreementVerdict:
     """Verify a generated bundle with its layer's pipeline (a block of one)."""
-    return _verify_bundles([bundle], tol)[0]
+    return _verify(_KINDS[bundle.layer].block(bundle.model, bundle.measure, bundle.hypothesis, bundle.targets), tol)[0]
 
 
 def _run(sf: ScenarioFile, tol: float | None, max_iters: int | None, analyze: bool) -> Report:
@@ -553,7 +565,7 @@ def _run(sf: ScenarioFile, tol: float | None, max_iters: int | None, analyze: bo
     """
     t0 = time.perf_counter()
     kind = _KINDS[sf.layer]
-    if kind.layer is None:
+    if kind.block is None:
         raise ScenarioValidationError("POVM scenarios only support conversion", "measure")
     targets, h = sf.targets, sf.hypothesis
     if targets is None and not analyze:
@@ -563,16 +575,16 @@ def _run(sf: ScenarioFile, tol: float | None, max_iters: int | None, analyze: bo
     if h is None and kind.needs_hypothesis:
         raise ScenarioValidationError(f"{sf.layer} agreement needs a hypothesis", "hypothesis")
     model = sf.knowledge_model
-    layer = kind.layer(model, sf.measure, h, targets or ())
+    block = kind.block(model, sf.measure, h, targets or ())
     if tol is None:
         tol = MATCH_TOL if sf.tolerance is None else sf.tolerance
     _check_tol(tol)
-    event = h if targets is None else _agreement_events([model], [layer], tol)[0]
+    event = h if targets is None else Event(_agreement_events(block, tol)[0], model.n_worlds)
     t1 = time.perf_counter()
     chain = tuple(mutual_knowledge_chain(model, event))
     if max_iters is not None and len(chain) > max_iters:
         raise RuntimeError(f"common-knowledge fixpoint not reached within {max_iters} iterations")
-    verdict = None if targets is None else _verdicts([layer], [chain[-1]], tol)[0]
+    verdict = None if targets is None else _verdicts(block, [chain[-1].mask], tol)[0]
     t2 = t3 = time.perf_counter()
     timings = {"build": t1 - t0, "verify": t2 - t1}
     report = Report(
@@ -581,10 +593,10 @@ def _run(sf: ScenarioFile, tol: float | None, max_iters: int | None, analyze: bo
     if analyze:
         report.knowledge = tuple(know(model, i, event) for i in range(model.n_agents))
         report.mutual_trace = chain
-        _, starts, live, conditionals = _cell_conditionals([layer], [model.partitions])
+        live, conditionals = _cell_conditionals(block)
         found = dict(zip(live.tolist(), conditionals))
         report.posteriors_by_cell = [[(cell, found.get(start + k)) for k, cell in enumerate(p.cells)]
-                                     for p, start in zip(model.partitions, starts)]
+                                     for p, start in zip(model.partitions, block.starts.tolist())]
         t3 = time.perf_counter()
         timings["analyze"] = t3 - t2
     timings["total"] = t3 - t0
@@ -640,12 +652,15 @@ def run_gen(
     polyhedral cone gets ``2 * dim`` generators."""
     from .generators import _scenarios
 
-    return scenario_from_bundle(_scenarios(layer, [(seed, planted)], n_worlds, n_agents, dim, cone_kind, None)[0])
+    (bundle,) = _scenarios(layer, [(seed, planted)], n_worlds, n_agents, dim, cone_kind, None)
+    return scenario_from_bundle(bundle)
 
 
 @dataclass
 class SearchStats:
-    """Verdict counts over a seed range; any violation signals a bug.
+    """Verdict counts over a seed range; any violation signals a bug, and so
+    does a planted seed whose verdict is not ``holds`` (a planted failure):
+    its planted cell lies in the agreement event by construction.
 
     ``generate_s`` and ``verify_s`` are the time spent building and
     verifying the blocks, summed over blocks (over every worker's blocks,
@@ -656,6 +671,7 @@ class SearchStats:
     n_scenarios: int
     counts: dict[str, int]
     violation_seeds: tuple[int, ...]
+    planted_failure_seeds: tuple[int, ...]
     elapsed_s: float
     generate_s: float
     verify_s: float
@@ -664,6 +680,10 @@ class SearchStats:
     def violations(self) -> int:
         return self.counts.get(VerdictStatus.VIOLATED.value, 0)
 
+    @property
+    def planted_failures(self) -> int:
+        return len(self.planted_failure_seeds)
+
     def to_json_dict(self) -> dict:
         return {
             "layer": self.layer,
@@ -671,6 +691,8 @@ class SearchStats:
             "counts": dict(self.counts),
             "violations": self.violations,
             "violation_seeds": list(self.violation_seeds),
+            "planted_failures": self.planted_failures,
+            "planted_failure_seeds": list(self.planted_failure_seeds),
             "elapsed_s": self.elapsed_s,
             "generate_s": self.generate_s,
             "verify_s": self.verify_s,
@@ -681,25 +703,32 @@ class SearchStats:
         for status in VerdictStatus:
             lines.append(f"{status.value}: {self.counts.get(status.value, 0)}")
         lines.append(f"violations: {self.violations}")
+        seeds = "".join(f" {seed}" for seed in self.planted_failure_seeds)
+        lines.append(f"planted failures: {self.planted_failures}" + (f" (seeds{seeds})" if seeds else ""))
         lines.append(f"elapsed: {self.elapsed_s:.3f}s (generate {self.generate_s:.3f}s, verify {self.verify_s:.3f}s)")
         return "\n".join(lines) + "\n"
+
+
+def _planted(mode: str, offset: int) -> bool:
+    """Whether a search plants the seed at ``offset``: every seed, none, or the even offsets of a ``mix``."""
+    return mode == "planted" or (mode == "mix" and offset % 2 == 0)
 
 
 def _block_statuses(layer: str, base_seed: int, mode: str, shape: tuple, tol: float, n_seeds: int,
                     start: int) -> tuple[list[str], float, float]:
     """Verdict statuses of the block of a search's seeds from offset ``start``
     (``BLOCK_SEEDS`` of them, or up to ``n_seeds``), and the seconds spent
-    generating and verifying it. The block's bundles are built as one stack
-    and verified as one, with one call each; ``mix`` plants the even
-    offsets, and ``shape`` is (n_worlds, n_agents, dim, cone_kind)."""
+    generating and verifying it. The block is drawn, built and checked as
+    one block of stacks, and verified as one, with no per-seed objects;
+    ``shape`` is (n_worlds, n_agents, dim, cone_kind)."""
     from .generators import BLOCK_SEEDS, _scenarios
 
     offsets = range(start, min(start + BLOCK_SEEDS, n_seeds))
-    seeds = [(base_seed + i, mode == "planted" or (mode == "mix" and i % 2 == 0)) for i in offsets]
+    seeds = [(base_seed + i, _planted(mode, i)) for i in offsets]
     t0 = time.perf_counter()
-    bundles = _scenarios(layer, seeds, *shape, None)
+    block = _scenarios(layer, seeds, *shape, None).block
     t1 = time.perf_counter()
-    statuses = [v.status.value for v in _verify_bundles(bundles, tol)]
+    statuses = [status.value for status in _statuses(block, tol)]
     return statuses, t1 - t0, time.perf_counter() - t1
 
 
@@ -724,7 +753,8 @@ def run_search(
     verified as one stack. Blocks are mapped in process, or over a pool of
     ``workers`` processes, capped at the blocks and the CPUs, which returns
     them in seed order, so results are identical for any worker count. A
-    polyhedral cone gets ``2 * dim`` generators.
+    polyhedral cone gets ``2 * dim`` generators. Planted seeds whose status
+    is not ``holds`` are listed apart.
     """
     from .generators import BLOCK_SEEDS, _check_shape
 
@@ -751,7 +781,9 @@ def run_search(
         blocks = list(map(block_statuses, starts))
     statuses = [status for block, _, _ in blocks for status in block]
     bad = tuple(base_seed + i for i, status in enumerate(statuses) if status == VerdictStatus.VIOLATED.value)
+    failed = tuple(base_seed + i for i, status in enumerate(statuses)
+                   if _planted(mode, i) and status != VerdictStatus.HOLDS.value)
     elapsed = time.perf_counter() - t0
     generate_s = float(sum(generate for _, generate, _ in blocks))
     verify_s = float(sum(verify for _, _, verify in blocks))
-    return SearchStats(layer, n_seeds, dict(Counter(statuses)), bad, elapsed, generate_s, verify_s)
+    return SearchStats(layer, n_seeds, dict(Counter(statuses)), bad, failed, elapsed, generate_s, verify_s)

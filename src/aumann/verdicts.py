@@ -8,20 +8,29 @@ unless its common knowledge ``C`` is empty or has mass at most
 the value conditioned on ``C``. The matching ``tol`` plays no part in the
 vacuity test.
 
-The pipeline runs on a block of scenarios of one layer that share their
-world count, agent count and atom shape, as a search's block does; a single
-verdict is a block of one. Each scenario enters as a :class:`_Layer`, which
-its layer's adapter builds after the per-scenario checks: its atom stack
-(one atom per world), its targets and its space (a GPT measure's cone). The
-layer's :class:`_Rule` splits sums of atoms into values and masses, measures
-distances and turns conditioned values into checked states. A block takes
-the cell sums of every (scenario, agent) partition in one scatter
-(:func:`_sums`), their masses in one ``parts`` call, every live cell's match
-in one ``distance`` call and each scenario's agreement event in one gather.
-Common knowledge is taken per scenario. Then one scatter sums every common
-event, one test finds the vacuous ones, one ``distance`` call compares the
-targets with the pooled values, and one state check, which takes each
-value's own space, turns them into states.
+The pipeline runs on one type, :class:`_Block`: scenarios of one layer
+that share their world count, agent count and atom shape, held as stacks.
+Its label stack ``(scenarios, agents, worlds)`` comes with each world's
+cell numbered across the block and each cell's bit-mask; its
+:class:`_Measures` hold the atom stack ``(scenarios, worlds, ...)``, the
+layer's :class:`_Rule` and each scenario's space (a GPT measure's cone);
+its target stack is ``(scenarios, agents, ...)``. A search's block comes
+from the generators as one such block, with no per-seed objects; a single
+verdict is a block of one, which its layer's adapter builds after the
+per-scenario checks (``_model_block``), so there is one verification path.
+The rule splits sums of atoms into values and masses, measures distances,
+checks conditioned values as states and wraps checked values as states.
+
+A block takes the cell sums of every (scenario, agent) partition in one
+scatter (:func:`_sums`), their masses in one ``parts`` call, every live
+cell's match in one ``distance`` call and each scenario's agreement event
+in one gather. Common knowledge is taken per scenario, by
+``knowledge._mutual_degrees`` on the block's cell masks. Then one scatter
+sums every common event, one test finds the vacuous ones, one ``distance``
+call compares the targets with the pooled values, and one state check,
+which takes each value's own space, checks them. A search reads only the
+statuses (:func:`_statuses`); the public verifiers get
+:class:`AgreementVerdict` objects (:func:`_verdicts`).
 
 Conditioning has one home, :func:`_condition`. The pooled values, the
 public conditionals and the generators' conditioned targets all take it
@@ -45,7 +54,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConditioningOnNull, require_finite_items
-from .knowledge import Event, KnowledgeModel, Partition, common_knowledge
+from .knowledge import Event, KnowledgeModel, Partition, _mutual_degrees
 from .tolerances import NULL_MASS_TOL
 
 
@@ -91,23 +100,47 @@ class _Rule(NamedTuple):
     ``stacks`` yields, for each stack a scenario alone would take (a
     partition's cells, as a slice of rows, or one event's sum, as a row
     index), that scenario's space. ``distance(xs, ys)`` compares two stacks
-    of values entry by entry. ``states(values, spaces)`` checks a stack of
+    of values entry by entry. ``check(values, spaces)`` checks a stack of
     conditioned values once, value ``k`` in the space ``spaces[k]``, and
-    returns them as the layer's state type.
+    returns the checked stack; ``states(checked, spaces)`` wraps a checked
+    stack as the layer's state type.
     """
 
     parts: Callable[[np.ndarray, Iterable[tuple[Any, Any]]], tuple[np.ndarray, np.ndarray]]
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    check: Callable[[np.ndarray, Sequence[Any]], np.ndarray]
     states: Callable[[np.ndarray, Sequence[Any]], list]
 
 
-class _Layer(NamedTuple):
-    """One scenario's measure and targets, as the agreement pipeline sees them."""
+class _Measures(NamedTuple):
+    """A stack of measures of one layer, as the pipeline reads them."""
 
-    atoms: np.ndarray  # one atom per world, stacked along axis 0
-    targets: tuple  # one per agent, in the form ``rule.distance`` takes
+    atoms: np.ndarray  # (measures, worlds, ...): each measure's atoms, one per world
     rule: _Rule
-    space: Any = None  # what the rule needs of the scenario beyond its atoms: a GPT measure's cone
+    spaces: Sequence  # each measure's space, what the rule needs beyond its atoms: a GPT measure's cone, else None
+
+
+class _Block(NamedTuple):
+    """Scenarios of one layer that share their world count, agent count and
+    atom shape, as stacks: the label stack, the block's cells, the measures
+    and the target stack."""
+
+    labels: np.ndarray  # (scenarios, agents, worlds): each world's cell in each agent's partition
+    cells: np.ndarray  # the same, with the cells numbered across the block, partition after partition
+    starts: np.ndarray  # each partition's first cell number, then the block's cell count
+    masks: Sequence[int]  # each cell's bit-mask, by its number across the block
+    measures: _Measures
+    targets: np.ndarray  # (scenarios, agents, ...): in the form ``rule.distance`` takes
+
+
+def _model_block(model: KnowledgeModel, measures: _Measures, targets: Sequence) -> _Block:
+    """One scenario as a block of one; a layer's adapter checks its measure
+    and targets before."""
+    partitions = model.partitions
+    starts = np.cumsum([0, *map(len, partitions)])
+    labels = np.array([p.labels for p in partitions])[None]
+    return _Block(labels, labels + starts[:-1, None], starts, [m for p in partitions for m in p.masks], measures,
+                  np.array(targets)[None])
 
 
 def _check_tol(tol: float) -> None:
@@ -148,32 +181,23 @@ def _condition(values: np.ndarray, masses: np.ndarray, cutoff: float) -> tuple[n
     return heavy, values[heavy] / masses[heavy].reshape((-1,) + (1,) * (values.ndim - 1))
 
 
-def _cell_conditionals(
-    layers: Sequence[_Layer], partitions: Sequence[Sequence[Partition]]
-) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-    """The cells of the partitions ``partitions[s]`` of each scenario
-    ``layers[s]``, numbered across the block partition after partition.
-
-    Returns each world's cell number (one row per partition), the number of
-    each partition's first cell (and, last, the cell count), the cells with
-    mass above ``NULL_MASS_TOL`` and their conditional values (value divided
-    by mass), stacked in cell order.
-    """
-    owners = [layer for layer, own in zip(layers, partitions) for _ in own]
-    flat = [p for own in partitions for p in own]
-    starts = [0]
-    for p in flat:
-        starts.append(starts[-1] + len(p))
-    labels = np.array([p.labels for p in flat]) + np.array(starts[:-1])[:, None]
-    sums = _sums(starts[-1], labels.ravel(), np.concatenate([layer.atoms for layer in owners]))
-    stacks = ((layer.space, slice(a, b)) for layer, a, b in zip(owners, starts, starts[1:]))
-    live, conditionals = _condition(*layers[0].rule.parts(sums, stacks), NULL_MASS_TOL)
-    return labels, starts, np.flatnonzero(live), conditionals
+def _cell_conditionals(block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """The block's cells with mass above ``NULL_MASS_TOL``, by their number
+    across the block, and their conditional values (value divided by
+    mass), stacked in cell order: one scatter of every partition's cell sums."""
+    atoms, rule, spaces = block.measures
+    n_scenarios, n_agents, _ = block.labels.shape
+    rows = np.broadcast_to(atoms[:, None], (n_scenarios, n_agents) + atoms.shape[1:])
+    sums = _sums(int(block.starts[-1]), block.cells.ravel(), rows.reshape((-1,) + atoms.shape[2:]))
+    starts = block.starts.tolist()
+    owners = (space for space in spaces for _ in range(n_agents))
+    live, conditionals = _condition(*rule.parts(sums, zip(owners, map(slice, starts, starts[1:]))), NULL_MASS_TOL)
+    return np.flatnonzero(live), conditionals
 
 
-def _agreement_events(models: Sequence[KnowledgeModel], layers: Sequence[_Layer], tol: float) -> list[Event]:
-    """For each scenario, the worlds whose cell, for every agent, has a
-    conditional value within ``tol`` of that agent's target.
+def _agreement_events(block: _Block, tol: float) -> list[int]:
+    """For each scenario, the mask of the worlds whose cell, for every agent,
+    has a conditional value within ``tol`` of that agent's target.
 
     The targets' count and finiteness are checked scenario by scenario,
     before any arithmetic, so a block with one bad scenario raises what
@@ -181,93 +205,128 @@ def _agreement_events(models: Sequence[KnowledgeModel], layers: Sequence[_Layer]
     also those after an agent whose cells left the intersection empty.
     """
     _check_tol(tol)
-    for model, layer in zip(models, layers):
-        targets = layer.targets
-        if len(targets) != model.n_agents:
-            raise ValueError(f"expected {model.n_agents} targets, got {len(targets)}")
-        require_finite_items(targets, "target")
-    n = models[0].n_worlds
-    if any(m.n_worlds != n or m.n_agents != models[0].n_agents for m in models):
-        raise ValueError("a block's scenarios must share their world and agent counts")
-    labels, starts, live, conditionals = _cell_conditionals(layers, [m.partitions for m in models])
-    targets = np.array([t for layer in layers for t in layer.targets])
-    owner = np.repeat(np.arange(len(targets)), [b - a for a, b in zip(starts, starts[1:])])  # each cell's partition
-    matched = np.zeros(starts[-1], dtype=bool)
-    matched[live] = layers[0].rule.distance(conditionals, targets[owner[live]]) <= tol
-    agreed = matched[labels].reshape(len(models), -1, n).all(axis=1)
-    return [Event(int.from_bytes(row.tobytes(), "little"), n)
-            for row in np.packbits(agreed, axis=1, bitorder="little")]
+    targets = block.targets
+    n_scenarios, n_agents, n = block.labels.shape
+    if targets.shape[1] != n_agents:
+        raise ValueError(f"expected {n_agents} targets, got {targets.shape[1]}")
+    if not np.isfinite(targets).all():
+        for own in targets:
+            require_finite_items(own, "target")
+    live, conditionals = _cell_conditionals(block)
+    owner = np.repeat(np.arange(n_scenarios * n_agents), np.diff(block.starts))  # each cell's partition
+    matched = np.zeros(int(block.starts[-1]), dtype=bool)
+    flat = targets.reshape((-1,) + targets.shape[2:])
+    matched[live] = block.measures.rule.distance(conditionals, flat[owner[live]]) <= tol
+    agreed = matched[block.cells].all(axis=1)
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(agreed, axis=1, bitorder="little")]
 
 
-def _event_sums(layers: Sequence[_Layer], events: Sequence[Event]) -> np.ndarray:
-    """Sum of each scenario's atoms over the worlds of its event (zeros for
-    an empty one), stacked; the atoms of a block share their shape."""
-    n = layers[0].atoms.shape[0]
-    masks = b"".join(e.mask.to_bytes((n + 7) // 8, "little") for e in events)
-    bits = np.unpackbits(np.frombuffer(masks, np.uint8).reshape(len(events), -1), axis=1, count=n,
-                         bitorder="little")
-    rows, worlds = np.nonzero(bits)
-    return _sums(len(events), rows, np.array([layer.atoms for layer in layers])[rows, worlds])
+def _common_events(block: _Block, events: Sequence[int]) -> list[int]:
+    """Each scenario's common knowledge of its event, as masks: the last
+    degree of ``knowledge._mutual_degrees`` on the block's cell masks, one
+    scenario at a time. The empty event is its own common knowledge."""
+    n_agents = block.labels.shape[1]
+    starts = block.starts.tolist()
+    out = []
+    for s, mask in enumerate(events):
+        if mask:
+            agents = [(block.masks[starts[i]:starts[i + 1]], labels)
+                      for i, labels in enumerate(block.labels[s], s * n_agents)]
+            for mask in _mutual_degrees(agents, mask):
+                pass
+        out.append(mask)
+    return out
 
 
-def _event_conditionals(layers: Sequence[_Layer], events: Sequence[Event], cutoff: float) -> tuple:
-    """Each scenario's atoms summed over its event: the masses, which are
+def _mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """The worlds of each ``n``-world bit-mask, as a boolean row."""
+    raw = b"".join(m.to_bytes((n + 7) // 8, "little") for m in masks)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(masks), -1), axis=1, count=n, bitorder="little")
+    return bits.view(bool)
+
+
+def _event_sums(atoms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum of each measure's atoms ``atoms[k]`` over the worlds of its
+    boolean event row ``rows[k]`` (zeros for an empty one), stacked."""
+    k, worlds = np.nonzero(rows)
+    return _sums(len(rows), k, atoms[k, worlds])
+
+
+def _event_conditionals(measures: _Measures, rows: np.ndarray, cutoff: float) -> tuple:
+    """Each measure's atoms summed over its event row: the masses, which are
     above ``cutoff``, and those sums' values divided by their masses. One
     ``parts`` call takes a stack per event: a GPT mass is one dot per event."""
-    values, masses = layers[0].rule.parts(_event_sums(layers, events),
-                                          ((layer.space, k) for k, layer in enumerate(layers)))
+    atoms, rule, spaces = measures
+    values, masses = rule.parts(_event_sums(atoms, rows), ((space, k) for k, space in enumerate(spaces)))
     return (masses, *_condition(values, masses, cutoff))
 
 
-def _conditionals(layers: Sequence[_Layer], events: Sequence[Event]) -> np.ndarray:
-    """Each scenario's value conditioned on its event; raises :class:`ConditioningOnNull`
-    for the first event with mass at most ``NULL_MASS_TOL``."""
-    masses, heavy, values = _event_conditionals(layers, events, NULL_MASS_TOL)
+def _conditionals(measures: _Measures, rows: np.ndarray) -> np.ndarray:
+    """Each measure's value conditioned on its event row; raises
+    :class:`ConditioningOnNull` for the first event with mass at most ``NULL_MASS_TOL``."""
+    masses, heavy, values = _event_conditionals(measures, rows, NULL_MASS_TOL)
     if not heavy.all():
         k = int(np.argmin(heavy))
-        raise ConditioningOnNull(f"event {events[k].worlds()} has mass {float(masses[k])!r}")
+        raise ConditioningOnNull(f"event {tuple(np.flatnonzero(rows[k]).tolist())} has mass {float(masses[k])!r}")
     return values
 
 
-def _conditional(layer: _Layer, e: Event) -> Any:
-    """The layer's state conditioned on ``e``, checked: a block of one."""
-    return layer.rule.states(_conditionals([layer], [e]), [layer.space])[0]
+def _conditional(measures: _Measures, e: Event) -> Any:
+    """The state of a measure (a stack of one) conditioned on ``e``, checked."""
+    rule, spaces = measures.rule, measures.spaces
+    return rule.states(rule.check(_conditionals(measures, _mask_rows([e.mask], e.n)), spaces), spaces)[0]
 
 
-def _pooled(layers: Sequence[_Layer], pooled: np.ndarray, tol: float) -> tuple[list[bool], list]:
-    """Whether every target of each scenario is within ``tol`` of its pooled
-    value, and the pooled values as checked states, in one check."""
-    if not layers:
-        return [], []
-    rule = layers[0].rule
-    n_agents = len(layers[0].targets)
-    targets = np.array([t for layer in layers for t in layer.targets])
-    near = rule.distance(targets, np.repeat(pooled, n_agents, axis=0)) <= tol
-    states = rule.states(pooled, [layer.space for layer in layers])
-    return near.reshape(-1, n_agents).all(axis=1).tolist(), states
+class _Outcomes(NamedTuple):
+    """A block's verdicts as stacks."""
+
+    statuses: list[VerdictStatus]
+    pooled_at: list[int]  # the scenarios whose common event was pooled
+    pooled: np.ndarray | tuple  # their pooled values, checked as states (an empty tuple if none)
 
 
-def _verdicts(layers: Sequence[_Layer], events: Sequence[Event], tol: float) -> list[AgreementVerdict]:
+def _outcomes(block: _Block, commons: Sequence[int], tol: float) -> _Outcomes:
     """Compare each scenario's targets with the value conditioned on its
-    common event, ``value / mass``, which each layer's state type stores
-    bit for bit."""
-    statuses = [VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE] * len(layers)
-    states = [None] * len(layers)
-    full = [s for s, c in enumerate(events) if c]
-    if full:
-        _, heavy, pooled = _event_conditionals([layers[s] for s in full], [events[s] for s in full], NULL_MASS_TOL)
-        pooled_at = [s for s, h in zip(full, heavy.tolist()) if h]
-        oks, checked = _pooled([layers[s] for s in pooled_at], pooled, tol)
-        for s in full:  # null, unless pooled below
-            statuses[s] = VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE
-        for s, ok, state in zip(pooled_at, oks, checked):
+    common event (a mask), ``value / mass``, which each layer's state type
+    stores bit for bit: one event sum, one ``distance`` call and one state check."""
+    statuses = [VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE] * len(commons)
+    full = [s for s, c in enumerate(commons) if c]
+    if not full:
+        return _Outcomes(statuses, [], ())
+    atoms, rule, spaces = block.measures
+    measures = _Measures(atoms[full], rule, [spaces[s] for s in full])
+    rows = _mask_rows([commons[s] for s in full], block.labels.shape[2])
+    _, heavy, pooled = _event_conditionals(measures, rows, NULL_MASS_TOL)
+    for s in full:  # null, unless pooled below
+        statuses[s] = VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE
+    pooled_at = [s for s, h in zip(full, heavy.tolist()) if h]
+    if pooled_at:
+        targets = block.targets[pooled_at]
+        n_agents = targets.shape[1]
+        near = rule.distance(targets.reshape((-1,) + targets.shape[2:]), np.repeat(pooled, n_agents, axis=0)) <= tol
+        pooled = rule.check(pooled, [spaces[s] for s in pooled_at])
+        for s, ok in zip(pooled_at, near.reshape(-1, n_agents).all(axis=1).tolist()):
             statuses[s] = VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED
-            states[s] = state
-    return [AgreementVerdict(status, c, layer.targets, state)
-            for status, c, layer, state in zip(statuses, events, layers, states)]
+    return _Outcomes(statuses, pooled_at, pooled)
 
 
-def _verify(models: Sequence[KnowledgeModel], layers: Sequence[_Layer], tol: float) -> list[AgreementVerdict]:
+def _verdicts(block: _Block, commons: Sequence[int], tol: float) -> list[AgreementVerdict]:
+    """The block's outcomes as :class:`AgreementVerdict`s: the common events
+    as events, the targets as posteriors and the pooled values as states."""
+    statuses, pooled_at, pooled = _outcomes(block, commons, tol)
+    rule, spaces = block.measures.rule, block.measures.spaces
+    states = dict(zip(pooled_at, rule.states(pooled, [spaces[s] for s in pooled_at]) if pooled_at else ()))
+    n = block.labels.shape[2]
+    return [AgreementVerdict(status, Event(c, n), tuple(t.tolist() if t.ndim == 1 else t), states.get(s))
+            for s, (status, c, t) in enumerate(zip(statuses, commons, block.targets))]
+
+
+def _statuses(block: _Block, tol: float) -> list[VerdictStatus]:
+    """Each scenario's verdict status: agreement events, their common
+    knowledge, then the pooled comparisons, with no verdict objects."""
+    return _outcomes(block, _common_events(block, _agreement_events(block, tol)), tol).statuses
+
+
+def _verify(block: _Block, tol: float) -> list[AgreementVerdict]:
     """Agreement events, their common knowledge, then the pooled comparisons, for a block."""
-    events = _agreement_events(models, layers, tol)
-    return _verdicts(layers, [common_knowledge(m, e) for m, e in zip(models, events)], tol)
+    return _verdicts(block, _common_events(block, _agreement_events(block, tol)), tol)

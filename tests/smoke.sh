@@ -58,6 +58,12 @@ console)
     expect_exit 2 "${aumann[@]}" search --layer quantum --dim 0 --seeds 0
     expect_exit 2 "${aumann[@]}" search --layer gpt --cone polyhedral --dim 1 --seeds 0
     expect_exit 2 "${aumann[@]}" search --layer gpt --cone simplex --dim -1 --seeds 0
+    # every planted seed holds: a search exits 1 on a planted failure, and reports none
+    for kind in "--layer classical" "--layer quantum" "--layer gpt --cone polyhedral --dim 3"; do
+        # shellcheck disable=SC2086  # $kind is several flags
+        "${aumann[@]}" search $kind --seeds 100 --mode planted --json > "$tmp/planted.json"
+        "$python" -c "import json, sys; doc = json.load(open(sys.argv[1])); sys.exit(doc['planted_failures'] != 0 or doc['counts'] != {'holds': 100})" "$tmp/planted.json"
+    done
     # 40 and 75 seeds cross the boundaries of 32-seed blocks (generators.BLOCK_SEEDS), in every search kind;
     # polyhedral cones at dim 3 get facet certificates, at dim 6 the fit certificate; at 70 worlds a cell's
     # mask is built from two 64-bit words

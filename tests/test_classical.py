@@ -21,7 +21,7 @@ from aumann import (
     probability,
     verify_aumann,
 )
-from aumann.classical import _classical_layer
+from aumann.classical import _classical_block
 from aumann.tolerances import MATCH_TOL
 from aumann.verdicts import _verdicts
 
@@ -174,7 +174,7 @@ class TestVerifyAumann:
         # event that verify_aumann reaches is a union of cells that each weigh
         # more than the cutoff, so the verdict step is given this one directly.
         model, mu, h = self._tiny_cell(1e-13)
-        (v,) = _verdicts([_classical_layer(model, mu, h, (0.5, 0.5))], [model.event([2, 3])], MATCH_TOL)
+        (v,) = _verdicts(_classical_block(model, mu, h, (0.5, 0.5)), [model.event([2, 3]).mask], MATCH_TOL)
         assert v.status is VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE
         assert v.common_event.worlds() == (2, 3)
         assert v.pooled_posterior is None

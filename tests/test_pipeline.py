@@ -44,7 +44,6 @@ from aumann import (
     verify_gpt_aumann,
     verify_quantum_aumann,
 )
-from aumann.classical import _indicator
 from aumann.errors import require_worlds
 import aumann.scenario as scenario
 from aumann.generators import BLOCK_SEEDS, _rng, _scenarios
@@ -57,8 +56,14 @@ from aumann.verdicts import (
     _agreement_events,
     _cell_conditionals,
     _cell_values,
+    _common_events,
     _event_conditionals,
     _event_sums,
+    _mask_rows,
+    _Measures,
+    _outcomes,
+    _statuses,
+    _verdicts,
 )
 
 
@@ -129,6 +134,12 @@ def _old_cell_posteriors(partition, weights, joint):
     p_cell = np.bincount(partition.labels, weights=weights, minlength=k)
     p_joint = np.bincount(partition.labels, weights=joint, minlength=k)
     return np.divide(p_joint, p_cell, out=np.full(k, np.nan), where=p_cell > NULL_MASS_TOL)
+
+
+def _indicator(e):
+    """0/1 per world: whether it lies in ``e``."""
+    raw = np.frombuffer(e.mask.to_bytes((e.n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=e.n, bitorder="little")
 
 
 def _old_agreement_event(model, mu, h, q, tol=MATCH_TOL):
@@ -399,25 +410,34 @@ def _gen_block(layer, seeds, n_worlds, n_agents, dim=2, cone_kind="simplex", n_g
     return _scenarios(layer, seeds, n_worlds, n_agents, dim, cone_kind, n_generators)
 
 
-def _layers(block):
-    return [scenario._KINDS[b.layer].layer(b.model, b.measure, b.hypothesis, b.targets) for b in block]
+def _target_stack(bundles, targets):
+    """Each bundle's targets, as its layer's adapter takes them, stacked as one block's targets."""
+    return np.stack([scenario._KINDS[b.layer].block(b.model, b.measure, b.hypothesis, t).targets[0]
+                     for b, t in zip(bundles, targets)])
 
 
-def _check_block(bundles, targets, tol):
-    """The agreement events and verdicts of the bundles with these targets,
-    verified as one block, against the reference verifiers scenario by
-    scenario; returns the statuses seen."""
-    block = [replace(b, targets=t) for b, t in zip(bundles, targets)]
-    events = _agreement_events([b.model for b in block], _layers(block), tol)
-    verdicts = scenario._verify_bundles(block, tol)
-    assert len(events) == len(verdicts) == len(block)
-    for b, e, v in zip(block, events, verdicts):
-        e_old, v_old = _pair(b, tol)[1](b.targets)
-        assert e == e_old
-        assert v.status is v_old.status
-        assert v.common_event == v_old.common_event
+def _check_block(scenarios, targets, tol):
+    """The agreement events and verdicts of a generated block with these
+    targets, verified as one block through the search's path (agreement
+    events, common events, outcomes), against the reference verifiers
+    scenario by scenario; returns the statuses seen."""
+    bundles = list(scenarios)
+    block = scenarios.block._replace(targets=_target_stack(bundles, targets))
+    events = _agreement_events(block, tol)
+    commons = _common_events(block, events)
+    outcomes = _outcomes(block, commons, tol)
+    verdicts = _verdicts(block, commons, tol)
+    assert len(events) == len(outcomes.statuses) == len(verdicts) == len(bundles)
+    assert _statuses(block, tol) == outcomes.statuses
+    pooled = dict(zip(outcomes.pooled_at, outcomes.pooled))
+    for s, (b, t, e, c, v) in enumerate(zip(bundles, targets, events, commons, verdicts)):
+        e_old, v_old = _pair(b, tol)[1](t)
+        assert e == e_old.mask
+        assert outcomes.statuses[s] is v.status is v_old.status
+        assert c == v_old.common_event.mask and v.common_event == v_old.common_event
+        assert _same_bits(pooled.get(s), _pooled_array(v_old))
         assert _same_bits(_pooled_array(v), _pooled_array(v_old))
-    return {v.status for v in verdicts}
+    return set(outcomes.statuses)
 
 
 @pytest.mark.parametrize("kind", list(BLOCK_KINDS))
@@ -432,11 +452,12 @@ def test_block_verdicts_match_the_per_seed_reference(kind):
     for n_worlds, n_agents in ((2, 1), (6, 2), (48, 6)):
         for length in (1, 2, BLOCK_SEEDS + 1):
             seeds = [(length + i, (length + i) % 3 == 0) for i in range(length)]
-            bundles = _gen_block(layer, seeds, n_worlds, n_agents, **kw)
+            scenarios = _gen_block(layer, seeds, n_worlds, n_agents, **kw)
+            bundles = list(scenarios)
             families.update("planted" if b.planted_cell is not None else "free" if b.anchor_world is None
                             else "anchored" for b in bundles)
             for tol in (MATCH_TOL, 1e-6, 1e-3):
-                seen |= _check_block(bundles, [b.targets for b in bundles], tol)
+                seen |= _check_block(scenarios, [b.targets for b in bundles], tol)
             rng = _rng(40_000 + length)
             worlds = [int(rng.integers(0, n_worlds)) for _ in bundles]
             for tol in (MATCH_TOL, 1e-3):
@@ -445,7 +466,7 @@ def test_block_verdicts_match_the_per_seed_reference(kind):
                         tuple(_shifted(b, _cell_conditional(b, w, i), delta, rng) for i in range(n_agents))
                         for b, w in zip(bundles, worlds)
                     ]
-                    seen |= _check_block(bundles, targets, tol)
+                    seen |= _check_block(scenarios, targets, tol)
     assert families == {"planted", "anchored", "free"}
     assert {VerdictStatus.HOLDS, VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE} <= seen
     assert VerdictStatus.VIOLATED not in seen
@@ -457,9 +478,9 @@ def test_gpt_masses_keep_the_per_partition_product():
     (gpt-simplex dim 4, as search-wide runs it) one product over all the
     block's cells rounds some masses differently in the last bit, so a
     block-wide product would fail here."""
-    block = _gen_block("gpt", [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)], 6, 2, dim=4)
-    layers = _layers(block)
-    _, starts, live, conditionals = _cell_conditionals(layers, [b.model.partitions for b in block])
+    scenarios = _gen_block("gpt", [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)], 6, 2, dim=4)
+    block = list(scenarios)
+    live, conditionals = _cell_conditionals(scenarios.block)
     unit = block[0].measure.cone.unit  # the block's one simplex cone
     values = [_cell_values(b.measure.atoms, p) for b in block for p in b.model.partitions]
     masses = np.concatenate([v @ unit for v in values])
@@ -468,7 +489,12 @@ def test_gpt_masses_keep_the_per_partition_product():
     assert np.array_equal(live, expected_live)
     expected = np.concatenate(values)[expected_live] / masses[expected_live, None]
     assert _same_bits(conditionals, expected)
-    assert starts == [0, *np.cumsum([len(v) for v in values]).tolist()]
+    assert scenarios.block.starts.tolist() == [0, *np.cumsum([len(v) for v in values]).tolist()]
+
+
+def _stack_of(measures, k):
+    """A stack of one measure repeated ``k`` times."""
+    return _Measures(np.repeat(measures.atoms, k, axis=0), measures.rule, list(measures.spaces) * k)
 
 
 def test_gpt_event_masses_keep_one_dot_per_event():
@@ -477,14 +503,17 @@ def test_gpt_event_masses_keep_one_dot_per_event():
     every cell of this block (gpt-simplex dim 4) taken as events, one
     product over the stack of sums rounds some masses differently in the
     last bit, so a block-wide product would fail here."""
-    block = _gen_block("gpt", [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)], 6, 2, dim=4)
-    cells = [(layer, cell) for layer, b in zip(_layers(block), block) for p in b.model.partitions for cell in p.cells]
-    owners, events = [layer for layer, _ in cells], [cell for _, cell in cells]
-    sums = _event_sums(owners, events)
-    unit = block[0].measure.cone.unit
+    scenarios = _gen_block("gpt", [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)], 6, 2, dim=4)
+    measures = scenarios.block.measures
+    cells = [(s, cell) for s, b in enumerate(scenarios) for p in b.model.partitions for cell in p.cells]
+    owners = [s for s, _ in cells]
+    rows = _mask_rows([cell.mask for _, cell in cells], 6)
+    own = _Measures(measures.atoms[owners], measures.rule, [measures.spaces[s] for s in owners])
+    sums = _event_sums(own.atoms, rows)
+    unit = measures.spaces[0].unit
     masses = np.array([s @ unit for s in sums])
     assert not np.array_equal(sums @ unit, masses)
-    got, heavy, conditionals = _event_conditionals(owners, events, NULL_MASS_TOL)
+    got, heavy, conditionals = _event_conditionals(own, rows, NULL_MASS_TOL)
     assert _same_bits(got, masses) and heavy.all()
     assert _same_bits(conditionals, sums / masses[:, None])
 
@@ -526,21 +555,31 @@ _BLOCK_FAULT_KINDS = dict(BLOCK_KINDS, **{"gpt-simplex": ("gpt", {"cone_kind": "
 
 @pytest.mark.parametrize("kind, fault", _FAULTS)
 def test_a_block_raises_what_its_bad_scenario_raises(kind, fault):
-    """A block whose scenario 2 has a bad target raises the type and message
-    that verifying scenario 2 alone raises, from the verifier and from the
-    agreement event, whichever agent the fault is at."""
+    """A scenario with a bad target raises the same type and message from
+    ``verify_bundle``, from its block of one and from the public verifier and
+    agreement event, whichever agent the fault is at. A fault that a target
+    stack can hold (a NaN) raises it also from a search's block whose
+    scenario 2 has it. A count, shape or cone fault cannot be stacked: the
+    layer's adapter or the count check of a block of one raises it."""
     layer, kw = _BLOCK_FAULT_KINDS[kind]
-    bundles = _gen_block(layer, [(i, i % 2 == 0) for i in range(5)], 6, 2, **kw)
-    bad = replace(bundles[2], targets=_faulty_targets(bundles[2], kind, fault))
-    block = bundles[:2] + [bad] + bundles[3:]
+    scenarios = _gen_block(layer, [(i, i % 2 == 0) for i in range(5)], 6, 2, **kw)
+    bad = replace(list(scenarios)[2], targets=_faulty_targets(list(scenarios)[2], kind, fault))
     with pytest.raises(ValueError) as alone:
         _pair(bad, MATCH_TOL)[0](bad.targets)
     message = f"^{re.escape(str(alone.value))}$"
     assert re.search(r"target|expected", str(alone.value))
     with pytest.raises(type(alone.value), match=message):
-        scenario._verify_bundles(block, MATCH_TOL)
+        verify_bundle(bad)
     with pytest.raises(type(alone.value), match=message):
-        _agreement_events([b.model for b in block], _layers(block), MATCH_TOL)
+        _agreement_events(scenario._KINDS[layer].block(bad.model, bad.measure, bad.hypothesis, bad.targets), MATCH_TOL)
+    if fault == "nan":
+        targets = scenarios.block.targets.copy()
+        targets[(2, 1) + (0,) * (targets.ndim - 2)] = np.nan  # the first entry of agent 1's target, as in bad
+        block = scenarios.block._replace(targets=targets)
+        with pytest.raises(type(alone.value), match=message):
+            _statuses(block, MATCH_TOL)
+        with pytest.raises(type(alone.value), match=message):
+            _agreement_events(block, MATCH_TOL)
 
 
 def _expected_table(bundle, agent):
@@ -615,8 +654,8 @@ def test_sums_add_worlds_in_increasing_order(layer, cone_kind, dim, n_worlds):
     for seed in range(4):
         bundle = gen_unconstrained_scenario(seed, layer, n_worlds, 1 + seed % 3, dim=dim, cone_kind=cone_kind)
         model, mu, h = bundle.model, bundle.measure, bundle.hypothesis
-        own = scenario._KINDS[layer].layer(model, mu, h, ())
-        atoms = own.atoms
+        own = scenario._KINDS[layer].block(model, mu, h, ()).measures
+        atoms = own.atoms[0]
         rng = _rng(30_000 + seed)
         events = [Event.empty(n_worlds), Event.full(n_worlds)]
         events += [Event(int(rng.integers(0, 1 << 62)) & ((1 << n_worlds) - 1), n_worlds) for _ in range(8)]
@@ -626,8 +665,9 @@ def test_sums_add_worlds_in_increasing_order(layer, cone_kind, dim, n_worlds):
             for k, cell in enumerate(partition.cells):
                 assert _same_bits(values[k], _loop_sum(atoms, cell))
             events += partition.cells
-        sums = _event_sums([own] * len(events), events)
-        masses, heavy, conditioned = _event_conditionals([own] * len(events), events, NULL_MASS_TOL)
+        rows = _mask_rows([e.mask for e in events], n_worlds)
+        sums = _event_sums(_stack_of(own, len(events)).atoms, rows)
+        masses, heavy, conditioned = _event_conditionals(_stack_of(own, len(events)), rows, NULL_MASS_TOL)
         assert sums.dtype == atoms.dtype and sums.shape == (len(events),) + atoms.shape[1:]
         assert heavy.tolist() == [m > NULL_MASS_TOL for m in masses.tolist()] and not heavy[0]  # the empty event
         for e, value in zip(events, sums):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -127,8 +128,24 @@ class TestParsing:
         """``json.loads`` alone keeps the last value of a repeated key."""
         with pytest.raises(ScenarioSyntaxError, match="^duplicate key 'targets'$"):
             load("invalid_duplicate_key.json")
-        with pytest.raises(ScenarioSyntaxError, match="^duplicate key 'weights'$"):
+        with pytest.raises(ScenarioSyntaxError, match="^measure.classical: duplicate key 'weights'$") as info:
             parse_scenario(MINIMAL.replace('"weights"', '"weights": [1, 0], "weights"'))
+        assert info.value.path == "measure.classical"
+
+    def test_repeated_key_names_the_object(self):
+        """A repeated key is reported at the path of the object that repeats
+        it, also where the same key occurs once in every other such object."""
+        text = (DATA / "gpt_simplex.json").read_text()
+        cases = [
+            (text.replace('{"name": "bob"', '{"name": "bob", "name": "carol"'), "agents[1]", "name"),
+            (text.replace('"dim": 4}', '"dim": 4, "dim": 4}'), "measure.gpt.cone", "dim"),
+            (text.replace('"gpt": {', '"gpt": {"unit": [1.0, 1.0, 1.0, 1.0],'), "measure.gpt", "unit"),
+            (text.replace('"measure": {', '"measure": {"gpt": {},'), "measure", "gpt"),
+        ]
+        for doc, path, key in cases:
+            with pytest.raises(ScenarioSyntaxError, match=f"^{re.escape(path)}: duplicate key '{key}'$") as info:
+                parse_scenario(doc)
+            assert info.value.path == path
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
     def test_integer_beyond_the_digit_limit_is_a_syntax_error(self):
