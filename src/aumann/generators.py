@@ -2,7 +2,9 @@
 
 All generators are pure functions of a 64-bit seed (plus parameters) and use
 numpy's Philox bit generator, a counter-based splittable PRNG, keyed directly
-by the seed. That keeps golden values portable: the same seed always yields
+by the seed: its key is ``[seed, 0]``, the state of ``Philox(key=seed)``,
+handed over without the OS-entropy ``SeedSequence`` that ``key=`` builds and
+discards. That keeps golden values portable: the same seed always yields
 bit-identical objects.
 
 The planted constructions guarantee non-vacuous theorem instances by giving
@@ -29,6 +31,14 @@ call. A gpt-polyhedral seed draws its own cone's generators; the block
 builds all its seeds' cones as one stack (``gpt._polyhedral_cones``), and
 its measure and state checks take a cone per row.
 
+A search's blocks are sized by their stacks (``_block_seeds``): a block
+holds as many seeds as keep its cell-sum rows, agents x worlds x real
+entries per atom for each seed, within ``BLOCK_ENTRIES``, and never fewer
+than ``BLOCK_SEEDS``. Small shapes (6 worlds, 2 agents: 170 quantum seeds,
+455 gpt-polyhedral dim 3) pay numpy's per-call cost over more seeds; at 48
+worlds and 6 agents, and past it, a block keeps 32 seeds and its memory.
+Each seed draws from its own stream, so its bits do not depend on its block.
+
 A search verifies that block as it is. :class:`ScenarioBundle` objects are
 built from it (by iterating it) only for ``gen``, ``run_gen`` and the public
 ``gen_*`` functions; ``gen_model`` and ``gen_partition`` are blocks of one
@@ -38,6 +48,7 @@ building each seed alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -54,10 +65,11 @@ from .verdicts import _Block, _conditionals, _mask_rows, _Measures
 __all__ = _EXPORTS["generators"]
 
 LAYERS = ("classical", "quantum", "gpt")
-# Seeds per block of a search: each block's measures and targets are built
-# as one stack, so this trades numpy's per-call cost against the seeds a
-# process holds at once.
+# A search block's seeds (``_block_seeds``): as many as keep its largest
+# stack within BLOCK_ENTRIES entries, which trades numpy's per-call cost
+# against the memory a process holds at once, and never fewer than BLOCK_SEEDS.
 BLOCK_SEEDS = 32
+BLOCK_ENTRIES = 1 << 14
 
 _MAX_SEED = 1 << 64
 # Every generated weight is at least this over the world count, which keeps
@@ -66,13 +78,40 @@ _MAX_SEED = 1 << 64
 _WEIGHT_FLOOR = 1e-3
 
 
+@functools.cache
+def _philox_key() -> type:
+    """The seed sequence that hands ``Philox`` the key ``[seed, 0]``, the
+    state of ``Philox(key=seed)``, without the OS-entropy ``SeedSequence``
+    that ``key=`` builds and then discards. It is made on first use: loading
+    ``numpy.random`` when this module is imported, before the package's
+    other modules compile, raised a search's peak RSS by about 0.6 MB."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, seed: int):
+            self.seed = seed
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return np.array([self.seed, 0], dtype=np.uint64)  # Philox asks for its two 64-bit key words
+
+    return PhiloxKey
+
+
+def _check_seeds(first: int, count: int) -> None:
+    """Raise ``ValueError`` naming the first of the ``count`` seeds from
+    ``first`` (``first`` itself if ``count`` is 0) that is not a 64-bit
+    unsigned integer."""
+    for seed in (first, min(first + max(count, 1) - 1, _MAX_SEED)):
+        if not 0 <= seed < _MAX_SEED:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     seed = int(seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    _check_seeds(seed, 1)
+    return np.random.Generator(np.random.Philox(_philox_key()(seed)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +136,8 @@ def _cell_labels(rng: np.random.Generator, n: int, max_cells: int) -> np.ndarray
     """Cell number in ``0..k-1`` for each of ``n`` items, ``k`` drawn from
     ``1..max_cells``; a random permutation gives every number one item first."""
     k = int(rng.integers(1, max_cells + 1))
-    order = rng.permutation(n)
+    order = np.arange(n)
+    rng.shuffle(order)  # what ``rng.permutation(n)`` does, without its dispatch
     labels = np.empty(n, dtype=np.intp)
     labels[order[:k]] = np.arange(k)
     if n > k:
@@ -255,7 +295,8 @@ def _planted_labels(rng: np.random.Generator, n_worlds: int, n_agents: int) -> n
     """Label rows ``(agents, worlds)`` of a planted model: every agent's cell
     0 is the same shared cell, and the other worlds are split per agent."""
     size = int(rng.integers(1, n_worlds))
-    perm = rng.permutation(n_worlds)
+    perm = np.arange(n_worlds)
+    rng.shuffle(perm)
     rest = np.sort(perm[size:])
     labels = np.zeros((n_agents, n_worlds), dtype=np.intp)
     for row in labels:
@@ -268,8 +309,8 @@ class _Draw(NamedTuple):
     worlds)`` and its family (planted, or the anchor world if anchored),
     then the layer's cone (GPT: the search's, or the drawn tails ``x`` of the
     generators ``(1, x)`` of the seed's own polyhedral cone), measure draws
-    and hypothesis mask (classical), and the draws of its loose targets
-    (none unless the seed is free)."""
+    and hypothesis mask (classical), and the draws of its loose targets, a
+    row per target (none unless the seed is free)."""
 
     labels: np.ndarray
     planted: bool
@@ -277,7 +318,7 @@ class _Draw(NamedTuple):
     cone: ConeSpace | np.ndarray | None
     measure: np.ndarray
     hypothesis: int | None
-    loose: Sequence
+    loose: np.ndarray
 
 
 def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, dim: int,
@@ -293,20 +334,25 @@ def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, di
         if rng.integers(0, 2):
             anchor = int(rng.integers(0, n_worlds))
     n_loose = n_agents if not planted and anchor is None else 0
+    # the loose targets are drawn last, in one call: a fill draws its entries
+    # in order, so they are the entries of one call per target
     if layer == "classical":
         measure = rng.dirichlet(np.ones(n_worlds))
         hypothesis = int(rng.integers(0, 1 << n_worlds))
         loose = rng.random(n_loose)
     elif layer == "quantum":
         measure = _dovm_normals(rng, n_worlds, dim)
-        loose = [rng.standard_normal((2, dim, dim)) for _ in range(n_loose)]
-    elif cone is not None:
+        loose = rng.standard_normal((n_loose, 2, dim, dim))
+    elif isinstance(cone, PsdCone):
         measure = _svm_draws(rng, cone, n_worlds)
-        loose = [_svm_draws(rng, cone, 1) for _ in range(n_loose)]
+        loose = rng.standard_normal((n_loose, 2, 2, dim, dim))  # one-world DOVMs' normals
     else:
-        cone = rng.standard_normal((n_generators or 2 * dim, dim - 1))
-        measure = _weights(rng, n_worlds, len(cone))
-        loose = [_weights(rng, 1, len(cone)) for _ in range(n_loose)]
+        if cone is None:
+            cone = rng.standard_normal((n_generators or 2 * dim, dim - 1))
+            measure = _weights(rng, n_worlds, len(cone))
+        else:
+            measure = _svm_draws(rng, cone, n_worlds)
+        loose = _weights(rng, n_loose, measure.shape[1])[:, None]  # one-world SVMs' weights
     return _Draw(labels, planted, anchor, cone, measure, hypothesis, loose)
 
 
@@ -409,6 +455,19 @@ def _check_shape(layer: str, n_worlds: int, n_agents: int, dim: int, cone_kind: 
     return None
 
 
+def _block_seeds(layer: str, n_worlds: int, n_agents: int, dim: int, cone_kind: str) -> int:
+    """Seeds per search block for a checked shape: as many as keep the
+    cell-sum rows, agents x worlds x real entries per atom for each seed,
+    within ``BLOCK_ENTRIES``, and at least ``BLOCK_SEEDS``."""
+    if layer == "classical":
+        entries = 2  # P(h & w) and P(w)
+    elif layer == "quantum" or cone_kind == "psd":
+        entries = 2 * dim * dim  # complex d x d atoms; a PSD cone's are built as a DOVM's
+    else:
+        entries = dim
+    return max(BLOCK_SEEDS, BLOCK_ENTRIES // (n_agents * n_worlds * entries))
+
+
 def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_agents: int, dim: int,
                cone_kind: str, n_generators: int | None) -> _Scenarios:
     """The block of ``(seed, planted)`` pairs, in order: each seed's draws,
@@ -419,16 +478,15 @@ def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_a
     labels, cells, starts, masks = _cell_stack(np.concatenate([d.labels for d in draws]), n_worlds)
     shape = (len(draws), n_agents, n_worlds)
     hypotheses = [d.hypothesis for d in draws]
-    loose = [x for d in draws for x in d.loose]
+    loose = np.concatenate([d.loose for d in draws])
     stacked = np.stack([d.measure for d in draws])
     if layer == "classical":
         raw = _probabilities(stacked)
         measures = classical._measures(raw, _mask_rows(hypotheses, n_worlds))
-        loose = np.array(loose, dtype=float)
     elif layer == "quantum":
         raw = _dovm_atoms(stacked)
         measures = quantum._measures(raw)
-        loose = _unit_trace(_ginibre(np.stack(loose))) if loose else ()
+        loose = _unit_trace(_ginibre(loose)) if len(loose) else ()
     else:
         if cone is None:  # each seed has its own polyhedral cone
             cones = _polyhedral_cones(_polyhedral_generators(np.stack([d.cone for d in draws])),
@@ -438,7 +496,7 @@ def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_a
         raw = _svm_atoms(cones, stacked)
         measures = gpt._measures(raw, cones)
         loose_cones = [c for c, d in zip(cones, draws) for _ in d.loose]
-        loose = _svm_atoms(loose_cones, np.stack(loose))[:, 0] if loose else ()  # one-world SVMs
+        loose = _svm_atoms(loose_cones, loose)[:, 0] if len(loose) else ()  # one-world SVMs
     targets = _targets(draws, labels.reshape(shape), measures, loose)
     block = _Block(labels.reshape(shape), cells.reshape(shape), starts, masks, measures, targets)
     return _Scenarios(layer, block, raw, [d.planted for d in draws], [d.anchor for d in draws], hypotheses)

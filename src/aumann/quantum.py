@@ -132,7 +132,7 @@ def _require_psd(vals: np.ndarray, what: str) -> None:
     """Raise :class:`NotPsd` naming the first matrix of a block whose
     eigenvalues ``vals`` (``(b, n, d)``, ascending) go below ``-PSD_EIG_TOL``."""
     lowest = vals[..., 0]
-    if any(v < -PSD_EIG_TOL for v in lowest.ravel().tolist()):  # cheaper than a numpy reduction on short stacks
+    if (lowest < -PSD_EIG_TOL).any():  # a NaN is not below
         k, w = _first(lowest < -PSD_EIG_TOL)
         raise NotPsd(f"{what} {w} has eigenvalue {lowest[k, w]:.3e} below -{PSD_EIG_TOL:.0e}")
 

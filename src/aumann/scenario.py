@@ -714,16 +714,16 @@ def _planted(mode: str, offset: int) -> bool:
     return mode == "planted" or (mode == "mix" and offset % 2 == 0)
 
 
-def _block_statuses(layer: str, base_seed: int, mode: str, shape: tuple, tol: float, n_seeds: int,
+def _block_statuses(layer: str, base_seed: int, mode: str, shape: tuple, tol: float, n_seeds: int, size: int,
                     start: int) -> tuple[list[str], float, float]:
     """Verdict statuses of the block of a search's seeds from offset ``start``
-    (``BLOCK_SEEDS`` of them, or up to ``n_seeds``), and the seconds spent
+    (``size`` of them, or up to ``n_seeds``), and the seconds spent
     generating and verifying it. The block is drawn, built and checked as
     one block of stacks, and verified as one, with no per-seed objects;
     ``shape`` is (n_worlds, n_agents, dim, cone_kind)."""
-    from .generators import BLOCK_SEEDS, _scenarios
+    from .generators import _scenarios
 
-    offsets = range(start, min(start + BLOCK_SEEDS, n_seeds))
+    offsets = range(start, min(start + size, n_seeds))
     seeds = [(base_seed + i, _planted(mode, i)) for i in offsets]
     t0 = time.perf_counter()
     block = _scenarios(layer, seeds, *shape, None).block
@@ -747,29 +747,34 @@ def run_search(
 ) -> SearchStats:
     """Run seeded scenarios (planted, random, or an even mix) and tally verdicts.
 
-    The search's shape, mode, count, workers and tolerance are checked
-    before any block runs. Consecutive seeds then form blocks of
-    ``generators.BLOCK_SEEDS``; each block is generated as one stack and
-    verified as one stack. Blocks are mapped in process, or over a pool of
-    ``workers`` processes, capped at the blocks and the CPUs, which returns
-    them in seed order, so results are identical for any worker count. A
+    The search's shape, mode, count, seed range, workers and tolerance are
+    checked before any block runs. Consecutive seeds then form blocks sized
+    by their stacks (``generators._block_seeds``: as many seeds as keep a
+    block's cell-sum rows within ``generators.BLOCK_ENTRIES``, and at least
+    ``generators.BLOCK_SEEDS``); each block is generated as one stack and
+    verified as one stack, and a seed's status does not depend on its
+    block. Blocks are mapped in process, or over a pool of ``workers``
+    processes, capped at the blocks and the CPUs, which returns them in
+    seed order, so results are identical for any worker count. A
     polyhedral cone gets ``2 * dim`` generators. Planted seeds whose status
     is not ``holds`` are listed apart.
     """
-    from .generators import BLOCK_SEEDS, _check_shape
+    from .generators import _block_seeds, _check_seeds, _check_shape
 
     _check_shape(layer, n_worlds, n_agents, dim, cone_kind, mode != "random")
     if mode not in ("mix", "planted", "random"):
         raise ValueError(f"mode must be mix, planted, or random, got {mode!r}")
     if n_seeds < 0:
         raise ValueError(f"n_seeds must be nonnegative, got {n_seeds}")
+    _check_seeds(base_seed, n_seeds)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     tol = MATCH_TOL if tol is None else tol
     _check_tol(tol)
     shape = (n_worlds, n_agents, dim, cone_kind)
-    block_statuses = partial(_block_statuses, layer, base_seed, mode, shape, tol, n_seeds)
-    starts = range(0, n_seeds, BLOCK_SEEDS)
+    size = _block_seeds(layer, n_worlds, n_agents, dim, cone_kind)
+    block_statuses = partial(_block_statuses, layer, base_seed, mode, shape, tol, n_seeds, size)
+    starts = range(0, n_seeds, size)
     t0 = time.perf_counter()
     n_procs = min(workers, len(starts), os.cpu_count() or 1)
     if n_procs > 1:

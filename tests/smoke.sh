@@ -64,12 +64,13 @@ console)
         "${aumann[@]}" search $kind --seeds 100 --mode planted --json > "$tmp/planted.json"
         "$python" -c "import json, sys; doc = json.load(open(sys.argv[1])); sys.exit(doc['planted_failures'] != 0 or doc['counts'] != {'holds': 100})" "$tmp/planted.json"
     done
-    # 40 and 75 seeds cross the boundaries of 32-seed blocks (generators.BLOCK_SEEDS), in every search kind;
-    # polyhedral cones at dim 3 get facet certificates, at dim 6 the fit certificate; at 70 worlds a cell's
-    # mask is built from two 64-bit words
-    for block in "--layer quantum --seeds 40" "--layer gpt --cone polyhedral --dim 3 --seeds 40" \
-        "--layer gpt --cone polyhedral --dim 6 --seeds 40" "--layer quantum --worlds 70 --agents 3 --seeds 40" \
-        "--layer gpt --cone psd --seeds 75" "--layer classical --worlds 48 --agents 6 --seeds 40" \
+    # each count crosses a block boundary of its kind (generators._block_seeds; default 6 worlds, 2 agents):
+    # quantum 170 seeds a block, polyhedral dim 3 455, polyhedral dim 6 227, quantum at 70 worlds 32, PSD 170,
+    # classical and simplex at 48 worlds 32; polyhedral cones at dim 3 get facet certificates, at dim 6 the fit
+    # certificate; at 70 worlds a cell's mask is built from two 64-bit words
+    for block in "--layer quantum --seeds 200" "--layer gpt --cone polyhedral --dim 3 --seeds 470" \
+        "--layer gpt --cone polyhedral --dim 6 --seeds 240" "--layer quantum --worlds 70 --agents 3 --seeds 40" \
+        "--layer gpt --cone psd --seeds 200" "--layer classical --worlds 48 --agents 6 --seeds 40" \
         "--layer gpt --cone simplex --dim 4 --worlds 48 --agents 6 --seeds 40"; do
         # shellcheck disable=SC2086  # $block is several flags
         "${aumann[@]}" search $block --json --workers 1 > "$tmp/search_w1.json"

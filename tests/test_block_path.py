@@ -174,3 +174,38 @@ def test_a_bad_target_raises_what_its_seed_raises(kind, bad):
     with pytest.raises(type(alone.value)) as block:
         _statuses(scenarios.block._replace(targets=targets), MATCH_TOL)
     assert str(block.value) == str(alone.value) == "target 1 must be finite"
+
+
+@pytest.mark.parametrize("mode", ["mix", "planted", "random"])
+@pytest.mark.parametrize("kind", list(PINNED_KINDS))
+def test_search_does_not_depend_on_its_block_size(kind, mode, monkeypatch):
+    """A search reports the same, timings aside, in 32-seed blocks, in
+    blocks of the size its shape gives (one full, one short) and as one
+    block. ``run_search`` gives a polyhedral cone ``2 * dim`` generators."""
+    layer, kw = PINNED_KINDS[kind]
+    dim, cone_kind = kw.get("dim", 2), kw.get("cone_kind", "simplex")
+    n_worlds, n_agents = 12, 3
+    n_seeds = generators._block_seeds(layer, n_worlds, n_agents, dim, cone_kind) + 5
+    lengths = []
+    run = scenario._block_statuses
+
+    def block_statuses(*args):
+        out = run(*args)
+        lengths.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(scenario, "_block_statuses", block_statuses)
+    reports = {}
+    for case, (block_seeds, entries) in {"32": (32, 0), "rule": (BLOCK_SEEDS, generators.BLOCK_ENTRIES),
+                                         "one": (n_seeds, 0)}.items():
+        monkeypatch.setattr(generators, "BLOCK_SEEDS", block_seeds)
+        monkeypatch.setattr(generators, "BLOCK_ENTRIES", entries)
+        lengths.clear()
+        stats = scenario.run_search(layer, n_seeds, base_seed=10_000, n_worlds=n_worlds, n_agents=n_agents, dim=dim,
+                                    cone_kind=cone_kind, mode=mode)
+        reports[case] = {k: v for k, v in stats.to_json_dict().items() if k not in ("elapsed_s", "generate_s",
+                                                                                     "verify_s")}
+        assert sum(lengths) == n_seeds
+        assert max(lengths) == {"32": 32, "rule": n_seeds - 5, "one": n_seeds}[case]
+    assert reports["32"] == reports["rule"] == reports["one"]
+    assert reports["one"]["n_scenarios"] == n_seeds

@@ -62,6 +62,27 @@ class TestGenPartition:
         assert gen_partition(99, 8, 5) == gen_partition(99, 8, 5)
 
 
+def _plain(state):
+    """A bit generator's state with its arrays as lists, comparable with ``==``."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
+def test_rng_is_philox_keyed_by_the_seed(seed):
+    """``_rng`` keys Philox without ``Philox(key=)``'s throwaway
+    SeedSequence, and gets its state and its words."""
+    got, want = _rng(seed).bit_generator, np.random.Philox(key=seed)
+    assert type(got) is np.random.Philox
+    assert _plain(got.state) == _plain(want.state)
+    assert _plain(got.state)["state"] == {"counter": [0, 0, 0, 0], "key": [seed, 0]}
+    assert got.random_raw(64).tolist() == want.random_raw(64).tolist()
+    assert _plain(got.state) == _plain(want.state)
+    draws = np.random.Generator(np.random.Philox(key=seed)).standard_normal(9)
+    assert _rng(seed).standard_normal(9).tobytes() == draws.tobytes()
+
+
 class TestGenDensity:
     def test_dim_one(self):
         assert np.allclose(gen_density(0, 1).matrix, [[1.0]])
@@ -730,6 +751,33 @@ class TestBlockChecks:
         with pytest.raises(NotPsd) as alone:
             Dovm(made[1][3])
         assert str(block.value) == str(alone.value) and "atom 1 " in str(alone.value)
+
+    def test_a_non_psd_atom_at_the_end_of_a_search_block_is_named(self, monkeypatch):
+        """A search block at 6 worlds and 2 agents holds 170 quantum seeds;
+        a non-PSD atom made for its last seed is named as it is when that
+        seed is built alone with the same fault."""
+        n_seeds = generators._block_seeds("quantum", 6, 2, 2, "simplex")
+        assert n_seeds == 170
+        seeds = [(s, s % 2 == 0) for s in range(n_seeds)]
+        errors = []
+        for block in (seeds, seeds[-1:]):
+            made = []
+
+            def sandwich(root, stack):
+                out = quantum._sandwich(root, stack)
+                if len(made) == 1:  # the second sandwich: the effects conjugated by the states' roots
+                    out = _faulty(out, len(block) - 1, "non-psd")
+                made.append(out)
+                return out
+
+            monkeypatch.setattr(generators, "_sandwich", sandwich)
+            with pytest.raises(NotPsd) as raised:
+                _block("quantum", block, 6, 2)
+            assert len(made[1]) == len(block)
+            errors.append(str(raised.value))
+        with pytest.raises(NotPsd) as alone:
+            Dovm(made[1][0])
+        assert errors[0] == errors[1] == str(alone.value) and "atom 1 " in errors[0]
 
     def test_quantum_targets_pass_the_density_operator_check(self, monkeypatch):
         made = []

@@ -49,7 +49,7 @@ from aumann import (
     verify_quantum_aumann,
 )
 from aumann.cli import EXIT_INPUT_ERROR, main
-from aumann.generators import BLOCK_SEEDS
+from aumann.generators import BLOCK_SEEDS, _block_seeds, _rng
 
 DATA = Path(__file__).parent / "data"
 BAD_TOLS = ["nan", "inf", "0", "-1"]
@@ -253,6 +253,43 @@ class TestSearchSeeds:
             with pytest.raises(ValueError, match="workers"):
                 run_search("classical", n_seeds, workers=workers)
 
+    @pytest.mark.parametrize("base_seed, n_seeds, bad", [
+        (2**64 - 116, 1000, 2**64),  # the first seed past the range is named, as drawing it would
+        (2**64 - 116, 117, 2**64),
+        (2**64, 0, 2**64),
+        (2**64 + 5, 3, 2**64 + 5),
+        (-1, 0, -1),
+        (-1, 40, -1),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seed_range_exits_two_before_any_block(self, base_seed, n_seeds, bad, workers, monkeypatch, capsys):
+        """A search's first and last seed are checked against ``0..2**64 - 1``
+        with the message ``_rng`` raises, before any block runs."""
+        message = f"seed must be a 64-bit unsigned integer, got {bad}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _rng(bad)
+
+        def block_statuses(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(scenario, "_block_statuses", block_statuses)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_search("classical", n_seeds, base_seed=base_seed, workers=workers)
+        argv = ["search", "--layer", "classical", "--seeds", str(n_seeds), "--seed", str(base_seed),
+                "--workers", str(workers)]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("base_seed, n_seeds", [(2**64 - 116, 116), (2**64 - 1, 1), (2**64 - 1, 0), (0, 0)])
+    def test_seeds_up_to_the_last_64_bit_seed_run(self, base_seed, n_seeds, capsys):
+        stats = run_search("classical", n_seeds, base_seed=base_seed)
+        assert stats.n_scenarios == sum(stats.counts.values()) == n_seeds
+        argv = ["search", "--layer", "classical", "--seeds", str(n_seeds), "--seed", str(base_seed), "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["counts"] == stats.counts
+
     @pytest.mark.parametrize("workers", ["1", "2", "8"])
     def test_zero_seeds_is_an_empty_tally(self, workers, capsys):
         assert main(["search", "--layer", "classical", "--seeds", "0", "--workers", workers]) == 0
@@ -266,7 +303,7 @@ class TestSearchSeeds:
         """No real pool starts: the fake records its size and chunk size and
         maps inline, on a faked 4-CPU machine; ``n_procs`` 0 means no pool.
         A pool maps seed blocks, one per task, the last one short."""
-        n_seeds = (n_blocks - 1) * BLOCK_SEEDS + 1
+        n_seeds = (n_blocks - 1) * _block_seeds("classical", 6, 2, 2, "simplex") + 1
         seen = []
 
         class InlinePool:

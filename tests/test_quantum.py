@@ -30,7 +30,8 @@ from aumann import (
     trace_norm,
     verify_quantum_aumann,
 )
-from aumann.tolerances import MATCH_TOL, NULL_MASS_TOL
+from aumann import quantum
+from aumann.tolerances import MATCH_TOL, NULL_MASS_TOL, PSD_EIG_TOL
 
 
 def diag_dovm(*diagonals):
@@ -302,6 +303,18 @@ class TestBatchedChecks:
         atoms[4, 0, 1] += 0.1
         with pytest.raises(NotHermitian, match="atom 4 "):
             Dovm(atoms)
+
+    def test_require_psd_names_the_first_low_matrix_of_a_block(self):
+        """One reduction over the block's lowest eigenvalues: a NaN is not
+        below the tolerance, and the first matrix below it is named by its
+        index in its own stack."""
+        vals = np.zeros((170, 6, 2))
+        vals[3, 4, 0] = np.nan
+        quantum._require_psd(vals, "atom")
+        vals[169, 1, 0] = vals[169, 5, 0] = -1e-3
+        vals[169, 2, 0] = -PSD_EIG_TOL  # at the tolerance, not below it
+        with pytest.raises(NotPsd, match=r"^atom 1 has eigenvalue -1\.000e-03 below -1e-09$"):
+            quantum._require_psd(vals, "atom")
 
     def test_first_bad_index_is_named(self):
         atoms = _psd_atoms(6)
