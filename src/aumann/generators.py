@@ -82,9 +82,11 @@ _WEIGHT_FLOOR = 1e-3
 def _philox_key() -> type:
     """The seed sequence that hands ``Philox`` the key ``[seed, 0]``, the
     state of ``Philox(key=seed)``, without the OS-entropy ``SeedSequence``
-    that ``key=`` builds and then discards. It is made on first use: loading
-    ``numpy.random`` when this module is imported, before the package's
-    other modules compile, raised a search's peak RSS by about 0.6 MB."""
+    that ``key=`` builds and then discards. It is made on first use, so
+    that importing this module does not load ``numpy.random`` before the
+    package's other modules compile: without bytecode caches that raised a
+    search's peak RSS by 0.3-0.4 MB (``BENCH_block_sizing.json``,
+    ``philox_key_class``)."""
     from numpy.random.bit_generator import ISeedSequence
 
     class PhiloxKey(ISeedSequence):

@@ -23,7 +23,7 @@ from aumann import (
     verify_aumann,
 )
 from aumann.cli import EXIT_INPUT_ERROR, main
-from aumann.generators import BLOCK_SEEDS
+from aumann.generators import _block_seeds
 
 DATA = Path(__file__).parent / "data"
 
@@ -397,12 +397,15 @@ class TestRunGenAndSearch:
                              ("gpt", "simplex"), ("gpt", "psd"), ("gpt", "polyhedral")],
     )
     def test_search_workers_agree(self, layer, cone_kind):
-        solo = run_search(layer, 60, n_worlds=4, n_agents=2, cone_kind=cone_kind)
-        team = run_search(layer, 60, n_worlds=4, n_agents=2, cone_kind=cone_kind, workers=2)
+        """One process and two tally the same seeds over more than one
+        block of the search's shape."""
+        n_seeds = _block_seeds(layer, 4, 2, 2, cone_kind) + 3
+        solo = run_search(layer, n_seeds, n_worlds=4, n_agents=2, cone_kind=cone_kind)
+        team = run_search(layer, n_seeds, n_worlds=4, n_agents=2, cone_kind=cone_kind, workers=2)
         assert solo.counts == team.counts
         assert solo.violation_seeds == team.violation_seeds
 
-    @pytest.mark.parametrize("n_seeds", [0, 1, BLOCK_SEEDS + 3])
+    @pytest.mark.parametrize("n_seeds", [0, 1, _block_seeds("gpt", 4, 2, 2, "psd") + 3])
     def test_search_workers_agree_across_blocks(self, n_seeds):
         """Two processes, each mapping whole seed blocks, tally what one does,
         down to the seeds flagged, when the last block is short."""
@@ -429,7 +432,7 @@ class TestRunGenAndSearch:
         assert "violations: 0" in stats.to_text()
         assert json.dumps(stats.to_json_dict())
 
-    @pytest.mark.parametrize("n_seeds", [0, 1, BLOCK_SEEDS + 3])
+    @pytest.mark.parametrize("n_seeds", [0, 1, _block_seeds("quantum", 4, 2, 2, "simplex") + 3])
     def test_stats_keep_generate_and_verify_time_apart(self, n_seeds):
         """Each block times its generation and its verification; the stats
         carry both sums, in process within the elapsed time."""
