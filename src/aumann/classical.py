@@ -75,7 +75,7 @@ def conditional(mu: ProbabilityMeasure, h: Event, lam: Event) -> float:
 
 
 # Values are posteriors, masses probabilities; a state is a float, which has no check.
-_RULE = _Rule(lambda x, stacks: (x[..., 0], x[..., 1]), lambda xs, ys: np.abs(xs - ys), lambda v, spaces: v,
+_RULE = _Rule(lambda x, spaces, owners: (x[..., 0], x[..., 1]), lambda xs, ys: np.abs(xs - ys), lambda v, spaces: v,
               lambda v, spaces: v.tolist())
 
 

@@ -284,13 +284,13 @@ def _svm_atoms(cones: Sequence[ConeSpace], draws: np.ndarray) -> np.ndarray:
     """Checked atoms ``(b, n, dim)`` of ``b`` random SVMs, SVM ``k`` over
     ``cones[k]``, from their stacked draws: a vectorized DOVM on the PSD
     cone; else the weights (times the generators of a polyhedral cone, one
-    product per SVM), scaled to unit total with one dot per SVM, as a
+    product per SVM), scaled to unit total by ``gpt._unit_values``, as a
     single SVM is."""
     if isinstance(cones[0], PsdCone):
         return Svm._check(cones, _vectorize_rows(_dovm_atoms(draws)))
     if isinstance(cones[0], PolyhedralCone):
         draws = draws @ np.stack([c.generators for c in cones])
-    return Svm._check(cones, draws / _unit_values(cones, draws.sum(axis=1))[:, None, None])
+    return Svm._check(cones, draws / _unit_values(cones, draws.sum(axis=1), np.arange(len(draws)))[:, None, None])
 
 
 def _planted_labels(rng: np.random.Generator, n_worlds: int, n_agents: int) -> np.ndarray:

@@ -192,13 +192,14 @@ def _members_in(cones: Sequence[ConeSpace], vs: np.ndarray, per: int = 1) -> np.
     return kind._rows_in(cones, vs, per)
 
 
-def _unit_values(cones: Sequence[ConeSpace], vs: np.ndarray) -> np.ndarray:
-    """The unit value of each row of ``vs`` under its own cone's unit
-    functional, one dot product per row, as a row alone takes it."""
+def _unit_values(cones: Sequence[ConeSpace], vs: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """The unit value of each row ``vs[r]`` under the unit functional of
+    its cone ``cones[owners[r]]``, the products added in coordinate order
+    (:func:`_row_dots`): the one rule for every GPT mass, so a row gets the
+    same bits in any stack as alone."""
     first = cones[0]
-    units = np.broadcast_to(first.unit, vs.shape) if all(c is first for c in cones) else np.array(
-        [c.unit for c in cones])
-    return (vs[:, None, :] @ units[:, :, None])[:, 0, 0]
+    units = first.unit[None] if all(c is first for c in cones) else np.array([c.unit for c in cones])[owners]
+    return _row_dots(units[:, None], vs)[:, 0]
 
 
 class SimplexCone(ConeSpace):
@@ -583,7 +584,7 @@ def _build_polyhedral(cones: Sequence[PolyhedralCone], generators: np.ndarray, u
     negated_inside = PolyhedralCone._rows_in(cones, -g.reshape(-1, dim), m).reshape(b, m)
     if negated_inside.any():
         raise ValueError(f"cone is not pointed: -generators[{_first(negated_inside)[1]}] lies in the cone")
-    if ((g @ units[:, :, None]) <= 0).any():
+    if (_row_dots(g, units) <= 0).any():
         raise ValueError("unit functional must be strictly positive on every generator")
 
 
@@ -655,7 +656,7 @@ class GptState:
         coords = cones[0]._coerce_rows(coords).copy()
         if not _members_in(cones, coords).all():
             raise ValueError("coordinates lie outside the cone")
-        u = _unit_values(cones, coords)
+        u = _unit_values(cones, coords, np.arange(len(coords)))
         bad = np.abs(u - 1.0) > WEIGHT_SUM_TOL
         if bad.any():
             raise ValueError(f"unit value is {float(u[np.argmax(bad)])!r}, expected 1")
@@ -685,7 +686,7 @@ class Svm:
         inside = _members_in(cones, atoms.reshape(-1, dim), atoms.shape[1]).reshape(atoms.shape[:2])
         if not inside.all():
             raise ValueError(f"atom {_first(~inside)[1]} lies outside the cone")
-        total_u = _unit_values(cones, atoms.sum(axis=1))
+        total_u = _unit_values(cones, atoms.sum(axis=1), np.arange(len(atoms)))
         bad = np.abs(total_u - 1.0) > WEIGHT_SUM_TOL
         if bad.any():
             raise ValueError(f"total unit value is {float(total_u[np.argmax(bad)])!r}, expected 1")
@@ -708,20 +709,10 @@ def _same_cone(a: ConeSpace, b: ConeSpace) -> bool:
                       and (a.kind != "polyhedral" or np.array_equal(a.generators, b.generators)))
 
 
-def _gpt_parts(sums: np.ndarray, stacks) -> tuple[np.ndarray, np.ndarray]:
-    """Sums as values, and their unit values as masses. A matrix product
-    rounds by the shape of its stack, so each stack gets its own: one
-    product per partition's cells, one dot per event."""
-    masses = np.empty(len(sums))
-    for cone, at in stacks:
-        masses[at] = sums[at] @ cone.unit
-    return sums, masses
-
-
 # Values are sums of atoms, masses their unit values, distance the
 # coordinate max-norm; a state is a GptState of its scenario's cone.
 _RULE = _Rule(
-    _gpt_parts,
+    lambda x, cones, owners: (x, _unit_values(cones, x, owners)),
     lambda xs, ys: np.abs(xs - ys).max(axis=-1),
     lambda v, cones: GptState._check(cones, v),
     lambda v, cones: _instances(GptState, v, cones),

@@ -302,7 +302,7 @@ def _trace_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 # Values are sums of atoms, masses their traces; a state is a DensityOperator.
 _RULE = _Rule(
-    lambda x, stacks: (x, x.trace(axis1=-2, axis2=-1).real),
+    lambda x, spaces, owners: (x, x.trace(axis1=-2, axis2=-1).real),
     _trace_distances,
     lambda v, spaces: DensityOperator._check(v),
     lambda v, spaces: _instances(DensityOperator, v),

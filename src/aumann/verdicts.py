@@ -37,11 +37,12 @@ public conditionals and the generators' conditioned targets all take it
 through one event sum (:func:`_event_conditionals`), with the one null
 cutoff ``NULL_MASS_TOL``.
 
-Every sum adds its worlds in increasing order starting from zeros, so a
-block gives each scenario the bits it gets alone. A matrix product rounds by
-the shape of its stack, so a GPT mass stays one product per partition's
-cell stack and one dot per event, as a scenario alone takes them. Cells
-with mass at most ``NULL_MASS_TOL`` never match.
+Every sum adds its worlds in increasing order starting from zeros, and
+every GPT mass adds its unit's products in coordinate order
+(``gpt._unit_values``), so a sum and its mass get the same bits in any
+stack: a block gives each scenario the bits it gets alone, and a cell the
+bits it gets as an event. Cells with mass at most ``NULL_MASS_TOL`` never
+match.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConditioningOnNull, require_finite_items
-from .knowledge import Event, KnowledgeModel, Partition, _mutual_degrees
+from .knowledge import Event, KnowledgeModel, _mutual_degrees
 from .tolerances import NULL_MASS_TOL
 
 
@@ -96,17 +97,17 @@ class AgreementVerdict:
 class _Rule(NamedTuple):
     """How the pipeline reads one measure layer; every scenario of a block shares it.
 
-    ``parts(sums, stacks)`` gives the values and masses of a stack of sums;
-    ``stacks`` yields, for each stack a scenario alone would take (a
-    partition's cells, as a slice of rows, or one event's sum, as a row
-    index), that scenario's space. ``distance(xs, ys)`` compares two stacks
-    of values entry by entry. ``check(values, spaces)`` checks a stack of
-    conditioned values once, value ``k`` in the space ``spaces[k]``, and
-    returns the checked stack; ``states(checked, spaces)`` wraps a checked
-    stack as the layer's state type.
+    ``parts(sums, spaces, owners)`` gives the values and masses of a stack
+    of sums, sum ``r`` taken over measure ``owners[r]``, whose space is
+    ``spaces[owners[r]]``; a sum gets the same bits in any stack.
+    ``distance(xs, ys)`` compares two stacks of values entry by entry.
+    ``check(values, spaces)`` checks a stack of conditioned values once,
+    value ``k`` in the space ``spaces[k]``, and returns the checked stack;
+    ``states(checked, spaces)`` wraps a checked stack as the layer's state
+    type.
     """
 
-    parts: Callable[[np.ndarray, Iterable[tuple[Any, Any]]], tuple[np.ndarray, np.ndarray]]
+    parts: Callable[[np.ndarray, Sequence[Any], np.ndarray], tuple[np.ndarray, np.ndarray]]
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     check: Callable[[np.ndarray, Sequence[Any]], np.ndarray]
     states: Callable[[np.ndarray, Sequence[Any]], list]
@@ -165,15 +166,6 @@ def _sums(n: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out.view(rows.dtype).reshape((n,) + rows.shape[1:])
 
 
-def _cell_values(atoms: np.ndarray, partition: Partition) -> np.ndarray:
-    """Sum of the per-world ``atoms`` over each cell, stacked in cell order.
-
-    Each cell's sum adds its worlds in increasing order starting from zeros,
-    as ``atoms[list(cell)].sum(axis=0)`` does, so the values agree bit for bit.
-    """
-    return _sums(len(partition), partition.labels, atoms)
-
-
 def _condition(values: np.ndarray, masses: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Which of a stack of sums have mass above ``cutoff``, and those sums'
     values divided by their masses, stacked: the one conditioning step."""
@@ -184,14 +176,14 @@ def _condition(values: np.ndarray, masses: np.ndarray, cutoff: float) -> tuple[n
 def _cell_conditionals(block: _Block) -> tuple[np.ndarray, np.ndarray]:
     """The block's cells with mass above ``NULL_MASS_TOL``, by their number
     across the block, and their conditional values (value divided by
-    mass), stacked in cell order: one scatter of every partition's cell sums."""
+    mass), stacked in cell order: one scatter of every partition's cell
+    sums, and their masses in one ``parts`` call."""
     atoms, rule, spaces = block.measures
     n_scenarios, n_agents, _ = block.labels.shape
     rows = np.broadcast_to(atoms[:, None], (n_scenarios, n_agents) + atoms.shape[1:])
     sums = _sums(int(block.starts[-1]), block.cells.ravel(), rows.reshape((-1,) + atoms.shape[2:]))
-    starts = block.starts.tolist()
-    owners = (space for space in spaces for _ in range(n_agents))
-    live, conditionals = _condition(*rule.parts(sums, zip(owners, map(slice, starts, starts[1:]))), NULL_MASS_TOL)
+    owners = np.repeat(np.arange(n_scenarios), np.diff(block.starts[::n_agents]))  # each cell's measure
+    live, conditionals = _condition(*rule.parts(sums, spaces, owners), NULL_MASS_TOL)
     return np.flatnonzero(live), conditionals
 
 
@@ -254,10 +246,10 @@ def _event_sums(atoms: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _event_conditionals(measures: _Measures, rows: np.ndarray, cutoff: float) -> tuple:
     """Each measure's atoms summed over its event row: the masses, which are
-    above ``cutoff``, and those sums' values divided by their masses. One
-    ``parts`` call takes a stack per event: a GPT mass is one dot per event."""
+    above ``cutoff``, and those sums' values divided by their masses, with
+    one ``parts`` call, as the block's cells take theirs."""
     atoms, rule, spaces = measures
-    values, masses = rule.parts(_event_sums(atoms, rows), ((space, k) for k, space in enumerate(spaces)))
+    values, masses = rule.parts(_event_sums(atoms, rows), spaces, np.arange(len(rows)))
     return (masses, *_condition(values, masses, cutoff))
 
 

@@ -43,6 +43,9 @@ runtime)
     expect_exit 2 "${aumann[@]}" agree tests/data/invalid_cone_field.json
     expect_exit 2 "${aumann[@]}" agree tests/data/invalid_huge_dim.json
     expect_exit 2 "${aumann[@]}" agree tests/data/invalid_duplicate_key.json
+    # every GPT mass rounds by one rule, so each planted cell matches itself at a tol below round-off
+    "${aumann[@]}" search --layer gpt --cone simplex --dim 4 --worlds 48 --agents 6 --mode planted --tol 1e-300 \
+        --seeds 64
     "$python" demos/05_scenario_files.py
     ;;
 console)

@@ -49,7 +49,7 @@ from aumann import (
     verify_quantum_aumann,
 )
 from aumann.cli import EXIT_INPUT_ERROR, main
-from aumann.generators import BLOCK_SEEDS, _block_seeds, _rng
+from aumann.generators import BLOCK_ENTRIES, _block_seeds, _rng
 
 DATA = Path(__file__).parent / "data"
 BAD_TOLS = ["nan", "inf", "0", "-1"]
@@ -371,12 +371,15 @@ class TestSearchShape:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("n_seeds", [0, 2, BLOCK_SEEDS + 1])
+    # BLOCK_ENTRIES + 1 seeds span two blocks of any shape (a block never
+    # holds more than max(BLOCK_SEEDS, BLOCK_ENTRIES) seeds), so with two
+    # workers a valid shape would be a pooled search
+    @pytest.mark.parametrize("n_seeds", [0, 2, BLOCK_ENTRIES + 1])
     @pytest.mark.parametrize("kwargs, flags, message", CASES)
     def test_search_exits_two_before_any_block(self, kwargs, flags, message, n_seeds, monkeypatch, capsys):
         self._exits_two_before_any_block("classical", n_seeds, kwargs, flags, message, monkeypatch, capsys)
 
-    @pytest.mark.parametrize("n_seeds", [0, BLOCK_SEEDS + 1])
+    @pytest.mark.parametrize("n_seeds", [0, BLOCK_ENTRIES + 1])
     @pytest.mark.parametrize("layer, kwargs, flags, message, draw", DIM_CASES)
     def test_search_checks_dim_before_any_block(self, layer, kwargs, flags, message, draw, n_seeds, monkeypatch,
                                                 capsys):

@@ -28,6 +28,7 @@ from aumann import (
     gen_planted_scenario,
     gen_unconstrained_scenario,
     gpt_agreement_event,
+    gpt_conditional_state,
     mutual_knowledge,
     mutual_knowledge_chain,
     posterior_function,
@@ -55,7 +56,6 @@ from aumann.verdicts import (
     VerdictStatus,
     _agreement_events,
     _cell_conditionals,
-    _cell_values,
     _common_events,
     _event_conditionals,
     _event_sums,
@@ -63,6 +63,7 @@ from aumann.verdicts import (
     _Measures,
     _outcomes,
     _statuses,
+    _sums,
     _verdicts,
 )
 
@@ -128,6 +129,20 @@ def _old_common_knowledge(model, e, max_iters=None):
 
 # ---------------------------------------------------------------------------
 # the three agreement events and verifiers before the merge
+
+def _cell_values(atoms, partition):
+    """Each cell's sum of ``atoms``, stacked in cell order, by the pipeline's one scatter."""
+    return _sums(len(partition), partition.labels, atoms)
+
+
+def _unit_dots(values, unit):
+    """The unit value of each row of ``values``, the products added one
+    coordinate at a time: the one rounding rule of every GPT mass."""
+    out = values[:, 0] * unit[0]
+    for j in range(1, len(unit)):
+        out = out + values[:, j] * unit[j]
+    return out
+
 
 def _old_cell_posteriors(partition, weights, joint):
     k = len(partition)
@@ -235,7 +250,7 @@ def _old_gpt_agreement_event(model, mu, targets, tol=MATCH_TOL):
     acc = (1 << model.n_worlds) - 1
     for partition, target in zip(model.partitions, coords):
         values = _cell_values(mu.atoms, partition)
-        masses = values @ unit
+        masses = _unit_dots(values, unit)
         live = np.flatnonzero(masses > NULL_MASS_TOL)
         distances = np.abs(values[live] / masses[live, None] - target).max(axis=1)
         agent_mask = 0
@@ -254,7 +269,7 @@ def _old_verify_gpt_aumann(model, mu, targets, tol=MATCH_TOL, *, max_iters=None)
     if not c:
         return AgreementVerdict(VerdictStatus.VACUOUS_EMPTY_COMMON_KNOWLEDGE, c, posteriors, None)
     value = svm_value(mu, c)
-    u = float(mu.cone.unit @ value)
+    u = float(_unit_dots(value[None], mu.cone.unit)[0])
     if u <= NULL_MASS_TOL:
         return AgreementVerdict(VerdictStatus.VACUOUS_NULL_COMMON_KNOWLEDGE, c, posteriors, None)
     pooled = GptState(mu.cone, value / u)
@@ -319,7 +334,7 @@ def _cell_conditional(bundle, world, agent):
         value = dovm_value(mu, cell)
         return value / float(value.trace().real)
     value = svm_value(mu, cell)
-    return value / float(mu.cone.unit @ value)
+    return value / float(_unit_dots(value[None], mu.cone.unit)[0])
 
 
 def _shifted(bundle, base, delta, rng):
@@ -472,50 +487,39 @@ def test_block_verdicts_match_the_per_seed_reference(kind):
     assert VerdictStatus.VIOLATED not in seen
 
 
-def test_gpt_masses_keep_the_per_partition_product():
-    """A GPT cell's mass is the unit applied to its partition's cell stack,
-    one product per partition, as a scenario alone takes it. In this block
-    (gpt-simplex dim 4, as search-wide runs it) one product over all the
-    block's cells rounds some masses differently in the last bit, so a
-    block-wide product would fail here."""
+def test_gpt_masses_follow_one_rule():
+    """A GPT mass is its sum's unit value with the products added in
+    coordinate order, wherever it is taken: every cell's mass and
+    conditional in a block have the bits of the coordinate loop here, of
+    that cell taken alone as an event, and of ``gpt_conditional_state``. In
+    this block (gpt-simplex dim 4, as search-wide runs it) one matrix
+    product per partition's cell stack rounds some masses differently in
+    the last bit, so a mass taken by the shape of its stack would fail here."""
     scenarios = _gen_block("gpt", [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)], 6, 2, dim=4)
     block = list(scenarios)
     live, conditionals = _cell_conditionals(scenarios.block)
     unit = block[0].measure.cone.unit  # the block's one simplex cone
     values = [_cell_values(b.measure.atoms, p) for b in block for p in b.model.partitions]
-    masses = np.concatenate([v @ unit for v in values])
-    assert not np.array_equal(np.concatenate(values) @ unit, masses)
-    expected_live = np.flatnonzero(masses > NULL_MASS_TOL)
-    assert np.array_equal(live, expected_live)
-    expected = np.concatenate(values)[expected_live] / masses[expected_live, None]
-    assert _same_bits(conditionals, expected)
     assert scenarios.block.starts.tolist() == [0, *np.cumsum([len(v) for v in values]).tolist()]
+    sums = np.concatenate(values)
+    masses = _unit_dots(sums, unit)
+    assert not np.array_equal(np.concatenate([v @ unit for v in values]), masses)
+    assert np.array_equal(live, np.flatnonzero(masses > NULL_MASS_TOL)) and len(live) == len(sums)
+    assert _same_bits(conditionals, sums / masses[:, None])
+    cells = [(s, cell) for s, b in enumerate(block) for p in b.model.partitions for cell in p.cells]
+    owners = [s for s, _ in cells]
+    measures = scenarios.block.measures
+    own = _Measures(measures.atoms[owners], measures.rule, [measures.spaces[s] for s in owners])
+    got, heavy, alone = _event_conditionals(own, _mask_rows([cell.mask for _, cell in cells], 6), NULL_MASS_TOL)
+    assert _same_bits(got, masses) and heavy.all()
+    assert _same_bits(alone, conditionals)
+    states = np.array([gpt_conditional_state(block[s].measure, cell).coords for s, cell in cells])
+    assert _same_bits(states, conditionals)
 
 
 def _stack_of(measures, k):
     """A stack of one measure repeated ``k`` times."""
     return _Measures(np.repeat(measures.atoms, k, axis=0), measures.rule, list(measures.spaces) * k)
-
-
-def test_gpt_event_masses_keep_one_dot_per_event():
-    """A GPT event's mass is the unit applied to its sum alone, one dot per
-    event, as ``gpt_conditional_state`` of that event alone takes it. Over
-    every cell of this block (gpt-simplex dim 4) taken as events, one
-    product over the stack of sums rounds some masses differently in the
-    last bit, so a block-wide product would fail here."""
-    scenarios = _gen_block("gpt", [(i, i % 3 == 0) for i in range(BLOCK_SEEDS + 1)], 6, 2, dim=4)
-    measures = scenarios.block.measures
-    cells = [(s, cell) for s, b in enumerate(scenarios) for p in b.model.partitions for cell in p.cells]
-    owners = [s for s, _ in cells]
-    rows = _mask_rows([cell.mask for _, cell in cells], 6)
-    own = _Measures(measures.atoms[owners], measures.rule, [measures.spaces[s] for s in owners])
-    sums = _event_sums(own.atoms, rows)
-    unit = measures.spaces[0].unit
-    masses = np.array([s @ unit for s in sums])
-    assert not np.array_equal(sums @ unit, masses)
-    got, heavy, conditionals = _event_conditionals(own, rows, NULL_MASS_TOL)
-    assert _same_bits(got, masses) and heavy.all()
-    assert _same_bits(conditionals, sums / masses[:, None])
 
 
 _OTHER_STATE = {  # a state of another cone of the same dimension
@@ -583,16 +587,14 @@ def test_a_block_raises_what_its_bad_scenario_raises(kind, fault):
 
 
 def _expected_table(bundle, agent):
-    """Each cell's conditional value by the reference sums, ``None`` for a
-    null cell. A GPT cell's mass is the unit applied to the stack of all cell
-    values at once, as the old verifier takes it: a matmul over a stack can
-    round differently from one dot product (at gpt-simplex dim 4 it differs
-    from ``_cell_conditional`` in the last bit)."""
+    """Each cell's conditional value, ``None`` for a null cell: a GPT cell's
+    is ``gpt_conditional_state`` of it, the others' by the reference sums."""
     mu = bundle.measure
     cells = bundle.model.partitions[agent].cells
     if bundle.layer == "gpt":
-        values = np.stack([svm_value(mu, cell) for cell in cells])
-        return [None if m <= NULL_MASS_TOL else v / m for v, m in zip(values, values @ mu.cone.unit)]
+        masses = _unit_dots(np.stack([svm_value(mu, cell) for cell in cells]), mu.cone.unit)
+        return [None if m <= NULL_MASS_TOL else gpt_conditional_state(mu, cell).coords
+                for cell, m in zip(cells, masses)]
     if bundle.layer == "quantum":
         masses = [float(dovm_value(mu, cell).trace().real) for cell in cells]
     else:
@@ -647,10 +649,11 @@ def _loop_sum(atoms, worlds):
 @pytest.mark.parametrize("layer, cone_kind, dim", KINDS)
 @pytest.mark.parametrize("n_worlds", [6, 48, 63])
 def test_sums_add_worlds_in_increasing_order(layer, cone_kind, dim, n_worlds):
-    """``_cell_values`` and, on a block of events, ``_event_sums`` on each
-    layer's atom stack equal a per-cell loop bit for bit, and, on the
-    classical stack, ``probability`` of the hypothesis within the cell and
-    of the cell; ``_event_conditionals`` divides those sums by their masses."""
+    """``_sums`` over each partition's cells and, on a block of events,
+    ``_event_sums`` on each layer's atom stack equal a per-cell loop bit for
+    bit, and, on the classical stack, ``probability`` of the hypothesis
+    within the cell and of the cell; ``_event_conditionals`` divides those
+    sums by their masses."""
     for seed in range(4):
         bundle = gen_unconstrained_scenario(seed, layer, n_worlds, 1 + seed % 3, dim=dim, cone_kind=cone_kind)
         model, mu, h = bundle.model, bundle.measure, bundle.hypothesis

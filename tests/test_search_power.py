@@ -44,6 +44,16 @@ def test_every_planted_seed_holds(kind):
     assert stats.violations == 0
 
 
+def test_a_planted_cell_matches_itself_below_round_off():
+    """A planted seed's target is its planted cell conditioned as an event,
+    and the agreement event conditions the same cell among its partition's
+    cells; every GPT mass rounds by one rule, so the two have the same bits
+    and every planted seed holds even at a ``tol`` below round-off."""
+    stats = run_search("gpt", 400, mode="planted", tol=1e-300, n_worlds=48, n_agents=6, dim=4, cone_kind="simplex")
+    assert stats.counts == {"holds": 400}
+    assert stats.planted_failures == 0 and stats.planted_failure_seeds == ()
+
+
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_cell_sums_that_drop_the_last_world_are_killed(kind, monkeypatch):
     layer, kw = KINDS[kind]
