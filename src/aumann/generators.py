@@ -29,7 +29,7 @@ boolean event rows taken from the labels, by the one conditioning rule of
 ``verdicts``, and every target of the block is checked as a state in one
 call. A gpt-polyhedral seed draws its own cone's generators; the block
 builds all its seeds' cones as one stack (``gpt._polyhedral_cones``), and
-its measure and state checks take a cone per row.
+its measure and state checks name each row's cone by an owner index.
 
 A search's blocks are sized by their stacks (``_block_seeds``): a block
 holds as many seeds as keep its cell-sum rows, agents x worlds x real

@@ -91,8 +91,10 @@ def _vectorize_rows(h: np.ndarray) -> np.ndarray:
 
 
 def devectorize(v: np.ndarray) -> np.ndarray:
-    """Hermitian matrix with the given coordinates (inverse of :func:`vectorize`)."""
-    return _devectorize_rows(np.asarray(v, dtype=float).reshape(1, -1))[0]
+    """Hermitian matrix with the given finite coordinates (inverse of :func:`vectorize`)."""
+    v = np.asarray(v, dtype=float)
+    require_finite(v, "coordinates")
+    return _devectorize_rows(v.reshape(1, -1))[0]
 
 
 def _devectorize_rows(vs: np.ndarray) -> np.ndarray:
@@ -145,8 +147,11 @@ class ConeSpace:
     def unit(self) -> np.ndarray:
         return self._unit
 
-    def _coerce(self, v) -> np.ndarray:
-        return self._coerce_rows(np.asarray(v, dtype=float)[None])[0]
+    def _coerce(self, v, what: str) -> np.ndarray:
+        """``v`` as a float vector of length ``dim``; a NaN or an infinity raises ``ValueError`` naming ``what``."""
+        v = self._coerce_rows(np.asarray(v, dtype=float)[None])[0]
+        require_finite(v, what)
+        return v
 
     def _coerce_rows(self, vs) -> np.ndarray:
         """``vs`` as a float array of vectors of length ``dim`` along its first axis."""
@@ -156,40 +161,30 @@ class ConeSpace:
         return a
 
     def contains(self, v, tol: float | None = None) -> bool:
-        return bool(self._members(self._coerce(v)[None], tol)[0])
-
-    def _members(self, vs: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Membership of each row of an ``(n, dim)`` array, as booleans.
-
-        Non-finite coordinates raise ``ValueError`` before any solver runs.
-        """
-        require_finite(vs, "cone coordinates")
-        return self._member_rows(vs, tol)
-
-    def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
-        raise NotImplementedError
+        return bool(_members_in([self], self._coerce(v, "cone coordinates")[None], np.zeros(1, dtype=np.intp), tol)[0])
 
     @staticmethod
-    def _rows_in(cones: Sequence[ConeSpace], vs: np.ndarray, per: int) -> np.ndarray:
-        """Membership of each row of ``vs`` in its own cone, the rows ``per``
-        to a cone of ``cones``. A simplex or PSD cone is fixed by its kind
-        and dimension, so the first cone decides every row."""
-        return cones[0]._member_rows(vs, None)
+    def _rows_in(cones: Sequence[ConeSpace], vs: np.ndarray, owners: np.ndarray, tol: float | None) -> np.ndarray:
+        """Membership of each row ``vs[r]`` in ``cones[owners[r]]``, for :func:`_members_in` alone. A simplex
+        or PSD cone is fixed by its dimension, so those kinds check every row alike."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self._dim})"
 
 
-def _members_in(cones: Sequence[ConeSpace], vs: np.ndarray, per: int = 1) -> np.ndarray:
-    """Membership of each row of ``vs`` in its own cone, as booleans: the
-    rows come ``per`` to a cone, in the order of ``cones``, which share
-    their kind. Non-finite coordinates raise ``ValueError`` before any
-    solver runs."""
+def _members_in(cones: Sequence[ConeSpace], vs: np.ndarray, owners: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Membership of each row ``vs[r]`` in its cone ``cones[owners[r]]``, as
+    booleans, to tolerance ``tol`` (the kind's default when ``None``): the
+    one membership check. The cones share their kind; a NaN or infinite
+    coordinate or ``tol`` raises ``ValueError`` before any solver runs."""
     kind = type(cones[0])
     if any(type(c) is not kind for c in cones):
         raise ValueError("a block's cones must share their kind")
     require_finite(vs, "cone coordinates")
-    return kind._rows_in(cones, vs, per)
+    if tol is not None:
+        require_finite(tol, "tol")
+    return kind._rows_in(cones, vs, owners, tol)
 
 
 def _unit_values(cones: Sequence[ConeSpace], vs: np.ndarray, owners: np.ndarray) -> np.ndarray:
@@ -211,7 +206,8 @@ class SimplexCone(ConeSpace):
         _require_dim(dim)
         super().__init__(dim, np.ones(dim))
 
-    def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
+    @staticmethod
+    def _rows_in(cones: Sequence[ConeSpace], vs: np.ndarray, owners: np.ndarray, tol: float | None) -> np.ndarray:
         tol = PSD_EIG_TOL if tol is None else tol
         return (vs >= -tol).all(axis=1)
 
@@ -233,7 +229,8 @@ class PsdCone(ConeSpace):
     def matrix_dim(self) -> int:
         return self._matrix_dim
 
-    def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
+    @staticmethod
+    def _rows_in(cones: Sequence[ConeSpace], vs: np.ndarray, owners: np.ndarray, tol: float | None) -> np.ndarray:
         tol = PSD_EIG_TOL if tol is None else tol
         return np.linalg.eigvalsh(_devectorize_rows(vs))[:, 0] >= -tol
 
@@ -339,9 +336,8 @@ class _Certificates(NamedTuple):
     cone's padded to the stack's length by repeating its last, which leaves
     their minimum unchanged; ``counts`` says how many are the cone's facets.
     ``margins`` are their relative round-off margins. Where a cone's normals
-    are not all its facets (``fitted``), ``fits`` certify members;
-    ``bases`` hold the unit generators as columns. Fits and bases are zero
-    past a cone's own generators.
+    are not all its facets (``fitted``), ``fits`` certify members; ``bases``
+    hold the unit generators as columns, the NNLS's matrix.
     """
 
     normals: np.ndarray  # (c, F, dim)
@@ -400,30 +396,6 @@ def _row_dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     for j in range(1, v.shape[1]):
         out += a[..., j] * v[:, None, j]
     return out
-
-
-def _stack_of(cones: Sequence[PolyhedralCone]) -> tuple[_Certificates, np.ndarray]:
-    """Certificates holding every cone of ``cones``, and each cone's entry:
-    the stack the cones were built in, when they share one, else a new
-    stack of their own entries."""
-    stack = cones[0]._stack
-    if all(c._stack is stack for c in cones):
-        return stack, np.array([c._at for c in cones], dtype=np.intp)
-    own = [(c._stack, c._at, max(c._stack.counts[c._at], 1)) for c in cones]
-    width = max(n for _, _, n in own)
-    m = max(s.fits.shape[2] for s, _, _ in own)
-
-    def padded(a: np.ndarray) -> np.ndarray:
-        return np.concatenate([a, np.zeros(a.shape[:-1] + (m - a.shape[-1],))], axis=-1)
-
-    return _Certificates(
-        np.stack([s.normals[k, np.minimum(np.arange(width), n - 1)] for s, k, n in own]),
-        np.array([s.counts[k] for s, k, _ in own]),
-        np.array([s.margins[k] for s, k, _ in own]),
-        np.array([s.fitted[k] for s, k, _ in own]),
-        np.stack([padded(s.fits[k]) for s, k, _ in own]),
-        np.stack([padded(s.bases[k]) for s, k, _ in own]),
-    ), np.arange(len(cones))
 
 
 def _nnls_residual(a: np.ndarray, b: np.ndarray, maxiter: int) -> float:
@@ -517,8 +489,9 @@ class PolyhedralCone(ConeSpace):
     Cones are built as a stack (:func:`_polyhedral_cones`, as a search
     block builds its seeds' cones): the certificates and the checks run
     once for the stack, and a constructed cone is a stack of one. Rows that
-    each name their cone are decided by one call on the stacked
-    certificates (:func:`_members_in`), with each undecided point's own NNLS.
+    each name their cone by an owner index are decided by one call on their
+    stack's certificates (:func:`_members_in`), with each undecided point's
+    own NNLS; cones of two stacks raise ``ValueError``.
     """
 
     kind = "polyhedral"
@@ -530,16 +503,15 @@ class PolyhedralCone(ConeSpace):
     def generators(self) -> np.ndarray:
         return self._generators
 
-    def _member_rows(self, vs: np.ndarray, tol: float | None) -> np.ndarray:
-        return self._rows_in([self], vs, len(vs), tol)
-
     @staticmethod
-    def _rows_in(cones: Sequence[PolyhedralCone], vs: np.ndarray, per: int, tol: float | None = None) -> np.ndarray:
+    def _rows_in(cones: Sequence[PolyhedralCone], vs: np.ndarray, owners: np.ndarray, tol: float | None) -> np.ndarray:
+        stack = cones[0]._stack
+        if any(c._stack is not stack for c in cones):
+            raise ValueError("a block's polyhedral cones must be built as one stack")
         tol = CONE_FEAS_TOL if tol is None else tol
         if tol < 0:  # no distance is negative
             return np.zeros(vs.shape[0], dtype=bool)
-        stack, at = _stack_of(cones)
-        owner = np.repeat(at, per)
+        owner = np.array([c._at for c in cones], dtype=np.intp)[owners]
         peaks = np.abs(vs).max(axis=1)
         margin = stack.margins[owner] * peaks
         low = _row_dots(stack.normals[owner], vs).min(axis=1)  # minus the largest violation
@@ -555,9 +527,8 @@ class PolyhedralCone(ConeSpace):
         # an overflowed product is NaN, and stays undecided
         undecided = ~inside & ~(low < -(tol + margin))
         for i in np.flatnonzero(undecided):
-            basis = cones[i // per]._basis
             # 50 least-squares solves per generator leave ample room on cones with one or two.
-            residual = _nnls_residual(basis, vs[i], 50 * basis.shape[1])
+            residual = _nnls_residual(stack.bases[owner[i]], vs[i], 50 * stack.bases.shape[2])
             inside[i] = residual <= tol + _NNLS_ROUNDOFF * peaks[i]
         return inside
 
@@ -579,9 +550,8 @@ def _build_polyhedral(cones: Sequence[PolyhedralCone], generators: np.ndarray, u
     unit_gens = _unit_rows(g)
     stack = _certificates(unit_gens, units)
     for k, cone in enumerate(cones):
-        cone._dim, cone._unit, cone._generators = dim, units[k], g[k]
-        cone._basis, cone._stack, cone._at = stack.bases[k], stack, k
-    negated_inside = PolyhedralCone._rows_in(cones, -g.reshape(-1, dim), m).reshape(b, m)
+        cone._dim, cone._unit, cone._generators, cone._stack, cone._at = dim, units[k], g[k], stack, k
+    negated_inside = _members_in(cones, -g.reshape(-1, dim), np.repeat(np.arange(b), m)).reshape(b, m)
     if negated_inside.any():
         raise ValueError(f"cone is not pointed: -generators[{_first(negated_inside)[1]}] lies in the cone")
     if (_row_dots(g, units) <= 0).any():
@@ -604,18 +574,21 @@ class Effect:
     functional: np.ndarray
 
     def __post_init__(self) -> None:
-        f = self.cone._coerce(self.functional).copy()
+        f = self.cone._coerce(self.functional, "effect functional").copy()
         f.flags.writeable = False
         object.__setattr__(self, "functional", f)
         if not effect_valid(self.cone, f):
             raise ValueError("functional is not between 0 and the unit on the cone")
 
     def __call__(self, v) -> float:
-        return float(self.functional @ self.cone._coerce(v))
+        return float(self.functional @ self.cone._coerce(v, "cone coordinates"))
 
 
 def cone_membership(cone: ConeSpace, v, tol: float | None = None) -> bool:
-    """Whether ``v`` lies in the cone, to tolerance ``tol`` (kind-specific default)."""
+    """Whether ``v`` lies in the cone, to tolerance ``tol`` (kind-specific default): no coordinate
+    (simplex) or eigenvalue (PSD) is below ``-tol``, or the Euclidean distance to a polyhedral cone is
+    at most ``tol``, which a negative ``tol`` admits nothing within. A NaN or infinite ``tol`` or
+    coordinate raises ``ValueError``."""
     return cone.contains(v, tol)
 
 
@@ -626,10 +599,9 @@ def effect_valid(cone: ConeSpace, phi) -> bool:
     and ``u - phi`` pass the cone's own membership check; a polyhedral cone
     checks both on its generators. A non-finite ``phi`` raises ``ValueError``.
     """
-    f = phi.functional if isinstance(phi, Effect) else cone._coerce(phi)
-    require_finite(f, "effect functional")
+    f = phi.functional if isinstance(phi, Effect) else cone._coerce(phi, "effect functional")
     if isinstance(cone, (SimplexCone, PsdCone)):
-        return bool(cone._member_rows(np.stack([f, cone.unit - f]), None).all())
+        return bool(_members_in([cone], np.stack([f, cone.unit - f]), np.zeros(2, dtype=np.intp)).all())
     if isinstance(cone, PolyhedralCone):
         gens = cone.generators
         lower = gens @ f
@@ -654,9 +626,10 @@ class GptState:
         a state of ``cones[k]``: each in its cone with unit value 1. Returns
         a read-only copy."""
         coords = cones[0]._coerce_rows(coords).copy()
-        if not _members_in(cones, coords).all():
+        owners = np.arange(len(coords))
+        if not _members_in(cones, coords, owners).all():
             raise ValueError("coordinates lie outside the cone")
-        u = _unit_values(cones, coords, np.arange(len(coords)))
+        u = _unit_values(cones, coords, owners)
         bad = np.abs(u - 1.0) > WEIGHT_SUM_TOL
         if bad.any():
             raise ValueError(f"unit value is {float(u[np.argmax(bad)])!r}, expected 1")
@@ -683,7 +656,8 @@ class Svm:
         dim = cones[0].dim
         if atoms.ndim != 3 or atoms.shape[1] < 1 or atoms.shape[2] != dim:
             raise ValueError(f"atoms must have shape (n_worlds, {dim}), got {atoms.shape[1:]}")
-        inside = _members_in(cones, atoms.reshape(-1, dim), atoms.shape[1]).reshape(atoms.shape[:2])
+        owners = np.repeat(np.arange(len(atoms)), atoms.shape[1])
+        inside = _members_in(cones, atoms.reshape(-1, dim), owners).reshape(atoms.shape[:2])
         if not inside.all():
             raise ValueError(f"atom {_first(~inside)[1]} lies outside the cone")
         total_u = _unit_values(cones, atoms.sum(axis=1), np.arange(len(atoms)))

@@ -761,9 +761,9 @@ def run_search(
     """
     from .generators import _block_seeds, _check_seeds, _check_shape
 
-    _check_shape(layer, n_worlds, n_agents, dim, cone_kind, mode != "random")
     if mode not in ("mix", "planted", "random"):
         raise ValueError(f"mode must be mix, planted, or random, got {mode!r}")
+    _check_shape(layer, n_worlds, n_agents, dim, cone_kind, mode != "random")
     if n_seeds < 0:
         raise ValueError(f"n_seeds must be nonnegative, got {n_seeds}")
     _check_seeds(base_seed, n_seeds)

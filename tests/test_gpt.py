@@ -312,6 +312,12 @@ def test_total_measure_decomposition(seed):
     assert np.abs(svm_value(svm, f) - mixture).max() <= 1e-12
 
 
+def _members(cone, points, tol=None):
+    """Membership of each row of ``points`` in ``cone``, by the one membership check."""
+    points = np.asarray(points, dtype=float)
+    return gpt._members_in([cone], points, np.zeros(len(points), dtype=np.intp), tol)
+
+
 def _bvls_residual(cone, v):
     """Residual of the bounded-variable least-squares fit that polyhedral
     membership used before NNLS: the reference for the NNLS decision."""
@@ -380,7 +386,7 @@ class TestBatchedConeChecks:
         cone = PsdCone(k)
         expected = [bool(np.linalg.eigvalsh(devectorize(v))[0] >= -PSD_EIG_TOL) for v in points]
         assert [cone.contains(v) for v in points] == expected
-        assert cone._members(points).tolist() == expected
+        assert _members(cone, points).tolist() == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 6))
@@ -430,7 +436,7 @@ def _assert_decisions_match_reference(
     |v| = 1e4 that is more than 1e-12, so the margin grows with |v|.
     """
     points = np.asarray(points, dtype=float)
-    decided = cone._members(points, tol)
+    decided = _members(cone, points, tol)
     assert [cone.contains(v, tol) for v in points] == decided.tolist()
     for v, inside in zip(points, decided):
         margin = 1e-12 + 64 * np.finfo(float).eps * np.linalg.norm(v)
@@ -543,8 +549,8 @@ class TestNumpyConeMembership:
         cone = PolyhedralCone(np.array([[2.0], [0.5]]), np.array([1.0]))
         assert _facets(cone).tolist() == [[1.0]]
         points = [[3.0], [0.0], [-0.5e-8], [-1e-8], [-2e-8], [-1.0]]
-        assert cone._members(np.array(points)).tolist() == [True, True, True, True, False, False]
-        assert not cone._members(np.array(points), -1e-12).any()  # no distance is negative
+        assert _members(cone, np.array(points)).tolist() == [True, True, True, True, False, False]
+        assert not _members(cone, np.array(points), -1e-12).any()  # no distance is negative
 
     def test_cone_past_the_facet_cap(self):
         cone = gen_polyhedral_cone(5, 8, 16)
@@ -560,9 +566,9 @@ class TestNumpyConeMembership:
         interior = g.mean(axis=0)
         points = np.array([g[0], interior, -interior, 0.5 * (g[0] + g[1])])
         for scale in (1e160, 1e300):
-            assert cone._members(scale * points).tolist() == [True, True, False, True]
+            assert _members(cone, scale * points).tolist() == [True, True, False, True]
         # every point is within tol of the apex
-        assert cone._members(1e-160 * points).all()
+        assert _members(cone, 1e-160 * points).all()
         assert _nnls_residual(np.eye(2), np.array([1e300, -1e300]), 10) == 1e300
 
     @pytest.mark.parametrize("spread", [0.0, 1.0])
@@ -585,8 +591,8 @@ class TestNumpyConeMembership:
 
         monkeypatch.setattr(gpt, "_nnls_residual", no_nnls)
         mixtures = rng.uniform(0.5, 1.0, size=(50, m)) @ generators
-        assert cone._members(mixtures).all()
-        assert not cone._members(-generators).any()
+        assert _members(cone, mixtures).all()
+        assert not _members(cone, -generators).any()
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 13))
@@ -615,46 +621,61 @@ class TestNumpyConeMembership:
         b = rng.standard_normal(dim) * rng.choice([1e-3, 1.0, 10.0])
         assert abs(_nnls_residual(a, b, 50 * n) - nnls(a, b, maxiter=50 * n)[1]) <= 1e-12
 
-    @pytest.mark.parametrize("restack", [False, True], ids=["one-stack", "restacked"])
-    def test_rows_that_name_their_cones_are_decided_as_each_cone_alone(self, restack, monkeypatch):
-        """One membership call over rows of many cones decides every row as
-        its own cone does alone, and sends the same points to the NNLS: the
-        certificates are the cone's own, padded to the stack's length. The
-        cones come from one stack, or from stacks of several generator
-        counts (facet and fit certificates, a cone of rank below dim among
-        them), which the call restacks."""
+    def test_rows_that_name_their_cones_are_decided_as_each_cone_alone(self, monkeypatch):
+        """One membership call over rows of many cones, in shuffled owner
+        order, decides every row as its own cone built alone does, and
+        sends the same points to the NNLS: the certificates are the cone's
+        own, padded to the stack's length, whatever order the cones are
+        named in. The stack holds cones of several
+        facet counts and one of rank nearly 2, whose facets cannot be
+        trusted, so a fit certifies its members."""
         rng = np.random.default_rng(5)
-        counts = (6, 7, 4, 9, 2) if restack else (6,)
-        cones = []
-        for m in counts:
-            n = 3 if restack else 12
-            gens = np.stack([gen_polyhedral_cone(100 * m + s, 3, m).generators for s in range(n)])
-            cones += gpt._polyhedral_cones(gens, np.eye(3)[[0] * n])
-        assert len({id(c._stack) for c in cones}) == len(counts)
-        assert {bool(c._stack.fitted[c._at]) for c in cones} == ({True, False} if restack else {False})
+        gens = [gen_polyhedral_cone(600 + s, 3, 6).generators for s in range(11)]
+        flat = np.hstack([np.ones((6, 1)), rng.standard_normal((6, 1)), 1e-7 * rng.standard_normal((6, 1))])
+        cones = gpt._polyhedral_cones(np.stack(gens + [flat]), np.eye(3)[[0] * 12])
+        stack = cones[0]._stack
+        assert all(c._stack is stack for c in cones)
+        assert stack.fitted.tolist() == [False] * 11 + [True]
+        assert len(set(stack.counts[:11].tolist())) > 1
+        cones = [cones[i] for i in rng.permutation(len(cones))]  # not in stack order
+        alone = [PolyhedralCone(c.generators, c.unit) for c in cones]
         per = 16
-        points = []
+        owners = rng.permutation(np.repeat(np.arange(len(cones)), per))
+        points = np.empty((len(owners), 3))
         for j, cone in enumerate(cones):  # members of the cone and of the next, points near it, random points
-            points += list(rng.uniform(0, 1, (4, len(cone.generators))) @ cone.generators)
-            points += list(cones[(j + 1) % len(cones)].generators.mean(axis=0) * rng.uniform(0.5, 2.0, (4, 1)))
-            points += list(_probe_points(cone, rng, CONE_FEAS_TOL)[:4])
-            points += list(3.0 * rng.standard_normal((per - len(points) % per, 3)))
-        points = np.array(points)
+            rows = np.flatnonzero(owners == j)
+            near = _probe_points(cone, rng, CONE_FEAS_TOL)[:4]
+            points[rows] = np.vstack([
+                rng.uniform(0, 1, (4, len(cone.generators))) @ cone.generators,
+                cones[(j + 1) % len(cones)].generators.mean(axis=0) * rng.uniform(0.5, 2.0, (4, 1)),
+                near,
+                3.0 * rng.standard_normal((per - 8 - len(near), 3)),
+            ])
         sent = []
 
         def nnls(a, b, maxiter):
-            sent.append((a.tobytes(), b.tobytes()))
+            sent.append((a.tobytes(), b.tobytes(), maxiter))
             return _nnls_residual(a, b, maxiter)
 
         monkeypatch.setattr(gpt, "_nnls_residual", nnls)
-        expected = [cone._members(points[j * per:(j + 1) * per]) for j, cone in enumerate(cones)]
-        alone, sent[:] = list(sent), []
-        assert np.array_equal(gpt._members_in(cones, points, per), np.concatenate(expected))
-        assert sent == alone
+        expected = np.concatenate([_members(alone[k], points[r:r + 1]) for r, k in enumerate(owners)])
+        by_row, sent[:] = list(sent), []
+        assert by_row  # some rows reach the NNLS
+        assert np.array_equal(gpt._members_in(cones, points, owners), expected)
+        assert sent == by_row
         with pytest.raises(ValueError, match="^a block's cones must share their kind$"):
-            gpt._members_in([cones[0], SimplexCone(3)], points[:2])
+            gpt._members_in([cones[0], SimplexCone(3)], points[:2], np.arange(2))
         with pytest.raises(ValueError, match="^a block's cones must share their kind$"):
-            gpt._members_in([cones[0], SimplexCone(3)], points[:2])
+            gpt._members_in([SimplexCone(3), cones[0]], points[:2], np.arange(2))
+
+    def test_cones_of_two_stacks_raise(self):
+        """A block's cones are built as one stack; rows whose cones come from two stacks are refused."""
+        first = gen_polyhedral_cone(1, 3, 6)
+        second = gen_polyhedral_cone(2, 3, 6)
+        points = np.vstack([first.generators[:1], second.generators[:1]])
+        assert gpt._members_in([first], points[:1], np.zeros(1, dtype=np.intp)).all()
+        with pytest.raises(ValueError, match="^a block's polyhedral cones must be built as one stack$"):
+            gpt._members_in([first, second], points, np.arange(2))
 
     def test_nnls_iteration_cap_raises(self):
         # three solves are needed to bring in three columns

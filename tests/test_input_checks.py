@@ -25,6 +25,8 @@ from aumann import (
     SimplexCone,
     VerdictStatus,
     agreement_event,
+    cone_membership,
+    devectorize,
     effect_valid,
     gen_dovm,
     gen_planted_scenario,
@@ -98,6 +100,21 @@ class TestTolerance:
         with pytest.raises(ValueError, match="tol"):
             verify_gpt_aumann(g.model, g.measure, g.targets, tol)
 
+    @pytest.mark.parametrize("tol", NON_FINITE)
+    @pytest.mark.parametrize(
+        "cone", [SimplexCone(3), PsdCone(2), PolyhedralCone([[1.0, 0.5], [1.0, -0.5]], [1.0, 0.0])], ids=repr
+    )
+    def test_membership_rejects(self, cone, tol):
+        """Every cone kind refuses a non-finite membership tolerance; a
+        negative one is a floor on simplex and PSD cones and admits nothing
+        on a polyhedral cone, as a distance."""
+        v = cone.unit  # inside every one of these cones
+        assert cone_membership(cone, v) and cone.contains(v)
+        assert cone_membership(cone, v, -1e-12) == (cone.kind != "polyhedral")
+        for check in (lambda: cone_membership(cone, v, tol), lambda: cone.contains(v, tol)):
+            with pytest.raises(ValueError, match="^tol must be finite$"):
+                check()
+
     def test_search_checks_before_any_shard(self, monkeypatch):
         def seed_status(*args):
             raise AssertionError("a seed ran")
@@ -120,17 +137,29 @@ class TestNonFinite:
                 check(m)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_devectorize(self, bad):
+        v = vectorize(np.eye(2) / 2)
+        for i in range(len(v)):  # a diagonal, the real and the imaginary part of an off-diagonal entry
+            w = v.copy()
+            w[i] = bad
+            with pytest.raises(ValueError, match="^coordinates must be finite$"):
+                devectorize(w)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize(
         "cone", [SimplexCone(4), PsdCone(2), PolyhedralCone([[1.0, 0.5], [1.0, -0.5]], [1.0, 0.0])], ids=repr
     )
     def test_effects(self, cone, bad):
         f = cone.unit / 2
         assert effect_valid(cone, f)
+        effect = Effect(cone, f)
         f[0] = bad
         with pytest.raises(ValueError, match="finite"):
             effect_valid(cone, f)
         with pytest.raises(ValueError, match="finite"):
             Effect(cone, f)
+        with pytest.raises(ValueError, match="finite"):
+            effect(f)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("layer, cone_kind", [("classical", "simplex"), ("quantum", "simplex"),
@@ -395,6 +424,11 @@ class TestSearchShape:
         argv = ["gen", "--layer", "classical", *(f for f in flags if f not in ("--mode", "random"))]
         assert main(argv + ([] if planted else ["--random"])) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_mode_is_checked_before_the_shape(self):
+        """An unknown mode is named as such, not taken for planting."""
+        with pytest.raises(ValueError, match="^mode must be mix, planted, or random, got 'bogus'$"):
+            run_search("classical", 10, n_worlds=1, mode="bogus")
 
     def test_random_search_takes_one_world(self):
         """Only planted scenarios need two worlds."""

@@ -237,7 +237,7 @@ def _old_verify_quantum_aumann(model, rho, sigmas, tol=MATCH_TOL, *, max_iters=N
 def _old_as_coords(cone, target):
     if isinstance(target, GptState):
         return target.coords
-    return cone._coerce(target)
+    return cone._coerce(target, "target")
 
 
 def _old_gpt_agreement_event(model, mu, targets, tol=MATCH_TOL):
