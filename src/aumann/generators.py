@@ -2,10 +2,13 @@
 
 All generators are pure functions of a 64-bit seed (plus parameters) and use
 numpy's Philox bit generator, a counter-based splittable PRNG, keyed directly
-by the seed: its key is ``[seed, 0]``, the state of ``Philox(key=seed)``,
-handed over without the OS-entropy ``SeedSequence`` that ``key=`` builds and
-discards. That keeps golden values portable: the same seed always yields
-bit-identical objects.
+by the seed: a seed draws the stream of ``Philox(key=seed)``, key
+``[seed, 0]`` from counter 0. A public single-seed generator builds that
+Philox without the OS-entropy ``SeedSequence`` that ``key=`` builds and
+discards (``_rng``); a block builds one Philox and resets its state to each
+seed's key before the seed draws (``_rekey``), since a Philox stream is a
+function of its key and counter alone. That keeps golden values portable:
+the same seed always yields bit-identical objects.
 
 The planted constructions guarantee non-vacuous theorem instances by giving
 every agent one shared cell and deriving the targets from it; unconstrained
@@ -37,7 +40,8 @@ entries per atom for each seed, within ``BLOCK_ENTRIES``, and never fewer
 than ``BLOCK_SEEDS``. Small shapes (6 worlds, 2 agents: 170 quantum seeds,
 455 gpt-polyhedral dim 3) pay numpy's per-call cost over more seeds; at 48
 worlds and 6 agents, and past it, a block keeps 32 seeds and its memory.
-Each seed draws from its own stream, so its bits do not depend on its block.
+Each seed draws from its own stream, so its bits do not depend on its block,
+and a block checks its seeds' range once, not per seed.
 
 A search verifies that block as it is. :class:`ScenarioBundle` objects are
 built from it (by iterating it) only for ``gen``, ``run_gen`` and the public
@@ -82,7 +86,9 @@ _WEIGHT_FLOOR = 1e-3
 def _philox_key() -> type:
     """The seed sequence that hands ``Philox`` the key ``[seed, 0]``, the
     state of ``Philox(key=seed)``, without the OS-entropy ``SeedSequence``
-    that ``key=`` builds and then discards. It is made on first use, so
+    that ``key=`` builds and then discards: what ``_rng`` keys a seed's
+    Philox with, and a block its one Philox, which ``_rekey`` then resets
+    for each seed at under half the cost. It is made on first use, so
     that importing this module does not load ``numpy.random`` before the
     package's other modules compile: without bytecode caches that raised a
     search's peak RSS by 0.3-0.4 MB (``BENCH_block_sizing.json``,
@@ -109,11 +115,32 @@ def _check_seeds(first: int, count: int) -> None:
 
 
 def _rng(seed) -> np.random.Generator:
+    """The stream of one seed, for the public single-seed generators; a
+    ``Generator`` is its own stream."""
     if isinstance(seed, np.random.Generator):
         return seed
     seed = int(seed)
     _check_seeds(seed, 1)
     return np.random.Generator(np.random.Philox(_philox_key()(seed)))
+
+
+def _rekey(rng: np.random.Generator, seed: int) -> np.random.Generator:
+    """``rng``, its Philox reset to the state ``Philox(key=seed)`` starts
+    in: key ``[seed, 0]``, counter 0, an empty buffer and no buffered
+    32-bit word. A Philox stream is a function of its key and counter alone
+    (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011),
+    and a numpy ``Generator`` holds no state of its own, so ``rng`` then
+    draws ``Generator(Philox(key=seed))``'s numbers bit for bit, whatever
+    it drew before. ``seed`` must be a checked 64-bit unsigned integer."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # the buffer's length: nothing buffered
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -324,10 +351,11 @@ class _Draw(NamedTuple):
 
 
 def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, dim: int,
-          cone: ConeSpace | None, n_generators: int | None) -> _Draw:
-    """Everything ``seed`` draws, from its own stream; a GPT seed without a
-    ``cone`` draws its own polyhedral one, which its block builds."""
-    rng = _rng(seed)
+          cone: ConeSpace | None, n_generators: int | None, rng: np.random.Generator) -> _Draw:
+    """Everything ``seed`` draws, from its own stream: the block's ``rng``
+    rekeyed to ``seed``. A GPT seed without a ``cone`` draws its own
+    polyhedral one, which its block builds."""
+    rng = _rekey(rng, seed)
     anchor = hypothesis = None
     if planted:
         labels = _planted_labels(rng, n_worlds, n_agents)
@@ -473,10 +501,16 @@ def _block_seeds(layer: str, n_worlds: int, n_agents: int, dim: int, cone_kind: 
 def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_agents: int, dim: int,
                cone_kind: str, n_generators: int | None) -> _Scenarios:
     """The block of ``(seed, planted)`` pairs, in order: each seed's draws,
-    then one checked label stack, the measures and the targets, each built
-    and checked as one stack."""
+    from one generator rekeyed per seed, then one checked label stack, the
+    measures and the targets, each built and checked as one stack. The
+    seeds' range is checked once, from the least to the greatest seed, as a
+    search checks its run of seeds."""
     cone = _check_shape(layer, n_worlds, n_agents, dim, cone_kind, any(planted for _, planted in seeds))
-    draws = [_draw(seed, planted, layer, n_worlds, n_agents, dim, cone, n_generators) for seed, planted in seeds]
+    keys = [int(seed) for seed, _ in seeds]
+    _check_seeds(min(keys), max(keys) - min(keys) + 1)
+    rng = np.random.Generator(np.random.Philox(_philox_key()(0)))  # rekeyed before each seed draws
+    draws = [_draw(seed, planted, layer, n_worlds, n_agents, dim, cone, n_generators, rng)
+             for seed, (_, planted) in zip(keys, seeds)]
     labels, cells, starts, masks = _cell_stack(np.concatenate([d.labels for d in draws]), n_worlds)
     shape = (len(draws), n_agents, n_worlds)
     hypotheses = [d.hypothesis for d in draws]

@@ -11,10 +11,17 @@ Finiteness, squareness, Hermiticity and positivity are each checked in one
 place, on a block of stacks of matrices (``_hermitian_stack``,
 ``_psd_stack``); a single matrix is checked as a stack of one, and errors
 name the first bad matrix of the first bad stack by its index in that
-stack. Each measure class has one check, its ``_check``, written on a
-block: the constructor runs it on a block of one, and a generator runs it
-once on a block of many, whose checked entries :func:`_instances` wraps,
-so an object built either way has passed the same check.
+stack. A positivity check, here or of a GPT's PSD cone, is a yes or no:
+``_eigvalsh_unless_psd`` first tries a Cholesky factorisation of the
+stack shifted by half the tolerance, which certifies a passing stack, and
+runs the eigensolve only when that fails or cannot be trusted, so every
+decision and every message is that of the eigensolve. The square roots
+keep their ``eigh``, since they need the eigenvectors, and trace norms
+their ``eigvalsh``, since distances feed verdicts. Each measure class
+has one check, its ``_check``, written on a block: the constructor runs it
+on a block of one, and a generator runs it once on a block of many, whose
+checked entries :func:`_instances` wraps, so an object built either way
+has passed the same check.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .errors import NotHermitian, NotPsd, as_array, require_finite_items, require_worlds
+from .errors import NotHermitian, NotPsd, as_array, require_finite, require_finite_items, require_worlds
 from .knowledge import Event, KnowledgeModel
 from .tolerances import (
     HERMITIAN_LOOSE_TOL,
@@ -43,7 +50,8 @@ __all__ = _EXPORTS["quantum"]
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Symmetrize ``(m + m^dagger)/2`` if ``m`` is a finite square matrix within
-    ``tol`` of Hermitian, else raise; ``m`` is checked as a stack of one."""
+    ``tol`` of Hermitian, else raise; ``m`` is checked as a stack of one. A
+    NaN or infinite ``tol`` raises ``ValueError``."""
     return _hermitian_stack(np.asarray(m)[None, None], "matrix", tol)[0, 0]
 
 
@@ -110,9 +118,10 @@ def _hermitian_stack(raw, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
     that stack, as a check of that stack alone would.
 
     A passing block costs one ``all`` and one ``max``; the index is looked
-    for only on failure. Finiteness is checked first, so no NaN or infinity
-    reaches the arithmetic.
+    for only on failure. Finiteness, of ``tol`` and then of the entries, is
+    checked first, so no NaN or infinity reaches the arithmetic.
     """
+    require_finite(tol, "tol")
     a = np.asarray(raw, dtype=complex)
     if a.ndim != 4 or a.shape[1] < 1 or a.shape[2] < 1 or a.shape[2] != a.shape[3]:
         raise ValueError(f"{what} stack must have shape (n, d, d), got {a.shape[1:]}")
@@ -151,14 +160,51 @@ def _sandwich(root: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (p + _adjoint(p)) / 2.0
 
 
+def _eigvalsh_unless_psd(h: np.ndarray, tol: float) -> np.ndarray | None:
+    """``None`` when a certificate shows that ``eigvalsh`` would find no
+    eigenvalue below ``-tol`` in any matrix of the Hermitian ``(..., d, d)``
+    stack ``h``; else ``eigvalsh(h)``, for the caller to decide on.
+
+    The certificate is one Cholesky factorisation of ``h + (tol/2) I`` for
+    the whole stack. Let ``a`` be the stack's largest entry modulus and
+    ``eps`` the machine epsilon. If the factorisation succeeds, Cholesky's
+    backward-error bound (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 10) puts every eigenvalue of each matrix at or above
+    ``-tol/2`` less the shift's rounding and the factorisation's backward
+    error, together about ``(d + 1)^2 eps (a + tol/2)``. ``eigvalsh`` is
+    backward stable: it lands within ``p(d) eps ||h||_2 <= p(d) d eps a``
+    of each eigenvalue, ``p(d)`` a modest polynomial, taken as ``(d + 1)^2``.
+    Both errors together stay below ``2 (d + 1)^3 eps (a + tol/2)``, and
+    the certificate is trusted only when eight times that is at most
+    ``tol/2`` (the factor covers complex arithmetic's constants): then
+    every eigenvalue ``eigvalsh`` would return is at least ``-tol``. At
+    ``tol <= 0`` no shift certifies the decision (a negative ``tol`` asks
+    every eigenvalue to be at least ``|tol|``), nor where the entries are
+    too large for the bound; there, and when the factorisation fails,
+    ``eigvalsh`` runs.
+    """
+    d = h.shape[-1]
+    half = tol / 2.0
+    if half > 0 and 16 * (d + 1) ** 3 * np.finfo(float).eps * (np.abs(h).max(initial=0.0) + half) <= half:
+        try:
+            np.linalg.cholesky(h + half * np.eye(d))
+            return None
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.eigvalsh(h)
+
+
 def _psd_stack(raw, what: str) -> np.ndarray:
     """Symmetrized ``(b, n, d, d)`` block of stacks of PSD matrices.
 
-    Every Hermiticity check runs before the one batched eigensolve, so a
+    Every Hermiticity check runs before the positivity check (certificate,
+    then eigensolve on failure: ``_eigvalsh_unless_psd``), so a
     non-Hermitian matrix is reported ahead of a non-PSD one at any index.
     """
     h = _hermitian_stack(raw, what)
-    _require_psd(np.linalg.eigvalsh(h), what)
+    vals = _eigvalsh_unless_psd(h, PSD_EIG_TOL)
+    if vals is not None:
+        _require_psd(vals, what)
     return h
 
 

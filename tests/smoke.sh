@@ -43,6 +43,8 @@ runtime)
     expect_exit 2 "${aumann[@]}" agree tests/data/invalid_cone_field.json
     expect_exit 2 "${aumann[@]}" agree tests/data/invalid_huge_dim.json
     expect_exit 2 "${aumann[@]}" agree tests/data/invalid_duplicate_key.json
+    # a negative eigenvalue fails the PSD certificate and is named by the eigensolve
+    expect_exit 2 "${aumann[@]}" agree tests/data/invalid_not_psd.json
     # every GPT mass rounds by one rule, so each planted cell matches itself at a tol below round-off
     "${aumann[@]}" search --layer gpt --cone simplex --dim 4 --worlds 48 --agents 6 --mode planted --tol 1e-300 \
         --seeds 64

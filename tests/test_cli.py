@@ -56,6 +56,14 @@ class TestAgree:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    def test_not_psd_atom_names_its_eigenvalue(self):
+        """A negative eigenvalue fails the positivity certificate, and the
+        eigensolve names the first bad atom and its eigenvalue."""
+        result = cli("agree", str(DATA / "invalid_not_psd.json"))
+        assert result.returncode == 2
+        assert result.stderr == "error: measure.quantum: atom 1 has eigenvalue -9.629e-03 below -1e-09\n"
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("name", ["invalid_nan_target.json", "invalid_infinite_tolerance.json"])
     def test_non_finite_number_is_exit_two(self, name):
         result = cli("agree", str(DATA / name))

@@ -83,6 +83,52 @@ def test_rng_is_philox_keyed_by_the_seed(seed):
     assert _rng(seed).standard_normal(9).tobytes() == draws.tobytes()
 
 
+def _mixed_draws(rng):
+    """Draws that read whole 64-bit words, 32-bit halves and bounded integers."""
+    return [rng.standard_normal(5).tobytes(), rng.random(3, dtype=np.float32).tobytes(),
+            rng.integers(0, 7, size=9).tobytes(), rng.integers(0, 10, size=3, dtype=np.uint32).tobytes(),
+            rng.bit_generator.random_raw(6).tobytes()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
+@pytest.mark.parametrize("leftover", ["none", "half-used uint32", "partly read buffer"])
+def test_a_rekeyed_generator_draws_the_seeds_own_stream(seed, leftover):
+    """A block's one generator, rekeyed to ``seed`` after the previous seed
+    drew, has the state of ``Philox(key=seed)`` and draws its numbers bit
+    for bit, whatever the previous seed left buffered."""
+    rng = generators._rekey(np.random.Generator(np.random.Philox(key=99)), 5)
+    if leftover != "none":
+        _mixed_draws(rng)
+    if leftover == "half-used uint32":
+        while not rng.bit_generator.state["has_uint32"]:
+            rng.random(dtype=np.float32)
+    elif leftover == "partly read buffer":
+        while not 0 < rng.bit_generator.state["buffer_pos"] < 4:
+            rng.bit_generator.random_raw(1)
+    assert generators._rekey(rng, seed) is rng
+    want = np.random.Generator(np.random.Philox(key=seed))
+    assert _plain(rng.bit_generator.state) == _plain(want.bit_generator.state)
+    assert _mixed_draws(rng) == _mixed_draws(want)
+    assert _plain(rng.bit_generator.state) == _plain(want.bit_generator.state)
+
+
+def test_no_generator_outlives_its_call():
+    """The module keeps no generator, so concurrent ``gen_*`` calls stay independent."""
+    assert not [name for name, value in vars(generators).items()
+                if isinstance(value, (np.random.Generator, np.random.BitGenerator))]
+
+
+@pytest.mark.parametrize("seeds, bad", [([2**64], 2**64), ([-1], -1), ([2**64 - 2, 2**64 - 1, 2**64], 2**64),
+                                        ([-3, -2], -3)])
+def test_a_block_checks_its_seed_range_once(seeds, bad):
+    """A block names a seed out of the 64-bit range as a search or ``_rng`` would."""
+    with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {bad}$"):
+        _scenarios("quantum", [(seed, True) for seed in seeds], 6, 2, 2, "simplex", None)
+    if len(seeds) == 1:
+        with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {bad}$"):
+            gen_planted_scenario(seeds[0], "quantum", 6, 2)
+
+
 class TestGenDensity:
     def test_dim_one(self):
         assert np.allclose(gen_density(0, 1).matrix, [[1.0]])

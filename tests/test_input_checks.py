@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 import aumann.knowledge as knowledge
+import aumann.quantum as quantum
 import aumann.scenario as scenario
 from aumann import (
     DensityOperator,
     Effect,
     GptState,
+    NotHermitian,
     PolyhedralCone,
     PsdCone,
     ScenarioSyntaxError,
@@ -114,6 +116,21 @@ class TestTolerance:
         for check in (lambda: cone_membership(cone, v, tol), lambda: cone.contains(v, tol)):
             with pytest.raises(ValueError, match="^tol must be finite$"):
                 check()
+
+    @pytest.mark.parametrize("tol", NON_FINITE)
+    def test_hermitian_check_rejects(self, tol):
+        """A non-finite ``tol`` raises before the deviation is compared, as a
+        membership ``tol`` does: with ``tol=nan`` every comparison is False,
+        so any square matrix passed as Hermitian."""
+        m = np.array([[1.0, 0.5], [0.4, 1.0]])
+        with pytest.raises(NotHermitian):
+            require_hermitian(m, tol=1e-12)
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            require_hermitian(m, tol=tol)
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            require_hermitian(np.eye(2), tol=tol)
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            quantum._hermitian_stack(np.eye(2)[None, None], "matrix", tol)
 
     def test_search_checks_before_any_shard(self, monkeypatch):
         def seed_status(*args):

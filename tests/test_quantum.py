@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +33,12 @@ from aumann import (
     trace_norm,
     verify_quantum_aumann,
 )
-from aumann import quantum
+from aumann import gpt, quantum
+from aumann.generators import _scenarios
+from aumann.gpt import PsdCone
+from aumann.scenario import _planted
 from aumann.tolerances import MATCH_TOL, NULL_MASS_TOL, PSD_EIG_TOL
+from aumann.verdicts import _statuses
 
 
 def diag_dovm(*diagonals):
@@ -358,3 +365,123 @@ class TestBatchedChecks:
                     agent_mask |= cell.mask
             expected &= agent_mask
         assert quantum_agreement_event(model, rho, bundle.targets).mask == expected
+
+
+# The PSD certificate: a Cholesky factorisation of the stack shifted by
+# tol/2 passes a stack, and eigvalsh decides only where it fails or is not
+# trusted. These frozen eigvalsh-only checks are what every PSD check did
+# before it, and every decision and message must stay theirs.
+def _old_psd_stack(raw, what):
+    h = quantum._hermitian_stack(raw, what)
+    quantum._require_psd(np.linalg.eigvalsh(h), what)
+    return h
+
+
+def _old_psd_rows_in(vs, tol):
+    tol = PSD_EIG_TOL if tol is None else tol
+    return np.linalg.eigvalsh(gpt._devectorize_rows(vs))[:, 0] >= -tol
+
+
+def _with_spectrum(rng, vals):
+    """A Hermitian matrix with eigenvalues ``vals`` (up to round-off) in a random eigenbasis."""
+    d = len(vals)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    m = (q * np.asarray(vals)) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def _certificate_cases(d, tol):
+    """Named matrices around the decision at ``tol``: PSD, rank-deficient,
+    the least eigenvalue a relative 1e-6 either side of ``-tol`` and at
+    ``-tol/2``, and the boundary cases again with entries near 1e6 and 1e12."""
+    rng = np.random.default_rng(100 * d + 7)
+    cases = {"psd": _with_spectrum(rng, rng.uniform(0.1, 1.0, d)),
+             "rank-deficient": _with_spectrum(rng, np.r_[np.zeros((d + 1) // 2), rng.uniform(0.1, 1.0, d // 2)])}
+    for scale in (1.0, 1e6, 1e12):
+        for name, low in (("below", -tol * (1 + 1e-6)), ("above", -tol * (1 - 1e-6)), ("half", -tol / 2)):
+            cases[f"{name} x{scale:g}"] = _with_spectrum(rng, np.r_[low, scale * rng.uniform(0.1, 1.0, d - 1)])
+    return cases
+
+
+def _outcome(check, *args):
+    """What ``check`` returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _same(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestPsdCertificate:
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_psd_stack_decides_as_eigvalsh(self, d):
+        """Each case alone, as entry 2 of a stack of PSD matrices, and all
+        cases in one stack: the same block, or the same error."""
+        cases = _certificate_cases(d, PSD_EIG_TOL)
+        filler = _with_spectrum(np.random.default_rng(d), np.linspace(0.2, 1.0, d))
+        blocks = [np.stack([c])[None] for c in cases.values()]
+        blocks += [np.stack([filler, filler, c, filler])[None] for c in cases.values()]
+        blocks.append(np.stack(list(cases.values()))[None])
+        for block in blocks:
+            assert _same(_outcome(quantum._psd_stack, block, "atom"), _outcome(_old_psd_stack, block, "atom"))
+
+    @pytest.mark.parametrize("tol", [-1e-3, 0.0, 1e-9, 10.0, None])
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_psd_membership_decides_as_eigvalsh(self, d, tol):
+        """``PsdCone._rows_in``, and membership through ``_members_in``, on
+        each case alone and on all at once; a negative ``tol`` admits
+        nothing below ``|tol|``."""
+        cases = _certificate_cases(d, PSD_EIG_TOL if tol is None else tol)
+        vs = gpt._vectorize_rows(np.stack(list(cases.values())))
+        cone = PsdCone(d)
+        for rows in [vs[[i]] for i in range(len(vs))] + [vs]:
+            owners = np.zeros(len(rows), dtype=np.intp)
+            want = _old_psd_rows_in(rows, tol)
+            assert _same(PsdCone._rows_in([cone], rows, owners, tol), want)
+            assert _same(gpt._members_in([cone], rows, owners, tol), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_certificate_decides_passing_stacks(self, d, monkeypatch):
+        """A PSD or rank-deficient stack of unit scale is passed by the
+        factorisation alone, at the default and at a large ``tol``."""
+        eigvalsh = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigvalsh.append(h) or np.zeros(h.shape[:-1]))
+        for tol in (PSD_EIG_TOL, 10.0):
+            cases = _certificate_cases(d, tol)
+            h = np.stack([cases["psd"], cases["rank-deficient"]])
+            assert quantum._eigvalsh_unless_psd(h, tol) is None
+        assert eigvalsh == []
+
+    def test_certificate_is_not_trusted_at_a_floor_or_at_large_entries(self, monkeypatch):
+        """At ``tol <= 0``, and where the entries are too large for the
+        backward-error bound, ``eigvalsh`` decides even a PSD stack."""
+        h = np.stack([np.eye(2), np.diag([1e6, 1.0])]).astype(complex)
+        for tol, stack in ((0.0, h[:1]), (-1e-3, h[:1]), (PSD_EIG_TOL, h[1:]), (PSD_EIG_TOL, h)):
+            assert np.array_equal(quantum._eigvalsh_unless_psd(stack, tol), np.linalg.eigvalsh(stack))
+        assert quantum._eigvalsh_unless_psd(h[:1], PSD_EIG_TOL) is None
+
+    @pytest.mark.parametrize("layer, cone_kind", [("quantum", "simplex"), ("gpt", "psd")])
+    def test_generated_blocks_make_no_psd_eigensolve(self, layer, cone_kind, monkeypatch):
+        """A 96-seed ``mix`` block at 6 worlds and 2 agents, generated and
+        verified: every PSD check is decided by the certificate, and the
+        trace-norm distances (quantum only) keep their two eigensolves."""
+        calls = Counter()
+
+        def counted(solver):
+            def call(*args, **kwargs):
+                calls[solver.__name__, sys._getframe(1).f_code.co_name] += 1
+                return solver(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
+        block = _scenarios(layer, [(672 + i, _planted("mix", i)) for i in range(96)], 6, 2, 2, cone_kind, None).block
+        _statuses(block, MATCH_TOL)
+        distances = {("eigvalsh", "_trace_norms"): 2} if layer == "quantum" else {}
+        certificates = 6 if layer == "quantum" else 12  # the eigensolves of the PSD checks before the certificate
+        assert dict(calls) == {("cholesky", "_eigvalsh_unless_psd"): certificates, **distances}
