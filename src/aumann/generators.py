@@ -3,12 +3,17 @@
 All generators are pure functions of a 64-bit seed (plus parameters) and use
 numpy's Philox bit generator, a counter-based splittable PRNG, keyed directly
 by the seed: a seed draws the stream of ``Philox(key=seed)``, key
-``[seed, 0]`` from counter 0. A public single-seed generator builds that
-Philox without the OS-entropy ``SeedSequence`` that ``key=`` builds and
-discards (``_rng``); a block builds one Philox and resets its state to each
-seed's key before the seed draws (``_rekey``), since a Philox stream is a
-function of its key and counter alone. That keeps golden values portable:
-the same seed always yields bit-identical objects.
+``[seed, 0]`` from counter 0. Every stream is keyed in one place,
+``_stream``, which resets a Philox's state to the seed's key, since a
+Philox stream is a function of its key and counter alone: a block builds
+one Philox and rekeys it before each seed draws, and a public single-seed
+generator rekeys a new one (``_rng``). No key goes through the OS-entropy
+``SeedSequence`` that ``key=`` builds and discards. That keeps golden
+values portable: the same seed always yields bit-identical objects. A
+``np.random.Generator`` passed as a seed is drawn from as it is.
+``numpy.random`` is touched only inside calls, so importing this module
+does not load it: without bytecode caches, loading it at import raised a
+search's peak RSS by 0.3-0.4 MB (``BENCH_block_sizing.json``).
 
 The planted constructions guarantee non-vacuous theorem instances by giving
 every agent one shared cell and deriving the targets from it; unconstrained
@@ -40,8 +45,7 @@ entries per atom for each seed, within ``BLOCK_ENTRIES``, and never fewer
 than ``BLOCK_SEEDS``. Small shapes (6 worlds, 2 agents: 170 quantum seeds,
 455 gpt-polyhedral dim 3) pay numpy's per-call cost over more seeds; at 48
 worlds and 6 agents, and past it, a block keeps 32 seeds and its memory.
-Each seed draws from its own stream, so its bits do not depend on its block,
-and a block checks its seeds' range once, not per seed.
+Each seed draws from its own stream, so its bits do not depend on its block.
 
 A search verifies that block as it is. :class:`ScenarioBundle` objects are
 built from it (by iterating it) only for ``gen``, ``run_gen`` and the public
@@ -52,7 +56,6 @@ building each seed alone.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -82,29 +85,6 @@ _MAX_SEED = 1 << 64
 _WEIGHT_FLOOR = 1e-3
 
 
-@functools.cache
-def _philox_key() -> type:
-    """The seed sequence that hands ``Philox`` the key ``[seed, 0]``, the
-    state of ``Philox(key=seed)``, without the OS-entropy ``SeedSequence``
-    that ``key=`` builds and then discards: what ``_rng`` keys a seed's
-    Philox with, and a block its one Philox, which ``_rekey`` then resets
-    for each seed at under half the cost. It is made on first use, so
-    that importing this module does not load ``numpy.random`` before the
-    package's other modules compile: without bytecode caches that raised a
-    search's peak RSS by 0.3-0.4 MB (``BENCH_block_sizing.json``,
-    ``philox_key_class``)."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        def __init__(self, seed: int):
-            self.seed = seed
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return np.array([self.seed, 0], dtype=np.uint64)  # Philox asks for its two 64-bit key words
-
-    return PhiloxKey
-
-
 def _check_seeds(first: int, count: int) -> None:
     """Raise ``ValueError`` naming the first of the ``count`` seeds from
     ``first`` (``first`` itself if ``count`` is 0) that is not a 64-bit
@@ -115,23 +95,25 @@ def _check_seeds(first: int, count: int) -> None:
 
 
 def _rng(seed) -> np.random.Generator:
-    """The stream of one seed, for the public single-seed generators; a
-    ``Generator`` is its own stream."""
+    """The stream of one seed (``_stream``), for the public single-seed
+    generators, on a new Philox."""
+    return _stream(seed, np.random.Generator(np.random.Philox(0)))
+
+
+def _stream(seed, rng: np.random.Generator) -> np.random.Generator:
+    """The stream ``seed`` draws from. A ``Generator`` is its own stream.
+    An integer seed is checked to be a 64-bit unsigned integer and resets
+    ``rng``'s Philox to the state ``Philox(key=seed)`` starts in: key
+    ``[seed, 0]``, counter 0, an empty buffer and no buffered 32-bit word.
+    A Philox stream is a function of its key and counter alone (Salmon et
+    al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011), and a
+    numpy ``Generator`` holds no state of its own, so ``rng`` then draws
+    ``Generator(Philox(key=seed))``'s numbers bit for bit, whatever it drew
+    before."""
     if isinstance(seed, np.random.Generator):
         return seed
     seed = int(seed)
     _check_seeds(seed, 1)
-    return np.random.Generator(np.random.Philox(_philox_key()(seed)))
-
-
-def _rekey(rng: np.random.Generator, seed: int) -> np.random.Generator:
-    """``rng``, its Philox reset to the state ``Philox(key=seed)`` starts
-    in: key ``[seed, 0]``, counter 0, an empty buffer and no buffered
-    32-bit word. A Philox stream is a function of its key and counter alone
-    (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011),
-    and a numpy ``Generator`` holds no state of its own, so ``rng`` then
-    draws ``Generator(Philox(key=seed))``'s numbers bit for bit, whatever
-    it drew before. ``seed`` must be a checked 64-bit unsigned integer."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
@@ -352,10 +334,10 @@ class _Draw(NamedTuple):
 
 def _draw(seed: int, planted: bool, layer: str, n_worlds: int, n_agents: int, dim: int,
           cone: ConeSpace | None, n_generators: int | None, rng: np.random.Generator) -> _Draw:
-    """Everything ``seed`` draws, from its own stream: the block's ``rng``
-    rekeyed to ``seed``. A GPT seed without a ``cone`` draws its own
+    """Everything ``seed`` draws, from its own stream: ``_stream`` rekeys
+    the block's ``rng`` to it. A GPT seed without a ``cone`` draws its own
     polyhedral one, which its block builds."""
-    rng = _rekey(rng, seed)
+    rng = _stream(seed, rng)
     anchor = hypothesis = None
     if planted:
         labels = _planted_labels(rng, n_worlds, n_agents)
@@ -502,15 +484,10 @@ def _scenarios(layer: str, seeds: Sequence[tuple[int, bool]], n_worlds: int, n_a
                cone_kind: str, n_generators: int | None) -> _Scenarios:
     """The block of ``(seed, planted)`` pairs, in order: each seed's draws,
     from one generator rekeyed per seed, then one checked label stack, the
-    measures and the targets, each built and checked as one stack. The
-    seeds' range is checked once, from the least to the greatest seed, as a
-    search checks its run of seeds."""
+    measures and the targets, each built and checked as one stack."""
     cone = _check_shape(layer, n_worlds, n_agents, dim, cone_kind, any(planted for _, planted in seeds))
-    keys = [int(seed) for seed, _ in seeds]
-    _check_seeds(min(keys), max(keys) - min(keys) + 1)
-    rng = np.random.Generator(np.random.Philox(_philox_key()(0)))  # rekeyed before each seed draws
-    draws = [_draw(seed, planted, layer, n_worlds, n_agents, dim, cone, n_generators, rng)
-             for seed, (_, planted) in zip(keys, seeds)]
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each seed before it draws
+    draws = [_draw(seed, planted, layer, n_worlds, n_agents, dim, cone, n_generators, rng) for seed, planted in seeds]
     labels, cells, starts, masks = _cell_stack(np.concatenate([d.labels for d in draws]), n_worlds)
     shape = (len(draws), n_agents, n_worlds)
     hypotheses = [d.hypothesis for d in draws]

@@ -27,7 +27,7 @@ from . import _EXPORTS
 from .classical import ProbabilityMeasure
 from .errors import as_array, require_finite, require_worlds
 from .knowledge import Event, KnowledgeModel
-from .quantum import Dovm, _eigvalsh_unless_psd, _first, _instances, require_hermitian
+from .quantum import Dovm, _first, _instances, _least_eigenvalues, require_hermitian
 from .tolerances import (
     CONE_FEAS_TOL,
     HERMITIAN_LOOSE_TOL,
@@ -234,10 +234,9 @@ class PsdCone(ConeSpace):
         """A row is a member when no eigenvalue of its matrix is below
         ``-tol``: a Cholesky certificate passes the rows at once, and the
         eigensolve decides only where it fails or cannot be trusted
-        (``quantum._eigvalsh_unless_psd``)."""
+        (``quantum._least_eigenvalues``)."""
         tol = PSD_EIG_TOL if tol is None else tol
-        vals = _eigvalsh_unless_psd(_devectorize_rows(vs), tol)
-        return np.ones(len(vs), dtype=bool) if vals is None else vals[:, 0] >= -tol
+        return _least_eigenvalues(_devectorize_rows(vs), tol) >= -tol
 
 
 # Certificates for polyhedral cones. These constants choose which points

@@ -12,7 +12,7 @@ place, on a block of stacks of matrices (``_hermitian_stack``,
 ``_psd_stack``); a single matrix is checked as a stack of one, and errors
 name the first bad matrix of the first bad stack by its index in that
 stack. A positivity check, here or of a GPT's PSD cone, is a yes or no:
-``_eigvalsh_unless_psd`` first tries a Cholesky factorisation of the
+``_least_eigenvalues`` first tries a Cholesky factorisation of the
 stack shifted by half the tolerance, which certifies a passing stack, and
 runs the eigensolve only when that fails or cannot be trusted, so every
 decision and every message is that of the eigensolve. The square roots
@@ -65,7 +65,7 @@ def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack, checked as one stack; raises :class:`NotPsd` below ``-PSD_EIG_TOL``."""
     m = np.asarray(m)
     vals, vecs = np.linalg.eigh(_hermitian_stack(m.reshape((1, -1) + m.shape[-2:]), "matrix"))
-    _require_psd(vals, "matrix")
+    _require_psd(vals[..., 0], "matrix")
     return vals.reshape(m.shape[:-1]), vecs.reshape(m.shape)
 
 
@@ -137,10 +137,9 @@ def _hermitian_stack(raw, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (a + adjoint) / 2.0
 
 
-def _require_psd(vals: np.ndarray, what: str) -> None:
-    """Raise :class:`NotPsd` naming the first matrix of a block whose
-    eigenvalues ``vals`` (``(b, n, d)``, ascending) go below ``-PSD_EIG_TOL``."""
-    lowest = vals[..., 0]
+def _require_psd(lowest: np.ndarray, what: str) -> None:
+    """Raise :class:`NotPsd` naming the first matrix of a block whose least
+    eigenvalue in ``lowest`` (``(b, n)``) is below ``-PSD_EIG_TOL``."""
     if (lowest < -PSD_EIG_TOL).any():  # a NaN is not below
         k, w = _first(lowest < -PSD_EIG_TOL)
         raise NotPsd(f"{what} {w} has eigenvalue {lowest[k, w]:.3e} below -{PSD_EIG_TOL:.0e}")
@@ -160,51 +159,53 @@ def _sandwich(root: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (p + _adjoint(p)) / 2.0
 
 
-def _eigvalsh_unless_psd(h: np.ndarray, tol: float) -> np.ndarray | None:
-    """``None`` when a certificate shows that ``eigvalsh`` would find no
-    eigenvalue below ``-tol`` in any matrix of the Hermitian ``(..., d, d)``
-    stack ``h``; else ``eigvalsh(h)``, for the caller to decide on.
+def _least_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray:
+    """The least eigenvalue of each matrix of the Hermitian ``(..., d, d)``
+    stack ``h``, as ``eigvalsh`` finds it; or zeros for the whole stack when
+    a certificate shows that ``eigvalsh`` would find none below ``-tol``
+    (``tol > 0`` there, so a zero is not below ``-tol`` either).
 
-    The certificate is one Cholesky factorisation of ``h + (tol/2) I`` for
-    the whole stack. Let ``a`` be the stack's largest entry modulus and
-    ``eps`` the machine epsilon. If the factorisation succeeds, Cholesky's
-    backward-error bound (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 10) puts every eigenvalue of each matrix at or above
-    ``-tol/2`` less the shift's rounding and the factorisation's backward
-    error, together about ``(d + 1)^2 eps (a + tol/2)``. ``eigvalsh`` is
-    backward stable: it lands within ``p(d) eps ||h||_2 <= p(d) d eps a``
-    of each eigenvalue, ``p(d)`` a modest polynomial, taken as ``(d + 1)^2``.
-    Both errors together stay below ``2 (d + 1)^3 eps (a + tol/2)``, and
-    the certificate is trusted only when eight times that is at most
-    ``tol/2`` (the factor covers complex arithmetic's constants): then
-    every eigenvalue ``eigvalsh`` would return is at least ``-tol``. At
-    ``tol <= 0`` no shift certifies the decision (a negative ``tol`` asks
-    every eigenvalue to be at least ``|tol|``), nor where the entries are
-    too large for the bound; there, and when the factorisation fails,
-    ``eigvalsh`` runs.
+    The certificate is one Cholesky factorisation of ``A = h + (tol/2) I``
+    for the whole stack. Let ``a`` be the stack's largest entry modulus and
+    ``eps`` the machine epsilon; ``A``'s entries are at most ``a + tol/2``,
+    so ``||A||_2 <= d (a + tol/2)``. If the factorisation succeeds, the
+    computed factor is exact for ``A + dA`` with ``||dA||_2 <= d
+    gamma_(d+1) ||A||_2`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 10.5; ``gamma_(d+1)`` is about ``(d + 1) eps``), so
+    every eigenvalue of ``h`` is at least ``-tol/2`` less about
+    ``d^2 (d + 1) eps (a + tol/2)`` and the shift's rounding, at most
+    ``eps (a + tol/2)``. ``eigvalsh`` is backward stable: it lands within
+    ``p(d) eps ||h||_2 <= p(d) d eps a`` of each eigenvalue, ``p(d)`` a
+    modest polynomial, taken as ``(d + 1)^2``. The three terms sum to
+    ``(d (d + 1) (2d + 1) + 1) eps (a + tol/2)``, below
+    ``2 (d + 1)^3 eps (a + tol/2)``, and the certificate is trusted only
+    when eight times that is at most ``tol/2`` (the factor covers complex
+    arithmetic's constants): then every eigenvalue ``eigvalsh`` would
+    return is at least ``-tol``. At ``tol <= 0`` no shift certifies the
+    decision (a negative ``tol`` asks every eigenvalue to be at least
+    ``|tol|``), nor where the entries are too large for the bound; there,
+    and when the factorisation fails, ``eigvalsh`` runs.
     """
     d = h.shape[-1]
     half = tol / 2.0
     if half > 0 and 16 * (d + 1) ** 3 * np.finfo(float).eps * (np.abs(h).max(initial=0.0) + half) <= half:
         try:
             np.linalg.cholesky(h + half * np.eye(d))
-            return None
+            return np.zeros(h.shape[:-2])
         except np.linalg.LinAlgError:
             pass
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(h)[..., 0]
 
 
 def _psd_stack(raw, what: str) -> np.ndarray:
     """Symmetrized ``(b, n, d, d)`` block of stacks of PSD matrices.
 
     Every Hermiticity check runs before the positivity check (certificate,
-    then eigensolve on failure: ``_eigvalsh_unless_psd``), so a
+    then eigensolve on failure: ``_least_eigenvalues``), so a
     non-Hermitian matrix is reported ahead of a non-PSD one at any index.
     """
     h = _hermitian_stack(raw, what)
-    vals = _eigvalsh_unless_psd(h, PSD_EIG_TOL)
-    if vals is not None:
-        _require_psd(vals, what)
+    _require_psd(_least_eigenvalues(h, PSD_EIG_TOL), what)
     return h
 
 

@@ -32,6 +32,7 @@ from aumann.errors import ConditioningOnNull, NotPsd
 from aumann.generators import BLOCK_SEEDS, LAYERS, _rng, _scenarios
 from aumann.gpt import PolyhedralCone, PsdCone, SimplexCone, Svm, _polyhedral_cones, _vectorize_rows
 from aumann.quantum import DensityOperator, Dovm, Povm, _instances, require_hermitian
+from aumann.scenario import run_gen, serialize_scenario
 from aumann.tolerances import NULL_MASS_TOL
 
 
@@ -96,7 +97,7 @@ def test_a_rekeyed_generator_draws_the_seeds_own_stream(seed, leftover):
     """A block's one generator, rekeyed to ``seed`` after the previous seed
     drew, has the state of ``Philox(key=seed)`` and draws its numbers bit
     for bit, whatever the previous seed left buffered."""
-    rng = generators._rekey(np.random.Generator(np.random.Philox(key=99)), 5)
+    rng = generators._stream(5, np.random.Generator(np.random.Philox(key=99)))
     if leftover != "none":
         _mixed_draws(rng)
     if leftover == "half-used uint32":
@@ -105,7 +106,7 @@ def test_a_rekeyed_generator_draws_the_seeds_own_stream(seed, leftover):
     elif leftover == "partly read buffer":
         while not 0 < rng.bit_generator.state["buffer_pos"] < 4:
             rng.bit_generator.random_raw(1)
-    assert generators._rekey(rng, seed) is rng
+    assert generators._stream(seed, rng) is rng
     want = np.random.Generator(np.random.Philox(key=seed))
     assert _plain(rng.bit_generator.state) == _plain(want.bit_generator.state)
     assert _mixed_draws(rng) == _mixed_draws(want)
@@ -120,13 +121,30 @@ def test_no_generator_outlives_its_call():
 
 @pytest.mark.parametrize("seeds, bad", [([2**64], 2**64), ([-1], -1), ([2**64 - 2, 2**64 - 1, 2**64], 2**64),
                                         ([-3, -2], -3)])
-def test_a_block_checks_its_seed_range_once(seeds, bad):
-    """A block names a seed out of the 64-bit range as a search or ``_rng`` would."""
+def test_a_block_names_a_seed_out_of_range(seeds, bad):
+    """A block names its first seed out of the 64-bit range as a search or ``_rng`` would."""
     with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {bad}$"):
         _scenarios("quantum", [(seed, True) for seed in seeds], 6, 2, 2, "simplex", None)
     if len(seeds) == 1:
         with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {bad}$"):
             gen_planted_scenario(seeds[0], "quantum", 6, 2)
+
+
+@pytest.mark.parametrize("layer, cone_kind", [("classical", "simplex"), ("quantum", "simplex"), ("gpt", "psd"),
+                                              ("gpt", "polyhedral")])
+def test_a_generator_seed_is_drawn_from_as_it_is(layer, cone_kind):
+    """A ``np.random.Generator`` passed as the seed of a scenario generator
+    or ``run_gen`` is its own stream: ``Generator(Philox(key=7))`` gives the
+    bits of seed 7, and the generator is drawn from, not rekeyed."""
+    for gen, planted in ((gen_planted_scenario, True), (gen_unconstrained_scenario, False)):
+        rng = np.random.Generator(np.random.Philox(key=7))
+        got = gen(rng, layer, 6, 2, dim=2, cone_kind=cone_kind)
+        assert _bundle_bytes(got) == _bundle_bytes(gen(7, layer, 6, 2, dim=2, cone_kind=cone_kind))
+        assert rng.bit_generator.state["state"]["key"].tolist() == [7, 0]
+        assert rng.bit_generator.state["state"]["counter"].tolist() != [0, 0, 0, 0]
+        want = serialize_scenario(run_gen(layer, 7, cone_kind=cone_kind, planted=planted))
+        rng = np.random.Generator(np.random.Philox(key=7))
+        assert serialize_scenario(run_gen(layer, rng, cone_kind=cone_kind, planted=planted)) == want
 
 
 class TestGenDensity:

@@ -315,13 +315,13 @@ class TestBatchedChecks:
         """One reduction over the block's lowest eigenvalues: a NaN is not
         below the tolerance, and the first matrix below it is named by its
         index in its own stack."""
-        vals = np.zeros((170, 6, 2))
-        vals[3, 4, 0] = np.nan
-        quantum._require_psd(vals, "atom")
-        vals[169, 1, 0] = vals[169, 5, 0] = -1e-3
-        vals[169, 2, 0] = -PSD_EIG_TOL  # at the tolerance, not below it
+        lowest = np.zeros((170, 6))
+        lowest[3, 4] = np.nan
+        quantum._require_psd(lowest, "atom")
+        lowest[169, 1] = lowest[169, 5] = -1e-3
+        lowest[169, 2] = -PSD_EIG_TOL  # at the tolerance, not below it
         with pytest.raises(NotPsd, match=r"^atom 1 has eigenvalue -1\.000e-03 below -1e-09$"):
-            quantum._require_psd(vals, "atom")
+            quantum._require_psd(lowest, "atom")
 
     def test_first_bad_index_is_named(self):
         atoms = _psd_atoms(6)
@@ -373,7 +373,7 @@ class TestBatchedChecks:
 # before it, and every decision and message must stay theirs.
 def _old_psd_stack(raw, what):
     h = quantum._hermitian_stack(raw, what)
-    quantum._require_psd(np.linalg.eigvalsh(h), what)
+    quantum._require_psd(np.linalg.eigvalsh(h)[..., 0], what)
     return h
 
 
@@ -454,7 +454,7 @@ class TestPsdCertificate:
         for tol in (PSD_EIG_TOL, 10.0):
             cases = _certificate_cases(d, tol)
             h = np.stack([cases["psd"], cases["rank-deficient"]])
-            assert quantum._eigvalsh_unless_psd(h, tol) is None
+            assert _same(quantum._least_eigenvalues(h, tol), np.zeros(2))
         assert eigvalsh == []
 
     def test_certificate_is_not_trusted_at_a_floor_or_at_large_entries(self, monkeypatch):
@@ -462,8 +462,8 @@ class TestPsdCertificate:
         backward-error bound, ``eigvalsh`` decides even a PSD stack."""
         h = np.stack([np.eye(2), np.diag([1e6, 1.0])]).astype(complex)
         for tol, stack in ((0.0, h[:1]), (-1e-3, h[:1]), (PSD_EIG_TOL, h[1:]), (PSD_EIG_TOL, h)):
-            assert np.array_equal(quantum._eigvalsh_unless_psd(stack, tol), np.linalg.eigvalsh(stack))
-        assert quantum._eigvalsh_unless_psd(h[:1], PSD_EIG_TOL) is None
+            assert _same(quantum._least_eigenvalues(stack, tol), np.linalg.eigvalsh(stack)[:, 0])
+        assert _same(quantum._least_eigenvalues(h[:1], PSD_EIG_TOL), np.zeros(1))
 
     @pytest.mark.parametrize("layer, cone_kind", [("quantum", "simplex"), ("gpt", "psd")])
     def test_generated_blocks_make_no_psd_eigensolve(self, layer, cone_kind, monkeypatch):
@@ -484,4 +484,4 @@ class TestPsdCertificate:
         _statuses(block, MATCH_TOL)
         distances = {("eigvalsh", "_trace_norms"): 2} if layer == "quantum" else {}
         certificates = 6 if layer == "quantum" else 12  # the eigensolves of the PSD checks before the certificate
-        assert dict(calls) == {("cholesky", "_eigvalsh_unless_psd"): certificates, **distances}
+        assert dict(calls) == {("cholesky", "_least_eigenvalues"): certificates, **distances}
